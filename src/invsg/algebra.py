@@ -8,10 +8,12 @@ algebra" of a finite group: its monomial basis multiplies exactly like
 the spanning monomials (projection times group shift) of the partial
 crossed product, and all block computations happen here.
 
-The numerical block decomposition follows the classical route: find
-the center, pick a random central element, cluster the spectrum of its
-left-regular matrix, interpolate to get the central primitive
-idempotents, and read each block size off a rank computation.
+Finite inverse-semigroup algebras are semisimple, so the numerical
+block decomposition works inside the center: the center is the
+commutant of the algebra generators, the eigenvectors of a random
+central element acting on the center give the central primitive
+idempotents, and each block size is read off the trace of left
+multiplication by its idempotent, with no rank cut-off.
 """
 
 from __future__ import annotations
@@ -32,17 +34,26 @@ from .semigroup import (
 )
 
 DEFAULT_DIM_CAP = 1000
-CLUSTER_GAP = 1e-6
-RANK_PIVOT_TOL = 1e-8
 
 
 class EigenvalueClusterAmbiguous(RuntimeError):
-    """Two spectral clusters sit dangerously close; retry with a new seed."""
+    """Two eigenvalues of the random central element sit dangerously
+    close; retry with a new seed.  ``relative_gap`` is their distance
+    relative to the largest eigenvalue."""
+
+    def __init__(self, message: str, relative_gap: float = float("nan")):
+        super().__init__(message)
+        self.relative_gap = relative_gap
 
 
 class NonIntegerBlockDim(RuntimeError):
     """A block dimension failed its integrality check (non-semisimple
-    input or a tolerance failure)."""
+    input or a tolerance failure).  ``integrality_error`` is the worst
+    distance of a block trace from a perfect square."""
+
+    def __init__(self, message: str, integrality_error: float = float("nan")):
+        super().__init__(message)
+        self.integrality_error = integrality_error
 
 
 class RankThresholdBreach(RuntimeError):
@@ -54,8 +65,10 @@ class StructureAlgebra:
 
     Built over the enumerated semigroup by :func:`build_algebra`; the
     same shape also carries the plain group algebra for contrast tests
-    (see :func:`group_algebra`).  Instances are immutable in use and
-    compare by identity.
+    (see :func:`group_algebra`).  ``generators`` are basis elements that
+    generate the algebra together with the unit; they are stored as
+    basis indices.  Instances are immutable in use and compare by
+    identity.
     """
 
     def __init__(
@@ -65,6 +78,7 @@ class StructureAlgebra:
         mult: np.ndarray,
         star: np.ndarray,
         unit_index: int,
+        generators: tuple,
     ):
         self.group = group
         self.basis = basis
@@ -72,6 +86,7 @@ class StructureAlgebra:
         self.star = star
         self.unit_index = unit_index
         self.index = {b: i for i, b in enumerate(basis)}
+        self.generators = tuple(self.index[g] for g in generators)
 
     @property
     def dim(self) -> int:
@@ -96,14 +111,16 @@ def build_algebra(group: FiniteGroup, cap: int = DEFAULT_DIM_CAP) -> StructureAl
         )
     elements = enumerate_semigroup(group, cap=group.order)
     mult, star, unit_idx = multiplication_tables(elements)
-    return StructureAlgebra(group, tuple(elements), mult, star, unit_idx)
+    generators = tuple(generator(group, t) for t in group.elements() if t != group.identity)
+    return StructureAlgebra(group, tuple(elements), mult, star, unit_idx, generators)
 
 
 def group_algebra(group: FiniteGroup) -> StructureAlgebra:
     """The plain group algebra on the same chassis (basis = group indices)."""
     mult = np.array([list(row) for row in group.table], dtype=np.int64)
     star = np.array(group.inverses, dtype=np.int64)
-    return StructureAlgebra(group, tuple(group.elements()), mult, star, group.identity)
+    elements = tuple(group.elements())
+    return StructureAlgebra(group, elements, mult, star, group.identity, elements)
 
 
 def multiply_elements(a: StructureAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -151,29 +168,29 @@ def _nullspace(m: np.ndarray, tol: float) -> np.ndarray:
 def center(a: StructureAlgebra, tol: float = 1e-10) -> list[np.ndarray]:
     """Orthonormal basis of the center.
 
-    Intersects the null spaces of the commutator maps z -> z b_i - b_i z
-    one basis element at a time; the running basis stays orthonormal,
-    so the result needs no further orthogonalization.
+    An element is central exactly when it commutes with a generating set,
+    so this intersects the null spaces of the commutator maps
+    z -> z g - g z over the generators g of ``a`` only, one generator at
+    a time; the running basis stays orthonormal, so the result needs no
+    further orthogonalization.
     """
     n = a.dim
     cols = np.arange(n)
     k = np.eye(n)
-    for i in range(n):
-        if i == a.unit_index:
-            continue
-        left = np.zeros((n, n))
-        left[a.mult[i, :], cols] = 1.0          # b_i * z
-        right = np.zeros((n, n))
-        right[a.mult[:, i], cols] = 1.0         # z * b_i
-        k = k @ _nullspace((right - left) @ k, tol)
-        if k.shape[1] == 0:
-            break
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for i in a.generators:
+            left = np.zeros((n, n))
+            left[a.mult[i, :], cols] = 1.0          # g * z
+            right = np.zeros((n, n))
+            right[a.mult[:, i], cols] = 1.0         # z * g
+            k = k @ _nullspace((right - left) @ k, tol)
     return [k[:, j].copy() for j in range(k.shape[1])]
 
 
 @dataclass
 class BlockDecomposition:
-    """Sorted matrix-block sizes with the central primitive idempotents."""
+    """Sorted matrix-block sizes with the matching central primitive
+    idempotents and eigenvalues of the random central element."""
 
     blocks: tuple[int, ...]
     idempotents: list[np.ndarray]
@@ -191,129 +208,66 @@ class BlockDecomposition:
         )
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Chain-cluster complex values: points closer than ``gap`` join up."""
-    order = np.lexsort((values.imag, values.real))
-    vals = values[order]
-    groups: list[list[complex]] = []
-    for v in vals:
-        placed = False
-        for grp in groups:
-            if any(abs(v - w) < gap for w in grp):
-                grp.append(v)
-                placed = True
-                break
-        if not placed:
-            groups.append([v])
-    # merge transitively-linked clusters until stable
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if any(abs(v - w) < gap for v in groups[i] for w in groups[j]):
-                    groups[i].extend(groups[j])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return [np.array(grp) for grp in groups]
-
-
-def wedderburn(
-    a: StructureAlgebra,
-    seed: int = 0,
-    tol: float = 1e-9,
-    cluster_gap: float = CLUSTER_GAP,
-) -> BlockDecomposition:
+def wedderburn(a: StructureAlgebra, seed: int = 0, tol: float = 1e-9) -> BlockDecomposition:
     """Numerical block decomposition of a (semisimple) structure algebra.
 
-    Procedure: draw a random real combination of the center basis,
-    cluster the eigenvalues of its left-regular matrix, interpolate the
-    indicator polynomial of each cluster to obtain the central
-    primitive idempotents, then read n_i off the rank of the corner
-    z_i A z_i.  Raises EigenvalueClusterAmbiguous when two clusters sit
-    within 10x the clustering gap (reseed), and NonIntegerBlockDim when
-    a corner rank is not a perfect square.
+    Everything happens inside the k-dimensional center.  A random
+    central element z acts on the center by a k x k matrix whose
+    eigenvectors are the central primitive idempotents up to scale; each
+    is scaled by its square (w^2 = mu w, e = w / mu).  The block of e has
+    size n with n^2 = trace(L_e) = f . e, where f_i counts the basis
+    elements b_j with b_i b_j = b_j.  Raises
+    EigenvalueClusterAmbiguous when two eigenvalues of z lie within a
+    relative distance ``tol`` (reseed), and NonIntegerBlockDim when a
+    trace lies farther than ``tol * dim`` from a positive perfect square
+    or the squares do not add up to the dimension.
     """
-    zbasis = center(a)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(size=len(zbasis))
-    z = np.zeros(a.dim)
-    for c, v in zip(coeffs, zbasis):
-        z = z + c * v
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        kb = np.array(center(a)).T
+        rng = np.random.default_rng(seed)
+        z = kb @ rng.uniform(size=kb.shape[1])
+        eigs, vecs = np.linalg.eig(kb.T @ left_regular_matrix(a, z) @ kb)
+        dist = np.abs(eigs[:, None] - eigs[None, :])
+        np.fill_diagonal(dist, np.inf)
+        gap = float(dist.min() / np.abs(eigs).max())
+        if gap < tol:
+            raise EigenvalueClusterAmbiguous(
+                f"relative eigenvalue gap {gap:.3e} of the random central element "
+                f"is below {tol:.1e}; reseed",
+                gap,
+            )
 
-    lz = left_regular_matrix(a, z)
-    eigs = np.linalg.eigvals(lz)
-    clusters = _cluster(eigs, cluster_gap)
-    centers = [complex(np.mean(grp)) for grp in clusters]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10 * cluster_gap:
-                raise EigenvalueClusterAmbiguous(
-                    f"clusters {centers[i]:.6f} and {centers[j]:.6f} are too close; reseed"
-                )
-    if len(centers) < len(zbasis):
-        raise EigenvalueClusterAmbiguous(
-            f"only {len(centers)} spectral clusters for a center of dimension "
-            f"{len(zbasis)}; the random central element failed to separate blocks"
-        )
-    if len(centers) > len(zbasis):
-        raise NonIntegerBlockDim(
-            f"{len(centers)} spectral clusters for a center of dimension {len(zbasis)}"
-        )
+        w = kb @ vecs
+        mu = np.array([np.vdot(v, multiply_elements(a, v, v)) / np.vdot(v, v) for v in w.T])
+        e = w / mu
+        fixes = np.count_nonzero(a.mult == np.arange(a.dim), axis=1)
+        traces = fixes @ e
+        roots = np.rint(np.sqrt(np.abs(traces.real)))
+        error = float(np.max(np.abs(traces - roots**2)))
+        if error > tol * a.dim or roots.min() < 1:
+            raise NonIntegerBlockDim(
+                f"block traces are not all positive perfect squares: worst integrality "
+                f"error {error:.3e}, smallest trace {traces.real.min():.3e}",
+                error,
+            )
+        if int(np.sum(roots**2)) != a.dim:
+            raise NonIntegerBlockDim(
+                f"block dimensions sum to {int(np.sum(roots**2))}, expected {a.dim}", error
+            )
 
-    unit_vec = a.unit_vector(dtype=np.complex128)
-    z_c = z.astype(np.complex128)
-    idempotents = []
-    for i, lam in enumerate(centers):
-        q = unit_vec.copy()
-        for j, mu in enumerate(centers):
-            if j == i:
-                continue
-            q = multiply_elements(a, q, (z_c - mu * unit_vec)) / (lam - mu)
-        # sharpen away interpolation roundoff: q <- 3q^2 - 2q^3 converges
-        # quadratically to the exact spectral idempotent
-        for _ in range(3):
-            q2 = multiply_elements(a, q, q)
-            if float(np.max(np.abs(q2 - q))) <= 10 * np.finfo(float).eps:
-                break
-            q = 3 * q2 - 2 * multiply_elements(a, q2, q)
-        idempotents.append(q)
+        residual = float(np.max(np.abs(e.sum(axis=1) - a.unit_vector())))
+        for i in range(e.shape[1]):
+            prod = left_regular_matrix(a, e[:, i]) @ e      # e_i e_j for every j
+            prod[:, i] -= e[:, i]
+            residual = max(residual, float(np.max(np.abs(prod))))
 
-    residual = 0.0
-    total = np.zeros(a.dim, dtype=np.complex128)
-    for i, zi in enumerate(idempotents):
-        total = total + zi
-        for j, zj in enumerate(idempotents):
-            prod = multiply_elements(a, zi, zj)
-            target = zi if i == j else 0.0
-            residual = max(residual, float(np.max(np.abs(prod - target))))
-    residual = max(residual, float(np.max(np.abs(total - unit_vec))))
-
-    blocks = []
-    for zi in idempotents:
-        corner = np.empty((a.dim, a.dim), dtype=np.complex128)
-        for j in range(a.dim):
-            bj = np.zeros(a.dim, dtype=np.complex128)
-            bj[j] = 1.0
-            corner[j] = multiply_elements(a, multiply_elements(a, zi, bj), zi)
-        rank = int(np.linalg.matrix_rank(corner, tol=RANK_PIVOT_TOL))
-        root = round(rank**0.5)
-        if root * root != rank:
-            raise NonIntegerBlockDim(f"corner dimension {rank} is not a perfect square")
-        blocks.append(root)
-
-    blocks.sort()
-    decomposition = BlockDecomposition(
-        tuple(blocks), idempotents, tuple(centers), residual
+    order = np.argsort(roots, kind="stable")
+    return BlockDecomposition(
+        tuple(int(r) for r in roots[order]),
+        list(e.T[order]),
+        tuple(complex(x) for x in eigs[order]),
+        residual,
     )
-    if decomposition.dimension != a.dim:
-        raise NonIntegerBlockDim(
-            f"block dimensions sum to {decomposition.dimension}, expected {a.dim}"
-        )
-    return decomposition
 
 
 def generator_vector(a: StructureAlgebra, t: int) -> np.ndarray:

@@ -1,13 +1,16 @@
 import random
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from invsg.groups import cyclic, dihedral, klein_four
+from invsg.groups import cyclic, dihedral, group_from_spec, klein_four
 from invsg.semigroup import CapExceeded, SgElement, enumerate_semigroup, generator, order_formula
 from invsg.algebra import (
     EigenvalueClusterAmbiguous,
     NonIntegerBlockDim,
+    StructureAlgebra,
     build_algebra,
     center,
     generator_index,
@@ -180,10 +183,88 @@ def test_wedderburn_idempotent_identities():
     assert np.max(np.abs(total - unit_vec)) <= tol
 
 
-def test_wedderburn_cluster_ambiguity_raises():
-    alg = build_algebra(cyclic(2))
-    with pytest.raises((EigenvalueClusterAmbiguous, NonIntegerBlockDim)):
-        wedderburn(alg, cluster_gap=10.0)
+# Block multisets {size: count} from the D-class structure theorem:
+# each D-class D with maximal subgroup H gives one block of size |D| d
+# per irreducible degree d of H.
+D_CLASS_BLOCKS = {
+    "cyclic:4": {1: 7, 2: 1, 3: 1},
+    "klein4": {1: 11, 3: 1},
+    "cyclic:5": {1: 6, 2: 2, 3: 2, 4: 1},
+    "cyclic:6": {1: 12, 2: 4, 3: 3, 4: 2, 5: 1},
+    "dihedral:3": {1: 12, 2: 8, 3: 3, 4: 1, 5: 1},
+    "cyclic:7": {1: 8, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
+    "cyclic:8": {1: 15, 2: 5, 3: 9, 4: 8, 5: 7, 6: 3, 7: 1},
+    "dihedral:4": {1: 27, 2: 10, 3: 17, 4: 6, 5: 7, 6: 1, 7: 1},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spec", list(D_CLASS_BLOCKS))
+def test_wedderburn_matches_d_class_blocks(spec, seed):
+    g = group_from_spec(spec)
+    alg = build_algebra(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = wedderburn(alg, seed=seed)
+    assert dict(Counter(d.blocks)) == D_CLASS_BLOCKS[spec]
+    assert d.dimension == alg.dim == 2 ** (g.order - 2) * (g.order + 1)
+    assert len(d.blocks) == len(center(alg))
+    assert d.residual <= 1e-6
+
+
+def test_center_of_dihedral_3_by_brute_force():
+    alg = build_algebra(dihedral(3))
+    basis = center(alg)
+    assert len(basis) == 25
+    # independent oracle: v b_j - b_j v straight from the product table
+    for v in basis:
+        for j in range(alg.dim):
+            comm = np.zeros(alg.dim)
+            np.add.at(comm, alg.mult[:, j], v)
+            np.subtract.at(comm, alg.mult[j, :], v)
+            assert np.max(np.abs(comm)) <= 1e-12
+
+
+def test_group_algebra_of_dihedral_3():
+    ga = group_algebra(dihedral(3))
+    assert len(center(ga)) == 3
+    assert wedderburn(ga).blocks == (1, 1, 2)
+
+
+def test_wedderburn_degenerate_central_element_raises(monkeypatch):
+    alg = build_algebra(cyclic(3))
+    unit_coeffs = np.array(center(alg)) @ alg.unit_vector()
+
+    class UnitDraw:
+        """Stands in for the random generator: z is the unit itself."""
+
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, size):
+            assert size == len(unit_coeffs)
+            return unit_coeffs
+
+    monkeypatch.setattr(np.random, "default_rng", UnitDraw)
+    with pytest.raises(EigenvalueClusterAmbiguous) as info:
+        wedderburn(alg)
+    assert info.value.relative_gap < 1e-12
+
+
+def test_wedderburn_too_few_generators_raises():
+    # The commutant of one reflection in C[S3] is C^4 but not the center:
+    # its primitive idempotents split the M_2 block into two halves whose
+    # traces are 2, not a perfect square.
+    ga = group_algebra(dihedral(3))
+    reflection = 3
+    assert ga.mult[reflection, reflection] == ga.unit_index
+    partial = StructureAlgebra(
+        ga.group, ga.basis, ga.mult, ga.star, ga.unit_index, (reflection,)
+    )
+    assert len(center(partial)) == 4
+    with pytest.raises(NonIntegerBlockDim) as info:
+        wedderburn(partial)
+    assert abs(info.value.integrality_error - 1.0) < 1e-9
 
 
 def test_generator_vectors():

@@ -154,6 +154,11 @@ def test_alg_decompose(capsys):
     code, out_seeded, _ = invoke(capsys, "alg", "decompose", "klein4", "--json", "--seed", "5")
     assert json.loads(out_seeded)["blocks"] == data["blocks"]
 
+    code, out, _ = invoke(capsys, "alg", "decompose", "cyclic:6", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["center_dim"] == 22
+    assert sum(n * n for n in data["blocks"]) == data["dim"] == 112
+
 
 def test_graded_count_and_map(capsys):
     code, out, _ = invoke(capsys, "graded", "count", "klein4", "--json")
