@@ -36,11 +36,9 @@ from .semigroup import (
     enumerate_semigroup,
     generator,
     idempotent,
-    multiply,
     natural_partial_order,
     order_formula,
     reduce_word,
-    star,
     unit,
     universal_extension,
     verify_inverse_semigroup,
@@ -50,9 +48,7 @@ from .actions import (
     PartialAction,
     PartialBijection,
     bernoulli_partial_action,
-    compose,
     from_inverse_action,
-    invert,
     restriction_action,
     to_inverse_action,
     validate_axioms,
@@ -73,7 +69,6 @@ from .algebra import (
     StructureAlgebra,
     build_algebra,
     center,
-    generator_vector,
     group_algebra,
     left_regular_matrix,
     multiply_elements,

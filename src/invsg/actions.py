@@ -7,10 +7,16 @@ partial action of a group assigns one partial bijection per group
 element; two equivalent axiom systems for "partial action" are
 implemented as independent validators, and the translation to and from
 homomorphisms of the universal inverse semigroup is exact.
+
+The triple-product laws, the extension formula and the multiplicativity
+scan shared with :mod:`invsg.reps` are ``semigroup.law_distances``,
+``semigroup.extension_formula`` and ``semigroup.pair_distances``, used
+here with composition as the product and ``!=`` as the distance.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -19,10 +25,16 @@ from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     SgElement,
+    _worst_case,
     enumerate_semigroup,
+    extension_formula,
     generator,
+    law_distances,
+    pair_distances,
     unit,
 )
+
+MATERIALIZE_BUDGET = 10**6  # elements times ground-set size in a full action table
 
 
 class InvalidGroupAction(ValueError):
@@ -145,15 +157,6 @@ class PartialBijection:
         return f"PartialBijection({len(self._map)}; {pairs})"
 
 
-def compose(f: PartialBijection, g: PartialBijection) -> PartialBijection:
-    """f after g on the largest domain where both are defined."""
-    return f * g
-
-
-def invert(f: PartialBijection) -> PartialBijection:
-    return f.invert()
-
-
 @dataclass(frozen=True)
 class PartialAction:
     """One partial bijection per group element on a common ground set.
@@ -250,24 +253,19 @@ def validate_semigroup_form(action: PartialAction) -> ActionReport:
     and the derived (iii) theta[s^-1] theta[s] theta[t] == theta[s^-1] theta[st].
     """
     g = action.group
-    th = action.theta
-    failures: list[AxiomFailure] = []
+    triple: list[AxiomFailure] = []
+    derived: list[AxiomFailure] = []
+    for s, t, bad_triple, bad_derived in law_distances(g, action.theta, operator.mul, operator.ne):
+        if bad_triple:
+            triple.append(AxiomFailure("triple product", (s, t)))
+        if bad_derived:
+            derived.append(AxiomFailure("derived triple product", (s, t)))
 
-    for s in g.elements():
-        for t in g.elements():
-            t_inv = g.inv(t)
-            if th[s] * th[t] * th[t_inv] != th[g.mul(s, t)] * th[t_inv]:
-                failures.append(AxiomFailure("triple product", (s, t)))
+    identity = []
+    if action.theta[g.identity] != PartialBijection.identity(action.set_size):
+        identity.append(AxiomFailure("identity", (g.identity,)))
 
-    if th[g.identity] != PartialBijection.identity(action.set_size):
-        failures.append(AxiomFailure("identity", (g.identity,)))
-
-    for s in g.elements():
-        s_inv = g.inv(s)
-        for t in g.elements():
-            if th[s_inv] * th[s] * th[t] != th[s_inv] * th[g.mul(s, t)]:
-                failures.append(AxiomFailure("derived triple product", (s, t)))
-
+    failures = triple + identity + derived
     return ActionReport(not failures, failures)
 
 
@@ -355,10 +353,10 @@ def bernoulli_partial_action(
 class InverseAction:
     """Action of the enumerated semigroup by partial bijections.
 
-    Stores the generator images and evaluates arbitrary elements
-    through the canonical form; the full table over the enumerated
-    semigroup is materialized on demand (and cached) when its size
-    stays within ``materialize_budget``.
+    Stores the generator images and evaluates arbitrary elements with
+    the (unchecked) extension formula; the full table over the
+    enumerated semigroup is materialized on demand, and kept, when its
+    size stays within ``MATERIALIZE_BUDGET``.
     """
 
     def __init__(
@@ -366,7 +364,6 @@ class InverseAction:
         group: FiniteGroup,
         set_size: int,
         generator_images: Sequence[PartialBijection],
-        materialize_budget: int = 10**6,
     ):
         if len(generator_images) != group.order:
             raise ValueError("need one generator image per group element")
@@ -376,40 +373,23 @@ class InverseAction:
         self.group = group
         self.set_size = set_size
         self.generator_images = tuple(generator_images)
-        self.materialize_budget = materialize_budget
-        self._cache: dict[SgElement, PartialBijection] = {}
+        self._extend = extension_formula(group, self.generator_images, operator.mul)
         self._table: dict[SgElement, PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
-        if a.group != self.group:
-            raise ValueError("element belongs to a different group")
-        hit = self._cache.get(a)
-        if hit is not None:
-            return hit
-        g = self.group
-        acc = PartialBijection.identity(self.set_size)
-        for r in sorted(a.support_set()):
-            acc = acc * (self.generator_images[r] * self.generator_images[g.inv(r)])
-        value = acc * self.generator_images[a.degree]
-        self._cache[a] = value
-        return value
+        return self._extend(a)
 
     def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[SgElement, PartialBijection]:
         if self._table is None:
             elements = enumerate_semigroup(self.group, cap)
-            if len(elements) * max(self.set_size, 1) > self.materialize_budget:
+            if len(elements) * max(self.set_size, 1) > MATERIALIZE_BUDGET:
                 raise CapExceeded("full action table exceeds the materialization budget")
-            self._table = {a: self(a) for a in elements}
+            self._table = {a: self._extend(a) for a in elements}
         return self._table
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
         """Return the first pair (a, b) with pi(ab) != pi(a)pi(b), or None."""
-        table = self.table(cap)
-        for a, fa in table.items():
-            for b, fb in table.items():
-                if table[a * b] != fa * fb:
-                    return (a, b)
-        return None
+        return _worst_case(pair_distances(self.table(cap), operator.mul, operator.ne))[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InverseAction):
@@ -424,7 +404,7 @@ class InverseAction:
         return hash((self.set_size, self.generator_images))
 
 
-def to_inverse_action(action: PartialAction, require_valid: bool = True) -> InverseAction:
+def to_inverse_action(action: PartialAction) -> InverseAction:
     """Package a partial action as a semigroup action.
 
     The element (F, s) acts by theta[s] restricted to the points whose
@@ -432,10 +412,9 @@ def to_inverse_action(action: PartialAction, require_valid: bool = True) -> Inve
     itself, and multiplicativity over the whole semigroup is a theorem
     (re-checked exhaustively in the tests).
     """
-    if require_valid:
-        report = validate_axioms(action)
-        if not report.passed:
-            raise ValueError("invalid partial action: " + report.describe())
+    report = validate_axioms(action)
+    if not report.passed:
+        raise ValueError("invalid partial action: " + report.describe())
     return InverseAction(action.group, action.set_size, action.theta)
 
 
@@ -481,6 +460,9 @@ def action_from_dict(data: Mapping) -> PartialAction:
     n = int(data["set_size"])
     theta = []
     raw = data["theta"]
+    unknown = set(raw) - {str(t) for t in group.elements()}
+    if unknown:
+        raise ValueError(f"theta keys {sorted(unknown)} are not indices of a group of order {group.order}")
     for t in group.elements():
         pairs = raw.get(str(t), [])
         theta.append(PartialBijection.from_pairs(n, [(int(x), int(y)) for x, y in pairs]))

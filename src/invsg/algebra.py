@@ -25,12 +25,10 @@ import numpy as np
 from .groups import FiniteGroup
 from .semigroup import (
     CapExceeded,
-    SgElement,
     enumerate_semigroup,
     generator,
     multiplication_tables,
     order_formula,
-    unit,
 )
 
 DEFAULT_DIM_CAP = 1000
@@ -270,20 +268,11 @@ def wedderburn(a: StructureAlgebra, seed: int = 0, tol: float = 1e-9) -> BlockDe
     )
 
 
-def generator_vector(a: StructureAlgebra, t: int) -> np.ndarray:
-    """Coefficient vector of the basis monomial ({e, t}, t).
+def generator_index(a: StructureAlgebra, t: int) -> int:
+    """Basis index of the monomial u_t = ({e, t}, t).
 
     These satisfy the partial-representation identities exactly inside
     the structure constants (u_s u_t u_{t^-1} = u_{st} u_{t^-1},
     star(u_t) = u_{t^-1}, u_e = unit).
     """
-    g = a.group
-    return a.basis_vector(a.index[generator(g, t)])
-
-
-def generator_index(a: StructureAlgebra, t: int) -> int:
     return a.index[generator(a.group, t)]
-
-
-def unit_element(a: StructureAlgebra) -> SgElement:
-    return unit(a.group)

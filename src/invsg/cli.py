@@ -221,12 +221,10 @@ def _cmd_rep_extend(args: argparse.Namespace) -> int:
             for a in ordered
         ],
     }
-    mdev, _ = ext.max_multiplicative_deviation()
-    sdev, _ = ext.max_star_deviation()
-    plain = [
+    plain = [] if args.json else [
         f"extended {len(ordered)} elements at dimension {ext.dim}",
-        f"max multiplicative deviation {mdev:.3e}",
-        f"max star deviation {sdev:.3e}",
+        f"max multiplicative deviation {ext.max_multiplicative_deviation()[0]:.3e}",
+        f"max star deviation {ext.max_star_deviation()[0]:.3e}",
     ]
     _emit(payload, args, plain)
     return 0

@@ -7,10 +7,16 @@ Such a family extends to a star-preserving, multiplicative assignment
 on the whole enumerated semigroup, with every extended image a partial
 isometry.  Matrices coming from partial actions are 0/1 and all checks
 on them are exact; elsewhere a max-entry tolerance applies.
+
+The triple-product laws, the extension formula and the multiplicativity
+scan shared with :mod:`invsg.actions` are ``semigroup.law_distances``,
+``semigroup.extension_formula`` and ``semigroup.pair_distances``, used
+here with the matrix product and the max-abs distance.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,8 +26,12 @@ from .groups import FiniteGroup
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     SgElement,
+    _worst_case,
     enumerate_semigroup,
+    extension_formula,
     generator,
+    law_distances,
+    pair_distances,
 )
 from .actions import PartialAction
 
@@ -43,6 +53,10 @@ def max_abs(m: np.ndarray) -> float:
 
 def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().T
+
+
+def _distance(x: np.ndarray, y: np.ndarray) -> float:
+    return max_abs(x - y)
 
 
 def _as_square(m, dim: int | None = None) -> np.ndarray:
@@ -112,23 +126,12 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
     if tol is None:
         tol = rep.default_tol()
 
-    dev_triple, wit_triple = 0.0, None
-    for s in g.elements():
-        for t in g.elements():
-            t_inv = g.inv(t)
-            left = rep.matrices[s] @ rep.matrices[t] @ rep.matrices[t_inv]
-            right = rep.matrices[g.mul(s, t)] @ rep.matrices[t_inv]
-            d = max_abs(left - right)
-            if d > dev_triple:
-                dev_triple, wit_triple = d, (s, t)
-
-    dev_star, wit_star = 0.0, None
-    for t in g.elements():
-        d = max_abs(rep.matrices[g.inv(t)] - adjoint(rep.matrices[t]))
-        if d > dev_star:
-            dev_star, wit_star = d, (t,)
-
-    dev_unit = max_abs(rep.matrices[g.identity] - np.eye(rep.dim))
+    laws = law_distances(g, rep.matrices, operator.matmul, _distance)
+    dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple, _ in laws)
+    dev_star, wit_star = _worst_case(
+        (_distance(rep.matrices[g.inv(t)], adjoint(rep.matrices[t])), (t,)) for t in g.elements()
+    )
+    dev_unit = _distance(rep.matrices[g.identity], np.eye(rep.dim))
 
     return RepReport(
         tol,
@@ -167,30 +170,14 @@ class SgRepresentation:
         return sorted(self.table, key=lambda a: (a.degree, a.support))
 
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
-        worst, witness = 0.0, None
-        for a, ma in self.table.items():
-            for b, mb in self.table.items():
-                d = max_abs(self.table[a * b] - ma @ mb)
-                if d > worst:
-                    worst, witness = d, (a, b)
-        return worst, witness
+        return _worst_case(pair_distances(self.table, operator.matmul, _distance))
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
-        worst, witness = 0.0, None
-        for a, ma in self.table.items():
-            d = max_abs(self.table[a.star()] - adjoint(ma))
-            if d > worst:
-                worst, witness = d, (a,)
-        return worst, witness
+        return _worst_case((_distance(self.table[a.star()], adjoint(m)), (a,)) for a, m in self.table.items())
 
     def max_partial_isometry_deviation(self) -> tuple[float, tuple | None]:
         """Deviation from m @ m^adj @ m == m over all images."""
-        worst, witness = 0.0, None
-        for a, ma in self.table.items():
-            d = max_abs(ma @ adjoint(ma) @ ma - ma)
-            if d > worst:
-                worst, witness = d, (a,)
-        return worst, witness
+        return _worst_case((_distance(m @ adjoint(m) @ m, m), (a,)) for a, m in self.table.items())
 
 
 def extend_to_semigroup(
@@ -208,14 +195,8 @@ def extend_to_semigroup(
     if not report.passed:
         raise ValueError("not a partial representation:\n" + report.describe())
     g = rep.group
-    projections = [rep.matrices[r] @ rep.matrices[g.inv(r)] for r in g.elements()]
-    table = {}
-    for a in enumerate_semigroup(g, cap):
-        m = np.eye(rep.dim, dtype=rep.matrices[0].dtype)
-        for r in sorted(a.support_set()):
-            m = m @ projections[r]
-        table[a] = m @ rep.matrices[a.degree]
-    return SgRepresentation(g, rep.dim, table)
+    extend = extension_formula(g, rep.matrices, operator.matmul)
+    return SgRepresentation(g, rep.dim, {a: extend(a) for a in enumerate_semigroup(g, cap)})
 
 
 def restrict_to_group(
@@ -248,6 +229,8 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data: Sequence) -> np.ndarray:
+    if len(data) == 0:
+        return np.zeros((0, 0), dtype=np.int64)
     rows = []
     for row in data:
         rows.append([complex(float(v[0]), float(v[1])) for v in row])
@@ -274,7 +257,14 @@ def rep_from_dict(data: Mapping) -> PartialRep:
         group = group_from_dict(data["group"])
     else:
         group = group_from_spec(str(data["group"]))
-    mats = [matrix_from_json(data["matrices"][str(t)]) for t in group.elements()]
+    raw = data["matrices"]
+    keys = {str(t) for t in group.elements()}
+    if set(raw) != keys:
+        raise ValueError(
+            f"matrices need one key per index of a group of order {group.order}: "
+            f"missing {sorted(keys - set(raw), key=int)}, unknown {sorted(set(raw) - keys)}"
+        )
+    mats = [matrix_from_json(raw[str(t)]) for t in group.elements()]
     rep = PartialRep(group, mats)
     if rep.dim != int(data.get("dim", rep.dim)):
         raise ValueError("declared dim does not match the matrices")

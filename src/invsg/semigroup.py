@@ -17,14 +17,17 @@ enumerated and multiplied out exhaustively at small orders.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .groups import FiniteGroup
 
 T = TypeVar("T")
+D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 EXHAUSTIVE_BUDGET = 10**8
@@ -116,19 +119,6 @@ def generator(group: FiniteGroup, t: int) -> SgElement:
 def idempotent(group: FiniteGroup, r: int) -> SgElement:
     """The idempotent generator(r) * generator(r^-1): ({e, r}, e)."""
     return SgElement(group, (1 << group.identity) | (1 << r), group.identity)
-
-
-def multiply(a: SgElement, b: SgElement) -> SgElement:
-    return a * b
-
-
-def star(a: SgElement) -> SgElement:
-    return a.star()
-
-
-def degree(a: SgElement) -> int:
-    """Degree of an element; a homomorphism onto the underlying group."""
-    return a.degree
 
 
 def reduce_word(group: FiniteGroup, word: Sequence[int]) -> SgElement:
@@ -368,61 +358,110 @@ def verify_inverse_semigroup(
     return SemigroupReport(group.order, n, checks)
 
 
+def law_distances(
+    group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
+) -> Iterator[tuple[int, int, D, D]]:
+    """Distances of the two triple-product laws, pair by pair.
+
+    Yields (s, t, triple, derived) with s, then t, ascending, where
+    ``triple`` is the distance of f(s)f(t)f(t^-1) from f(st)f(t^-1) and
+    ``derived`` that of f(s^-1)f(s)f(t) from f(s^-1)f(st).  Lazy, so a
+    caller that stops at the first failure computes nothing past it.
+    """
+    for s in group.elements():
+        fs = images[s]
+        f_s_inv = images[group.inv(s)]
+        for t in group.elements():
+            ft = images[t]
+            f_st = images[group.mul(s, t)]
+            f_t_inv = images[group.inv(t)]
+            triple = distance(mul(mul(fs, ft), f_t_inv), mul(f_st, f_t_inv))
+            derived = distance(mul(mul(f_s_inv, fs), ft), mul(f_s_inv, f_st))
+            yield s, t, triple, derived
+
+
 def check_extension_conditions(
     group: FiniteGroup, images: Mapping[int, T], mul: Callable[[T, T], T]
 ) -> None:
-    """Check the three identities a generator map must satisfy before it
+    """Check the identities a generator map must satisfy before it
     extends to the whole semigroup; raise ConditionsViolated on the
-    first failing (s, t) pair."""
+    first failure: per s, the unit law f(s)f(e) = f(s), then per t the
+    derived law and the triple-product law."""
     e = group.identity
-    for s in group.elements():
-        fs = images[s]
-        if mul(fs, images[e]) != fs:
+    for s, t, triple, derived in law_distances(group, images, mul, operator.ne):
+        # the unit law for s comes before the first pair of its row
+        if t == 0 and mul(images[s], images[e]) != images[s]:
             raise ConditionsViolated(f"f({s})f({e}) != f({s})", (s, e))
-        s_inv = group.inv(s)
-        for t in group.elements():
-            ft = images[t]
-            t_inv = group.inv(t)
-            left = mul(mul(images[s_inv], fs), ft)
-            right = mul(images[s_inv], images[group.mul(s, t)])
-            if left != right:
-                raise ConditionsViolated(
-                    f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t)
-                )
-            left = mul(mul(fs, ft), images[t_inv])
-            right = mul(images[group.mul(s, t)], images[t_inv])
-            if left != right:
-                raise ConditionsViolated(
-                    f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t)
-                )
+        s_inv, t_inv = group.inv(s), group.inv(t)
+        if derived:
+            raise ConditionsViolated(
+                f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t)
+            )
+        if triple:
+            raise ConditionsViolated(
+                f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t)
+            )
 
 
-def universal_extension(
-    group: FiniteGroup,
-    images: Mapping[int, T] | Callable[[int], T],
-    mul: Callable[[T, T], T],
+def extension_formula(
+    group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T]
 ) -> Callable[[SgElement], T]:
-    """Extend a generator map into any semigroup to the full semigroup.
+    """The extension of a generator map to the semigroup, unchecked.
 
-    ``images`` sends each group element to the target; ``mul`` is the
-    target's multiplication.  The extension sends (F, s) to the product
-    of images[r] * images[r^-1] over r in F (ascending index; the
-    factors commute once the conditions hold) times images[s].
+    (F, s) goes to the product of f(r)f(r^-1) over r in F (ascending
+    index; the factors commute once the extension conditions hold)
+    times f(s).  The p projections f(r)f(r^-1) are computed once.
     """
-    if callable(images) and not isinstance(images, Mapping):
-        images = {t: images(t) for t in group.elements()}
-    check_extension_conditions(group, images, mul)
+    projections = [mul(images[r], images[group.inv(r)]) for r in group.elements()]
 
     def extended(a: SgElement) -> T:
         if a.group != group:
             raise ValueError("element belongs to a different group")
-        acc = None
-        for r in sorted(a.support_set()):
-            proj = mul(images[r], images[group.inv(r)])
-            acc = proj if acc is None else mul(acc, proj)
-        return mul(acc, images[a.degree])
+        support = (projections[r] for r in sorted(a.support_set()))
+        return mul(reduce(mul, support), images[a.degree])
 
     return extended
+
+
+def universal_extension(
+    group: FiniteGroup, images: Mapping[int, T], mul: Callable[[T, T], T]
+) -> Callable[[SgElement], T]:
+    """Extend a generator map into any semigroup to the full semigroup.
+
+    ``images`` sends each group element to the target; ``mul`` is the
+    target's multiplication.  Checks the extension conditions, then
+    returns :func:`extension_formula`.
+    """
+    check_extension_conditions(group, images, mul)
+    return extension_formula(group, images, mul)
+
+
+def pair_distances(
+    table: Mapping[SgElement, T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
+) -> Iterator[tuple[D, tuple[SgElement, SgElement]]]:
+    """Multiplicativity of a table over a closed set of elements.
+
+    Yields (distance(f(ab), f(a)f(b)), (a, b)) for every pair in the
+    table's order, row by row; products are looked up in the
+    :func:`multiplication_tables` index table.
+    """
+    elements = list(table)
+    images = list(table.values())
+    mult = multiplication_tables(elements)[0].tolist()
+    for a, fa, row in zip(elements, images, mult):
+        for b, fb, ab in zip(elements, images, row):
+            yield distance(images[ab], mul(fa, fb)), (a, b)
+
+
+def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple | None]:
+    """The largest deviation and the first witness attaining it;
+    (0.0, None) when no deviation is positive.  Private: bench/spans.py
+    times public functions, and a lazy scan belongs to its caller."""
+    worst, witness = 0.0, None
+    for d, w in deviations:
+        if d > worst:
+            worst, witness = d, w
+    return worst, witness
 
 
 def idempotent_elements(group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[SgElement]:

@@ -14,7 +14,6 @@ from invsg.algebra import (
     build_algebra,
     center,
     generator_index,
-    generator_vector,
     group_algebra,
     left_regular_matrix,
     multiply_elements,
@@ -270,7 +269,7 @@ def test_wedderburn_too_few_generators_raises():
 def test_generator_vectors():
     g = cyclic(4)
     alg = build_algebra(g)
-    assert (generator_vector(alg, 0) == alg.unit_vector()).all()
+    assert (alg.basis_vector(generator_index(alg, 0)) == alg.unit_vector()).all()
     for t in g.elements():
         i = generator_index(alg, t)
         assert alg.star[i] == generator_index(alg, g.inv(t))

@@ -141,6 +141,32 @@ def test_rep_validate_rejects_bad_rep(tmp_path, capsys):
     assert code == 1
 
 
+def test_rep_files_need_exactly_the_group_indices(tmp_path, capsys):
+    rep = rep_to_dict(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(2))))
+    missing = dict(rep, matrices={"0": rep["matrices"]["0"]})
+    unknown = dict(rep, matrices=dict(rep["matrices"], **{"5": rep["matrices"]["0"]}))
+    for name, data in (("missing", missing), ("unknown", unknown)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate", "extend"):
+            code, out, err = invoke(capsys, "rep", command, str(path))
+            assert code == 1 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "ValueError"
+            assert ("missing ['1']" if name == "missing" else "unknown ['5']") in payload["message"]
+
+
+def test_pa_validate_rejects_unknown_theta_key(tmp_path, capsys):
+    data = action_to_dict(bernoulli_partial_action(cyclic(2)))
+    data["theta"]["5"] = [[0, 0]]
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "pa", "validate", str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "['5']" in payload["message"]
+
+
 def test_alg_decompose(capsys):
     code, out, _ = invoke(capsys, "alg", "decompose", "cyclic:4", "--json")
     assert code == 0

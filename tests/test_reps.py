@@ -1,9 +1,15 @@
+import operator
 import random
 
 import numpy as np
 import pytest
 
-from invsg.actions import PartialBijection, bernoulli_partial_action, restriction_action
+from invsg.actions import (
+    PartialBijection,
+    bernoulli_partial_action,
+    restriction_action,
+    to_inverse_action,
+)
 from invsg.algebra import build_algebra, left_regular_matrix
 from invsg.groups import cyclic, klein_four
 from invsg.reps import (
@@ -21,7 +27,7 @@ from invsg.reps import (
     restrict_to_group,
     validate_partial_rep,
 )
-from invsg.semigroup import enumerate_semigroup, generator, idempotent, unit
+from invsg.semigroup import enumerate_semigroup, generator, idempotent, unit, universal_extension
 
 from conftest import random_restriction_action, translation_permutations
 
@@ -191,8 +197,37 @@ def test_matrix_json_round_trip():
 
 
 def test_rep_json_round_trip():
-    rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(3)))
-    data = rep_to_dict(rep)
-    back = rep_from_dict(data)
-    assert back.exact
-    assert all((back.matrices[t] == rep.matrices[t]).all() for t in rep.group.elements())
+    g4 = cyclic(4)
+    empty = restriction_action(g4, translation_permutations(g4, 1), [])
+    for action in (bernoulli_partial_action(cyclic(3)), empty):
+        rep = partial_rep_from_partial_action(action)
+        assert validate_partial_rep(rep).passed
+        back = rep_from_dict(rep_to_dict(rep))
+        assert back.exact and back.dim == rep.dim
+        assert all(
+            back.matrices[t].shape == rep.matrices[t].shape
+            and (back.matrices[t] == rep.matrices[t]).all()
+            for t in rep.group.elements()
+        )
+
+
+def _zero_one(f: PartialBijection) -> np.ndarray:
+    m = np.zeros((f.size, f.size), dtype=np.int64)
+    for x, y in f.graph():
+        m[y, x] = 1
+    return m
+
+
+def test_action_and_rep_extensions_agree():
+    """The semigroup action, the extended partial rep and the universal
+    extension give the same map on every element."""
+    rng = random.Random(11)
+    for _ in range(15):
+        action = random_restriction_action(rng)
+        inv_action = to_inverse_action(action)
+        ext = extend_to_semigroup(partial_rep_from_partial_action(action))
+        universal = universal_extension(action.group, dict(enumerate(action.theta)), operator.mul)
+        for a in enumerate_semigroup(action.group):
+            f = inv_action(a)
+            assert universal(a) == f
+            assert np.array_equal(_zero_one(f), ext(a))
