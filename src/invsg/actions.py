@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, document_group, group_to_dict
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
@@ -29,6 +29,7 @@ from .semigroup import (
     enumerate_semigroup,
     extension_formula,
     generator,
+    identity_masks,
     law_distances,
     pair_distances,
     unit,
@@ -115,10 +116,6 @@ class PartialBijection:
 
     def graph(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, v) for x, v in enumerate(self._map) if v is not None)
-
-    def extends(self, other: PartialBijection) -> bool:
-        """True if this map agrees with ``other`` on other's whole domain."""
-        return other.graph() <= self.graph()
 
     def invert(self) -> PartialBijection:
         m: list[int | None] = [None] * len(self._map)
@@ -320,23 +317,13 @@ def bernoulli_partial_action(
     """Left translation on the subsets of G that contain the identity.
 
     The ground set is the 2^(p-1) identity-containing subsets in
-    binary-counter order over the non-identity positions; theta[t]
+    ascending bitmask order (``semigroup.identity_masks``); theta[t]
     sends E to tE wherever t^-1 lies in E.
     """
     p = group.order
     if p > cap:
         raise CapExceeded(f"group order {p} exceeds cap {cap}")
-    e = group.identity
-    free = [i for i in range(p) if i != e]
-    masks = []
-    for counter in range(1 << len(free)):
-        mask = 1 << e
-        c = counter
-        for pos_ in free:
-            if c & 1:
-                mask |= 1 << pos_
-            c >>= 1
-        masks.append(mask)
+    masks = identity_masks(group)
     index = {mask: i for i, mask in enumerate(masks)}
 
     theta = []
@@ -380,7 +367,10 @@ class InverseAction:
         return self._extend(a)
 
     def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[SgElement, PartialBijection]:
-        if self._table is None:
+        """The action of every element, in enumeration order.  ``cap`` is
+        checked on every call: enumerating past it raises CapExceeded,
+        cached table or not."""
+        if self._table is None or self.group.order > cap:
             elements = enumerate_semigroup(self.group, cap)
             if len(elements) * max(self.set_size, 1) > MATERIALIZE_BUDGET:
                 raise CapExceeded("full action table exceeds the materialization budget")
@@ -436,8 +426,6 @@ def from_inverse_action(inv_action: InverseAction, cap: int = DEFAULT_ENUMERATIO
 
 def action_to_dict(action: PartialAction) -> dict:
     """JSON-ready form with the group inlined; see FORMATS.md."""
-    from .groups import group_to_dict
-
     theta = {
         str(t): [[x, y] for x, y in sorted(action.theta[t].graph())]
         for t in action.group.elements()
@@ -450,13 +438,7 @@ def action_to_dict(action: PartialAction) -> dict:
 
 
 def action_from_dict(data: Mapping) -> PartialAction:
-    from .groups import group_from_dict
-
-    group = group_from_dict(data["group"]) if isinstance(data["group"], Mapping) else None
-    if group is None:
-        from .groups import group_from_spec
-
-        group = group_from_spec(str(data["group"]))
+    group = document_group(data, ("set_size", "theta"))
     n = int(data["set_size"])
     theta = []
     raw = data["theta"]

@@ -32,6 +32,7 @@ from .semigroup import (
 )
 
 DEFAULT_DIM_CAP = 1000
+NULLSPACE_TOL = 1e-10  # center's null spaces cut singular values at this times the matrix size
 
 
 class EigenvalueClusterAmbiguous(RuntimeError):
@@ -163,7 +164,7 @@ def _nullspace(m: np.ndarray, tol: float) -> np.ndarray:
     return vt[rank:].conj().T
 
 
-def center(a: StructureAlgebra, tol: float = 1e-10) -> list[np.ndarray]:
+def center(a: StructureAlgebra) -> list[np.ndarray]:
     """Orthonormal basis of the center.
 
     An element is central exactly when it commutes with a generating set,
@@ -181,7 +182,7 @@ def center(a: StructureAlgebra, tol: float = 1e-10) -> list[np.ndarray]:
             left[a.mult[i, :], cols] = 1.0          # g * z
             right = np.zeros((n, n))
             right[a.mult[:, i], cols] = 1.0         # z * g
-            k = k @ _nullspace((right - left) @ k, tol)
+            k = k @ _nullspace((right - left) @ k, NULLSPACE_TOL)
     return [k[:, j].copy() for j in range(k.shape[1])]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import actions, algebra, graded, groups, reps, semigroup
 
@@ -37,11 +37,13 @@ DOMAIN_ERRORS = (
 )
 
 
-def _emit(payload: dict, args: argparse.Namespace, plain: Sequence[str]) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], plain: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON payload under --json, else the plain lines; only
+    the printed form gets built."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload(), sort_keys=True, indent=2))
     else:
-        for line in plain:
+        for line in plain():
             print(line)
 
 
@@ -60,20 +62,18 @@ def _cmd_sg_order(args: argparse.Namespace) -> int:
         )
         return 2
     n = semigroup.order_formula(group.order)
-    _emit({"group_order": group.order, "order": n}, args, [str(n)])
+    _emit(args, lambda: {"group_order": group.order, "order": n}, lambda: [str(n)])
     return 0
 
 
 def _cmd_sg_enumerate(args: argparse.Namespace) -> int:
     group = groups.group_from_spec(args.group)
     elements = semigroup.enumerate_semigroup(group, cap=args.cap)
-    payload = {
-        "count": len(elements),
-        "elements": [semigroup.element_to_dict(a) for a in elements],
-    }
-    plain = [f"{sorted(a.support_set())} {a.degree}" for a in elements]
-    plain.append(f"count {len(elements)}")
-    _emit(payload, args, plain)
+    _emit(
+        args,
+        lambda: {"count": len(elements), "elements": [semigroup.element_to_dict(a) for a in elements]},
+        lambda: [f"{sorted(a.support_set())} {a.degree}" for a in elements] + [f"count {len(elements)}"],
+    )
     return 0
 
 
@@ -90,11 +90,7 @@ def _cmd_sg_reduce(args: argparse.Namespace) -> int:
     if any(not 0 <= t < group.order for t in word):
         raise ValueError(f"word letters must lie in [0, {group.order})")
     a = semigroup.reduce_word(group, word)
-    _emit(
-        semigroup.element_to_dict(a),
-        args,
-        [f"{sorted(a.support_set())} {a.degree}"],
-    )
+    _emit(args, lambda: semigroup.element_to_dict(a), lambda: [f"{sorted(a.support_set())} {a.degree}"])
     return 0
 
 
@@ -116,7 +112,7 @@ def _cmd_sg_verify(args: argparse.Namespace) -> int:
             for c in report.checks
         ],
     }
-    _emit(payload, args, report.describe().splitlines())
+    _emit(args, lambda: payload, lambda: report.describe().splitlines())
     if not report.passed:
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
@@ -146,7 +142,7 @@ def _cmd_pa_validate(args: argparse.Namespace) -> int:
         "domain axioms: " + ("ok" if rep_a.passed else rep_a.describe()),
         "composition identities: " + ("ok" if rep_b.passed else rep_b.describe()),
     ]
-    _emit(payload, args, plain)
+    _emit(args, lambda: payload, lambda: plain)
     if not payload["passed"]:
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
@@ -156,24 +152,19 @@ def _cmd_pa_validate(args: argparse.Namespace) -> int:
 def _cmd_pa_extend(args: argparse.Namespace) -> int:
     action = actions.action_from_dict(_load_json(args.file))
     inv = actions.to_inverse_action(action)
-    table = inv.table(cap=args.cap)
-    ordered = sorted(table, key=lambda a: (a.degree, a.support))
-    payload = {
-        "group": groups.group_to_dict(action.group),
-        "set_size": action.set_size,
-        "action": [
-            {
-                "element": semigroup.element_to_dict(a),
-                "map": [[x, y] for x, y in sorted(table[a].graph())],
-            }
-            for a in ordered
-        ],
-    }
-    plain = [
-        f"{sorted(a.support_set())} {a.degree} -> {sorted(table[a].graph())}"
-        for a in ordered
-    ]
-    _emit(payload, args, plain)
+    graphs = [(a, sorted(f.graph())) for a, f in inv.table(cap=args.cap).items()]  # enumeration order
+    _emit(
+        args,
+        lambda: {
+            "group": groups.group_to_dict(action.group),
+            "set_size": action.set_size,
+            "action": [
+                {"element": semigroup.element_to_dict(a), "map": [[x, y] for x, y in graph]}
+                for a, graph in graphs
+            ],
+        },
+        lambda: (f"{sorted(a.support_set())} {a.degree} -> {graph}" for a, graph in graphs),
+    )
     return 0
 
 
@@ -199,7 +190,7 @@ def _cmd_rep_validate(args: argparse.Namespace) -> int:
             for c in report.checks
         ],
     }
-    _emit(payload, args, report.describe().splitlines())
+    _emit(args, lambda: payload, lambda: report.describe().splitlines())
     if not report.passed:
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
@@ -208,43 +199,35 @@ def _cmd_rep_validate(args: argparse.Namespace) -> int:
 
 def _cmd_rep_extend(args: argparse.Namespace) -> int:
     rep = reps.rep_from_dict(_load_json(args.file))
-    ext = reps.extend_to_semigroup(rep, tol=args.tol, cap=args.cap)
-    ordered = ext.elements()
-    payload = {
-        "dim": ext.dim,
-        "count": len(ordered),
-        "extension": [
-            {
-                "element": semigroup.element_to_dict(a),
-                "matrix": reps.matrix_to_json(ext(a)),
-            }
-            for a in ordered
+    ext = reps.extend_to_semigroup(rep, tol=args.tol, cap=args.cap)  # table in enumeration order
+    _emit(
+        args,
+        lambda: {
+            "dim": ext.dim,
+            "count": len(ext.table),
+            "extension": [
+                {"element": semigroup.element_to_dict(a), "matrix": reps.matrix_to_json(m)}
+                for a, m in ext.table.items()
+            ],
+        },
+        lambda: [
+            f"extended {len(ext.table)} elements at dimension {ext.dim}",
+            f"max multiplicative deviation {ext.max_multiplicative_deviation()[0]:.3e}",
+            f"max star deviation {ext.max_star_deviation()[0]:.3e}",
         ],
-    }
-    plain = [] if args.json else [
-        f"extended {len(ordered)} elements at dimension {ext.dim}",
-        f"max multiplicative deviation {ext.max_multiplicative_deviation()[0]:.3e}",
-        f"max star deviation {ext.max_star_deviation()[0]:.3e}",
-    ]
-    _emit(payload, args, plain)
+    )
     return 0
 
 
 def _cmd_alg_decompose(args: argparse.Namespace) -> int:
     group = groups.group_from_spec(args.group)
     alg = algebra.build_algebra(group, cap=args.cap)
-    decomposition = algebra.wedderburn(alg, seed=args.seed)
-    payload = {
-        "dim": alg.dim,
-        "blocks": list(decomposition.blocks),
-        "center_dim": len(decomposition.blocks),
-    }
-    plain = [
-        f"dim {alg.dim}",
-        f"blocks {list(decomposition.blocks)}",
-        f"center_dim {len(decomposition.blocks)}",
-    ]
-    _emit(payload, args, plain)
+    blocks = list(algebra.wedderburn(alg, seed=args.seed).blocks)
+    _emit(
+        args,
+        lambda: {"dim": alg.dim, "blocks": blocks, "center_dim": len(blocks)},
+        lambda: [f"dim {alg.dim}", f"blocks {blocks}", f"center_dim {len(blocks)}"],
+    )
     return 0
 
 
@@ -253,28 +236,20 @@ def _cmd_graded_count(args: argparse.Namespace) -> int:
     alg = algebra.build_algebra(group, cap=args.cap)
     count = len(graded.generated_semigroup(graded.grading(alg)))
     expected = semigroup.order_formula(group.order) if group.order >= 2 else 1
-    payload = {"count": count, "expected": expected, "match": count == expected}
-    _emit(payload, args, [f"count {count}", f"expected {expected}", f"match {str(count == expected).lower()}"])
+    plain = [f"count {count}", f"expected {expected}", f"match {str(count == expected).lower()}"]
+    _emit(args, lambda: {"count": count, "expected": expected, "match": count == expected}, lambda: plain)
     return 0
 
 
 def _cmd_graded_map(args: argparse.Namespace) -> int:
     group = groups.group_from_spec(args.group)
     alg = algebra.build_algebra(group, cap=args.cap)
-    payload = {
-        "map": [
-            {
-                "element": semigroup.element_to_dict(a),
-                "indices": sorted(graded.element_subspace(alg, a).indices),
-            }
-            for a in alg.basis
-        ]
-    }
-    plain = [
-        f"{sorted(a.support_set())} {a.degree} -> {sorted(graded.element_subspace(alg, a).indices)}"
-        for a in alg.basis
-    ]
-    _emit(payload, args, plain)
+    subspaces = [(a, sorted(graded.element_subspace(alg, a).indices)) for a in alg.basis]
+    _emit(
+        args,
+        lambda: {"map": [{"element": semigroup.element_to_dict(a), "indices": ix} for a, ix in subspaces]},
+        lambda: (f"{sorted(a.support_set())} {a.degree} -> {ix}" for a, ix in subspaces),
+    )
     return 0
 
 

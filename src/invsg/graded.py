@@ -70,9 +70,13 @@ def generated_semigroup(
 ) -> set[GradedSubspace]:
     """Closure of the given subspaces under the subspace product.
 
-    Worklist algorithm: multiply the frontier by the generators on both
-    sides until nothing new appears; terminates because index sets live
-    in a finite power set.
+    Worklist algorithm: multiply each frontier subspace on the right by
+    every generator until nothing new appears; terminates because index
+    sets live in a finite power set.  One side is enough when the
+    algebra's ``mult`` is associative, as it is for ``build_algebra``
+    and ``group_algebra``: then the subspace product is associative too,
+    every product g1...gk equals (g1...gk-1)gk, and g1...gk-1 was on an
+    earlier frontier.
     """
     gens = list(pieces.values()) if isinstance(pieces, Mapping) else list(pieces)
     found: set[GradedSubspace] = set(gens)
@@ -81,10 +85,10 @@ def generated_semigroup(
         fresh = []
         for x in frontier:
             for g in gens:
-                for candidate in (g * x, x * g):
-                    if candidate not in found:
-                        found.add(candidate)
-                        fresh.append(candidate)
+                candidate = x * g
+                if candidate not in found:
+                    found.add(candidate)
+                    fresh.append(candidate)
         frontier = fresh
     return found
 

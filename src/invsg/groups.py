@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class GroupTableError(ValueError):
@@ -243,6 +243,18 @@ def group_from_spec(spec: str) -> FiniteGroup:
     )
 
 
-def element_order_table(group: FiniteGroup) -> list[int]:
-    """Orders of all elements; for cyclic(n) element a this is n/gcd(a, n)."""
-    return [group.element_order(a) for a in group.elements()]
+def document_group(data: object, keys: Sequence[str]) -> FiniteGroup:
+    """The group of a JSON document that carries one.
+
+    Checks that ``data`` is an object holding ``group`` and every key in
+    ``keys``, then reads ``group`` as an inline group object or else as
+    a :func:`group_from_spec` specifier.  Raises ValueError naming the
+    wrong type or the missing keys.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("group", *keys) if key not in data]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    spec = data["group"]
+    return group_from_dict(spec) if isinstance(spec, Mapping) else group_from_spec(str(spec))

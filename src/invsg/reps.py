@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, document_group, group_to_dict
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     SgElement,
@@ -87,9 +87,6 @@ class PartialRep:
         self.dim = dim
         self.matrices = tuple(mats)
         self.exact = all(np.issubdtype(m.dtype, np.integer) for m in mats)
-
-    def matrix(self, t: int) -> np.ndarray:
-        return self.matrices[t]
 
     def default_tol(self) -> float:
         return 0.0 if self.exact else FLOAT_TOL
@@ -156,7 +153,8 @@ def partial_rep_from_partial_action(action: PartialAction) -> PartialRep:
 
 
 class SgRepresentation:
-    """Matrices for every element of the enumerated semigroup."""
+    """Matrices for every element of the enumerated semigroup; the
+    table of :func:`extend_to_semigroup` is in enumeration order."""
 
     def __init__(self, group: FiniteGroup, dim: int, table: Mapping[SgElement, np.ndarray]):
         self.group = group
@@ -165,9 +163,6 @@ class SgRepresentation:
 
     def __call__(self, a: SgElement) -> np.ndarray:
         return self.table[a]
-
-    def elements(self) -> list[SgElement]:
-        return sorted(self.table, key=lambda a: (a.degree, a.support))
 
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
         return _worst_case(pair_distances(self.table, operator.matmul, _distance))
@@ -241,8 +236,6 @@ def matrix_from_json(data: Sequence) -> np.ndarray:
 
 
 def rep_to_dict(rep: PartialRep) -> dict:
-    from .groups import group_to_dict
-
     return {
         "group": group_to_dict(rep.group),
         "dim": rep.dim,
@@ -251,12 +244,7 @@ def rep_to_dict(rep: PartialRep) -> dict:
 
 
 def rep_from_dict(data: Mapping) -> PartialRep:
-    from .groups import group_from_dict, group_from_spec
-
-    if isinstance(data["group"], Mapping):
-        group = group_from_dict(data["group"])
-    else:
-        group = group_from_spec(str(data["group"]))
+    group = document_group(data, ("matrices",))
     raw = data["matrices"]
     keys = {str(t) for t in group.elements()}
     if set(raw) != keys:

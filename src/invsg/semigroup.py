@@ -146,31 +146,30 @@ def order_formula(p: int) -> int:
     return (1 << (p - 2)) * (p + 1)
 
 
+def identity_masks(group: FiniteGroup) -> list[int]:
+    """The subsets of G that contain the identity, as ascending bitmasks.
+
+    The one enumeration of these subsets: the supports of the semigroup
+    elements and the ground set of the Bernoulli partial action are
+    both drawn from it, in this order.
+    """
+    e = 1 << group.identity
+    return [mask for mask in range(1 << group.order) if mask & e]
+
+
 def enumerate_semigroup(
     group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[SgElement]:
     """All canonical elements, sorted by (degree, support mask).
 
-    These are exactly the pairs (F, s) with identity and s in F.
+    These are exactly the pairs (F, s) with identity and s in F: per
+    degree s, the identity masks holding s, so in order as generated.
     """
     p = group.order
     if p > cap:
         raise CapExceeded(f"group order {p} exceeds enumeration cap {cap}")
-    e = group.identity
-    out = []
-    for s in group.elements():
-        required = (1 << e) | (1 << s)
-        free = [i for i in range(p) if not (required >> i) & 1]
-        for counter in range(1 << len(free)):
-            mask = required
-            c = counter
-            for pos in free:
-                if c & 1:
-                    mask |= 1 << pos
-                c >>= 1
-            out.append(SgElement(group, mask, s))
-    out.sort(key=lambda a: (a.degree, a.support))
-    return out
+    masks = identity_masks(group)
+    return [SgElement(group, mask, s) for s in group.elements() for mask in masks if mask >> s & 1]
 
 
 def natural_partial_order(a: SgElement, b: SgElement) -> bool:
@@ -270,11 +269,7 @@ class SemigroupReport:
 
 
 def verify_inverse_semigroup(
-    group: FiniteGroup,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    seed: int = 0,
-    exhaustive_budget: int = EXHAUSTIVE_BUDGET,
-    sample_size: int = SAMPLE_SIZE,
+    group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
 ) -> SemigroupReport:
     """Brute-force certification that the enumerated structure is an
     inverse semigroup.
@@ -282,7 +277,8 @@ def verify_inverse_semigroup(
     Checks associativity, the two involution identities a a* a = a and
     a* a a* = a*, uniqueness of the generalized inverse, and pairwise
     commutation of idempotents.  Pair/triple scans switch to fixed-seed
-    uniform sampling once they would exceed ``exhaustive_budget``.
+    uniform sampling of ``SAMPLE_SIZE`` cases once they would exceed
+    ``EXHAUSTIVE_BUDGET``.
     """
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
@@ -295,7 +291,7 @@ def verify_inverse_semigroup(
         return tuple(elements[int(ix[flat])] for ix in idx_arrays)
 
     # associativity: mult[mult[i, j], k] == mult[i, mult[j, k]]
-    if n**3 <= exhaustive_budget:
+    if n**3 <= EXHAUSTIVE_BUDGET:
         bad = None
         count = 0
         for i in range(n):
@@ -308,15 +304,15 @@ def verify_inverse_semigroup(
                 break
         checks.append(CheckResult("associativity", bad is None, "exhaustive", count, bad))
     else:
-        ii = rng.integers(0, n, size=sample_size)
-        jj = rng.integers(0, n, size=sample_size)
-        kk = rng.integers(0, n, size=sample_size)
+        ii = rng.integers(0, n, size=SAMPLE_SIZE)
+        jj = rng.integers(0, n, size=SAMPLE_SIZE)
+        kk = rng.integers(0, n, size=SAMPLE_SIZE)
         left = mult[mult[ii, jj], kk]
         right = mult[ii, mult[jj, kk]]
         neq = left != right
         bad = first_false(neq, (ii, jj, kk)) if neq.any() else None
         checks.append(
-            CheckResult("associativity", bad is None, "sampled", sample_size, bad)
+            CheckResult("associativity", bad is None, "sampled", SAMPLE_SIZE, bad)
         )
 
     # a a* a == a  and  a* a a* == a*
@@ -409,15 +405,16 @@ def extension_formula(
     """The extension of a generator map to the semigroup, unchecked.
 
     (F, s) goes to the product of f(r)f(r^-1) over r in F (ascending
-    index; the factors commute once the extension conditions hold)
-    times f(s).  The p projections f(r)f(r^-1) are computed once.
+    index, read off the support bits; the factors commute once the
+    extension conditions hold) times f(s).  The p projections
+    f(r)f(r^-1) are computed once.
     """
     projections = [mul(images[r], images[group.inv(r)]) for r in group.elements()]
 
     def extended(a: SgElement) -> T:
         if a.group != group:
             raise ValueError("element belongs to a different group")
-        support = (projections[r] for r in sorted(a.support_set()))
+        support = (projections[r] for r in group.elements() if a.support >> r & 1)
         return mul(reduce(mul, support), images[a.degree])
 
     return extended

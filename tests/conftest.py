@@ -5,11 +5,21 @@ from __future__ import annotations
 import random
 
 from invsg.actions import PartialAction, PartialBijection, restriction_action
-from invsg.groups import FiniteGroup, cyclic, klein_four
+from invsg.groups import FiniteGroup, cyclic, from_cayley_table, klein_four
 
 
 def small_groups() -> list[FiniteGroup]:
     return [cyclic(2), cyclic(3), cyclic(4), klein_four(), cyclic(5)]
+
+
+def relabelled(group: FiniteGroup, new_index: list[int]) -> FiniteGroup:
+    """The same group with element ``a`` renamed ``new_index[a]``."""
+    p = group.order
+    table = [[0] * p for _ in range(p)]
+    for a in group.elements():
+        for b in group.elements():
+            table[new_index[a]][new_index[b]] = new_index[group.mul(a, b)]
+    return from_cayley_table(table)
 
 
 def translation_permutations(group: FiniteGroup, copies: int) -> list[list[int]]:

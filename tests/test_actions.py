@@ -17,7 +17,7 @@ from invsg.actions import (
     validate_semigroup_form,
 )
 from invsg.groups import cyclic, klein_four
-from invsg.semigroup import enumerate_semigroup, generator, idempotent, unit
+from invsg.semigroup import CapExceeded, enumerate_semigroup, generator, idempotent, unit
 
 from conftest import (
     perturb_one_image,
@@ -164,6 +164,14 @@ def test_to_inverse_action_multiplicative_small():
     assert inv_action.check_multiplicative() is None
     table = inv_action.table()
     assert len(table) == 3
+
+
+def test_table_checks_cap_on_every_call():
+    inv_action = to_inverse_action(bernoulli_partial_action(cyclic(5)))
+    assert len(inv_action.table()) == 48
+    with pytest.raises(CapExceeded):
+        inv_action.table(cap=3)
+    assert inv_action.table(cap=5) is inv_action.table()
 
 
 def test_round_trips_on_random_actions():

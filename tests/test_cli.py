@@ -167,6 +167,33 @@ def test_pa_validate_rejects_unknown_theta_key(tmp_path, capsys):
     assert payload["error"] == "ValueError" and "['5']" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "family, command, drop",
+    [
+        ("pa", "validate", "theta"),
+        ("pa", "extend", "set_size"),
+        ("pa", "validate", "group"),
+        ("pa", "validate", None),
+        ("rep", "validate", "group"),
+        ("rep", "validate", "matrices"),
+    ],
+)
+def test_malformed_files_are_domain_errors(tmp_path, capsys, family, command, drop):
+    """A file without one top-level key, or (drop=None) a list in place of the object."""
+    action = bernoulli_partial_action(cyclic(2))
+    data = action_to_dict(action) if family == "pa" else rep_to_dict(partial_rep_from_partial_action(action))
+    if drop is None:
+        data, named = [data], "list"
+    else:
+        data, named = {k: v for k, v in data.items() if k != drop}, repr(drop)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, family, command, str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and named in payload["message"]
+
+
 def test_alg_decompose(capsys):
     code, out, _ = invoke(capsys, "alg", "decompose", "cyclic:4", "--json")
     assert code == 0

@@ -2,9 +2,11 @@
 
 The files under ``tests/golden/`` pin the order in which failures are
 listed, the reported deviations, the first-of-max witnesses and the
-``0.0``/``null`` of a check that never fails.  Every float input uses
-dyadic entries (0, +-1/2, 1), so each product and deviation is exact
-and the outputs do not depend on the BLAS build.
+``0.0``/``null`` of a check that never fails, and the element order of
+the full tables that ``pa extend`` and ``graded map`` print for a group
+whose identity is not index 0.  Every float input uses dyadic entries
+(0, +-1/2, 1), so each product and deviation is exact and the outputs
+do not depend on the BLAS build.
 """
 
 import json
@@ -17,6 +19,8 @@ from invsg.actions import PartialAction, PartialBijection, action_to_dict, berno
 from invsg.cli import run
 from invsg.groups import cyclic, group_to_dict
 
+from conftest import relabelled
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -26,7 +30,8 @@ def _float_matrix(m):
 
 def _write_inputs(tmp_path):
     """A Bernoulli action of Z/3 with one image moved, a failing float
-    partial rep of Z/3, and a valid float one."""
+    partial rep of Z/3, a valid float one, and Z/3 with its identity
+    renamed 1 together with its Bernoulli action."""
     good = bernoulli_partial_action(cyclic(3))
     theta = list(good.theta)
     theta[1] = PartialBijection((None, 0, 1, 3))
@@ -54,6 +59,10 @@ def _write_inputs(tmp_path):
     hadamard = {"group": group_to_dict(cyclic(3)), "dim": 4, "matrices": mats}
     (tmp_path / "hadamard.json").write_text(json.dumps(hadamard))
 
+    z3 = relabelled(cyclic(3), [1, 2, 0])
+    (tmp_path / "z3.json").write_text(json.dumps(group_to_dict(z3)))
+    (tmp_path / "bernoulli.json").write_text(json.dumps(action_to_dict(bernoulli_partial_action(z3))))
+
 
 @pytest.mark.parametrize(
     "argv, code, golden",
@@ -63,6 +72,10 @@ def _write_inputs(tmp_path):
         (["rep", "validate", "rep.json", "--json"], 1, "rep_validate.json"),
         (["rep", "extend", "rep.json", "--tol", "1"], 0, "rep_extend_tol.txt"),
         (["rep", "extend", "hadamard.json"], 0, "rep_extend_hadamard.txt"),
+        (["pa", "extend", "bernoulli.json"], 0, "pa_extend.txt"),
+        (["pa", "extend", "bernoulli.json", "--json"], 0, "pa_extend.json"),
+        (["graded", "map", "z3.json"], 0, "graded_map.txt"),
+        (["graded", "map", "z3.json", "--json"], 0, "graded_map.json"),
     ],
 )
 def test_cli_golden(tmp_path, capsys, argv, code, golden):

@@ -8,7 +8,7 @@ from invsg.graded import (
     grading,
     subspace_product,
 )
-from invsg.groups import cyclic, klein_four
+from invsg.groups import cyclic, dihedral, klein_four
 from invsg.semigroup import enumerate_semigroup, generator, order_formula
 
 
@@ -62,13 +62,15 @@ def test_products_of_pieces():
 
 @pytest.mark.parametrize(
     "g,expected",
-    [(cyclic(2), 3), (cyclic(4), 20), (klein_four(), 20), (cyclic(5), 48)],
+    [(cyclic(2), 3), (cyclic(4), 20), (klein_four(), 20), (cyclic(5), 48), (dihedral(3), 112)],
 )
 def test_generated_semigroup_count(g, expected):
     alg = build_algebra(g)
-    assert len(generated_semigroup(grading(alg))) == expected == (
+    closure = generated_semigroup(grading(alg))
+    assert len(closure) == expected == (
         order_formula(g.order) if g.order >= 2 else 1
     )
+    assert closure == {element_subspace(alg, a) for a in alg.basis}
 
 
 def test_element_subspace_is_bijective_homomorphism():

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from invsg.actions import bernoulli_partial_action, validate_axioms, validate_semigroup_form
+from invsg.algebra import build_algebra, wedderburn
+from invsg.graded import generated_semigroup, grading
 from invsg.groups import cyclic, dihedral, direct_product, klein_four
 from invsg.semigroup import (
     CapExceeded,
@@ -15,6 +18,7 @@ from invsg.semigroup import (
     generator,
     idempotent,
     idempotent_elements,
+    identity_masks,
     natural_partial_order,
     order_formula,
     reduce_word,
@@ -23,7 +27,7 @@ from invsg.semigroup import (
     verify_inverse_semigroup,
 )
 
-from conftest import small_groups
+from conftest import relabelled, small_groups
 
 
 def test_generator_examples():
@@ -261,9 +265,35 @@ def test_verify_inverse_semigroup(g):
 
 
 def test_verify_sampled_mode():
-    report = verify_inverse_semigroup(cyclic(5), exhaustive_budget=1000, sample_size=2000)
+    # 576^3 associativity triples exceed EXHAUSTIVE_BUDGET
+    report = verify_inverse_semigroup(cyclic(8))
     assert report.passed
     assert report.checks[0].mode == "sampled"
+
+
+def test_identity_not_at_index_zero():
+    """Cyclic group of order 4 with its identity renamed 2: the masks,
+    the enumeration order, the Bernoulli ground set and every
+    downstream count hold as for the standard labelling."""
+    g = relabelled(cyclic(4), [2, 0, 3, 1])
+    assert g.identity == 2
+    masks = identity_masks(g)
+    assert masks == sorted(m for m in range(16) if m & 4)
+    elements = enumerate_semigroup(g)
+    assert len(elements) == 20
+    assert [(a.degree, a.support) for a in elements] == sorted((a.degree, a.support) for a in elements)
+
+    action = bernoulli_partial_action(g)
+    assert action.set_size == len(masks) == 8
+    for t in g.elements():
+        expected = {i: masks.index(g.left_translate(t, m)) for i, m in enumerate(masks) if m >> g.inv(t) & 1}
+        assert dict(action.theta[t].graph()) == expected
+    assert validate_axioms(action).passed and validate_semigroup_form(action).passed
+
+    assert verify_inverse_semigroup(g).passed
+    alg = build_algebra(g)
+    assert list(wedderburn(alg).blocks) == [1] * 7 + [2, 3]
+    assert len(generated_semigroup(grading(alg))) == 20
 
 
 def test_universal_extension_degree():
