@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .groups import FiniteGroup, document_group, group_to_dict
+from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
@@ -86,6 +86,8 @@ class PartialBijection:
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> PartialBijection:
         m: list[int | None] = [None] * n
         for x, y in pairs:
+            if not 0 <= x < n:
+                raise ValueError(f"point {x} out of range [0, {n})")
             if m[x] is not None:
                 raise ValueError(f"point {x} has two images")
             m[x] = y
@@ -123,12 +125,6 @@ class PartialBijection:
             if v is not None:
                 m[v] = x
         return PartialBijection(m)
-
-    def restrict(self, subset: Iterable[int]) -> PartialBijection:
-        keep = set(subset)
-        return PartialBijection(
-            tuple(v if x in keep else None for x, v in enumerate(self._map))
-        )
 
     def __mul__(self, other: PartialBijection) -> PartialBijection:
         """Composition self(other(x)): ``other`` acts first."""
@@ -189,8 +185,11 @@ class AxiomFailure:
 
 @dataclass
 class ActionReport:
-    passed: bool
     failures: list[AxiomFailure]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def describe(self) -> str:
         if self.passed:
@@ -238,7 +237,7 @@ def validate_axioms(action: PartialAction) -> ActionReport:
                     failures.append(AxiomFailure("composition", (r, s, x)))
                     break
 
-    return ActionReport(not failures, failures)
+    return ActionReport(failures)
 
 
 def validate_semigroup_form(action: PartialAction) -> ActionReport:
@@ -263,7 +262,7 @@ def validate_semigroup_form(action: PartialAction) -> ActionReport:
         identity.append(AxiomFailure("identity", (g.identity,)))
 
     failures = triple + identity + derived
-    return ActionReport(not failures, failures)
+    return ActionReport(failures)
 
 
 def restriction_action(
@@ -377,21 +376,9 @@ class InverseAction:
             self._table = {a: self._extend(a) for a in elements}
         return self._table
 
-    def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
-        """Return the first pair (a, b) with pi(ab) != pi(a)pi(b), or None."""
-        return _worst_case(pair_distances(self.table(cap), operator.mul, operator.ne))[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InverseAction):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.set_size == other.set_size
-            and self.generator_images == other.generator_images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.set_size, self.generator_images))
+    def check_multiplicative(self) -> tuple | None:
+        """The first pair (a, b) of ``table()`` (default cap) with pi(ab) != pi(a)pi(b), or None."""
+        return _worst_case(pair_distances(self.table(), operator.mul, operator.ne))[1]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:
@@ -408,7 +395,7 @@ def to_inverse_action(action: PartialAction) -> InverseAction:
     return InverseAction(action.group, action.set_size, action.theta)
 
 
-def from_inverse_action(inv_action: InverseAction, cap: int = DEFAULT_ENUMERATION_CAP) -> PartialAction:
+def from_inverse_action(inv_action: InverseAction) -> PartialAction:
     """Recover the partial action from a semigroup action.
 
     Requires the unit to act as the identity and the assignment to be
@@ -417,7 +404,7 @@ def from_inverse_action(inv_action: InverseAction, cap: int = DEFAULT_ENUMERATIO
     g = inv_action.group
     if inv_action(unit(g)) != PartialBijection.identity(inv_action.set_size):
         raise NotMultiplicative("unit does not act as the identity", (unit(g),))
-    witness = inv_action.check_multiplicative(cap)
+    witness = inv_action.check_multiplicative()
     if witness is not None:
         raise NotMultiplicative(f"not multiplicative at {witness}", witness)
     theta = tuple(inv_action(generator(g, t)) for t in g.elements())
@@ -439,13 +426,13 @@ def action_to_dict(action: PartialAction) -> dict:
 
 def action_from_dict(data: Mapping) -> PartialAction:
     group = document_group(data, ("set_size", "theta"))
-    n = int(data["set_size"])
-    theta = []
-    raw = data["theta"]
+    n = json_value(data["set_size"], "an integer", "set_size")
+    raw = json_value(data["theta"], "an object", "theta")
     unknown = set(raw) - {str(t) for t in group.elements()}
     if unknown:
         raise ValueError(f"theta keys {sorted(unknown)} are not indices of a group of order {group.order}")
+    theta = []
     for t in group.elements():
-        pairs = raw.get(str(t), [])
-        theta.append(PartialBijection.from_pairs(n, [(int(x), int(y)) for x, y in pairs]))
+        pairs = json_value(raw.get(str(t), []), "a list of [point, image] pairs", f"theta[{t}]")
+        theta.append(PartialBijection.from_pairs(n, pairs))
     return PartialAction(group, n, tuple(theta))

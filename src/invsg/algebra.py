@@ -33,6 +33,7 @@ from .semigroup import (
 
 DEFAULT_DIM_CAP = 1000
 NULLSPACE_TOL = 1e-10  # center's null spaces cut singular values at this times the matrix size
+BLOCK_TOL = 1e-9  # wedderburn: least relative eigenvalue gap; times dim, most trace integrality error
 
 
 class EigenvalueClusterAmbiguous(RuntimeError):
@@ -148,13 +149,13 @@ def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nullspace(m: np.ndarray, tol: float) -> np.ndarray:
+def _nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the null space, with a guard band
-    around the singular-value cutoff."""
+    around the singular-value cutoff ``NULLSPACE_TOL`` times the size."""
     if m.size == 0:
         return np.eye(m.shape[1])
     _, svals, vt = np.linalg.svd(m)
-    cutoff = tol * max(m.shape)
+    cutoff = NULLSPACE_TOL * max(m.shape)
     in_band = (svals > cutoff / 10) & (svals < cutoff * 10)
     if np.any(in_band):
         raise RankThresholdBreach(
@@ -182,7 +183,7 @@ def center(a: StructureAlgebra) -> list[np.ndarray]:
             left[a.mult[i, :], cols] = 1.0          # g * z
             right = np.zeros((n, n))
             right[a.mult[:, i], cols] = 1.0         # z * g
-            k = k @ _nullspace((right - left) @ k, NULLSPACE_TOL)
+            k = k @ _nullspace((right - left) @ k)
     return [k[:, j].copy() for j in range(k.shape[1])]
 
 
@@ -207,7 +208,7 @@ class BlockDecomposition:
         )
 
 
-def wedderburn(a: StructureAlgebra, seed: int = 0, tol: float = 1e-9) -> BlockDecomposition:
+def wedderburn(a: StructureAlgebra, seed: int = 0) -> BlockDecomposition:
     """Numerical block decomposition of a (semisimple) structure algebra.
 
     Everything happens inside the k-dimensional center.  A random
@@ -217,9 +218,9 @@ def wedderburn(a: StructureAlgebra, seed: int = 0, tol: float = 1e-9) -> BlockDe
     size n with n^2 = trace(L_e) = f . e, where f_i counts the basis
     elements b_j with b_i b_j = b_j.  Raises
     EigenvalueClusterAmbiguous when two eigenvalues of z lie within a
-    relative distance ``tol`` (reseed), and NonIntegerBlockDim when a
-    trace lies farther than ``tol * dim`` from a positive perfect square
-    or the squares do not add up to the dimension.
+    relative distance ``BLOCK_TOL`` (reseed), and NonIntegerBlockDim when
+    a trace lies farther than ``BLOCK_TOL * dim`` from a positive perfect
+    square or the squares do not add up to the dimension.
     """
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         kb = np.array(center(a)).T
@@ -229,10 +230,10 @@ def wedderburn(a: StructureAlgebra, seed: int = 0, tol: float = 1e-9) -> BlockDe
         dist = np.abs(eigs[:, None] - eigs[None, :])
         np.fill_diagonal(dist, np.inf)
         gap = float(dist.min() / np.abs(eigs).max())
-        if gap < tol:
+        if gap < BLOCK_TOL:
             raise EigenvalueClusterAmbiguous(
                 f"relative eigenvalue gap {gap:.3e} of the random central element "
-                f"is below {tol:.1e}; reseed",
+                f"is below {BLOCK_TOL:.1e}; reseed",
                 gap,
             )
 
@@ -243,7 +244,7 @@ def wedderburn(a: StructureAlgebra, seed: int = 0, tol: float = 1e-9) -> BlockDe
         traces = fixes @ e
         roots = np.rint(np.sqrt(np.abs(traces.real)))
         error = float(np.max(np.abs(traces - roots**2)))
-        if error > tol * a.dim or roots.min() < 1:
+        if error > BLOCK_TOL * a.dim or roots.min() < 1:
             raise NonIntegerBlockDim(
                 f"block traces are not all positive perfect squares: worst integrality "
                 f"error {error:.3e}, smallest trace {traces.real.min():.3e}",

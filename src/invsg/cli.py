@@ -47,6 +47,15 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict], plain: Callable
             print(line)
 
 
+def _verdict(args: argparse.Namespace, payload: dict, plain: list[str]) -> int:
+    """Emit a check's report; a failed one also goes compactly to stderr, exit 1."""
+    _emit(args, lambda: payload, lambda: plain)
+    if payload["passed"]:
+        return 0
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return 1
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -112,11 +121,7 @@ def _cmd_sg_verify(args: argparse.Namespace) -> int:
             for c in report.checks
         ],
     }
-    _emit(args, lambda: payload, lambda: report.describe().splitlines())
-    if not report.passed:
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, payload, report.describe().splitlines())
 
 
 def _action_report_payload(name: str, report: actions.ActionReport) -> dict:
@@ -142,11 +147,7 @@ def _cmd_pa_validate(args: argparse.Namespace) -> int:
         "domain axioms: " + ("ok" if rep_a.passed else rep_a.describe()),
         "composition identities: " + ("ok" if rep_b.passed else rep_b.describe()),
     ]
-    _emit(args, lambda: payload, lambda: plain)
-    if not payload["passed"]:
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, payload, plain)
 
 
 def _cmd_pa_extend(args: argparse.Namespace) -> int:
@@ -190,11 +191,7 @@ def _cmd_rep_validate(args: argparse.Namespace) -> int:
             for c in report.checks
         ],
     }
-    _emit(args, lambda: payload, lambda: report.describe().splitlines())
-    if not report.passed:
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, payload, report.describe().splitlines())
 
 
 def _cmd_rep_extend(args: argparse.Namespace) -> int:

@@ -94,16 +94,10 @@ def generated_semigroup(
 
 
 def element_subspace(a: StructureAlgebra, elem: SgElement) -> GradedSubspace:
-    """The subspace the closure attaches to one semigroup element:
-    monomials of the same degree whose support contains the element's.
+    """The subspace the closure attaches to one semigroup element: the
+    span of the monomials b <= elem in the natural partial order.
 
     The map elem -> element_subspace is an injective semigroup
     homomorphism onto the closure of the grading pieces.
     """
-    want = elem.support
-    out = frozenset(
-        i
-        for i, b in enumerate(a.basis)
-        if b.degree == elem.degree and (b.support | want) == b.support
-    )
-    return GradedSubspace(a, out)
+    return GradedSubspace(a, frozenset(i for i, b in enumerate(a.basis) if b <= elem))

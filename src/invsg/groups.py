@@ -10,9 +10,10 @@ far below that anyway).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 class GroupTableError(ValueError):
@@ -203,12 +204,12 @@ def group_to_dict(group: FiniteGroup) -> dict:
 
 
 def group_from_dict(data: dict, name: str = "") -> FiniteGroup:
-    table = data.get("table")
+    table = data.get("table") if isinstance(data, Mapping) else None
     if not isinstance(table, list):
         raise GroupSpecError("group object must carry a 'table' list")
     if "order" in data and data["order"] != len(table):
         raise GroupSpecError(f"declared order {data['order']} does not match table size {len(table)}")
-    return from_cayley_table(table, name)
+    return from_cayley_table(json_value(table, "a list of rows of integers", "table"), name)
 
 
 def load_group(path: str) -> FiniteGroup:
@@ -258,3 +259,27 @@ def document_group(data: object, keys: Sequence[str]) -> FiniteGroup:
         raise ValueError(f"missing keys {missing}")
     spec = data["group"]
     return group_from_dict(spec) if isinstance(spec, Mapping) else group_from_spec(str(spec))
+
+
+def _scalar(kind: type) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _list_of(item: Callable[[object], bool], length: int | None = None) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(item, v))
+
+
+_JSON_KINDS: dict[str, Callable[[object], bool]] = {
+    "an object": lambda v: isinstance(v, Mapping),
+    "an integer": _scalar(numbers.Integral),
+    "a list of rows of integers": _list_of(_list_of(_scalar(numbers.Integral))),
+    "a list of [point, image] pairs": _list_of(_list_of(_scalar(numbers.Integral), 2)),
+    "a list of rows of [re, im] pairs": _list_of(_list_of(_list_of(_scalar(numbers.Real), 2))),
+}
+
+
+def json_value(value: object, kind: str, name: str):
+    """``value`` if it is ``kind`` (a ``_JSON_KINDS`` key), else ValueError naming field ``name``."""
+    if not _JSON_KINDS[kind](value):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value

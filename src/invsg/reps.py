@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, document_group, group_to_dict
+from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     SgElement,
@@ -59,6 +59,11 @@ def _distance(x: np.ndarray, y: np.ndarray) -> float:
     return max_abs(x - y)
 
 
+def _tolerance(matrices: Iterable[np.ndarray]) -> float:
+    """The default tolerance: 0 (exact) if every matrix has an integer dtype."""
+    return 0.0 if all(np.issubdtype(m.dtype, np.integer) for m in matrices) else FLOAT_TOL
+
+
 def _as_square(m, dim: int | None = None) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -74,7 +79,7 @@ class PartialRep:
     """One matrix per group element, all square of the same dimension.
 
     ``exact`` is true when every matrix has an integer dtype, in which
-    case the default validation tolerance is 0.
+    case the default validation tolerance is 0 (see ``_tolerance``).
     """
 
     def __init__(self, group: FiniteGroup, matrices: Sequence[np.ndarray]):
@@ -86,10 +91,7 @@ class PartialRep:
         self.group = group
         self.dim = dim
         self.matrices = tuple(mats)
-        self.exact = all(np.issubdtype(m.dtype, np.integer) for m in mats)
-
-    def default_tol(self) -> float:
-        return 0.0 if self.exact else FLOAT_TOL
+        self.exact = _tolerance(mats) == 0.0
 
 
 @dataclass
@@ -120,8 +122,7 @@ class RepReport:
 def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport:
     """Per-axiom max deviations for the three partial-representation laws."""
     g = rep.group
-    if tol is None:
-        tol = rep.default_tol()
+    tol = _tolerance(rep.matrices) if tol is None else tol
 
     laws = law_distances(g, rep.matrices, operator.matmul, _distance)
     dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple, _ in laws)
@@ -194,18 +195,14 @@ def extend_to_semigroup(
     return SgRepresentation(g, rep.dim, {a: extend(a) for a in enumerate_semigroup(g, cap)})
 
 
-def restrict_to_group(
-    sgrep: SgRepresentation, tol: float | None = None
-) -> PartialRep:
+def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     """Generator images of a semigroup representation, as a partial rep.
 
-    The input must be multiplicative and star-preserving within ``tol``
-    (default 0 for integer tables, otherwise 1e-9); the first offending
-    pair or element is reported.
+    The input must be multiplicative and star-preserving, exactly when
+    every matrix has an integer dtype and else to ``FLOAT_TOL``; the
+    first worst pair or element is reported.
     """
-    if tol is None:
-        exact = all(np.issubdtype(m.dtype, np.integer) for m in sgrep.table.values())
-        tol = 0.0 if exact else FLOAT_TOL
+    tol = _tolerance(sgrep.table.values())
     dev, witness = sgrep.max_multiplicative_deviation()
     if dev > tol:
         raise NotRepresentation(f"not multiplicative (deviation {dev:.3e})", witness or ())
@@ -226,10 +223,7 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(data: Sequence) -> np.ndarray:
     if len(data) == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    rows = []
-    for row in data:
-        rows.append([complex(float(v[0]), float(v[1])) for v in row])
-    m = np.array(rows, dtype=np.complex128)
+    m = np.array([[complex(float(re), float(im)) for re, im in row] for row in data], dtype=np.complex128)
     if np.max(np.abs(m.imag)) == 0.0 and np.all(m.real == np.round(m.real)):
         return m.real.astype(np.int64)
     return m
@@ -245,15 +239,16 @@ def rep_to_dict(rep: PartialRep) -> dict:
 
 def rep_from_dict(data: Mapping) -> PartialRep:
     group = document_group(data, ("matrices",))
-    raw = data["matrices"]
+    raw = json_value(data["matrices"], "an object", "matrices")
     keys = {str(t) for t in group.elements()}
     if set(raw) != keys:
         raise ValueError(
             f"matrices need one key per index of a group of order {group.order}: "
             f"missing {sorted(keys - set(raw), key=int)}, unknown {sorted(set(raw) - keys)}"
         )
-    mats = [matrix_from_json(raw[str(t)]) for t in group.elements()]
+    kind = "a list of rows of [re, im] pairs"
+    mats = [matrix_from_json(json_value(raw[str(t)], kind, f"matrices[{t}]")) for t in group.elements()]
     rep = PartialRep(group, mats)
-    if rep.dim != int(data.get("dim", rep.dim)):
+    if rep.dim != json_value(data.get("dim", rep.dim), "an integer", "dim"):
         raise ValueError("declared dim does not match the matrices")
     return rep

@@ -461,9 +461,9 @@ def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple
     return worst, witness
 
 
-def idempotent_elements(group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[SgElement]:
+def idempotent_elements(group: FiniteGroup) -> list[SgElement]:
     """All idempotents: exactly the degree-identity elements."""
-    return [a for a in enumerate_semigroup(group, cap) if a.is_idempotent()]
+    return [a for a in enumerate_semigroup(group) if a.is_idempotent()]
 
 
 def element_to_dict(a: SgElement) -> dict:

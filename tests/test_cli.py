@@ -237,3 +237,53 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert run([]) == 2
+
+
+_THETA = {"0": [[0, 0], [1, 1]], "1": [[1, 1]]}
+_MATRICES = {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "1": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "family, key, value, message",
+    [
+        ("pa", "theta", list(_THETA.values()), "theta must be an object"),
+        ("rep", "matrices", list(_MATRICES.values()), "matrices must be an object"),
+        ("pa", "set_size", [2], "set_size must be an integer"),
+        ("pa", "set_size", 2.7, "set_size must be an integer"),
+        ("rep", "dim", 2.5, "dim must be an integer"),
+        ("pa", "theta", dict(_THETA, **{"1": [[2, 1]]}), "point 2 out of range [0, 2)"),
+        ("pa", "theta", dict(_THETA, **{"1": [[-1, 0], [0, 1]]}), "point -1 out of range [0, 2)"),
+        ("pa", "theta", dict(_THETA, **{"1": [[1, 1.0]]}), "theta[1] must be a list of [point, image] pairs"),
+        ("pa", "theta", dict(_THETA, **{"1": [1, 1]}), "theta[1] must be a list of [point, image] pairs"),
+        ("rep", "matrices", dict(_MATRICES, **{"1": [[0, 0], [0, 1]]}), "matrices[1] must be a list of rows"),
+        ("group", "table", [[0, 1.9], [1, 0]], "table must be a list of rows of integers"),
+    ],
+    ids=[
+        "theta-list", "matrices-list", "set_size-list", "set_size-float", "dim-float",
+        "point-too-large", "point-negative", "image-float", "pair-not-list", "entry-not-pair",
+        "table-entry-float",
+    ],
+)
+def test_malformed_values_are_domain_errors(tmp_path, capsys, family, key, value, message):
+    """A value of the wrong JSON type, or a point outside the ground set,
+    fails with exit 1 and a payload naming the field, instead of a
+    traceback or a silent misreading."""
+    files = {
+        "pa": {"group": "cyclic:2", "set_size": 2, "theta": _THETA},
+        "rep": {"group": "cyclic:2", "dim": 2, "matrices": _MATRICES},
+        "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+    }
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(files[family], **{key: value})))
+    argv = ["sg", "order", str(path)] if family == "group" else [family, "validate", str(path)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and message in payload["message"]
+
+
+def test_group_file_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps([[0, 1], [1, 0]]))
+    code, out, err = invoke(capsys, "sg", "order", str(path))
+    assert code == 2 and out == "" and "'table' list" in err

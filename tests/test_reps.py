@@ -231,3 +231,34 @@ def test_action_and_rep_extensions_agree():
             f = inv_action(a)
             assert universal(a) == f
             assert np.array_equal(_zero_one(f), ext(a))
+
+
+def test_restrict_to_group_accepts_float_noise():
+    """A float table is checked to 1e-9, so rounding-sized noise passes."""
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(3)))
+    ext = extend_to_semigroup(rep)
+    rng = np.random.default_rng(0)
+    noisy = {a: m + rng.normal(scale=1e-12, size=m.shape) for a, m in ext.table.items()}
+    back = restrict_to_group(SgRepresentation(ext.group, ext.dim, noisy))
+    assert not back.exact
+    assert all(max_abs(back.matrices[t] - rep.matrices[t]) < 1e-11 for t in rep.group.elements())
+
+
+def test_restrict_to_group_checks_integer_tables_exactly():
+    """An integer table with one product off by one is not a representation."""
+    ext = extend_to_semigroup(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(3))))
+    table = dict(ext.table)
+    a = next(a for a in table if bin(a.support).count("1") == 3)
+    table[a] = table[a].copy()
+    table[a][0, 0] += 1
+    with pytest.raises(NotRepresentation, match="not multiplicative"):
+        restrict_to_group(SgRepresentation(ext.group, ext.dim, table))
+
+
+def test_default_tolerance_follows_the_dtype():
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(3)))
+    as_float = PartialRep(rep.group, [m.astype(np.float64) for m in rep.matrices])
+    as_complex = PartialRep(rep.group, [m.astype(np.complex128) for m in rep.matrices])
+    assert rep.exact and validate_partial_rep(rep).tol == 0.0
+    for other in (as_float, as_complex):
+        assert not other.exact and validate_partial_rep(other).tol == 1e-9

@@ -5,6 +5,7 @@ import pytest
 from invsg.actions import bernoulli_partial_action, validate_axioms, validate_semigroup_form
 from invsg.algebra import build_algebra, wedderburn
 from invsg.graded import generated_semigroup, grading
+from invsg import semigroup
 from invsg.groups import cyclic, dihedral, direct_product, klein_four
 from invsg.semigroup import (
     CapExceeded,
@@ -269,6 +270,58 @@ def test_verify_sampled_mode():
     report = verify_inverse_semigroup(cyclic(8))
     assert report.passed
     assert report.checks[0].mode == "sampled"
+
+
+_real_tables = semigroup.multiplication_tables
+
+
+def _corrupted_tables(elements):
+    """The product a * b* in place of a * b, and one pair of idempotents
+    e, f with e * f = e: every check of the certificate fails."""
+    mult, star, unit_index = _real_tables(elements)
+    bad = mult[:, star]
+    g = elements[0].group
+    e, f = (elements.index(idempotent(g, r)) for r in (1, 2))
+    bad[e, f] = e
+    return bad, star, unit_index
+
+
+@pytest.mark.parametrize("g, assoc_mode", [(cyclic(4), "exhaustive"), (cyclic(8), "sampled")])
+def test_verify_reports_counterexamples(monkeypatch, g, assoc_mode):
+    monkeypatch.setattr(semigroup, "multiplication_tables", _corrupted_tables)
+    report = verify_inverse_semigroup(g)
+    elements = enumerate_semigroup(g)
+    mult, star, _ = _corrupted_tables(elements)
+    ix = {a: i for i, a in enumerate(elements)}
+    assoc, invol, unique, commute = report.checks
+    assert not report.passed and not any(c.passed for c in report.checks)
+    assert [c.name for c in report.checks] == [
+        "associativity", "involution identities", "unique inverses", "idempotents commute"
+    ]
+    assert "FAIL at" in report.describe()
+
+    assert assoc.mode == assoc_mode
+    i, j, k = (ix[a] for a in assoc.counterexample)
+    assert mult[mult[i, j], k] != mult[i, mult[j, k]]
+    if assoc_mode == "exhaustive":
+        n = len(elements)
+        first = next(x for x in range(n) if (mult[mult[x, :], :] != mult[x, mult]).any())
+        assert i == first and assoc.checked == (i + 1) * n * n
+
+    (a,) = invol.counterexample
+    i = ix[a]
+    assert mult[mult[i, star[i]], i] != i or mult[mult[star[i], i], star[i]] != star[i]
+
+    a, witnesses = unique.counterexample
+    i = ix[a]
+    expected = [
+        b for b in elements
+        if mult[mult[i, ix[b]], i] == i and mult[mult[ix[b], i], ix[b]] == ix[b]
+    ]
+    assert witnesses == expected and witnesses != [elements[star[i]]]
+
+    e, f = (ix[a] for a in commute.counterexample)
+    assert mult[e, e] == e and mult[f, f] == f and mult[e, f] != mult[f, e]
 
 
 def test_identity_not_at_index_zero():
