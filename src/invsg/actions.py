@@ -25,6 +25,7 @@ from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     SgElement,
+    _check_cap,
     _worst_case,
     enumerate_semigroup,
     extension_formula,
@@ -319,9 +320,7 @@ def bernoulli_partial_action(
     ascending bitmask order (``semigroup.identity_masks``); theta[t]
     sends E to tE wherever t^-1 lies in E.
     """
-    p = group.order
-    if p > cap:
-        raise CapExceeded(f"group order {p} exceeds cap {cap}")
+    _check_cap(group, cap)
     masks = identity_masks(group)
     index = {mask: i for i, mask in enumerate(masks)}
 
@@ -369,7 +368,8 @@ class InverseAction:
         """The action of every element, in enumeration order.  ``cap`` is
         checked on every call: enumerating past it raises CapExceeded,
         cached table or not."""
-        if self._table is None or self.group.order > cap:
+        _check_cap(self.group, cap)
+        if self._table is None:
             elements = enumerate_semigroup(self.group, cap)
             if len(elements) * max(self.set_size, 1) > MATERIALIZE_BUDGET:
                 raise CapExceeded("full action table exceeds the materialization budget")

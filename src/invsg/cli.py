@@ -274,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(sg, "reduce", _cmd_sg_reduce, help="canonical form of a generator word")
     p.add_argument("group")
     p.add_argument("--word", required=True, help="comma-separated group indices")
-    p = sub(sg, "verify", _cmd_sg_verify, help="brute-force inverse-semigroup certificate")
+    p = sub(sg, "verify", _cmd_sg_verify, help="exhaustive inverse-semigroup certificate")
     p.add_argument("group")
     p.add_argument("--cap", type=int, default=semigroup.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
 
     pa = top.add_parser("pa", help="partial actions").add_subparsers(
         dest="command", required=True

@@ -49,16 +49,11 @@ def test_basis_products_match_semigroup():
 
 
 def test_mult_table_associative():
-    for g in [cyclic(3), cyclic(4), klein_four()]:
+    for g in [cyclic(3), cyclic(4), klein_four(), cyclic(5)]:
         m = build_algebra(g).mult
         n = m.shape[0]
         for i in range(n):
             assert np.array_equal(m[m[i, :], :], m[i, m])
-    # sampled at p = 5
-    m = build_algebra(cyclic(5)).mult
-    rng = np.random.default_rng(0)
-    ii, jj, kk = (rng.integers(0, m.shape[0], size=20000) for _ in range(3))
-    assert np.array_equal(m[m[ii, jj], kk], m[ii, m[jj, kk]])
 
 
 def test_star_table_antimultiplicative():

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from invsg.actions import action_to_dict, bernoulli_partial_action
+from invsg.actions import action_to_dict, bernoulli_partial_action, to_inverse_action
 from invsg.cli import run
 from invsg.groups import cyclic, group_to_dict, klein_four
 from invsg.reps import partial_rep_from_partial_action, rep_to_dict
+from invsg.semigroup import CapExceeded
 from invsg.actions import PartialAction, PartialBijection
 
 
@@ -44,6 +45,19 @@ def test_sg_enumerate(capsys):
 def test_sg_enumerate_cap(capsys):
     code, _, err = invoke(capsys, "sg", "enumerate", "cyclic:11")
     assert code == 1 and "CapExceeded" in err
+
+
+def test_one_cap_rule(capsys):
+    """Enumeration, the Bernoulli action and the action table share one
+    order-cap check and its message."""
+    for argv in (["sg", "enumerate", "cyclic:11"], ["pa", "bernoulli", "cyclic:11"]):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert json.loads(err) == {"error": "CapExceeded", "message": "group order 11 exceeds enumeration cap 10"}
+    _, _, err = invoke(capsys, "sg", "enumerate", "cyclic:4", "--cap", "3")
+    with pytest.raises(CapExceeded) as info:
+        to_inverse_action(bernoulli_partial_action(cyclic(4))).table(cap=3)
+    assert str(info.value) == json.loads(err)["message"] == "group order 4 exceeds enumeration cap 3"
 
 
 def test_sg_reduce(capsys):

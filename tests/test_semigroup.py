@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from invsg.actions import bernoulli_partial_action, validate_axioms, validate_semigroup_form
@@ -265,14 +266,32 @@ def test_verify_inverse_semigroup(g):
     assert all(c.mode == "exhaustive" for c in report.checks)
 
 
-def test_verify_sampled_mode():
-    # 576^3 associativity triples exceed EXHAUSTIVE_BUDGET
-    report = verify_inverse_semigroup(cyclic(8))
-    assert report.passed
-    assert report.checks[0].mode == "sampled"
+def test_verify_exhaustive_at_orders_8_and_10():
+    # 576 and 2816 elements: associativity is certified by Light's test, not sampled
+    for g in (cyclic(8), dihedral(5)):
+        report = verify_inverse_semigroup(g)
+        assert report.passed, report.describe()
+        assert all(c.mode == "exhaustive" for c in report.checks)
+        assert report.size == order_formula(g.order)
 
 
 _real_tables = semigroup.multiplication_tables
+
+
+def _associative(mult):
+    """The n^3 reference scan: (ij)k = i(jk) for every triple."""
+    return all(np.array_equal(mult[mult[i]], mult[i, mult]) for i in range(len(mult)))
+
+
+def _first_light_failure(mult, gens):
+    """(k, (x, a, y)): the first generator a = gens[k] with some (xa)y !=
+    x(ay), and its first failing x, then y."""
+    for k, a in enumerate(gens):
+        diff = mult[mult[:, a]] != mult[:, mult[a]]
+        if diff.any():
+            x, y = map(int, np.argwhere(diff)[0])
+            return k, (x, a, y)
+    return None
 
 
 def _corrupted_tables(elements):
@@ -286,8 +305,8 @@ def _corrupted_tables(elements):
     return bad, star, unit_index
 
 
-@pytest.mark.parametrize("g, assoc_mode", [(cyclic(4), "exhaustive"), (cyclic(8), "sampled")])
-def test_verify_reports_counterexamples(monkeypatch, g, assoc_mode):
+@pytest.mark.parametrize("g", [cyclic(4), cyclic(8)])
+def test_verify_reports_counterexamples(monkeypatch, g):
     monkeypatch.setattr(semigroup, "multiplication_tables", _corrupted_tables)
     report = verify_inverse_semigroup(g)
     elements = enumerate_semigroup(g)
@@ -299,14 +318,15 @@ def test_verify_reports_counterexamples(monkeypatch, g, assoc_mode):
         "associativity", "involution identities", "unique inverses", "idempotents commute"
     ]
     assert "FAIL at" in report.describe()
+    assert all(c.mode == "exhaustive" for c in report.checks)
 
-    assert assoc.mode == assoc_mode
-    i, j, k = (ix[a] for a in assoc.counterexample)
-    assert mult[mult[i, j], k] != mult[i, mult[j, k]]
-    if assoc_mode == "exhaustive":
-        n = len(elements)
-        first = next(x for x in range(n) if (mult[mult[x, :], :] != mult[x, mult]).any())
-        assert i == first and assoc.checked == (i + 1) * n * n
+    # the generators are closed under *, so the generation scan reaches
+    # every element (n p lookups) and Light's test finds the failure
+    x, a, y = (ix[b] for b in assoc.counterexample)
+    assert mult[mult[x, a], y] != mult[x, mult[a, y]]
+    n, p = len(elements), g.order
+    k, first = _first_light_failure(mult, [ix[generator(g, t)] for t in g.elements()])
+    assert (x, a, y) == first and assoc.checked == n * p + (k + 1) * n * n
 
     (a,) = invol.counterexample
     i = ix[a]
@@ -322,6 +342,80 @@ def test_verify_reports_counterexamples(monkeypatch, g, assoc_mode):
 
     e, f = (ix[a] for a in commute.counterexample)
     assert mult[e, e] == e and mult[f, f] == f and mult[e, f] != mult[f, e]
+
+
+def test_associativity_scans_every_row_block(monkeypatch):
+    """One wrong entry in the last row of the 576-element table of
+    cyclic(8) first shows at a row past the first block of Light's test."""
+    g = cyclic(8)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n = len(elements)
+    mult[n - 1, n - 1] = (mult[n - 1, n - 1] + 1) % n
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    assoc = verify_inverse_semigroup(g).checks[0]
+    k, (x, a, y) = _first_light_failure(mult, [elements.index(generator(g, t)) for t in g.elements()])
+    assert x >= semigroup.ROW_BLOCK
+    assert assoc.counterexample == (elements[x], elements[a], elements[y])
+    assert assoc.checked == n * g.order + (k + 1) * n * n
+
+
+def _generated(mult, unit_index, gens):
+    """The reference closure of the unit under right multiplication by gens."""
+    reached, todo = {unit_index}, [unit_index]
+    while todo:
+        x = todo.pop()
+        for y in (int(mult[x, b]) for b in gens):
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+@pytest.mark.parametrize("g", [cyclic(4), klein_four()])
+def test_associativity_check_is_sound(monkeypatch, g):
+    """Single corrupted entries, 200 per group: the certificate never
+    passes associativity where the n^3 scan fails, and each reported
+    counterexample is real (an unreached element or a failing triple)."""
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n = len(elements)
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    rng = np.random.default_rng(0)
+    kinds = {1: 0, 3: 0}
+    for _ in range(200):
+        bad = mult.copy()
+        i, j = rng.integers(n, size=2)
+        bad[i, j] = (bad[i, j] + rng.integers(1, n)) % n
+        monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad: (m, star, unit_index))
+        assoc = verify_inverse_semigroup(g).checks[0]
+        if assoc.passed:
+            assert _associative(bad)
+            continue
+        found = [elements.index(a) for a in assoc.counterexample]
+        kinds[len(found)] += 1
+        if len(found) == 1:
+            assert found[0] not in _generated(bad, unit_index, gens)
+        else:
+            x, a, y = found
+            assert a in gens and bad[bad[x, a], y] != bad[x, bad[a, y]]
+    assert kinds[1] and kinds[3]
+
+
+def test_associative_table_outside_the_generated_one_fails(monkeypatch):
+    """The left-zero table xy = x is associative, but the generators
+    reach only the unit: the certificate cannot vouch for it."""
+    g = cyclic(4)
+    elements = enumerate_semigroup(g)
+    _, star, unit_index = _real_tables(elements)
+    n = len(elements)
+    left_zero = np.repeat(np.arange(n)[:, None], n, axis=1)
+    assert _associative(left_zero)
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (left_zero, star, unit_index))
+    assoc = verify_inverse_semigroup(g).checks[0]
+    assert not assoc.passed and assoc.checked == g.order
+    (a,) = assoc.counterexample
+    assert elements.index(a) != unit_index
 
 
 def test_identity_not_at_index_zero():
