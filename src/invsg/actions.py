@@ -10,8 +10,8 @@ homomorphisms of the universal inverse semigroup is exact.
 
 The triple-product laws, the extension formula and the multiplicativity
 scan shared with :mod:`invsg.reps` are ``semigroup.law_distances``,
-``semigroup.extension_formula`` and ``semigroup.pair_distances``, used
-here with composition as the product and ``!=`` as the distance.
+``semigroup.extension_formula`` and ``semigroup._worst_pair``, used here
+with composition as the product and ``!=`` as the distance.
 """
 
 from __future__ import annotations
@@ -20,19 +20,20 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     SgElement,
     _check_cap,
-    _worst_case,
+    _worst_pair,
     enumerate_semigroup,
     extension_formula,
     generator,
     identity_masks,
     law_distances,
-    pair_distances,
     unit,
 )
 
@@ -377,8 +378,23 @@ class InverseAction:
         return self._table
 
     def check_multiplicative(self) -> tuple | None:
-        """The first pair (a, b) of ``table()`` (default cap) with pi(ab) != pi(a)pi(b), or None."""
-        return _worst_case(pair_distances(self.table(), operator.mul, operator.ne))[1]
+        """The first pair (a, b) of ``table()`` (default cap) with pi(ab) != pi(a)pi(b), or None.
+
+        The images are stacked once as rows of an int array with -1 for
+        undefined points and one -1 column appended, so composing with
+        f(a) is the gather f(a)[rows]: -1 picks the appended column.
+        """
+        table = self.table()
+        stacked = np.array([[-1 if v is None else v for v in f.mapping] + [-1] for f in table.values()])
+        return _worst_pair(table, stacked.__getitem__, _compose, _differ)[1]
+
+
+def _compose(fa: np.ndarray, fbs: np.ndarray) -> np.ndarray:
+    return fa[fbs]
+
+
+def _differ(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return (xs != ys).any(axis=1)
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:
@@ -427,6 +443,8 @@ def action_to_dict(action: PartialAction) -> dict:
 def action_from_dict(data: Mapping) -> PartialAction:
     group = document_group(data, ("set_size", "theta"))
     n = json_value(data["set_size"], "an integer", "set_size")
+    if n > MATERIALIZE_BUDGET:
+        raise ValueError(f"set_size {n} exceeds the materialization budget {MATERIALIZE_BUDGET}")
     raw = json_value(data["theta"], "an object", "theta")
     unknown = set(raw) - {str(t) for t in group.elements()}
     if unknown:

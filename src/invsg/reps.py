@@ -10,14 +10,15 @@ on them are exact; elsewhere a max-entry tolerance applies.
 
 The triple-product laws, the extension formula and the multiplicativity
 scan shared with :mod:`invsg.actions` are ``semigroup.law_distances``,
-``semigroup.extension_formula`` and ``semigroup.pair_distances``, used
-here with the matrix product and the max-abs distance.
+``semigroup.extension_formula`` and ``semigroup._worst_pair``, used here
+with the matrix product and the max-abs distance.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,12 +27,11 @@ from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     SgElement,
-    _worst_case,
+    _worst_pair,
     enumerate_semigroup,
     extension_formula,
     generator,
     law_distances,
-    pair_distances,
 )
 from .actions import PartialAction
 
@@ -57,6 +57,38 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def _distance(x: np.ndarray, y: np.ndarray) -> float:
     return max_abs(x - y)
+
+
+def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple | None]:
+    """The largest deviation and the first witness attaining it;
+    (0.0, None) when no deviation is positive.  Private: bench/spans.py
+    times public functions, and a lazy scan belongs to its caller."""
+    worst, witness = 0.0, None
+    for d, w in deviations:
+        if d > worst:
+            worst, witness = d, w
+    return worst, witness
+
+
+def _product_dtype(matrices: Sequence[np.ndarray], dim: int) -> np.dtype:
+    """The dtype a pair scan multiplies ``matrices`` in.
+
+    An integer table whose entries bound every product entry and every
+    difference below 2^53 (max|entry|^2 * dim + max|entry|) is multiplied
+    exactly in float64, which goes through BLAS; any other table in its
+    own promoted dtype.
+    """
+    dtype = reduce(np.promote_types, {m.dtype for m in matrices})
+    if np.issubdtype(dtype, np.integer):
+        top = max((max(int(m.max()), -int(m.min())) for m in matrices if m.size), default=0)
+        if top * top * dim + top < 2**53:
+            return np.dtype(np.float64)
+    return dtype
+
+
+def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Max-abs distance of each pair of stacked matrices."""
+    return np.max(np.abs(xs - ys), axis=(1, 2), initial=0.0)
 
 
 def _tolerance(matrices: Iterable[np.ndarray]) -> float:
@@ -166,7 +198,18 @@ class SgRepresentation:
         return self.table[a]
 
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
-        return _worst_case(pair_distances(self.table, operator.matmul, _distance))
+        """The largest max-abs distance of M(ab) from M(a)M(b) and its first pair.
+
+        Matrices are stacked block by block in :func:`_product_dtype`,
+        so no second copy of the table is kept.
+        """
+        images = list(self.table.values())
+        dtype = _product_dtype(images, self.dim)
+
+        def block(indices: np.ndarray) -> np.ndarray:
+            return np.array([images[i] for i in indices], dtype=dtype)
+
+        return _worst_pair(self.table, block, np.matmul, _distances)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         return _worst_case((_distance(self.table[a.star()], adjoint(m)), (a,)) for a, m in self.table.items())

@@ -31,6 +31,7 @@ D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 ROW_BLOCK = 128  # rows per block of Light's test: bounds its temporaries
+SCAN_BYTES = 1 << 17  # bytes of images per block of a pair scan: bounds its temporaries
 
 
 class CapExceeded(ValueError):
@@ -326,16 +327,18 @@ def verify_inverse_semigroup(
     bad = (elements[int(np.flatnonzero(~both)[0])],) if not both.all() else None
     checks.append(CheckResult("involution identities", bad is None, n, bad))
 
-    # uniqueness: for each a exactly one b with a b a == a and b a b == b
+    # uniqueness: for each a exactly one b with a b a == a and b a b == b,
+    # and that b is a*; rows a in blocks, columns b
     bad = None
-    for i in range(n):
-        v = mult[i, :]                       # a*b over b
-        w = mult[v, i] == i                  # (a*b)*a == a
-        u = mult[:, i]                       # b*a over b
-        z = mult[u, idx] == idx              # (b*a)*b == b
-        witnesses = np.flatnonzero(w & z)
-        if witnesses.size != 1 or witnesses[0] != star_idx[i]:
-            bad = (elements[i], [elements[int(j)] for j in witnesses])
+    for lo in range(0, n, ROW_BLOCK):
+        a = idx[lo : lo + ROW_BLOCK]
+        w = mult[mult[lo : lo + ROW_BLOCK], a[:, None]] == a[:, None]  # (a*b)*a == a
+        z = mult[mult[:, lo : lo + ROW_BLOCK].T, idx] == idx  # (b*a)*b == b
+        inverse = w & z
+        fails = np.flatnonzero((inverse.sum(axis=1) != 1) | ~inverse[a - lo, star_idx[a]])
+        if fails.size:
+            r = int(fails[0])
+            bad = (elements[lo + r], [elements[int(j)] for j in np.flatnonzero(inverse[r])])
             break
     checks.append(CheckResult("unique inverses", bad is None, n * n, bad))
 
@@ -432,31 +435,37 @@ def universal_extension(
     return extension_formula(group, images, mul)
 
 
-def pair_distances(
-    table: Mapping[SgElement, T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
-) -> Iterator[tuple[D, tuple[SgElement, SgElement]]]:
+def _worst_pair(
+    table: Mapping[SgElement, T],
+    block: Callable[[np.ndarray], np.ndarray],
+    times: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[float, tuple[SgElement, SgElement] | None]:
     """Multiplicativity of a table over a closed set of elements.
 
-    Yields (distance(f(ab), f(a)f(b)), (a, b)) for every pair in the
-    table's order, row by row; products are looked up in the
-    :func:`multiplication_tables` index table.
+    The largest distance of f(ab) from f(a)f(b) and the first pair
+    (a, b), in the table's order row by row, attaining it; (0.0, None)
+    when every distance is 0.  ``block(indices)`` stacks the images at
+    the given table indices along a new first axis, ``times(fa, fbs)``
+    is f(a) times each image of a stack and ``distance(xs, ys)`` the
+    distance of each stacked pair.  Each row runs in blocks of columns
+    holding about SCAN_BYTES of images; products are looked up in
+    the :func:`multiplication_tables` index table.  Private, so a trace
+    charges the scan to its caller.
     """
     elements = list(table)
-    images = list(table.values())
-    mult = multiplication_tables(elements)[0].tolist()
-    for a, fa, row in zip(elements, images, mult):
-        for b, fb, ab in zip(elements, images, row):
-            yield distance(images[ab], mul(fa, fb)), (a, b)
-
-
-def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple | None]:
-    """The largest deviation and the first witness attaining it;
-    (0.0, None) when no deviation is positive.  Private: bench/spans.py
-    times public functions, and a lazy scan belongs to its caller."""
+    n = len(elements)
+    mult = multiplication_tables(elements)[0]
     worst, witness = 0.0, None
-    for d, w in deviations:
-        if d > worst:
-            worst, witness = d, w
+    for a in range(n):
+        fa = block(np.array([a]))[0]
+        step = max(1, SCAN_BYTES // max(fa.nbytes, 1))
+        for lo in range(0, n, step):
+            cols = np.arange(lo, min(lo + step, n))
+            d = distance(block(mult[a, cols]), times(fa, block(cols)))
+            j = int(np.argmax(d))
+            if d[j] > worst:
+                worst, witness = float(d[j]), (elements[a], elements[lo + j])
     return worst, witness
 
 

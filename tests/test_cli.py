@@ -126,6 +126,17 @@ def test_pa_validate_rejects_bad_action(tmp_path, capsys):
     assert json.loads(err)["passed"] is False
 
 
+def test_pa_validate_rejects_a_ground_set_past_the_budget(tmp_path, capsys):
+    """A one-line file declaring two million points is refused before any
+    partial bijection is built."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"group": "cyclic:2", "set_size": 2000000, "theta": {}}\n')
+    code, out, err = invoke(capsys, "pa", "validate", str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "set_size 2000000" in payload["message"]
+
+
 def test_rep_pipeline(tmp_path, capsys):
     rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(2)))
     path = tmp_path / "rep.json"

@@ -1,0 +1,170 @@
+"""The row-streamed multiplicativity scan against a pairwise reference.
+
+``InverseAction.check_multiplicative`` and
+``SgRepresentation.max_multiplicative_deviation`` must report the same
+deviation and the same first witness, in the table's row-major order,
+as the loop over every pair below, whatever the column blocks.
+"""
+
+import operator
+import time
+
+import numpy as np
+import pytest
+
+from invsg import semigroup
+from invsg.actions import (
+    PartialAction,
+    PartialBijection,
+    bernoulli_partial_action,
+    from_inverse_action,
+    to_inverse_action,
+)
+from invsg.groups import cyclic, dihedral, klein_four
+from invsg.reps import (
+    PartialRep,
+    SgRepresentation,
+    extend_to_semigroup,
+    max_abs,
+    partial_rep_from_partial_action,
+)
+
+
+def _pairwise(table, mul, distance):
+    """The reference: products by SgElement arithmetic, every pair in
+    row-major order, the first pair attaining the largest distance."""
+    worst, witness = 0.0, None
+    for a, fa in table.items():
+        for b, fb in table.items():
+            d = distance(table[a * b], mul(fa, fb))
+            if d > worst:
+                worst, witness = d, (a, b)
+    return worst, witness
+
+
+def _matrix_distance(x, y):
+    return max_abs(x - y)
+
+
+def _columns_per_block(monkeypatch, image_bytes, columns):
+    """Make the scan run ``columns`` columns per block (None: the default)."""
+    if columns is not None:
+        monkeypatch.setattr(semigroup, "SCAN_BYTES", columns * image_bytes)
+
+
+def _bernoulli_rep_table(g):
+    return extend_to_semigroup(partial_rep_from_partial_action(bernoulli_partial_action(g)))
+
+
+GROUPS = [cyclic(3), cyclic(4), klein_four()]
+GROUP_IDS = ["cyclic3", "cyclic4", "klein4"]
+COLUMNS = [1, 3, None]
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=GROUP_IDS)
+def test_valid_bernoulli_tables_match_the_reference(g):
+    inv_action = to_inverse_action(bernoulli_partial_action(g))
+    assert inv_action.check_multiplicative() is None
+    assert _pairwise(inv_action.table(), operator.mul, operator.ne) == (0.0, None)
+    sgrep = _bernoulli_rep_table(g)
+    assert sgrep.max_multiplicative_deviation() == (0.0, None)
+    assert _pairwise(sgrep.table, operator.matmul, _matrix_distance) == (0.0, None)
+
+
+def _positions(n, columns):
+    """The first row, the last row, and the first column of the second block."""
+    return [0, n - 1, columns if columns and columns < n else n // 2]
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("g", GROUPS, ids=GROUP_IDS)
+def test_one_corrupted_image_matches_the_reference(monkeypatch, g, columns):
+    """The last defined point dropped from one image of the action table."""
+    set_size = 1 << (g.order - 1)
+    _columns_per_block(monkeypatch, 8 * (set_size + 1), columns)
+    for pos in _positions(len(semigroup.enumerate_semigroup(g)), columns):
+        inv_action = to_inverse_action(bernoulli_partial_action(g))
+        table = inv_action.table()
+        a = list(table)[pos]
+        mapping = list(table[a].mapping)
+        mapping[max(x for x, v in enumerate(mapping) if v is not None)] = None
+        table[a] = PartialBijection(mapping)
+        expected = _pairwise(table, operator.mul, operator.ne)[1]
+        assert expected is not None
+        assert inv_action.check_multiplicative() == expected
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("g", GROUPS, ids=GROUP_IDS)
+def test_one_corrupted_entry_matches_the_reference(monkeypatch, g, columns):
+    """One entry of one matrix of the exact 0/1 table set to 2."""
+    dim = 1 << (g.order - 1)
+    _columns_per_block(monkeypatch, 8 * dim * dim, columns)
+    ext = _bernoulli_rep_table(g)
+    for pos in _positions(len(ext.table), columns):
+        table = dict(ext.table)
+        a = list(table)[pos]
+        table[a] = table[a].copy()
+        table[a][dim - 1, 0] = 2
+        sgrep = SgRepresentation(g, dim, table)
+        expected = _pairwise(table, operator.matmul, _matrix_distance)
+        assert expected[1] is not None
+        assert sgrep.max_multiplicative_deviation() == expected
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+def test_float_noise_matches_the_reference_bit_for_bit(monkeypatch, columns):
+    g = klein_four()
+    ext = _bernoulli_rep_table(g)
+    _columns_per_block(monkeypatch, 8 * ext.dim * ext.dim, columns)
+    rng = np.random.default_rng(0)
+    noisy = {a: m + rng.normal(scale=1e-12, size=m.shape) for a, m in ext.table.items()}
+    deviation, witness = SgRepresentation(g, ext.dim, noisy).max_multiplicative_deviation()
+    assert 0.0 < deviation < 1e-10
+    assert (deviation, witness) == _pairwise(noisy, operator.matmul, _matrix_distance)
+
+
+def _sheared(table, k):
+    """M -> P M P^-1 for P = I + k E_xy, where some M has M[y, x] = 1: a
+    multiplicative integer table with entries of size k^2 whose products
+    cancel.  For k odd the products are not exact in float64."""
+    m = next(m for m in table.values() if np.any(m - np.diag(np.diag(m))))
+    y, x = map(int, np.argwhere(m - np.diag(np.diag(m)))[0])
+    p = np.eye(len(m), dtype=np.int64)
+    p_inv = np.eye(len(m), dtype=np.int64)
+    p[x, y], p_inv[x, y] = k, -k
+    return {a: p @ m @ p_inv for a, m in table.items()}
+
+
+def test_large_integer_entries_stay_exact():
+    """Entries near 2^40 put products past 2^53: the scan multiplies in
+    int64, where the cancellation is exact, and finds an off-by-one."""
+    ext = _bernoulli_rep_table(cyclic(3))
+    table = _sheared(ext.table, 1_000_003)
+    assert max(max_abs(m) for m in table.values()) >= 2**39
+    assert SgRepresentation(ext.group, ext.dim, table).max_multiplicative_deviation() == (0.0, None)
+    a = list(table)[len(table) // 2]
+    table[a] = table[a] + np.eye(ext.dim, dtype=np.int64)
+    deviation, witness = SgRepresentation(ext.group, ext.dim, table).max_multiplicative_deviation()
+    assert deviation >= 1.0
+    assert (deviation, witness) == _pairwise(table, operator.matmul, _matrix_distance)
+
+
+def test_empty_images():
+    """Dimension 0 and ground-set size 0: every distance is 0."""
+    g = cyclic(3)
+    rep = PartialRep(g, [np.zeros((0, 0), dtype=np.int64)] * g.order)
+    assert extend_to_semigroup(rep).max_multiplicative_deviation() == (0.0, None)
+    action = PartialAction(g, 0, (PartialBijection(()),) * g.order)
+    assert to_inverse_action(action).check_multiplicative() is None
+
+
+@pytest.mark.parametrize("g", [cyclic(8), dihedral(4)], ids=["cyclic8", "dihedral4"])
+def test_order_8_bernoulli_round_trip(g):
+    """576 elements on 128 points: the scan covers 331,776 pairs."""
+    action = bernoulli_partial_action(g)
+    start = time.perf_counter()
+    back = from_inverse_action(to_inverse_action(action))
+    elapsed = time.perf_counter() - start
+    assert back == action
+    assert elapsed < 1.0

@@ -360,6 +360,55 @@ def test_associativity_scans_every_row_block(monkeypatch):
     assert assoc.checked == n * g.order + (k + 1) * n * n
 
 
+def _first_non_unique_inverse(mult, star):
+    """The reference loop: the first a without exactly one b such that
+    aba = a and bab = b, or whose one such b is not a*; with every b."""
+    idx = np.arange(len(mult))
+    for i in idx:
+        witnesses = np.flatnonzero((mult[mult[i], i] == i) & (mult[mult[:, i], idx] == idx))
+        if witnesses.size != 1 or witnesses[0] != star[i]:
+            return int(i), [int(j) for j in witnesses]
+    return None
+
+
+def test_unique_inverses_reports_a_second_inverse(monkeypatch):
+    """Setting a * b to a a* for b = a* e (e idempotent, b != a*) in the
+    table of cyclic(8) makes a and b each other's second inverse: aba =
+    a a* a = a and bab = b.  Both lie past the first row block; the block
+    scan reports the first of them, with its witnesses, as the loop does."""
+    g = cyclic(8)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    a = 3 * semigroup.ROW_BLOCK + 5
+    e = next(
+        elements.index(f) for f in idempotent_elements(g)
+        if mult[star[a], elements.index(f)] != star[a]
+    )
+    b = int(mult[star[a], e])
+    mult[a, b] = mult[a, star[a]]
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    unique = verify_inverse_semigroup(g).checks[2]
+    first, witnesses = _first_non_unique_inverse(mult, star)
+    assert first == min(a, b) >= semigroup.ROW_BLOCK and len(witnesses) == 2
+    assert unique.counterexample == (elements[first], [elements[j] for j in witnesses])
+
+
+def test_unique_inverses_checks_the_inverse_is_the_star(monkeypatch):
+    """A star table that sends a past the first row block to itself, not
+    to its inverse: a still has one inverse, but it is not star[a]."""
+    g = cyclic(8)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    a = next(i for i in range(semigroup.ROW_BLOCK, len(elements)) if star[i] != i)
+    true_inverse = int(star[a])
+    star = star.copy()
+    star[a] = a
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    unique = verify_inverse_semigroup(g).checks[2]
+    assert _first_non_unique_inverse(mult, star) == (a, [true_inverse])
+    assert unique.counterexample == (elements[a], [elements[true_inverse]])
+
+
 def _generated(mult, unit_index, gens):
     """The reference closure of the unit under right multiplication by gens."""
     reached, todo = {unit_index}, [unit_index]
