@@ -5,13 +5,17 @@ the linear span of a set of monomials is described exactly by its set
 of basis indices, and the span-of-products of two such subspaces is
 again one.  That turns the lattice of grading-generated subspaces into
 finite combinatorics: products are index-set images under the
-multiplication table, and closures terminate.
+multiplication table, and closures terminate.  A product is computed as
+one gather of the table at every index pair, marked in a boolean mask
+over the basis; the mask's nonzero positions are the product's indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .algebra import StructureAlgebra
 from .semigroup import SgElement
@@ -29,8 +33,7 @@ class GradedSubspace:
 
     def star(self) -> GradedSubspace:
         """Elementwise involution of the spanning monomials."""
-        st = self.algebra.star
-        return GradedSubspace(self.algebra, frozenset(int(st[i]) for i in self.indices))
+        return GradedSubspace(self.algebra, frozenset(self.algebra.star[_array(self.indices)].tolist()))
 
     def degrees(self) -> frozenset[int]:
         """Degrees of the member monomials (one element for graded pieces)."""
@@ -43,14 +46,24 @@ class GradedSubspace:
         return f"GradedSubspace({sorted(self.indices)})"
 
 
+def _array(indices: frozenset[int]) -> np.ndarray:
+    return np.fromiter(indices, dtype=np.intp, count=len(indices))
+
+
+def _from_mask(a: StructureAlgebra, hit: np.ndarray) -> GradedSubspace:
+    return GradedSubspace(a, frozenset(np.flatnonzero(hit).tolist()))
+
+
 def subspace_product(x: GradedSubspace, y: GradedSubspace) -> GradedSubspace:
     """Exact span of pairwise products: the image of the index sets
-    under the multiplication table."""
+    under the multiplication table, gathered at every pair at once and
+    marked in a boolean mask over the basis."""
     if x.algebra is not y.algebra:
         raise ValueError("subspaces live in different algebras")
-    mult = x.algebra.mult
-    out = {int(mult[i, j]) for i in x.indices for j in y.indices}
-    return GradedSubspace(x.algebra, frozenset(out))
+    a = x.algebra
+    hit = np.zeros(a.dim, dtype=bool)
+    hit[a.mult[np.ix_(_array(x.indices), _array(y.indices))]] = True
+    return _from_mask(a, hit)
 
 
 def grading(a: StructureAlgebra) -> dict[int, GradedSubspace]:
@@ -98,6 +111,11 @@ def element_subspace(a: StructureAlgebra, elem: SgElement) -> GradedSubspace:
     span of the monomials b <= elem in the natural partial order.
 
     The map elem -> element_subspace is an injective semigroup
-    homomorphism onto the closure of the grading pieces.
+    homomorphism onto the closure of the grading pieces.  One array test
+    over the basis, read off the tables: b <= elem iff b = (b b*) elem,
+    that is, b has elem's degree and a support containing elem's.
     """
-    return GradedSubspace(a, frozenset(i for i, b in enumerate(a.basis) if b <= elem))
+    if elem.group != a.group:
+        raise ValueError("elements belong to different groups")
+    idx = np.arange(a.dim)
+    return _from_mask(a, a.mult[a.mult[idx, a.star], a.index[elem]] == idx)

@@ -450,8 +450,9 @@ def _worst_pair(
     is f(a) times each image of a stack and ``distance(xs, ys)`` the
     distance of each stacked pair.  Each row runs in blocks of columns
     holding about SCAN_BYTES of images; products are looked up in
-    the :func:`multiplication_tables` index table.  Private, so a trace
-    charges the scan to its caller.
+    the :func:`multiplication_tables` index table.  A boolean distance
+    stops the scan at its first True pair, which already attains the
+    maximum.  Private, so a trace charges the scan to its caller.
     """
     elements = list(table)
     n = len(elements)
@@ -466,6 +467,8 @@ def _worst_pair(
             j = int(np.argmax(d))
             if d[j] > worst:
                 worst, witness = float(d[j]), (elements[a], elements[lo + j])
+                if d.dtype == bool:
+                    return worst, witness
     return worst, witness
 
 

@@ -58,3 +58,21 @@ def test_tracer_counts_the_pair_scans_of_bernoulli_ops():
     for name in ("actions.InverseAction.check_multiplicative", "reps.SgRepresentation.max_multiplicative_deviation"):
         assert totals[f"{name}.s"] > 0
     assert totals["reps.matmuls"] > 0
+
+
+def test_tracer_counts_every_product_of_a_closure_op(tmp_path):
+    """One closure op on dihedral:3: 112 subspaces, 6 generators, so the
+    worklist makes 112 * 6 = 672 products through the module attribute
+    the tracer wraps and finds 106 new subspaces."""
+    op = next(op for op in workloads.closure(1, tmp_path, True) if op.name == "closure dihedral:3")
+    modules = {name: getattr(invsg, name) for name in spans.LAYERS if name != "cli"}
+    modules["cli"] = workloads.cli
+    tracer = spans.Tracer(invsg, modules)
+    tracer.install()
+    try:
+        assert op.check(op.run(Counter())) is None
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["graded.subspace_product.calls"] == 672
+    assert totals["graded.closure.new"] == 106

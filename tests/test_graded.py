@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from invsg.algebra import build_algebra, group_algebra
@@ -62,7 +63,16 @@ def test_products_of_pieces():
 
 @pytest.mark.parametrize(
     "g,expected",
-    [(cyclic(2), 3), (cyclic(4), 20), (klein_four(), 20), (cyclic(5), 48), (dihedral(3), 112)],
+    [
+        (cyclic(2), 3),
+        (cyclic(4), 20),
+        (klein_four(), 20),
+        (cyclic(5), 48),
+        (dihedral(3), 112),
+        (cyclic(7), 256),
+        (cyclic(8), 576),
+        (dihedral(4), 576),
+    ],
 )
 def test_generated_semigroup_count(g, expected):
     alg = build_algebra(g)
@@ -128,6 +138,51 @@ def test_mismatched_algebras_rejected():
     y = GradedSubspace(a2, frozenset({0}))
     with pytest.raises(ValueError):
         subspace_product(x, y)
+    with pytest.raises(ValueError):
+        element_subspace(a1, enumerate_semigroup(cyclic(3))[0])
+
+
+def _random_subsets(rng, dim, count):
+    """Empty, a singleton, the whole basis and ``count`` random subsets."""
+    subsets = [frozenset(), frozenset({int(rng.integers(dim))}), frozenset(range(dim))]
+    for _ in range(count):
+        size = int(rng.integers(1, dim + 1))
+        subsets.append(frozenset(rng.choice(dim, size=size, replace=False).tolist()))
+    return subsets
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        *(build_algebra(g) for g in [cyclic(2), cyclic(3), cyclic(4), klein_four(), cyclic(5), dihedral(3), cyclic(7)]),
+        group_algebra(dihedral(3)),
+        group_algebra(cyclic(7)),
+    ],
+    ids=["cyclic2", "cyclic3", "cyclic4", "klein4", "cyclic5", "dihedral3", "cyclic7", "ga_dihedral3", "ga_cyclic7"],
+)
+def test_products_and_stars_match_the_pairwise_image(alg):
+    """The table gather against the set image of every index pair."""
+    rng = np.random.default_rng(alg.dim)
+    subsets = [GradedSubspace(alg, ix) for ix in _random_subsets(rng, alg.dim, 6)]
+    for x in subsets:
+        star = x.star()
+        assert star.indices == {int(alg.star[i]) for i in x.indices}
+        assert all(type(i) is int for i in star.indices)
+        for y in subsets:
+            prod = subspace_product(x, y)
+            assert prod.indices == {int(alg.mult[i, j]) for i in x.indices for j in y.indices}
+            assert isinstance(prod.indices, frozenset) and all(type(i) is int for i in prod.indices)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(2), cyclic(4), klein_four(), cyclic(5), dihedral(3)],
+    ids=["cyclic2", "cyclic4", "klein4", "cyclic5", "dihedral3"],
+)
+def test_element_subspace_matches_the_natural_order(g):
+    alg = build_algebra(g)
+    for a in alg.basis:
+        assert element_subspace(alg, a).indices == {i for i, b in enumerate(alg.basis) if b <= a}
 
 
 def test_group_algebra_grading_saturates():

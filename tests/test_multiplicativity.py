@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from invsg import semigroup
+from invsg import actions, semigroup
 from invsg.actions import (
     PartialAction,
     PartialBijection,
@@ -168,3 +168,32 @@ def test_order_8_bernoulli_round_trip(g):
     elapsed = time.perf_counter() - start
     assert back == action
     assert elapsed < 1.0
+
+
+def test_action_scan_stops_at_the_first_failing_pair():
+    """One image of the unit corrupted in the cyclic:8 Bernoulli table:
+    the witness is the first failing pair in row-major order, and the
+    scan ends inside row 0 instead of covering all 331,776 pairs."""
+    inv_action = to_inverse_action(bernoulli_partial_action(cyclic(8)))
+    table = inv_action.table()
+    unit = semigroup.unit(cyclic(8))
+    assert next(iter(table)) == unit
+    mapping = list(table[unit].mapping)
+    mapping[max(x for x, v in enumerate(mapping) if v is not None)] = None
+    table[unit] = PartialBijection(mapping)
+    expected = next((a, b) for a in table for b in table if table[a * b] != table[a] * table[b])
+    assert expected[0] == unit
+
+    stacked = np.array([[-1 if v is None else v for v in f.mapping] + [-1] for f in table.values()])
+    calls = []
+
+    def block(indices):
+        calls.append(len(indices))
+        return stacked[indices]
+
+    assert semigroup._worst_pair(table, block, actions._compose, actions._differ) == (1.0, expected)
+    # one call for f(a), then two per column block, all in row 0
+    n = len(table)
+    step = semigroup.SCAN_BYTES // stacked[0].nbytes
+    assert len(calls) <= 1 + 2 * -(-n // step)
+    assert inv_action.check_multiplicative() == expected
