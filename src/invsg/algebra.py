@@ -141,11 +141,11 @@ def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
     if x.shape != (a.dim,):
         raise ValueError("coefficient vector has the wrong length")
     n = a.dim
-    out = np.zeros((n, n), dtype=np.result_type(x.dtype, np.float64))
-    rows = a.mult.ravel()
-    cols = np.tile(np.arange(n), n)
-    vals = np.repeat(x, n)
-    np.add.at(out, (rows, cols), vals)
+    flat = (a.mult * n + np.arange(n)).ravel()  # entry (basis_i basis_j, j) gets x_i
+    out = np.empty((n, n), dtype=np.result_type(x.dtype, np.float64))
+    out.real = np.bincount(flat, weights=np.repeat(x.real, n), minlength=n * n).reshape(n, n)
+    if np.iscomplexobj(x):  # bincount takes real weights only
+        out.imag = np.bincount(flat, weights=np.repeat(x.imag, n), minlength=n * n).reshape(n, n)
     return out
 
 

@@ -16,7 +16,6 @@ with the matrix product and the max-abs distance.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -70,20 +69,19 @@ def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple
     return worst, witness
 
 
-def _product_dtype(matrices: Sequence[np.ndarray], dim: int) -> np.dtype:
-    """The dtype a pair scan multiplies ``matrices`` in.
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The exact product x @ y (stacks broadcast as in ``np.matmul``).
 
-    An integer table whose entries bound every product entry and every
-    difference below 2^53 (max|entry|^2 * dim + max|entry|) is multiplied
-    exactly in float64, which goes through BLAS; any other table in its
-    own promoted dtype.
+    Integer operands with max|x| * max|y| * k < 2^53 (k the inner
+    dimension) are multiplied in float64, which goes through BLAS and
+    is exact there, and come back as int64; anything else is multiplied
+    in the operands' own dtype.
     """
-    dtype = reduce(np.promote_types, {m.dtype for m in matrices})
-    if np.issubdtype(dtype, np.integer):
-        top = max((max(int(m.max()), -int(m.min())) for m in matrices if m.size), default=0)
-        if top * top * dim + top < 2**53:
-            return np.dtype(np.float64)
-    return dtype
+    if x.size and y.size and np.issubdtype(x.dtype, np.integer) and np.issubdtype(y.dtype, np.integer):
+        top = max(int(x.max()), -int(x.min())) * max(int(y.max()), -int(y.min()))
+        if top * x.shape[-1] < 2**53:
+            return np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+    return np.matmul(x, y)
 
 
 def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -156,7 +154,7 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
     g = rep.group
     tol = _tolerance(rep.matrices) if tol is None else tol
 
-    laws = law_distances(g, rep.matrices, operator.matmul, _distance)
+    laws = law_distances(g, rep.matrices, _matmul, _distance)
     dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple, _ in laws)
     dev_star, wit_star = _worst_case(
         (_distance(rep.matrices[g.inv(t)], adjoint(rep.matrices[t])), (t,)) for t in g.elements()
@@ -200,23 +198,25 @@ class SgRepresentation:
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
         """The largest max-abs distance of M(ab) from M(a)M(b) and its first pair.
 
-        Matrices are stacked block by block in :func:`_product_dtype`,
-        so no second copy of the table is kept.
+        Matrices are stacked block by block in the table's promoted
+        dtype, so no second copy of the table is kept.
         """
         images = list(self.table.values())
-        dtype = _product_dtype(images, self.dim)
+        dtype = reduce(np.promote_types, {m.dtype for m in images})
 
         def block(indices: np.ndarray) -> np.ndarray:
             return np.array([images[i] for i in indices], dtype=dtype)
 
-        return _worst_pair(self.table, block, np.matmul, _distances)
+        return _worst_pair(self.table, block, _matmul, _distances)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         return _worst_case((_distance(self.table[a.star()], adjoint(m)), (a,)) for a, m in self.table.items())
 
     def max_partial_isometry_deviation(self) -> tuple[float, tuple | None]:
         """Deviation from m @ m^adj @ m == m over all images."""
-        return _worst_case((_distance(m @ adjoint(m) @ m, m), (a,)) for a, m in self.table.items())
+        return _worst_case(
+            (_distance(_matmul(_matmul(m, adjoint(m)), m), m), (a,)) for a, m in self.table.items()
+        )
 
 
 def extend_to_semigroup(
@@ -234,7 +234,7 @@ def extend_to_semigroup(
     if not report.passed:
         raise ValueError("not a partial representation:\n" + report.describe())
     g = rep.group
-    extend = extension_formula(g, rep.matrices, operator.matmul)
+    extend = extension_formula(g, rep.matrices, _matmul)
     return SgRepresentation(g, rep.dim, {a: extend(a) for a in enumerate_semigroup(g, cap)})
 
 

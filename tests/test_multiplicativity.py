@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from invsg import actions, semigroup
+from invsg import actions, reps, semigroup
 from invsg.actions import (
     PartialAction,
     PartialBijection,
@@ -25,8 +25,11 @@ from invsg.reps import (
     PartialRep,
     SgRepresentation,
     extend_to_semigroup,
+    _matmul,
     max_abs,
     partial_rep_from_partial_action,
+    restrict_to_group,
+    validate_partial_rep,
 )
 
 
@@ -148,6 +151,16 @@ def test_large_integer_entries_stay_exact():
     deviation, witness = SgRepresentation(ext.group, ext.dim, table).max_multiplicative_deviation()
     assert deviation >= 1.0
     assert (deviation, witness) == _pairwise(table, operator.matmul, _matrix_distance)
+    # the extension of the sheared generator images is the sheared table;
+    # a shear is not unitary, so only the adjoint law fails, and is let through
+    sheared = _sheared(ext.table, 1_000_003)
+    g = ext.group
+    rep = PartialRep(g, [sheared[semigroup.generator(g, t)] for t in g.elements()])
+    triple, adjoint_law, identity = validate_partial_rep(rep, tol=0.0).checks
+    assert triple.deviation == identity.deviation == 0.0 < adjoint_law.deviation
+    extended = extend_to_semigroup(rep, tol=adjoint_law.deviation).table
+    assert list(extended) == list(sheared)
+    assert all(m.dtype == np.int64 and np.array_equal(m, sheared[a]) for a, m in extended.items())
 
 
 def test_empty_images():
@@ -197,3 +210,130 @@ def test_action_scan_stops_at_the_first_failing_pair():
     step = semigroup.SCAN_BYTES // stacked[0].nbytes
     assert len(calls) <= 1 + 2 * -(-n // step)
     assert inv_action.check_multiplicative() == expected
+
+
+def _corrupt_action_image(table, a):
+    mapping = list(table[a].mapping)
+    mapping[max(x for x, v in enumerate(mapping) if v is not None)] = None
+    table[a] = PartialBijection(mapping)
+
+
+def _corrupt_rep_image(table, a):
+    table[a] = table[a].copy()
+    table[a][-1, 0] = 2
+
+
+@pytest.mark.parametrize("g", [cyclic(3), klein_four()], ids=["cyclic3", "klein4"])
+def test_every_corrupted_image_is_caught(g):
+    """Each image of the action and of the 0/1 rep table corrupted in
+    turn, generator rows and the others: the answer is the reference's,
+    whether the generator rows or the full scan find it."""
+    action = bernoulli_partial_action(g)
+    for a in semigroup.enumerate_semigroup(g):
+        inv_action = to_inverse_action(action)
+        table = inv_action.table()
+        _corrupt_action_image(table, a)
+        expected = _pairwise(table, operator.mul, operator.ne)[1]
+        assert expected is not None
+        assert inv_action.check_multiplicative() == expected
+    ext = _bernoulli_rep_table(g)
+    for a in ext.table:
+        table = dict(ext.table)
+        _corrupt_rep_image(table, a)
+        expected = _pairwise(table, operator.matmul, _matrix_distance)
+        assert expected[1] is not None
+        assert SgRepresentation(g, ext.dim, table).max_multiplicative_deviation() == expected
+
+
+def test_a_table_without_the_generators_gets_the_full_scan():
+    """The idempotents are closed but hold only the generator [e], the
+    unit: every row is scanned, and a corrupted idempotent, which the
+    unit row cannot see, is found as in the reference."""
+    g = klein_four()
+    inv_action = to_inverse_action(bernoulli_partial_action(g))
+    action_table = {a: f for a, f in inv_action.table().items() if a.is_idempotent()}
+    stacked = np.array([[-1 if v is None else v for v in f.mapping] + [-1] for f in action_table.values()])
+    rows = []
+
+    def block(indices):
+        if len(indices) == 1:
+            rows.append(int(indices[0]))
+        return stacked[indices]
+
+    assert semigroup._worst_pair(action_table, block, actions._compose, actions._differ) == (0.0, None)
+    assert sorted(set(rows)) == list(range(len(action_table)))
+
+    rep_table = {a: m for a, m in _bernoulli_rep_table(g).table.items() if a.is_idempotent()}
+    a = list(rep_table)[-1]
+    assert a != semigroup.unit(g)
+    _corrupt_rep_image(rep_table, a)
+    expected = _pairwise(rep_table, operator.matmul, _matrix_distance)
+    assert expected[1] is not None
+    dim = 1 << (g.order - 1)
+    assert SgRepresentation(g, dim, rep_table).max_multiplicative_deviation() == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_only_integer_tables_are_certified_on_the_generator_rows(dtype):
+    """A valid 0/1 table: as int64 only its p generator rows are
+    scanned, as float64 every row is."""
+    g = klein_four()
+    table = {a: m.astype(dtype) for a, m in _bernoulli_rep_table(g).table.items()}
+    images = np.array(list(table.values()))
+    rows = []
+
+    def block(indices):
+        if len(indices) == 1:
+            rows.append(int(indices[0]))
+        return images[indices]
+
+    assert semigroup._worst_pair(table, block, _matmul, reps._distances) == (0.0, None)
+    index = {a: i for i, a in enumerate(table)}
+    generators = {index[semigroup.generator(g, t)] for t in g.elements()}
+    assert set(rows) == (generators if dtype is np.int64 else set(range(len(table))))
+
+
+@pytest.mark.parametrize("g", [cyclic(8), dihedral(4)], ids=["cyclic8", "dihedral4"])
+def test_order_8_bernoulli_rep_round_trip(g):
+    """The 0/1 rep on 128 points: 576 matrices of size 128, checked exactly."""
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(g))
+    start = time.perf_counter()
+    back = restrict_to_group(extend_to_semigroup(rep))
+    elapsed = time.perf_counter() - start
+    assert all(m.dtype == np.int64 and np.array_equal(m, r) for m, r in zip(back.matrices, rep.matrices))
+    assert elapsed < 6.0
+
+
+def test_integer_reps_keep_an_integer_dtype(monkeypatch):
+    """Every product of the validation, the extension and the isometry
+    check of an integer rep comes back as int64."""
+    products = []
+
+    def spy(x, y):
+        products.append(_matmul(x, y))
+        return products[-1]
+
+    monkeypatch.setattr(reps, "_matmul", spy)
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(klein_four()))
+    for check in (
+        lambda: validate_partial_rep(rep).passed,
+        lambda: all(m.dtype == np.int64 for m in extend_to_semigroup(rep).table.values()),
+        lambda: extend_to_semigroup(rep).max_partial_isometry_deviation() == (0.0, None),
+    ):
+        products.clear()
+        assert check()
+        assert products and all(m.dtype == np.int64 for m in products)
+
+
+def test_matmul_is_exact():
+    """Below the bound through float64, past it in the operands' dtype."""
+    rng = np.random.default_rng(1)
+    x, y = rng.integers(-1000, 1000, size=(2, 5, 5))
+    assert _matmul(x, y).dtype == np.int64
+    assert np.array_equal(_matmul(x, y), x @ y)
+    assert np.array_equal(_matmul(x, y[None]), x @ y[None])
+    big = np.array([[2**27 + 1]])  # its square is not a float64
+    assert _matmul(big, big)[0, 0] == (2**27 + 1) ** 2
+    assert _matmul(x.astype(np.int32), y.astype(np.int32)).dtype == np.int64
+    assert _matmul(x.astype(float), y).dtype == np.float64
+    assert _matmul(x * 1j, y).dtype == np.complex128
