@@ -9,11 +9,13 @@ the spanning monomials (projection times group shift) of the partial
 crossed product, and all block computations happen here.
 
 Finite inverse-semigroup algebras are semisimple, so the numerical
-block decomposition works inside the center: the center is the
-commutant of the algebra generators, the eigenvectors of a random
-central element acting on the center give the central primitive
-idempotents, and each block size is read off the trace of left
-multiplication by its idempotent, with no rank cut-off.
+block decomposition works inside the center.  The center is exact:
+the Moebius basis makes the algebra a groupoid algebra, whose center
+has one 0/1 vector per conjugacy orbit of loops (see :func:`center`).
+The eigenvectors of a random central element acting on the center
+give the central primitive idempotents, and each block size is read
+off the trace of left multiplication by its idempotent, with no rank
+cut-off.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .semigroup import (
 )
 
 DEFAULT_DIM_CAP = 1000
-NULLSPACE_TOL = 1e-10  # center's null spaces cut singular values at this times the matrix size
 BLOCK_TOL = 1e-9  # wedderburn: least relative eigenvalue gap; times dim, most trace integrality error
 
 
@@ -56,19 +57,13 @@ class NonIntegerBlockDim(RuntimeError):
         self.integrality_error = integrality_error
 
 
-class RankThresholdBreach(RuntimeError):
-    """A singular value fell inside the decision band of a rank cutoff."""
-
-
 class StructureAlgebra:
     """Basis-indexed algebra: mult[i, j] is the basis index of b_i b_j.
 
     Built over the enumerated semigroup by :func:`build_algebra`; the
     same shape also carries the plain group algebra for contrast tests
-    (see :func:`group_algebra`).  ``generators`` are basis elements that
-    generate the algebra together with the unit; they are stored as
-    basis indices.  Instances are immutable in use and compare by
-    identity.
+    (see :func:`group_algebra`).  Instances are immutable in use and
+    compare by identity.
     """
 
     def __init__(
@@ -78,7 +73,6 @@ class StructureAlgebra:
         mult: np.ndarray,
         star: np.ndarray,
         unit_index: int,
-        generators: tuple,
     ):
         self.group = group
         self.basis = basis
@@ -86,7 +80,6 @@ class StructureAlgebra:
         self.star = star
         self.unit_index = unit_index
         self.index = {b: i for i, b in enumerate(basis)}
-        self.generators = tuple(self.index[g] for g in generators)
 
     @property
     def dim(self) -> int:
@@ -111,16 +104,14 @@ def build_algebra(group: FiniteGroup, cap: int = DEFAULT_DIM_CAP) -> StructureAl
         )
     elements = enumerate_semigroup(group, cap=group.order)
     mult, star, unit_idx = multiplication_tables(elements)
-    generators = tuple(generator(group, t) for t in group.elements() if t != group.identity)
-    return StructureAlgebra(group, tuple(elements), mult, star, unit_idx, generators)
+    return StructureAlgebra(group, tuple(elements), mult, star, unit_idx)
 
 
 def group_algebra(group: FiniteGroup) -> StructureAlgebra:
     """The plain group algebra on the same chassis (basis = group indices)."""
     mult = np.array([list(row) for row in group.table], dtype=np.int64)
     star = np.array(group.inverses, dtype=np.int64)
-    elements = tuple(group.elements())
-    return StructureAlgebra(group, elements, mult, star, group.identity, elements)
+    return StructureAlgebra(group, tuple(group.elements()), mult, star, group.identity)
 
 
 def multiply_elements(a: StructureAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -149,42 +140,38 @@ def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space, with a guard band
-    around the singular-value cutoff ``NULLSPACE_TOL`` times the size."""
-    if m.size == 0:
-        return np.eye(m.shape[1])
-    _, svals, vt = np.linalg.svd(m)
-    cutoff = NULLSPACE_TOL * max(m.shape)
-    in_band = (svals > cutoff / 10) & (svals < cutoff * 10)
-    if np.any(in_band):
-        raise RankThresholdBreach(
-            f"singular value {svals[in_band][0]:.3e} inside the cutoff band around {cutoff:.3e}"
-        )
-    rank = int(np.sum(svals > cutoff))
-    return vt[rank:].conj().T
-
-
 def center(a: StructureAlgebra) -> list[np.ndarray]:
-    """Orthonormal basis of the center.
+    """Orthonormal basis of the center, computed exactly from the tables.
 
-    An element is central exactly when it commutes with a generating set,
-    so this intersects the null spaces of the commutator maps
-    z -> z g - g z over the generators g of ``a`` only, one generator at
-    a time; the running basis stays orthonormal, so the result needs no
-    further orthogonalization.
+    The Moebius basis [s] = sum over t <= s of mu(t, s) t turns the
+    algebra into a groupoid algebra (Steinberg): [s] is an arrow from
+    d(s) = s*s to r(s) = ss*, and [s][t] = [st] when d(s) = r(t), else 0.
+    The center of a groupoid algebra has one 0/1 vector per conjugacy
+    orbit {g s g* : d(g) = r(s)} of loops (d(s) = r(s)).  Monomials
+    expand as s = sum over t <= s of [t], with t <= s iff r(t) s = t, so
+    the orbit sums come back to the monomial basis through the inverse
+    of that zeta matrix, I + N with N nilpotent: the alternating sum of
+    powers of N, whose integer products float64 computes exactly.  One
+    QR then orthonormalizes the result.
     """
     n = a.dim
-    cols = np.arange(n)
-    k = np.eye(n)
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for i in a.generators:
-            left = np.zeros((n, n))
-            left[a.mult[i, :], cols] = 1.0          # g * z
-            right = np.zeros((n, n))
-            right[a.mult[:, i], cols] = 1.0         # z * g
-            k = k @ _nullspace((right - left) @ k)
-    return [k[:, j].copy() for j in range(k.shape[1])]
+    mult, star = a.mult, a.star
+    idx = np.arange(n)
+    r = mult[idx, star]
+    d = mult[star, idx]
+    loops = np.flatnonzero(d == r)
+    conj = mult[mult[:, loops], star[:, None]]  # conj[g, j] = g s g* for s = loops[j]
+    orbit_min = np.where(d[:, None] == r[loops], conj, n).min(axis=0)
+    _, orbit = np.unique(orbit_min, return_inverse=True)
+    ind = np.zeros((n, orbit.max() + 1))
+    ind[loops, orbit] = 1.0                        # orbit sums in the Moebius basis
+    nil = (mult[r] == idx[:, None]) - np.eye(n)    # zeta - I, zeta[t, s] = [t <= s]
+    x = term = ind
+    while term.any():                              # zeta^-1 = sum over j of (-N)^j
+        term = -(nil @ term)
+        x = x + term
+    q, _ = np.linalg.qr(x)
+    return list(q.T.copy())
 
 
 @dataclass

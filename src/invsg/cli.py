@@ -32,7 +32,6 @@ DOMAIN_ERRORS = (
     reps.NotRepresentation,
     algebra.EigenvalueClusterAmbiguous,
     algebra.NonIntegerBlockDim,
-    algebra.RankThresholdBreach,
     ValueError,
 )
 

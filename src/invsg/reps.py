@@ -47,7 +47,24 @@ class NotRepresentation(ValueError):
 
 def max_abs(m: np.ndarray) -> float:
     """Max absolute entry; the matrix norm used for all tolerances here."""
+    if m.dtype.kind in "iu":
+        return float(_int_max_abs(m))
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def _int_max_abs(m: np.ndarray) -> int:
+    """max|m| of an integer matrix (0 if empty) as a Python int, where
+    |-2^63| does not wrap the way ``np.abs`` does in int64."""
+    return max(int(m.max()), -int(m.min())) if m.size else 0
+
+
+def _abs_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Entrywise |x - y|.  An int64 difference wraps at 2^63, so for
+    integers this is larger minus smaller, taken mod 2^64 and read as
+    uint64, where it always fits."""
+    if x.dtype.kind in "iu" and y.dtype.kind in "iu":
+        return np.subtract(np.maximum(x, y), np.minimum(x, y), dtype=np.int64).view(np.uint64)
+    return np.abs(x - y)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -55,7 +72,8 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _distance(x: np.ndarray, y: np.ndarray) -> float:
-    return max_abs(x - y)
+    diff = _abs_diff(x, y)
+    return float(np.max(diff)) if diff.size else 0.0
 
 
 def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple | None]:
@@ -72,21 +90,28 @@ def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The exact product x @ y (stacks broadcast as in ``np.matmul``).
 
-    Integer operands with max|x| * max|y| * k < 2^53 (k the inner
-    dimension) are multiplied in float64, which goes through BLAS and
-    is exact there, and come back as int64; anything else is multiplied
-    in the operands' own dtype.
+    Integer operands come back as int64.  With b = max|x| * max|y| * k
+    (k the inner dimension) bounding every entry and partial sum, they
+    are multiplied in float64, which goes through BLAS and is exact,
+    when b < 2^53, and in int64 when b < 2^63; past that a sum could
+    wrap, so ValueError.  Anything else is multiplied in the operands'
+    own dtype.
     """
-    if x.size and y.size and np.issubdtype(x.dtype, np.integer) and np.issubdtype(y.dtype, np.integer):
-        top = max(int(x.max()), -int(x.min())) * max(int(y.max()), -int(y.min()))
-        if top * x.shape[-1] < 2**53:
+    if x.dtype.kind in "iu" and y.dtype.kind in "iu":
+        bound = _int_max_abs(x) * _int_max_abs(y) * x.shape[-1]
+        if bound < 2**53:
             return np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+        if bound >= 2**63:
+            raise ValueError(
+                f"integer matrix product may overflow int64: max|x| * max|y| * k = {bound} >= 2^63"
+            )
+        return np.matmul(x.astype(np.int64), y.astype(np.int64))
     return np.matmul(x, y)
 
 
 def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Max-abs distance of each pair of stacked matrices."""
-    return np.max(np.abs(xs - ys), axis=(1, 2), initial=0.0)
+    return np.max(_abs_diff(xs, ys), axis=(1, 2), initial=0)
 
 
 def _tolerance(matrices: Iterable[np.ndarray]) -> float:
@@ -267,7 +292,7 @@ def matrix_from_json(data: Sequence) -> np.ndarray:
     if len(data) == 0:
         return np.zeros((0, 0), dtype=np.int64)
     m = np.array([[complex(float(re), float(im)) for re, im in row] for row in data], dtype=np.complex128)
-    if np.max(np.abs(m.imag)) == 0.0 and np.all(m.real == np.round(m.real)):
+    if np.all(m.imag == 0) and np.all(m.real == np.round(m.real)) and np.all(np.abs(m.real) < 2**53):
         return m.real.astype(np.int64)
     return m
 

@@ -5,12 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from invsg import algebra
 from invsg.groups import cyclic, dihedral, group_from_spec, klein_four
 from invsg.semigroup import CapExceeded, SgElement, enumerate_semigroup, generator, order_formula
 from invsg.algebra import (
     EigenvalueClusterAmbiguous,
     NonIntegerBlockDim,
-    StructureAlgebra,
     build_algebra,
     center,
     generator_index,
@@ -100,9 +100,10 @@ def test_left_regular_matrix():
 
 
 def test_center_dimensions():
-    assert len(center(build_algebra(cyclic(4)))) == 9
-    assert len(center(build_algebra(klein_four()))) == 12
-    assert len(center(build_algebra(cyclic(2)))) == 3
+    dims = {"cyclic:2": 3, "cyclic:4": 9, "klein4": 12, "dihedral:3": 25,
+            "cyclic:7": 25, "cyclic:8": 48, "dihedral:4": 69}
+    for spec, k in dims.items():
+        assert len(center(build_algebra(group_from_spec(spec)))) == k
 
 
 def test_center_of_z2_by_brute_force():
@@ -206,17 +207,29 @@ def test_wedderburn_matches_d_class_blocks(spec, seed):
     assert d.residual <= 1e-6
 
 
-def test_center_of_dihedral_3_by_brute_force():
-    alg = build_algebra(dihedral(3))
-    basis = center(alg)
-    assert len(basis) == 25
-    # independent oracle: v b_j - b_j v straight from the product table
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: build_algebra(dihedral(3)), 25),
+        (lambda: build_algebra(cyclic(7)), 25),
+        (lambda: group_algebra(dihedral(3)), 3),
+    ],
+    ids=["dihedral:3", "cyclic:7", "group-algebra-dihedral:3"],
+)
+def test_center_by_brute_force(make, k):
+    alg = make()
+    basis = np.array(center(alg))
+    assert basis.shape == (k, alg.dim)
+    assert np.allclose(basis @ basis.T, np.eye(k), atol=1e-12)
+    # independent oracle: v b_j - b_j v straight from the product table,
+    # column j for every basis element b_j at once
+    n = alg.dim
+    cols = np.broadcast_to(np.arange(n), (n, n))
     for v in basis:
-        for j in range(alg.dim):
-            comm = np.zeros(alg.dim)
-            np.add.at(comm, alg.mult[:, j], v)
-            np.subtract.at(comm, alg.mult[j, :], v)
-            assert np.max(np.abs(comm)) <= 1e-12
+        comm = np.zeros((n, n))
+        np.add.at(comm, (alg.mult, cols), v[:, None])         # v_i b_i b_j
+        np.subtract.at(comm, (alg.mult.T, cols), v[:, None])  # b_j v_i b_i
+        assert np.max(np.abs(comm)) <= 1e-12
 
 
 def test_group_algebra_of_dihedral_3():
@@ -245,19 +258,25 @@ def test_wedderburn_degenerate_central_element_raises(monkeypatch):
     assert info.value.relative_gap < 1e-12
 
 
-def test_wedderburn_too_few_generators_raises():
+def test_wedderburn_too_few_generators_raises(monkeypatch):
     # The commutant of one reflection in C[S3] is C^4 but not the center:
     # its primitive idempotents split the M_2 block into two halves whose
     # traces are 2, not a perfect square.
     ga = group_algebra(dihedral(3))
     reflection = 3
     assert ga.mult[reflection, reflection] == ga.unit_index
-    partial = StructureAlgebra(
-        ga.group, ga.basis, ga.mult, ga.star, ga.unit_index, (reflection,)
-    )
-    assert len(center(partial)) == 4
+    # the commutant is spanned by the orbit sums of conjugation by the
+    # reflection: e, the reflection, the two rotations, the other two reflections
+    orbits = sorted({tuple(sorted({x, ga.mult[ga.mult[reflection, x], reflection]})) for x in range(ga.dim)})
+    assert len(orbits) == 4
+    commutant = []
+    for orbit in orbits:
+        v = np.zeros(ga.dim)
+        v[list(orbit)] = 1 / np.sqrt(len(orbit))
+        commutant.append(v)
+    monkeypatch.setattr(algebra, "center", lambda a: commutant)
     with pytest.raises(NonIntegerBlockDim) as info:
-        wedderburn(partial)
+        wedderburn(ga)
     assert abs(info.value.integrality_error - 1.0) < 1e-9
 
 

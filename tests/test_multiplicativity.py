@@ -140,11 +140,12 @@ def _sheared(table, k):
 
 
 def test_large_integer_entries_stay_exact():
-    """Entries near 2^40 put products past 2^53: the scan multiplies in
-    int64, where the cancellation is exact, and finds an off-by-one."""
+    """Entries near 2^30 put products past 2^53 but below 2^63: the scan
+    multiplies in int64, where the cancellation is exact, and finds an
+    off-by-one."""
     ext = _bernoulli_rep_table(cyclic(3))
-    table = _sheared(ext.table, 1_000_003)
-    assert max(max_abs(m) for m in table.values()) >= 2**39
+    table = _sheared(ext.table, 30_001)
+    assert max(max_abs(m) for m in table.values()) ** 2 * ext.dim >= 2**53
     assert SgRepresentation(ext.group, ext.dim, table).max_multiplicative_deviation() == (0.0, None)
     a = list(table)[len(table) // 2]
     table[a] = table[a] + np.eye(ext.dim, dtype=np.int64)
@@ -153,7 +154,7 @@ def test_large_integer_entries_stay_exact():
     assert (deviation, witness) == _pairwise(table, operator.matmul, _matrix_distance)
     # the extension of the sheared generator images is the sheared table;
     # a shear is not unitary, so only the adjoint law fails, and is let through
-    sheared = _sheared(ext.table, 1_000_003)
+    sheared = _sheared(ext.table, 30_001)
     g = ext.group
     rep = PartialRep(g, [sheared[semigroup.generator(g, t)] for t in g.elements()])
     triple, adjoint_law, identity = validate_partial_rep(rep, tol=0.0).checks
@@ -161,6 +162,10 @@ def test_large_integer_entries_stay_exact():
     extended = extend_to_semigroup(rep, tol=adjoint_law.deviation).table
     assert list(extended) == list(sheared)
     assert all(m.dtype == np.int64 and np.array_equal(m, sheared[a]) for a, m in extended.items())
+    # entries near 2^40 put products past 2^63, where int64 could wrap: refused
+    huge = _sheared(ext.table, 1_000_003)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        SgRepresentation(ext.group, ext.dim, huge).max_multiplicative_deviation()
 
 
 def test_empty_images():
@@ -337,3 +342,14 @@ def test_matmul_is_exact():
     assert _matmul(x.astype(np.int32), y.astype(np.int32)).dtype == np.int64
     assert _matmul(x.astype(float), y).dtype == np.float64
     assert _matmul(x * 1j, y).dtype == np.complex128
+
+
+def test_matmul_refuses_int64_overflow():
+    """Past max|x| * max|y| * k = 2^63 an int64 product could wrap
+    (2^40 * 2^40 wraps to 0), so the bound is named in a ValueError."""
+    with pytest.raises(ValueError, match=r"2\^63"):
+        _matmul(np.array([[2**40]]), np.array([[2**40]]))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        _matmul(np.array([[2**31, 2**31]]), np.array([[2**31], [2**31]]))
+    below = np.array([[2**30, 2**30]])  # 2^30 * 2^30 * 2 = 2^61
+    assert _matmul(below, below.T)[0, 0] == 2**61

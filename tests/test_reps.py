@@ -10,6 +10,7 @@ from invsg.actions import (
     restriction_action,
     to_inverse_action,
 )
+from invsg import reps
 from invsg.algebra import build_algebra, left_regular_matrix
 from invsg.groups import cyclic, klein_four
 from invsg.reps import (
@@ -196,6 +197,17 @@ def test_matrix_json_round_trip():
     assert back_exact.dtype == np.int64
 
 
+def test_huge_integral_floats_stay_complex():
+    """1e300 is integral but not an int64; it stays a complex entry
+    instead of being cast to -2^63."""
+    data = rep_to_dict(PartialRep(cyclic(2), [np.eye(1), np.array([[1e300]])]))
+    rep = rep_from_dict(data)
+    assert rep.matrices[0].dtype == np.int64
+    assert rep.matrices[1].dtype == np.complex128
+    assert rep.matrices[1][0, 0] == 1e300
+    assert not rep.exact
+
+
 def test_rep_json_round_trip():
     g4 = cyclic(4)
     empty = restriction_action(g4, translation_permutations(g4, 1), [])
@@ -262,3 +274,20 @@ def test_default_tolerance_follows_the_dtype():
     assert rep.exact and validate_partial_rep(rep).tol == 0.0
     for other in (as_float, as_complex):
         assert not other.exact and validate_partial_rep(other).tol == 1e-9
+
+
+def test_int64_distances_do_not_wrap():
+    """np.abs of an int64 difference wraps at -2^63; these distances cannot."""
+    g = cyclic(3)
+    assert max_abs(np.array([[-2**63]])) == 2.0**63
+    # M_2 = [[0]] is not the adjoint of M_1 = [[-2^63]], at distance 2^63;
+    # validation multiplies the images past the int64 bound and refuses
+    rep = PartialRep(g, [np.array([[1]]), np.array([[-2**63]]), np.array([[0]])])
+    with pytest.raises(ValueError, match=r"2\^63"):
+        validate_partial_rep(rep, tol=0.0)
+    # the adjoint law on the semigroup multiplies nothing and reports it
+    table = dict(extend_to_semigroup(PartialRep(g, [np.eye(1, dtype=np.int64)] * 3)).table)
+    table[generator(g, 1)], table[generator(g, 2)] = rep.matrices[1], rep.matrices[2]
+    assert SgRepresentation(g, 1, table).max_star_deviation() == (2.0**63, (generator(g, 1),))
+    # as does the stacked distance of the multiplicativity scan
+    assert reps._distances(np.array([[[2**62]]]), np.array([[[-2**62]]])).tolist() == [2**63]
