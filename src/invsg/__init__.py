@@ -70,7 +70,6 @@ from .algebra import (
     build_algebra,
     center,
     group_algebra,
-    left_regular_matrix,
     multiply_elements,
     wedderburn,
 )

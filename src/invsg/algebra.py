@@ -8,14 +8,9 @@ algebra" of a finite group: its monomial basis multiplies exactly like
 the spanning monomials (projection times group shift) of the partial
 crossed product, and all block computations happen here.
 
-Finite inverse-semigroup algebras are semisimple, so the numerical
-block decomposition works inside the center.  The center is exact:
-the Moebius basis makes the algebra a groupoid algebra, whose center
-has one 0/1 vector per conjugacy orbit of loops (see :func:`center`).
-The eigenvectors of a random central element acting on the center
-give the central primitive idempotents, and each block size is read
-off the trace of left multiplication by its idempotent, with no rank
-cut-off.
+The Moebius basis makes it a groupoid algebra (Steinberg): its center
+and blocks are read off the tables, and only the group algebras of the
+maximal subgroups, of dimension at most |G|, are split numerically.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from .semigroup import (
 )
 
 DEFAULT_DIM_CAP = 1000
-BLOCK_TOL = 1e-9  # wedderburn: least relative eigenvalue gap; times dim, most trace integrality error
+BLOCK_TOL = 1e-9  # wedderburn: least relative eigenvalue gap; times |H|, most trace integrality error
 
 
 class EigenvalueClusterAmbiguous(RuntimeError):
@@ -57,38 +52,29 @@ class NonIntegerBlockDim(RuntimeError):
         self.integrality_error = integrality_error
 
 
+@dataclass(eq=False, repr=False)
 class StructureAlgebra:
     """Basis-indexed algebra: mult[i, j] is the basis index of b_i b_j.
 
-    Built over the enumerated semigroup by :func:`build_algebra`; the
-    same shape also carries the plain group algebra for contrast tests
-    (see :func:`group_algebra`).  Instances are immutable in use and
-    compare by identity.
+    Built over the enumerated semigroup by :func:`build_algebra`, or over
+    a group by :func:`group_algebra`; immutable in use, equal by identity.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        basis: tuple,
-        mult: np.ndarray,
-        star: np.ndarray,
-        unit_index: int,
-    ):
-        self.group = group
-        self.basis = basis
-        self.mult = mult
-        self.star = star
-        self.unit_index = unit_index
-        self.index = {b: i for i, b in enumerate(basis)}
+    group: FiniteGroup
+    basis: tuple
+    mult: np.ndarray
+    star: np.ndarray
+    unit_index: int
+
+    def __post_init__(self) -> None:
+        self.index = {b: i for i, b in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def unit_vector(self, dtype=np.float64) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=dtype)
-        v[self.unit_index] = 1
-        return v
+        return self.basis_vector(self.unit_index, dtype)
 
     def basis_vector(self, i: int, dtype=np.float64) -> np.ndarray:
         v = np.zeros(self.dim, dtype=dtype)
@@ -99,9 +85,7 @@ class StructureAlgebra:
 def build_algebra(group: FiniteGroup, cap: int = DEFAULT_DIM_CAP) -> StructureAlgebra:
     """Tables for the semigroup algebra; dimension 2^(p-2)(p+1)."""
     if group.order >= 2 and order_formula(group.order) > cap:
-        raise CapExceeded(
-            f"algebra dimension {order_formula(group.order)} exceeds cap {cap}"
-        )
+        raise CapExceeded(f"algebra dimension {order_formula(group.order)} exceeds cap {cap}")
     elements = enumerate_semigroup(group, cap=group.order)
     mult, star, unit_idx = multiplication_tables(elements)
     return StructureAlgebra(group, tuple(elements), mult, star, unit_idx)
@@ -115,69 +99,69 @@ def group_algebra(group: FiniteGroup) -> StructureAlgebra:
 
 
 def multiply_elements(a: StructureAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear extension of the basis product to coefficient vectors."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != (a.dim,) or y.shape != (a.dim,):
+    """Bilinear extension of the basis product to coefficient vectors, or
+    column by column to two dim x k arrays.  Only pairs of nonzero
+    coefficients are visited."""
+    x, y, n = np.asarray(x), np.asarray(y), a.dim
+    if x.shape != y.shape or x.shape[:1] != (n,) or x.ndim > 2:
         raise ValueError("coefficient vectors have the wrong length")
-    out = np.zeros(a.dim, dtype=np.result_type(x.dtype, y.dtype))
-    prod = np.outer(x, y)
-    np.add.at(out, a.mult.ravel(), prod.ravel())
-    return out
+    xs, ys = x.reshape(n, -1), y.reshape(n, -1)
+    (cx, ix), (cy, iy) = xs.T.nonzero(), ys.T.nonzero()  # by column, then row
+    lo, hi = cy.searchsorted(cx), cy.searchsorted(cx, "right")  # the nonzeros of y in column cx
+    p = np.arange(cx.size).repeat(hi - lo)
+    q = np.arange(p.size) - (hi - lo).cumsum()[p] + hi[p]  # pair (p, q) for each of them
+    col, i, j = cx[p], ix[p], iy[q]
+    key = col * n + a.mult[i, j]
+    w = xs[i, col] * ys[j, col]
+    out = np.bincount(key, w.real, xs.size)  # bincount takes real weights only
+    out = out + 1j * np.bincount(key, w.imag, xs.size) if np.iscomplexobj(w) else out
+    return out.astype(np.result_type(x, y), copy=False).reshape(-1, n).T.reshape(x.shape)
 
 
-def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
-    """Matrix of left multiplication by x in the monomial basis."""
-    x = np.asarray(x)
-    if x.shape != (a.dim,):
-        raise ValueError("coefficient vector has the wrong length")
-    n = a.dim
-    flat = (a.mult * n + np.arange(n)).ravel()  # entry (basis_i basis_j, j) gets x_i
-    out = np.empty((n, n), dtype=np.result_type(x.dtype, np.float64))
-    out.real = np.bincount(flat, weights=np.repeat(x.real, n), minlength=n * n).reshape(n, n)
-    if np.iscomplexobj(x):  # bincount takes real weights only
-        out.imag = np.bincount(flat, weights=np.repeat(x.imag, n), minlength=n * n).reshape(n, n)
-    return out
-
-
-def center(a: StructureAlgebra) -> list[np.ndarray]:
-    """Orthonormal basis of the center, computed exactly from the tables.
+def _orbit_sums(a: StructureAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, r, d, orbit): r(s) = ss*, d(s) = s*s, orbit[s] the conjugacy orbit
+    of a loop s (-1 elsewhere), column j of x the monomial coordinates of orbit j.
 
     The Moebius basis [s] = sum over t <= s of mu(t, s) t turns the
     algebra into a groupoid algebra (Steinberg): [s] is an arrow from
-    d(s) = s*s to r(s) = ss*, and [s][t] = [st] when d(s) = r(t), else 0.
-    The center of a groupoid algebra has one 0/1 vector per conjugacy
-    orbit {g s g* : d(g) = r(s)} of loops (d(s) = r(s)).  Monomials
-    expand as s = sum over t <= s of [t], with t <= s iff r(t) s = t, so
-    the orbit sums come back to the monomial basis through the inverse
-    of that zeta matrix, I + N with N nilpotent: the alternating sum of
-    powers of N, whose integer products float64 computes exactly.  One
-    QR then orthonormalizes the result.
+    d(s) to r(s), and [s][t] = [st] when d(s) = r(t), else 0.  The center
+    of a groupoid algebra has one 0/1 vector per conjugacy orbit
+    {g s g* : d(g) = r(s)} of loops (d(s) = r(s)).  Monomials expand as
+    s = sum over t <= s of [t], with t <= s iff r(t) s = t, so the orbit
+    sums come back to the monomial basis through the inverse of that
+    zeta matrix, I + N with N nilpotent: the alternating sum of powers
+    of N, whose integer products float64 computes exactly.
     """
-    n = a.dim
-    mult, star = a.mult, a.star
+    n, mult, star = a.dim, a.mult, a.star
     idx = np.arange(n)
     r = mult[idx, star]
     d = mult[star, idx]
     loops = np.flatnonzero(d == r)
     conj = mult[mult[:, loops], star[:, None]]  # conj[g, j] = g s g* for s = loops[j]
     orbit_min = np.where(d[:, None] == r[loops], conj, n).min(axis=0)
-    _, orbit = np.unique(orbit_min, return_inverse=True)
-    ind = np.zeros((n, orbit.max() + 1))
-    ind[loops, orbit] = 1.0                        # orbit sums in the Moebius basis
+    orbit = np.full(n, -1)
+    orbit[loops] = (np.bincount(orbit_min, minlength=n) > 0).cumsum()[orbit_min] - 1  # by least element
+    x = term = np.zeros((n, orbit.max() + 1))
+    x[loops, orbit[loops]] = 1.0                   # orbit sums in the Moebius basis
     nil = (mult[r] == idx[:, None]) - np.eye(n)    # zeta - I, zeta[t, s] = [t <= s]
-    x = term = ind
     while term.any():                              # zeta^-1 = sum over j of (-N)^j
         term = -(nil @ term)
         x = x + term
-    q, _ = np.linalg.qr(x)
+    return x, r, d, orbit
+
+
+def center(a: StructureAlgebra) -> list[np.ndarray]:
+    """Orthonormal basis of the center, computed exactly from the tables:
+    the orbit sums of :func:`_orbit_sums`, orthonormalized by one QR."""
+    q, _ = np.linalg.qr(_orbit_sums(a)[0])
     return list(q.T.copy())
 
 
 @dataclass
 class BlockDecomposition:
     """Sorted matrix-block sizes with the matching central primitive
-    idempotents and eigenvalues of the random central element."""
+    idempotents and, per block, the eigenvalue of the random central
+    element that split it off (1 where no split was needed)."""
 
     blocks: tuple[int, ...]
     idempotents: list[np.ndarray]
@@ -188,80 +172,95 @@ class BlockDecomposition:
     def dimension(self) -> int:
         return int(sum(b * b for b in self.blocks))
 
-    def describe(self) -> str:
-        return (
-            f"blocks {list(self.blocks)}; {len(self.blocks)} summands; "
-            f"residual {self.residual:.3e}"
-        )
-
 
 def wedderburn(a: StructureAlgebra, seed: int = 0) -> BlockDecomposition:
-    """Numerical block decomposition of a (semisimple) structure algebra.
+    """Block decomposition of a (semisimple) structure algebra.
 
-    Everything happens inside the k-dimensional center.  A random
-    central element z acts on the center by a k x k matrix whose
-    eigenvectors are the central primitive idempotents up to scale; each
-    is scaled by its square (w^2 = mu w, e = w / mu).  The block of e has
-    size n with n^2 = trace(L_e) = f . e, where f_i counts the basis
-    elements b_j with b_i b_j = b_j.  Raises
-    EigenvalueClusterAmbiguous when two eigenvalues of z lie within a
+    A group algebra CH is split numerically: the eigenvectors w of a
+    random central element on the center are the central primitive
+    idempotents up to scale (w^2 = mu w, e = w / mu), and a block of size
+    m has m^2 = trace(L_e) = |H| e[1].  Otherwise, in the groupoid basis
+    of :func:`_orbit_sums`, a D-class D of idempotents is M_|D|(CH), with
+    H the loops at its head, the least object one arrow from each: a
+    block |D| m per block m of CH, whose idempotent puts its value at g
+    on the orbit of g.  CH is split once per table, and only if |H| > 1.
+
+    Raises EigenvalueClusterAmbiguous when two eigenvalues lie within a
     relative distance ``BLOCK_TOL`` (reseed), and NonIntegerBlockDim when
-    a trace lies farther than ``BLOCK_TOL * dim`` from a positive perfect
-    square or the squares do not add up to the dimension.
+    a trace lies farther than ``BLOCK_TOL * |H|`` from a positive perfect
+    square or the squared blocks do not add up to the dimension.
+    ``residual`` bounds every e_i e_j - delta_ij e_i: directly for CH, else
+    by each CH's, sum e_i - 1 and e_i^2 - e_i, as D-classes are disjoint.
     """
+    n, error = a.dim, float("nan")
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        kb = np.array(center(a)).T
-        rng = np.random.default_rng(seed)
-        z = kb @ rng.uniform(size=kb.shape[1])
-        eigs, vecs = np.linalg.eig(kb.T @ left_regular_matrix(a, z) @ kb)
-        dist = np.abs(eigs[:, None] - eigs[None, :])
-        np.fill_diagonal(dist, np.inf)
-        gap = float(dist.min() / np.abs(eigs).max())
-        if gap < BLOCK_TOL:
-            raise EigenvalueClusterAmbiguous(
-                f"relative eigenvalue gap {gap:.3e} of the random central element "
-                f"is below {BLOCK_TOL:.1e}; reseed",
-                gap,
-            )
-
-        w = kb @ vecs
-        mu = np.array([np.vdot(v, multiply_elements(a, v, v)) / np.vdot(v, v) for v in w.T])
-        e = w / mu
-        fixes = np.count_nonzero(a.mult == np.arange(a.dim), axis=1)
-        traces = fixes @ e
-        roots = np.rint(np.sqrt(np.abs(traces.real)))
-        error = float(np.max(np.abs(traces - roots**2)))
-        if error > BLOCK_TOL * a.dim or roots.min() < 1:
-            raise NonIntegerBlockDim(
-                f"block traces are not all positive perfect squares: worst integrality "
-                f"error {error:.3e}, smallest trace {traces.real.min():.3e}",
-                error,
-            )
-        if int(np.sum(roots**2)) != a.dim:
-            raise NonIntegerBlockDim(
-                f"block dimensions sum to {int(np.sum(roots**2))}, expected {a.dim}", error
-            )
-
-        residual = float(np.max(np.abs(e.sum(axis=1) - a.unit_vector())))
-        for i in range(e.shape[1]):
-            prod = left_regular_matrix(a, e[:, i]) @ e      # e_i e_j for every j
-            prod[:, i] -= e[:, i]
-            residual = max(residual, float(np.max(np.abs(prod))))
+        if (a.mult[a.star, np.arange(n)] == a.unit_index).all():  # s*s = 1 for all s: CH
+            kb = np.array(center(a)).T
+            k = kb.shape[1]
+            pairs = multiply_elements(a, kb.repeat(k, axis=1), kb[:, np.arange(k * k) % k])
+            pairs = pairs.reshape(n, k, k)  # kb_i kb_j: the structure constants of the center
+            z = np.random.default_rng(seed).uniform(size=k)  # coordinates of z in kb
+            eigs, vecs = np.linalg.eig(kb.T @ (pairs @ z))
+            dist = np.abs(np.subtract.outer(eigs, eigs)) + np.diag(np.full(k, np.inf))
+            gap = float(dist.min() / np.abs(eigs).max())
+            if gap < BLOCK_TOL:
+                raise EigenvalueClusterAmbiguous(
+                    f"relative eigenvalue gap {gap:.3e} is below {BLOCK_TOL:.1e}; reseed", gap
+                )
+            w, ww = kb @ vecs, vecs.T @ pairs @ vecs  # ww[:, i, j] = w_i w_j
+            scale = np.sum(np.abs(w) ** 2, axis=0) / np.sum(w.conj() * ww.diagonal(0, 1, 2), axis=0)
+            e = w * scale  # w / mu
+            traces = n * e[a.unit_index]
+            roots = np.rint(np.sqrt(np.abs(traces.real)))
+            error = float(np.max(np.abs(traces - roots**2)))
+            if error > BLOCK_TOL * n or roots.min() < 1:
+                raise NonIntegerBlockDim(
+                    f"block traces are not all positive perfect squares: worst integrality "
+                    f"error {error:.3e}, smallest trace {traces.real.min():.3e}", error
+                )
+            prod = ww * np.outer(scale, scale)  # e_i e_j
+            prod[:, np.arange(k), np.arange(k)] -= e
+            residual = float(np.max(np.abs(prod)))
+        else:
+            x, r, d, orbit = _orbit_sums(a)
+            label = np.full(n, n)
+            np.minimum.at(label, d, r)  # the head of each object
+            count = np.bincount(label[r == np.arange(n)], minlength=n)  # |D| at each head
+            heads = np.flatnonzero(count)
+            loops = np.flatnonzero((d == r) & (label[r] == r))  # the maximal subgroups
+            owner = heads.searchsorted(r[loops])
+            trivial = np.bincount(owner) == 1  # one block of size |D|, its coefficient 1
+            coeffs = [np.eye(x.shape[1])[:, orbit[heads[trivial]]]]  # the orbit of each head
+            blocks, eigs, splits = [count[heads[trivial]]], [np.ones(coeffs[0].shape[1])], {}
+            for c, head in zip(np.flatnonzero(~trivial), heads[~trivial]):
+                h = loops[owner == c]
+                table = h.searchsorted(a.mult[h[:, None], h])
+                key = table.tobytes()
+                if key not in splits:
+                    unit, inverses = int(h.searchsorted(head)), tuple(h.searchsorted(a.star[h]).tolist())
+                    sub = FiniteGroup(tuple(map(tuple, table.tolist())), unit, inverses)
+                    splits[key] = wedderburn(group_algebra(sub), seed)
+                split = splits[key]
+                coeffs.append(np.zeros((x.shape[1], len(split.blocks)), dtype=np.complex128))
+                coeffs[-1][orbit[h]] = np.array(split.idempotents).T
+                blocks.append(count[head] * np.array(split.blocks))
+                eigs.append(split.eigenvalues)
+            roots, eigs = np.concatenate(blocks), np.concatenate(eigs)
+            e = x @ np.hstack(coeffs)
+            unit_error = np.max(np.abs(e.sum(axis=1) - a.unit_vector()))
+            square_error = np.max(np.abs(multiply_elements(a, e, e) - e))
+            residual = float(max([unit_error, square_error] + [s.residual for s in splits.values()]))
+        if int(np.sum(roots**2)) != n:
+            raise NonIntegerBlockDim(f"squared blocks sum to {int((roots**2).sum())}, not {n}", error)
 
     order = np.argsort(roots, kind="stable")
-    return BlockDecomposition(
-        tuple(int(r) for r in roots[order]),
-        list(e.T[order]),
-        tuple(complex(x) for x in eigs[order]),
-        residual,
-    )
+    blocks, eigenvalues = tuple(map(int, roots[order])), tuple(map(complex, eigs[order]))
+    return BlockDecomposition(blocks, list(e.T[order]), eigenvalues, residual)
 
 
 def generator_index(a: StructureAlgebra, t: int) -> int:
-    """Basis index of the monomial u_t = ({e, t}, t).
-
-    These satisfy the partial-representation identities exactly inside
-    the structure constants (u_s u_t u_{t^-1} = u_{st} u_{t^-1},
-    star(u_t) = u_{t^-1}, u_e = unit).
-    """
+    """Basis index of the monomial u_t = ({e, t}, t), which satisfies the
+    partial-representation identities exactly inside the structure
+    constants (u_s u_t u_{t^-1} = u_{st} u_{t^-1}, star(u_t) = u_{t^-1},
+    u_e = unit)."""
     return a.index[generator(a.group, t)]

@@ -11,13 +11,15 @@ schemas):
 
 Groups are builtin names (cyclic:n, klein4, dihedral:n) or JSON file
 paths; file paths win.  Exit codes: 0 success, 1 domain error (the
-payload on stderr carries the counterexample), 2 usage error.
+payload on stderr carries the counterexample or the numeric margin),
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +32,7 @@ DOMAIN_ERRORS = (
     actions.InvalidGroupAction,
     actions.NotMultiplicative,
     reps.NotRepresentation,
+    reps.NonFiniteProduct,
     algebra.EigenvalueClusterAmbiguous,
     algebra.NonIntegerBlockDim,
     ValueError,
@@ -343,6 +346,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         witness = getattr(exc, "witness", None)
         if witness is not None:
             payload["witness"] = [repr(w) for w in witness]
+        for margin in ("relative_gap", "integrality_error"):  # NaN when unknown: not JSON
+            value = getattr(exc, margin, None)
+            if value is not None and math.isfinite(value):
+                payload[margin] = value
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +35,20 @@ from .semigroup import (
 from .actions import PartialAction
 
 FLOAT_TOL = 1e-9
+
+
+class NonFiniteProduct(ValueError):
+    """A float matrix product or difference overflowed or went NaN: the
+    entries are too large for float64 arithmetic."""
+
+
+def _finite(op: Callable[..., np.ndarray], *args: np.ndarray) -> np.ndarray:
+    """op(*args), where float overflow or an invalid value raises NonFiniteProduct."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return op(*args)
+    except FloatingPointError as exc:
+        raise NonFiniteProduct(f"float matrix arithmetic is not finite: {exc}") from None
 
 
 class NotRepresentation(ValueError):
@@ -64,7 +78,7 @@ def _abs_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     uint64, where it always fits."""
     if x.dtype.kind in "iu" and y.dtype.kind in "iu":
         return np.subtract(np.maximum(x, y), np.minimum(x, y), dtype=np.int64).view(np.uint64)
-    return np.abs(x - y)
+    return np.abs(_finite(np.subtract, x, y))
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -95,7 +109,7 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     are multiplied in float64, which goes through BLAS and is exact,
     when b < 2^53, and in int64 when b < 2^63; past that a sum could
     wrap, so ValueError.  Anything else is multiplied in the operands'
-    own dtype.
+    own dtype, and NonFiniteProduct is raised if that overflows.
     """
     if x.dtype.kind in "iu" and y.dtype.kind in "iu":
         bound = _int_max_abs(x) * _int_max_abs(y) * x.shape[-1]
@@ -106,7 +120,7 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 f"integer matrix product may overflow int64: max|x| * max|y| * k = {bound} >= 2^63"
             )
         return np.matmul(x.astype(np.int64), y.astype(np.int64))
-    return np.matmul(x, y)
+    return _finite(np.matmul, x, y)
 
 
 def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

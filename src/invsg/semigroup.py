@@ -31,7 +31,7 @@ D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 ROW_BLOCK = 128  # rows per block of Light's test: bounds its temporaries
-SCAN_BYTES = 1 << 17  # bytes of images per block of a pair scan: bounds its temporaries
+SCAN_BYTES = 1 << 17  # bytes per block of a pair scan or a table build: bounds their temporaries
 
 
 class CapExceeded(ValueError):
@@ -206,7 +206,8 @@ def multiplication_tables(
     Returns (mult, star, unit_index) where mult[i, j] is the index of
     elements[i] * elements[j] and star[i] the index of elements[i]^*.
     Vectorized: one left-translation lookup table per group element
-    turns every product row into array indexing.
+    turns every product into array indexing, in row blocks of about
+    SCAN_BYTES.
     """
     group = elements[0].group
     p = group.order
@@ -214,25 +215,23 @@ def multiplication_tables(
     supports = np.array([a.support for a in elements], dtype=np.int64)
     degrees = np.array([a.degree for a in elements], dtype=np.int64)
 
-    all_masks = np.arange(1 << p, dtype=np.int64)
-    translate = np.zeros((p, 1 << p), dtype=np.int64)
-    for s in group.elements():
-        row = group.table[s]
-        lut = translate[s]
-        for b in range(p):
-            lut |= ((all_masks >> b) & 1) << row[b]
+    group_mul = np.array(group.table, dtype=np.int64)
+    bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
+    translate = (bits << group_mul[:, :, None]).sum(axis=1)  # translate[s, mask] = s . mask
 
     # dense (support, degree) -> index lookup; -1 marks non-elements
     key_of = supports * p + degrees
     index_of = np.full((1 << p) * p, -1, dtype=np.int64)
     index_of[key_of] = np.arange(n)
 
-    group_mul = np.array([list(row) for row in group.table], dtype=np.int64)
+    moved = translate[:, supports]  # moved[s, j] = s . support_j
+    degs = group_mul[:, degrees]    # degs[s, j] = s * degree_j
     mult = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        sup = supports[i] | translate[degrees[i]][supports]
-        deg = group_mul[degrees[i]][degrees]
-        mult[i] = index_of[sup * p + deg]
+    step = max(1, SCAN_BYTES // (8 * n))  # rows per block
+    for lo in range(0, n, step):
+        rows = degrees[lo : lo + step]
+        sup = supports[lo : lo + step, None] | moved[rows]
+        mult[lo : lo + step] = index_of[sup * p + degs[rows]]
     if (mult < 0).any():
         raise ValueError("element list is not closed under multiplication")
 

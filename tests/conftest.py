@@ -4,12 +4,64 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from invsg.actions import PartialAction, PartialBijection, restriction_action
-from invsg.groups import FiniteGroup, cyclic, from_cayley_table, klein_four
+from invsg.algebra import StructureAlgebra, center, group_algebra
+from invsg.groups import FiniteGroup, cyclic, dihedral, from_cayley_table, klein_four
 
 
 def small_groups() -> list[FiniteGroup]:
     return [cyclic(2), cyclic(3), cyclic(4), klein_four(), cyclic(5)]
+
+
+def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
+    """Matrix of left multiplication by x in the monomial basis."""
+    x = np.asarray(x)
+    if x.shape != (a.dim,):
+        raise ValueError("coefficient vector has the wrong length")
+    n = a.dim
+    flat = (a.mult * n + np.arange(n)).ravel()  # entry (basis_i basis_j, j) gets x_i
+    out = np.empty((n, n), dtype=np.result_type(x.dtype, np.float64))
+    out.real = np.bincount(flat, weights=np.repeat(x.real, n), minlength=n * n).reshape(n, n)
+    if np.iscomplexobj(x):  # bincount takes real weights only
+        out.imag = np.bincount(flat, weights=np.repeat(x.imag, n), minlength=n * n).reshape(n, n)
+    return out
+
+
+def draw_the_unit(monkeypatch, a: StructureAlgebra) -> None:
+    """Make every random central element the unit of ``a``: the stand-in
+    for ``np.random.default_rng`` draws the unit's coordinates in
+    ``center(a)``, and checks that the draw has that length."""
+    coeffs = np.array(center(a)) @ a.unit_vector()
+
+    class UnitDraw:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, size):
+            assert size == len(coeffs)
+            return coeffs
+
+    monkeypatch.setattr(np.random, "default_rng", UnitDraw)
+
+
+def reflection_commutant() -> list[np.ndarray]:
+    """Orthonormal basis of the commutant of one reflection in C[S3]
+    (``group_algebra(dihedral(3))``), which is C^4 but not the center."""
+    ga = group_algebra(dihedral(3))
+    reflection = 3
+    assert ga.mult[reflection, reflection] == ga.unit_index
+    # the commutant is spanned by the orbit sums of conjugation by the
+    # reflection: e, the reflection, the two rotations, the other two reflections
+    orbits = sorted({tuple(sorted({x, ga.mult[ga.mult[reflection, x], reflection]})) for x in range(ga.dim)})
+    assert len(orbits) == 4
+    commutant = []
+    for orbit in orbits:
+        v = np.zeros(ga.dim)
+        v[list(orbit)] = 1 / np.sqrt(len(orbit))
+        commutant.append(v)
+    return commutant
 
 
 def relabelled(group: FiniteGroup, new_index: list[int]) -> FiniteGroup:

@@ -15,10 +15,10 @@ from invsg.algebra import (
     center,
     generator_index,
     group_algebra,
-    left_regular_matrix,
     multiply_elements,
     wedderburn,
 )
+from conftest import draw_the_unit, left_regular_matrix, reflection_commutant
 
 
 def test_dimensions():
@@ -81,6 +81,23 @@ def test_multiply_elements_bilinear():
             prod = multiply_elements(alg, alg.basis_vector(i), alg.basis_vector(j))
             expected = alg.basis_vector(alg.mult[i, j])
             assert (prod == expected).all()
+
+
+def test_multiply_elements_columns():
+    # independent oracle: the left regular matrix, column by column
+    alg = build_algebra(klein_four())
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(alg.dim, 5)) + 1j * rng.normal(size=(alg.dim, 5))
+    y = rng.normal(size=(alg.dim, 5))
+    x[::2, 1] = 0   # sparse columns, and a zero one
+    y[:15, 2] = 0
+    x[:, 3] = 0
+    prod = multiply_elements(alg, x, y)
+    assert prod.shape == x.shape and prod.dtype == np.complex128
+    for k in range(5):
+        assert np.allclose(prod[:, k], left_regular_matrix(alg, x[:, k]) @ y[:, k], atol=1e-12)
+    with pytest.raises(ValueError):
+        multiply_elements(alg, x, y[:, :4])
 
 
 def test_left_regular_matrix():
@@ -159,23 +176,25 @@ def test_wedderburn_seed_independent():
 
 
 def test_wedderburn_idempotent_identities():
-    alg = build_algebra(cyclic(4))
-    d = wedderburn(alg)
-    unit_vec = alg.unit_vector(dtype=np.complex128)
-    total = np.zeros(alg.dim, dtype=np.complex128)
-    tol = 1e3 * np.finfo(float).eps * alg.dim
-    for i, zi in enumerate(d.idempotents):
-        total += zi
-        for j, zj in enumerate(d.idempotents):
-            prod = multiply_elements(alg, zi, zj)
-            target = zi if i == j else np.zeros(alg.dim)
-            assert np.max(np.abs(prod - target)) <= tol
-        # centrality
-        for k in range(alg.dim):
-            b = alg.basis_vector(k, dtype=np.complex128)
-            diff = multiply_elements(alg, zi, b) - multiply_elements(alg, b, zi)
+    for g in (cyclic(4), dihedral(3), cyclic(7)):
+        alg = build_algebra(g)
+        d = wedderburn(alg)
+        unit_vec = alg.unit_vector(dtype=np.complex128)
+        total = np.zeros(alg.dim, dtype=np.complex128)
+        tol = 1e3 * np.finfo(float).eps * alg.dim
+        eye = np.eye(alg.dim, dtype=np.complex128)
+        for i, zi in enumerate(d.idempotents):
+            total += zi
+            for j, zj in enumerate(d.idempotents):
+                prod = multiply_elements(alg, zi, zj)
+                target = zi if i == j else np.zeros(alg.dim)
+                assert np.max(np.abs(prod - target)) <= tol
+            # centrality: column k holds zi b_k - b_k zi
+            zs = np.repeat(zi[:, None], alg.dim, axis=1)
+            diff = multiply_elements(alg, zs, eye) - multiply_elements(alg, eye, zs)
             assert np.max(np.abs(diff)) <= tol
-    assert np.max(np.abs(total - unit_vec)) <= tol
+        assert np.max(np.abs(total - unit_vec)) <= tol
+        assert d.residual <= tol
 
 
 # Block multisets {size: count} from the D-class structure theorem:
@@ -190,19 +209,43 @@ D_CLASS_BLOCKS = {
     "cyclic:7": {1: 8, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
     "cyclic:8": {1: 15, 2: 5, 3: 9, 4: 8, 5: 7, 6: 3, 7: 1},
     "dihedral:4": {1: 27, 2: 10, 3: 17, 4: 6, 5: 7, 6: 1, 7: 1},
+    "cyclic:2": {1: 3},
+    "cyclic:3": {1: 4, 2: 1},
 }
+# The plain group algebras: one block per irreducible degree of the group
+# (an abelian group has only linear characters; D_n has 2 or 4 of them
+# and the rest of degree 2).
+GROUP_ALGEBRA = "group-algebra-"
+D_CLASS_BLOCKS.update(
+    {
+        GROUP_ALGEBRA + "cyclic:2": {1: 2},
+        GROUP_ALGEBRA + "cyclic:3": {1: 3},
+        GROUP_ALGEBRA + "cyclic:4": {1: 4},
+        GROUP_ALGEBRA + "klein4": {1: 4},
+        GROUP_ALGEBRA + "cyclic:5": {1: 5},
+        GROUP_ALGEBRA + "cyclic:6": {1: 6},
+        GROUP_ALGEBRA + "dihedral:3": {1: 2, 2: 1},
+        GROUP_ALGEBRA + "cyclic:7": {1: 7},
+        GROUP_ALGEBRA + "cyclic:8": {1: 8},
+        GROUP_ALGEBRA + "dihedral:4": {1: 4, 2: 1},
+    }
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("spec", list(D_CLASS_BLOCKS))
 def test_wedderburn_matches_d_class_blocks(spec, seed):
-    g = group_from_spec(spec)
-    alg = build_algebra(g)
+    if spec.startswith(GROUP_ALGEBRA):
+        g = group_from_spec(spec.removeprefix(GROUP_ALGEBRA))
+        alg, dim = group_algebra(g), g.order
+    else:
+        g = group_from_spec(spec)
+        alg, dim = build_algebra(g), 2 ** (g.order - 2) * (g.order + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         d = wedderburn(alg, seed=seed)
     assert dict(Counter(d.blocks)) == D_CLASS_BLOCKS[spec]
-    assert d.dimension == alg.dim == 2 ** (g.order - 2) * (g.order + 1)
+    assert d.dimension == alg.dim == dim
     assert len(d.blocks) == len(center(alg))
     assert d.residual <= 1e-6
 
@@ -239,20 +282,11 @@ def test_group_algebra_of_dihedral_3():
 
 
 def test_wedderburn_degenerate_central_element_raises(monkeypatch):
+    # The one nontrivial maximal subgroup of S(Z3) is Z3 itself, the loops
+    # at the full support, labelled as in cyclic(3): only its group
+    # algebra draws a random central element, here its unit.
     alg = build_algebra(cyclic(3))
-    unit_coeffs = np.array(center(alg)) @ alg.unit_vector()
-
-    class UnitDraw:
-        """Stands in for the random generator: z is the unit itself."""
-
-        def __init__(self, seed):
-            pass
-
-        def uniform(self, size):
-            assert size == len(unit_coeffs)
-            return unit_coeffs
-
-    monkeypatch.setattr(np.random, "default_rng", UnitDraw)
+    draw_the_unit(monkeypatch, group_algebra(cyclic(3)))
     with pytest.raises(EigenvalueClusterAmbiguous) as info:
         wedderburn(alg)
     assert info.value.relative_gap < 1e-12
@@ -263,17 +297,7 @@ def test_wedderburn_too_few_generators_raises(monkeypatch):
     # its primitive idempotents split the M_2 block into two halves whose
     # traces are 2, not a perfect square.
     ga = group_algebra(dihedral(3))
-    reflection = 3
-    assert ga.mult[reflection, reflection] == ga.unit_index
-    # the commutant is spanned by the orbit sums of conjugation by the
-    # reflection: e, the reflection, the two rotations, the other two reflections
-    orbits = sorted({tuple(sorted({x, ga.mult[ga.mult[reflection, x], reflection]})) for x in range(ga.dim)})
-    assert len(orbits) == 4
-    commutant = []
-    for orbit in orbits:
-        v = np.zeros(ga.dim)
-        v[list(orbit)] = 1 / np.sqrt(len(orbit))
-        commutant.append(v)
+    commutant = reflection_commutant()
     monkeypatch.setattr(algebra, "center", lambda a: commutant)
     with pytest.raises(NonIntegerBlockDim) as info:
         wedderburn(ga)

@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+from invsg import algebra
 from invsg.actions import action_to_dict, bernoulli_partial_action, to_inverse_action
+from invsg.algebra import group_algebra
 from invsg.cli import run
 from invsg.groups import cyclic, group_to_dict, klein_four
 from invsg.reps import partial_rep_from_partial_action, rep_to_dict
 from invsg.semigroup import CapExceeded
 from invsg.actions import PartialAction, PartialBijection
+from conftest import draw_the_unit, reflection_commutant
 
 
 def invoke(capsys, *argv):
@@ -164,6 +167,66 @@ def test_rep_validate_rejects_bad_rep(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = invoke(capsys, "rep", "validate", str(path))
     assert code == 1
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard constants NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowing_float_rep_is_a_strict_json_domain_error(tmp_path, capsys):
+    # 1e300 squared overflows float64; the products must not turn into
+    # Infinity or NaN in any output
+    rep = {
+        "group": group_to_dict(cyclic(2)),
+        "dim": 1,
+        "matrices": {"0": [[[1.0, 0.0]]], "1": [[[1e300, 0.0]]]},
+    }
+    path = tmp_path / "huge_rep.json"
+    path.write_text(json.dumps(rep))
+    for argv in (["validate"], ["validate", "--json"], ["extend"], ["extend", "--json"]):
+        code, out, err = invoke(capsys, "rep", argv[0], str(path), *argv[1:])
+        assert code == 1 and out == ""
+        payload = strict_json(err)
+        assert payload["error"] == "NonFiniteProduct" and "overflow" in payload["message"]
+
+
+def test_numeric_errors_carry_their_margins(monkeypatch, capsys):
+    # the random central element of CZ3, the one nontrivial maximal
+    # subgroup of S(Z3), is drawn as its unit: every eigenvalue is 1
+    with monkeypatch.context() as patch:
+        draw_the_unit(patch, group_algebra(cyclic(3)))
+        code, out, err = invoke(capsys, "alg", "decompose", "cyclic:3")
+    assert code == 1 and out == ""
+    payload = strict_json(err)
+    assert payload["error"] == "EigenvalueClusterAmbiguous"
+    assert payload["relative_gap"] < 1e-12 and "integrality_error" not in payload
+
+    # S3 is the maximal subgroup of S(S3) at the full support, labelled as
+    # in dihedral(3); a commutant too large for its center splits the
+    # M_2 block into two traces of 2
+    center = algebra.center
+    commutant = reflection_commutant()
+    monkeypatch.setattr(algebra, "center", lambda a: commutant if a.dim == 6 else center(a))
+    code, out, err = invoke(capsys, "alg", "decompose", "dihedral:3")
+    assert code == 1 and out == ""
+    payload = strict_json(err)
+    assert payload["error"] == "NonIntegerBlockDim"
+    assert abs(payload["integrality_error"] - 1.0) < 1e-9 and "relative_gap" not in payload
+
+
+def test_unknown_margins_stay_out_of_the_payload(monkeypatch, capsys):
+    def fail(a, seed=0):
+        raise algebra.NonIntegerBlockDim("no margin known")  # integrality_error is NaN
+
+    monkeypatch.setattr(algebra, "wedderburn", fail)
+    code, _, err = invoke(capsys, "alg", "decompose", "cyclic:2")
+    assert code == 1
+    assert strict_json(err) == {"error": "NonIntegerBlockDim", "message": "no margin known"}
 
 
 def test_rep_files_need_exactly_the_group_indices(tmp_path, capsys):

@@ -11,7 +11,7 @@ from invsg.actions import (
     to_inverse_action,
 )
 from invsg import reps
-from invsg.algebra import build_algebra, left_regular_matrix
+from invsg.algebra import build_algebra
 from invsg.groups import cyclic, klein_four
 from invsg.reps import (
     NotRepresentation,
@@ -30,7 +30,7 @@ from invsg.reps import (
 )
 from invsg.semigroup import enumerate_semigroup, generator, idempotent, unit, universal_extension
 
-from conftest import random_restriction_action, translation_permutations
+from conftest import left_regular_matrix, random_restriction_action, translation_permutations
 
 
 def unitary_character_rep(n):

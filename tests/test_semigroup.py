@@ -21,6 +21,7 @@ from invsg.semigroup import (
     idempotent,
     idempotent_elements,
     identity_masks,
+    multiplication_tables,
     natural_partial_order,
     order_formula,
     reduce_word,
@@ -181,6 +182,20 @@ def test_enumerate_closed_under_product_and_star():
         for a in elements:
             for b in elements:
                 assert a * b in universe
+
+
+def test_multiplication_tables_match_the_product(monkeypatch):
+    # small blocks, so each table is filled over many blocks of 1 to 6 rows
+    monkeypatch.setattr(semigroup, "SCAN_BYTES", 1000)
+    for g in (klein_four(), dihedral(3), relabelled(cyclic(5), [3, 0, 4, 1, 2])):
+        elements = enumerate_semigroup(g)
+        mult, star, unit_index = multiplication_tables(elements)
+        index = {a: i for i, a in enumerate(elements)}
+        assert mult.tolist() == [[index[a * b] for b in elements] for a in elements]
+        assert star.tolist() == [index[a.star()] for a in elements]
+        assert elements[unit_index] == unit(g)
+    with pytest.raises(ValueError, match="not closed"):
+        multiplication_tables([generator(klein_four(), t) for t in range(4)])
 
 
 def test_order_formula():
