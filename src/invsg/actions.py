@@ -380,21 +380,23 @@ class InverseAction:
     def check_multiplicative(self) -> tuple | None:
         """The first pair (a, b) of ``table()`` (default cap) with pi(ab) != pi(a)pi(b), or None.
 
-        The images are stacked once as rows of an int array with -1 for
-        undefined points and one -1 column appended, so composing with
-        f(a) is the gather f(a)[rows]: -1 picks the appended column.
+        The images are stacked once as rows of an index array, in the
+        narrowest unsigned dtype holding ``set_size``, with ``set_size``
+        for undefined points and one ``set_size`` column appended, so
+        composing with f(a) is the gather f(a)[rows]: the marker picks
+        the appended column.
         """
         table = self.table()
-        stacked = np.array([[-1 if v is None else v for v in f.mapping] + [-1] for f in table.values()])
-        return _worst_pair(table, stacked.__getitem__, _compose, _differ)[1]
+        marker = self.set_size
+        stacked = np.array(
+            [[marker if v is None else v for v in f.mapping] + [marker] for f in table.values()],
+            dtype=np.min_scalar_type(marker),
+        )
 
+        def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
+            return (stacked[targets] != stacked[a][stacked[lo : lo + len(targets)]]).any(axis=1)
 
-def _compose(fa: np.ndarray, fbs: np.ndarray) -> np.ndarray:
-    return fa[fbs]
-
-
-def _differ(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return (xs != ys).any(axis=1)
+        return _worst_pair(table, stacked[0].nbytes, lambda width: differ, exact=True)[1]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:

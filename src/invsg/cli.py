@@ -58,6 +58,17 @@ def _verdict(args: argparse.Namespace, payload: dict, plain: list[str]) -> int:
     return 1
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0, else a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -298,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = sub(rp, "validate", _cmd_rep_validate, help="per-axiom deviations of a matrix family")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p = sub(rp, "extend", _cmd_rep_extend, help="extend to the whole semigroup")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--cap", type=int, default=semigroup.DEFAULT_ENUMERATION_CAP)
 
     al = top.add_parser("alg", help="semigroup algebra").add_subparsers(

@@ -42,11 +42,11 @@ class NonFiniteProduct(ValueError):
     entries are too large for float64 arithmetic."""
 
 
-def _finite(op: Callable[..., np.ndarray], *args: np.ndarray) -> np.ndarray:
-    """op(*args), where float overflow or an invalid value raises NonFiniteProduct."""
+def _finite(op: Callable[..., np.ndarray], *args: np.ndarray, **kwargs) -> np.ndarray:
+    """op(*args, **kwargs), where float overflow or an invalid value raises NonFiniteProduct."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return op(*args)
+            return op(*args, **kwargs)
     except FloatingPointError as exc:
         raise NonFiniteProduct(f"float matrix arithmetic is not finite: {exc}") from None
 
@@ -237,16 +237,42 @@ class SgRepresentation:
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
         """The largest max-abs distance of M(ab) from M(a)M(b) and its first pair.
 
-        Matrices are stacked block by block in the table's promoted
-        dtype, so no second copy of the table is kept.
+        Each column block is stacked into buffers allocated once per
+        scan, which also take the product, the difference and its
+        magnitude, so no second copy of the table is kept and no block
+        allocates a matrix.  With m = max|entry| taken once per scan, an
+        integer table is multiplied in float64 buffers, exactly, when
+        every entry of a difference, at most m + m^2 dim, is below 2^53;
+        past that in int64 by :func:`_matmul`, which refuses a possible
+        overflow.  Float overflow raises NonFiniteProduct.
         """
         images = list(self.table.values())
         dtype = reduce(np.promote_types, {m.dtype for m in images})
+        exact = bool(np.issubdtype(dtype, np.integer))
+        m = max(map(_int_max_abs, images)) if exact else 0
+        if exact and m * (m * self.dim + 1) < 2**53:
+            dtype = np.dtype(np.float64)
+        dim = self.dim
 
-        def block(indices: np.ndarray) -> np.ndarray:
-            return np.array([images[i] for i in indices], dtype=dtype)
+        def scanner(width: int) -> Callable[[int, np.ndarray, int], np.ndarray]:
+            fa = np.empty((dim, dim), dtype)
+            targets, operands, product = np.empty((3, width, dim, dim), dtype)
+            magnitude = np.empty((width, dim, dim), fa.real.dtype)
 
-        return _worst_pair(self.table, block, _matmul, _distances)
+            def distances(a: int, indices: np.ndarray, lo: int) -> np.ndarray:
+                k = len(indices)
+                fa[...] = images[a]
+                np.concatenate([images[i] for i in indices.tolist()], out=targets[:k].reshape(k * dim, dim))
+                np.concatenate(images[lo : lo + k], out=operands[:k].reshape(k * dim, dim))
+                if dtype.kind in "iu":
+                    return _distances(targets[:k], _matmul(fa, operands[:k]))
+                _finite(np.matmul, fa, operands[:k], out=product[:k])
+                _finite(np.subtract, targets[:k], product[:k], out=product[:k])
+                return np.abs(product[:k], out=magnitude[:k]).max(axis=(1, 2), initial=0)
+
+            return distances
+
+        return _worst_pair(self.table, dim * dim * dtype.itemsize, scanner, exact)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         return _worst_case((_distance(self.table[a.star()], adjoint(m)), (a,)) for a, m in self.table.items())

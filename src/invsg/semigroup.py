@@ -31,7 +31,7 @@ D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 ROW_BLOCK = 128  # rows per block of Light's test: bounds its temporaries
-SCAN_BYTES = 1 << 17  # bytes per block of a pair scan or a table build: bounds their temporaries
+SCAN_BYTES = 1 << 17  # bytes per block of a table build, or per buffer of a pair scan (allocated once per scan)
 
 
 class CapExceeded(ValueError):
@@ -204,10 +204,14 @@ def multiplication_tables(
     """Index-based product and involution tables over an enumerated semigroup.
 
     Returns (mult, star, unit_index) where mult[i, j] is the index of
-    elements[i] * elements[j] and star[i] the index of elements[i]^*.
-    Vectorized: one left-translation lookup table per group element
-    turns every product into array indexing, in row blocks of about
-    SCAN_BYTES.
+    elements[i] * elements[j] and star[i] the index of elements[i]^*,
+    or n = len(elements) where the involution leaves the list.  Both are
+    index arrays in the narrowest unsigned dtype holding n, so cast them
+    (to int64, say) before any arithmetic.  Vectorized: one
+    left-translation lookup table per group element turns every product
+    into array indexing, in row blocks of about SCAN_BYTES; no n x n
+    int64 array is built.  Raises ValueError if the list is not closed
+    under multiplication.
     """
     group = elements[0].group
     p = group.order
@@ -219,21 +223,22 @@ def multiplication_tables(
     bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
     translate = (bits << group_mul[:, :, None]).sum(axis=1)  # translate[s, mask] = s . mask
 
-    # dense (support, degree) -> index lookup; -1 marks non-elements
+    # dense (support, degree) -> index lookup; n marks non-elements
     key_of = supports * p + degrees
-    index_of = np.full((1 << p) * p, -1, dtype=np.int64)
+    index_of = np.full((1 << p) * p, n, dtype=np.min_scalar_type(n))
     index_of[key_of] = np.arange(n)
 
     moved = translate[:, supports]  # moved[s, j] = s . support_j
     degs = group_mul[:, degrees]    # degs[s, j] = s * degree_j
-    mult = np.empty((n, n), dtype=np.int64)
+    mult = np.empty((n, n), dtype=index_of.dtype)
     step = max(1, SCAN_BYTES // (8 * n))  # rows per block
     for lo in range(0, n, step):
         rows = degrees[lo : lo + step]
         sup = supports[lo : lo + step, None] | moved[rows]
-        mult[lo : lo + step] = index_of[sup * p + degs[rows]]
-    if (mult < 0).any():
-        raise ValueError("element list is not closed under multiplication")
+        block = mult[lo : lo + step]
+        np.take(index_of, sup * p + degs[rows], out=block, mode="clip")  # keys are in range
+        if (block == n).any():
+            raise ValueError("element list is not closed under multiplication")
 
     inverses = np.array(group.inverses, dtype=np.int64)
     star_deg = inverses[degrees]
@@ -289,7 +294,6 @@ def verify_inverse_semigroup(
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
     mult, star_idx, unit_idx = multiplication_tables(elements)
-    mult = mult.astype(np.min_scalar_type(n))
 
     # associativity: the generation scan, then Light's test per generator
     index = {a: i for i, a in enumerate(elements)}
@@ -436,40 +440,42 @@ def universal_extension(
 
 def _worst_pair(
     table: Mapping[SgElement, T],
-    block: Callable[[np.ndarray], np.ndarray],
-    times: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    item_bytes: int,
+    scanner: Callable[[int], Callable[[int, np.ndarray, int], np.ndarray]],
+    exact: bool,
 ) -> tuple[float, tuple[SgElement, SgElement] | None]:
     """Multiplicativity of a table over a closed set of elements.
 
     The largest distance of f(ab) from f(a)f(b) and the first pair
     (a, b), in the table's order row by row, attaining it; (0.0, None)
-    when every distance is 0.  ``block(indices)`` stacks the images at
-    the given table indices along a new first axis, ``times(fa, fbs)``
-    is f(a) times each image of a stack and ``distance(xs, ys)`` the
-    distance of each stacked pair.  Each row runs in blocks of columns
-    holding about SCAN_BYTES of images; products are looked up in
-    the :func:`multiplication_tables` index table.  A boolean distance
-    stops the scan at its first True pair, which already attains the
-    maximum.  Private, so a trace charges the scan to its caller.
+    when every distance is 0.  Each row runs in blocks of ``width``
+    columns, whose images take about SCAN_BYTES at ``item_bytes`` each.
+    ``scanner(width)`` is called once, before any row, so it can
+    allocate the buffers of every block, and returns
+    ``distances(a, targets, lo)``: for each k the distance of the image
+    at index targets[k] (that is, of f(ab) for b at index lo + k) from
+    f(a) times the image of b.
+    Products are looked up in the :func:`multiplication_tables` index
+    table.  A boolean distance stops the scan at its first True pair,
+    which already attains the maximum.  Private, so a trace charges the
+    scan to its caller.
 
-    Integer images are exact and ``times`` associative, so if the table
-    holds every generator [t] (and so all of S(G)) and their rows pass,
-    f(bx) = f(b)f(x) for every b by induction on word length: (0.0, None)
-    from p rows.  Otherwise the full scan runs.
+    An ``exact`` table has integer images, multiplied exactly and so
+    associatively: if it holds every generator [t] (and so all of S(G))
+    and their rows pass, f(bx) = f(b)f(x) for every b by induction on
+    word length: (0.0, None) from p rows.  Otherwise the full scan runs.
     """
     elements = list(table)
     n = len(elements)
     mult = multiplication_tables(elements)[0]
+    width = min(n, max(1, SCAN_BYTES // max(item_bytes, 1)))
+    distances = scanner(width)
 
     def scan(rows: Iterable[int]) -> tuple[float, tuple[SgElement, SgElement] | None]:
         worst, witness = 0.0, None
         for a in rows:
-            fa = block(np.array([a]))[0]
-            step = max(1, SCAN_BYTES // max(fa.nbytes, 1))
-            for lo in range(0, n, step):
-                cols = np.arange(lo, min(lo + step, n))
-                d = distance(block(mult[a, cols]), times(fa, block(cols)))
+            for lo in range(0, n, width):
+                d = distances(a, mult[a, lo : lo + width], lo)
                 j = int(np.argmax(d))
                 if d[j] > worst:
                     worst, witness = float(d[j]), (elements[a], elements[lo + j])
@@ -477,7 +483,7 @@ def _worst_pair(
                         return worst, witness
         return worst, witness
 
-    if n and np.issubdtype(block(np.array([0])).dtype, np.integer):
+    if exact:
         g = elements[0].group
         rows = [i for i, a in enumerate(elements) if a == generator(g, a.degree)]
         if len(rows) == g.order and scan(rows)[1] is None:

@@ -156,6 +156,18 @@ def test_rep_pipeline(tmp_path, capsys):
     assert data["count"] == 3 and data["dim"] == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, tol):
+    """NaN passed nothing, inf printed the non-JSON Infinity and -1 failed
+    an exact rep: each is refused when the arguments are parsed."""
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(2)))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_dict(rep)))
+    for command in ("validate", "extend"):
+        code, out, err = invoke(capsys, "rep", command, str(path), "--tol", tol, "--json")
+        assert code == 2 and out == "" and "--tol" in err and "finite number >= 0" in err
+
+
 def test_rep_validate_rejects_bad_rep(tmp_path, capsys):
     g = cyclic(2)
     bad = {

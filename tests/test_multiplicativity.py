@@ -6,6 +6,7 @@ deviation and the same first witness, in the table's row-major order,
 as the loop over every pair below, whatever the column blocks.
 """
 
+import math
 import operator
 import time
 
@@ -49,6 +50,30 @@ def _matrix_distance(x, y):
     return max_abs(x - y)
 
 
+def _record_blocks(monkeypatch, module):
+    """Record (row, first column) of every block that the pair scan
+    behind ``module``'s multiplicativity check computes, and the scan's
+    (deviation, witness)."""
+    blocks, results = [], []
+    real = semigroup._worst_pair
+
+    def spy(table, item_bytes, scanner, exact):
+        def recording(width):
+            distances = scanner(width)
+
+            def recorded(a, targets, lo):
+                blocks.append((a, lo))
+                return distances(a, targets, lo)
+
+            return recorded
+
+        results.append(real(table, item_bytes, recording, exact))
+        return results[-1]
+
+    monkeypatch.setattr(module, "_worst_pair", spy)
+    return blocks, results
+
+
 def _columns_per_block(monkeypatch, image_bytes, columns):
     """Make the scan run ``columns`` columns per block (None: the default)."""
     if columns is not None:
@@ -84,7 +109,7 @@ def _positions(n, columns):
 def test_one_corrupted_image_matches_the_reference(monkeypatch, g, columns):
     """The last defined point dropped from one image of the action table."""
     set_size = 1 << (g.order - 1)
-    _columns_per_block(monkeypatch, 8 * (set_size + 1), columns)
+    _columns_per_block(monkeypatch, np.min_scalar_type(set_size).itemsize * (set_size + 1), columns)
     for pos in _positions(len(semigroup.enumerate_semigroup(g)), columns):
         inv_action = to_inverse_action(bernoulli_partial_action(g))
         table = inv_action.table()
@@ -115,13 +140,19 @@ def test_one_corrupted_entry_matches_the_reference(monkeypatch, g, columns):
         assert sgrep.max_multiplicative_deviation() == expected
 
 
-@pytest.mark.parametrize("columns", COLUMNS)
-def test_float_noise_matches_the_reference_bit_for_bit(monkeypatch, columns):
+@pytest.mark.parametrize(
+    "dtype, columns",
+    [(np.float64, c) for c in COLUMNS] + [(np.complex128, c) for c in COLUMNS],
+    ids=[str(c) for c in COLUMNS] + [f"complex-{c}" for c in COLUMNS],
+)
+def test_float_noise_matches_the_reference_bit_for_bit(monkeypatch, dtype, columns):
     g = klein_four()
     ext = _bernoulli_rep_table(g)
-    _columns_per_block(monkeypatch, 8 * ext.dim * ext.dim, columns)
+    _columns_per_block(monkeypatch, np.dtype(dtype).itemsize * ext.dim * ext.dim, columns)
     rng = np.random.default_rng(0)
-    noisy = {a: m + rng.normal(scale=1e-12, size=m.shape) for a, m in ext.table.items()}
+    noisy = {a: m + rng.normal(scale=1e-12, size=m.shape).astype(dtype) for a, m in ext.table.items()}
+    if dtype is np.complex128:
+        noisy = {a: m + 1j * rng.normal(scale=1e-12, size=m.shape) for a, m in noisy.items()}
     deviation, witness = SgRepresentation(g, ext.dim, noisy).max_multiplicative_deviation()
     assert 0.0 < deviation < 1e-10
     assert (deviation, witness) == _pairwise(noisy, operator.matmul, _matrix_distance)
@@ -168,6 +199,42 @@ def test_large_integer_entries_stay_exact():
         SgRepresentation(ext.group, ext.dim, huge).max_multiplicative_deviation()
 
 
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("past", [False, True], ids=["float64", "int64"])
+def test_random_integer_tables_match_the_reference_on_both_sides_of_2_53(monkeypatch, past, columns):
+    """max|entry| m at the largest m whose differences, at most
+    m + m^2 dim, stay below 2^53, where the scan multiplies in float64
+    buffers, and at m + 1, just past it, where ``_matmul`` multiplies in
+    int64: the same deviation and witness as the reference either way."""
+    g, dim = cyclic(3), 4
+    m = math.isqrt(2**53 // dim)
+    while m * (m * dim + 1) >= 2**53:
+        m -= 1
+    assert (m + 1) * ((m + 1) * dim + 1) >= 2**53
+    _columns_per_block(monkeypatch, 8 * dim * dim, columns)
+    rng = np.random.default_rng(4)
+    table = {a: rng.integers(-m, m + past, size=(dim, dim), endpoint=True) for a in semigroup.enumerate_semigroup(g)}
+    next(iter(table.values()))[0, 0] = m + past  # max|entry|
+    expected = _pairwise(table, operator.matmul, _matrix_distance)
+    products = []
+
+    def spy(x, y):
+        products.append(x.dtype)
+        return _matmul(x, y)
+
+    monkeypatch.setattr(reps, "_matmul", spy)
+    assert SgRepresentation(g, dim, table).max_multiplicative_deviation() == expected
+    assert expected[0] > 0 and set(products) == ({np.dtype(np.int64)} if past else set())
+
+
+def test_float_overflow_in_the_scan_raises():
+    """The 0/1 table times 1e300: every product overflows float64."""
+    ext = _bernoulli_rep_table(cyclic(3))
+    table = {a: m * 1e300 for a, m in ext.table.items()}
+    with pytest.raises(reps.NonFiniteProduct, match="overflow"):
+        SgRepresentation(ext.group, ext.dim, table).max_multiplicative_deviation()
+
+
 def test_empty_images():
     """Dimension 0 and ground-set size 0: every distance is 0."""
     g = cyclic(3)
@@ -188,7 +255,7 @@ def test_order_8_bernoulli_round_trip(g):
     assert elapsed < 1.0
 
 
-def test_action_scan_stops_at_the_first_failing_pair():
+def test_action_scan_stops_at_the_first_failing_pair(monkeypatch):
     """One image of the unit corrupted in the cyclic:8 Bernoulli table:
     the witness is the first failing pair in row-major order, and the
     scan ends inside row 0 instead of covering all 331,776 pairs."""
@@ -202,19 +269,13 @@ def test_action_scan_stops_at_the_first_failing_pair():
     expected = next((a, b) for a in table for b in table if table[a * b] != table[a] * table[b])
     assert expected[0] == unit
 
-    stacked = np.array([[-1 if v is None else v for v in f.mapping] + [-1] for f in table.values()])
-    calls = []
-
-    def block(indices):
-        calls.append(len(indices))
-        return stacked[indices]
-
-    assert semigroup._worst_pair(table, block, actions._compose, actions._differ) == (1.0, expected)
-    # one call for f(a), then two per column block, all in row 0
-    n = len(table)
-    step = semigroup.SCAN_BYTES // stacked[0].nbytes
-    assert len(calls) <= 1 + 2 * -(-n // step)
+    blocks, results = _record_blocks(monkeypatch, actions)
     assert inv_action.check_multiplicative() == expected
+    assert results == [(1.0, expected)]
+    # all in row 0, which both the generator rows and the full scan start with
+    assert blocks and all(a == 0 for a, _ in blocks)
+    row_bytes = np.min_scalar_type(128).itemsize * 129  # 128 points and the marker column
+    assert len(blocks) <= 2 * -(-len(table) // (semigroup.SCAN_BYTES // row_bytes))
 
 
 def _corrupt_action_image(table, a):
@@ -250,23 +311,18 @@ def test_every_corrupted_image_is_caught(g):
         assert SgRepresentation(g, ext.dim, table).max_multiplicative_deviation() == expected
 
 
-def test_a_table_without_the_generators_gets_the_full_scan():
+def test_a_table_without_the_generators_gets_the_full_scan(monkeypatch):
     """The idempotents are closed but hold only the generator [e], the
     unit: every row is scanned, and a corrupted idempotent, which the
     unit row cannot see, is found as in the reference."""
     g = klein_four()
     inv_action = to_inverse_action(bernoulli_partial_action(g))
     action_table = {a: f for a, f in inv_action.table().items() if a.is_idempotent()}
-    stacked = np.array([[-1 if v is None else v for v in f.mapping] + [-1] for f in action_table.values()])
-    rows = []
-
-    def block(indices):
-        if len(indices) == 1:
-            rows.append(int(indices[0]))
-        return stacked[indices]
-
-    assert semigroup._worst_pair(action_table, block, actions._compose, actions._differ) == (0.0, None)
-    assert sorted(set(rows)) == list(range(len(action_table)))
+    monkeypatch.setattr(inv_action, "table", lambda: action_table)
+    blocks, results = _record_blocks(monkeypatch, actions)
+    assert inv_action.check_multiplicative() is None
+    assert results == [(0.0, None)]
+    assert sorted({a for a, _ in blocks}) == list(range(len(action_table)))
 
     rep_table = {a: m for a, m in _bernoulli_rep_table(g).table.items() if a.is_idempotent()}
     a = list(rep_table)[-1]
@@ -279,23 +335,16 @@ def test_a_table_without_the_generators_gets_the_full_scan():
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-def test_only_integer_tables_are_certified_on_the_generator_rows(dtype):
+def test_only_integer_tables_are_certified_on_the_generator_rows(monkeypatch, dtype):
     """A valid 0/1 table: as int64 only its p generator rows are
     scanned, as float64 every row is."""
     g = klein_four()
     table = {a: m.astype(dtype) for a, m in _bernoulli_rep_table(g).table.items()}
-    images = np.array(list(table.values()))
-    rows = []
-
-    def block(indices):
-        if len(indices) == 1:
-            rows.append(int(indices[0]))
-        return images[indices]
-
-    assert semigroup._worst_pair(table, block, _matmul, reps._distances) == (0.0, None)
+    blocks, _ = _record_blocks(monkeypatch, reps)
+    assert SgRepresentation(g, 8, table).max_multiplicative_deviation() == (0.0, None)
     index = {a: i for i, a in enumerate(table)}
     generators = {index[semigroup.generator(g, t)] for t in g.elements()}
-    assert set(rows) == (generators if dtype is np.int64 else set(range(len(table))))
+    assert {a for a, _ in blocks} == (generators if dtype is np.int64 else set(range(len(table))))
 
 
 @pytest.mark.parametrize("g", [cyclic(8), dihedral(4)], ids=["cyclic8", "dihedral4"])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,17 +186,50 @@ def test_enumerate_closed_under_product_and_star():
 
 
 def test_multiplication_tables_match_the_product(monkeypatch):
-    # small blocks, so each table is filled over many blocks of 1 to 6 rows
+    # small blocks, so each table is filled over many blocks of 1 to 6 rows;
+    # the index dtype is the narrowest holding the marker n: n = 256 needs uint16
     monkeypatch.setattr(semigroup, "SCAN_BYTES", 1000)
-    for g in (klein_four(), dihedral(3), relabelled(cyclic(5), [3, 0, 4, 1, 2])):
+    for g, dtype in (
+        (klein_four(), np.uint8),
+        (dihedral(3), np.uint8),
+        (relabelled(cyclic(5), [3, 0, 4, 1, 2]), np.uint8),
+        (cyclic(7), np.uint16),
+    ):
         elements = enumerate_semigroup(g)
         mult, star, unit_index = multiplication_tables(elements)
+        assert mult.dtype == star.dtype == dtype
         index = {a: i for i, a in enumerate(elements)}
         assert mult.tolist() == [[index[a * b] for b in elements] for a in elements]
         assert star.tolist() == [index[a.star()] for a in elements]
         assert elements[unit_index] == unit(g)
-    with pytest.raises(ValueError, match="not closed"):
-        multiplication_tables([generator(klein_four(), t) for t in range(4)])
+    # not closed at both widths; at n = 255 the marker is the largest uint8
+    for elements in (
+        [generator(klein_four(), t) for t in range(4)],
+        enumerate_semigroup(cyclic(7))[:-1],
+        enumerate_semigroup(cyclic(8))[:-1],
+    ):
+        with pytest.raises(ValueError, match="not closed"):
+            multiplication_tables(elements)
+
+
+def test_certificate_peak_memory_at_order_10():
+    """The uint16 table of cyclic(10) takes 15.1 MiB and is built without
+    an int64 one (63 MiB): the traced peak of the whole certificate
+    stays under 24 MiB, and the report is the one it has always been."""
+    tracemalloc.start()
+    try:
+        report = verify_inverse_semigroup(cyclic(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert report.passed and report.size == 2816
+    assert [(c.name, c.checked, c.counterexample) for c in report.checks] == [
+        ("associativity", 79326720, None),
+        ("involution identities", 2816, None),
+        ("unique inverses", 7929856, None),
+        ("idempotents commute", 262144, None),
+    ]
 
 
 def test_order_formula():
