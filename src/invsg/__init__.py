@@ -31,6 +31,7 @@ from .groups import (
 from .semigroup import (
     CapExceeded,
     ConditionsViolated,
+    Counterexample,
     SgElement,
     act_on_subset,
     enumerate_semigroup,

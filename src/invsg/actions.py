@@ -9,9 +9,10 @@ implemented as independent validators, and the translation to and from
 homomorphisms of the universal inverse semigroup is exact.
 
 The triple-product laws, the extension formula and the multiplicativity
-scan shared with :mod:`invsg.reps` are ``semigroup.law_distances``,
-``semigroup.extension_formula`` and ``semigroup._worst_pair``, used here
-with composition as the product and ``!=`` as the distance.
+scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
+``semigroup._derived_law``, ``semigroup.extension_formula`` and
+``semigroup._worst_pair``, used here with composition as the product and
+``!=`` as the distance.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
+    Counterexample,
     SgElement,
     _check_cap,
+    _derived_law,
+    _triple_law,
     _worst_pair,
     enumerate_semigroup,
     extension_formula,
     generator,
     identity_masks,
-    law_distances,
     unit,
 )
 
@@ -44,12 +47,8 @@ class InvalidGroupAction(ValueError):
     """A claimed permutation action fails to be one."""
 
 
-class NotMultiplicative(ValueError):
-    """A claimed semigroup action fails multiplicativity; carries the pair."""
-
-    def __init__(self, message: str, witness: tuple):
-        super().__init__(message)
-        self.witness = witness
+class NotMultiplicative(Counterexample):
+    """A claimed semigroup action fails multiplicativity; the witness is the pair."""
 
 
 class PartialBijection:
@@ -250,20 +249,13 @@ def validate_semigroup_form(action: PartialAction) -> ActionReport:
     (ii) theta[e] == id,
     and the derived (iii) theta[s^-1] theta[s] theta[t] == theta[s^-1] theta[st].
     """
-    g = action.group
-    triple: list[AxiomFailure] = []
-    derived: list[AxiomFailure] = []
-    for s, t, bad_triple, bad_derived in law_distances(g, action.theta, operator.mul, operator.ne):
-        if bad_triple:
-            triple.append(AxiomFailure("triple product", (s, t)))
-        if bad_derived:
-            derived.append(AxiomFailure("derived triple product", (s, t)))
-
-    identity = []
-    if action.theta[g.identity] != PartialBijection.identity(action.set_size):
-        identity.append(AxiomFailure("identity", (g.identity,)))
-
-    failures = triple + identity + derived
+    g, theta = action.group, action.theta
+    triple = _triple_law(g, theta, operator.mul, operator.ne)
+    derived = _derived_law(g, theta, operator.mul, operator.ne)
+    failures = [AxiomFailure("triple product", (s, t)) for s, t, bad in triple if bad]
+    if theta[g.identity] != PartialBijection.identity(action.set_size):
+        failures.append(AxiomFailure("identity", (g.identity,)))
+    failures += [AxiomFailure("derived triple product", (s, t)) for s, t, bad in derived if bad]
     return ActionReport(failures)
 
 

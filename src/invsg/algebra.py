@@ -163,12 +163,10 @@ def center(a: StructureAlgebra) -> list[np.ndarray]:
 @dataclass
 class BlockDecomposition:
     """Sorted matrix-block sizes with the matching central primitive
-    idempotents and, per block, the eigenvalue of the random central
-    element that split it off (1 where no split was needed)."""
+    idempotents and a bound on their residual."""
 
     blocks: tuple[int, ...]
     idempotents: list[np.ndarray]
-    eigenvalues: tuple[complex, ...]
     residual: float
 
     @property
@@ -176,89 +174,91 @@ class BlockDecomposition:
         return int(sum(b * b for b in self.blocks))
 
 
+def _split_group_algebra(a: StructureAlgebra, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(blocks, idempotent columns, residual) of a group algebra CH: the
+    eigenvectors w of a random central element on the center are its
+    central primitive idempotents up to scale (w^2 = mu w, e = w / mu), a
+    block of size m has m^2 = trace(L_e) = |H| e[1], and ``residual``
+    bounds every e_i e_j - delta_ij e_i.  Raises as :func:`wedderburn`."""
+    n, kb = a.dim, np.array(center(a)).T
+    k = kb.shape[1]
+    pairs = multiply_elements(a, kb.repeat(k, axis=1), kb[:, np.arange(k * k) % k])
+    pairs = pairs.reshape(n, k, k)  # kb_i kb_j: the structure constants of the center
+    z = np.random.default_rng(seed).uniform(size=k)  # coordinates of z in kb
+    eigs, vecs = np.linalg.eig(kb.T @ (pairs @ z))
+    dist = np.abs(np.subtract.outer(eigs, eigs)) + np.diag(np.full(k, np.inf))
+    gap = float(dist.min() / np.abs(eigs).max())
+    if gap < BLOCK_TOL:
+        message = f"relative eigenvalue gap {gap:.3e} is below {BLOCK_TOL:.1e}; reseed"
+        raise EigenvalueClusterAmbiguous(message, gap)
+    w, ww = kb @ vecs, vecs.T @ pairs @ vecs  # ww[:, i, j] = w_i w_j
+    scale = np.sum(np.abs(w) ** 2, axis=0) / np.sum(w.conj() * ww.diagonal(0, 1, 2), axis=0)
+    e = w * scale  # w / mu
+    traces = n * e[a.unit_index]
+    roots = np.rint(np.sqrt(np.abs(traces.real)))
+    error = float(np.max(np.abs(traces - roots**2)))
+    if error > BLOCK_TOL * n or roots.min() < 1:
+        raise NonIntegerBlockDim(
+            f"block traces are not all positive perfect squares: worst integrality "
+            f"error {error:.3e}, smallest trace {traces.real.min():.3e}", error
+        )
+    prod = ww * np.outer(scale, scale)  # e_i e_j
+    prod[:, np.arange(k), np.arange(k)] -= e
+    return roots.astype(np.int64), e, float(np.max(np.abs(prod)))
+
+
 def wedderburn(a: StructureAlgebra, seed: int = 0) -> BlockDecomposition:
     """Block decomposition of a (semisimple) structure algebra.
 
-    A group algebra CH is split numerically: the eigenvectors w of a
-    random central element on the center are the central primitive
-    idempotents up to scale (w^2 = mu w, e = w / mu), and a block of size
-    m has m^2 = trace(L_e) = |H| e[1].  Otherwise, in the groupoid basis
-    of :func:`_orbit_sums`, a D-class D of idempotents is M_|D|(CH), with
-    H the loops at its head, the least object one arrow from each: a
-    block |D| m per block m of CH, whose idempotent puts its value at g
-    on the orbit of g.  CH is split once per table, and only if |H| > 1.
+    In the groupoid basis of :func:`_orbit_sums`, a D-class D of
+    idempotents is M_|D|(CH), with H the loops at its head, the least
+    object one arrow from each: a block |D| m per block m of CH, whose
+    idempotent puts its value at g on the orbit of g.  A group algebra is
+    one D-class whose H is the whole group.  CH is split numerically by
+    :func:`_split_group_algebra`, once per table, and only if |H| > 1.
 
     Raises EigenvalueClusterAmbiguous when two eigenvalues lie within a
     relative distance ``BLOCK_TOL`` (reseed), and NonIntegerBlockDim when
     a trace lies farther than ``BLOCK_TOL * |H|`` from a positive perfect
     square or the squared blocks do not add up to the dimension.
-    ``residual`` bounds every e_i e_j - delta_ij e_i: directly for CH, else
-    by each CH's, sum e_i - 1 and e_i^2 - e_i, as D-classes are disjoint.
+    ``residual``, the worst of each CH's, of sum e_i - 1 and of
+    e_i^2 - e_i, bounds every e_i e_j - delta_ij e_i, as D-classes are
+    disjoint.
     """
-    n, error = a.dim, float("nan")
+    n = a.dim
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        if (a.mult[a.star, np.arange(n)] == a.unit_index).all():  # s*s = 1 for all s: CH
-            kb = np.array(center(a)).T
-            k = kb.shape[1]
-            pairs = multiply_elements(a, kb.repeat(k, axis=1), kb[:, np.arange(k * k) % k])
-            pairs = pairs.reshape(n, k, k)  # kb_i kb_j: the structure constants of the center
-            z = np.random.default_rng(seed).uniform(size=k)  # coordinates of z in kb
-            eigs, vecs = np.linalg.eig(kb.T @ (pairs @ z))
-            dist = np.abs(np.subtract.outer(eigs, eigs)) + np.diag(np.full(k, np.inf))
-            gap = float(dist.min() / np.abs(eigs).max())
-            if gap < BLOCK_TOL:
-                raise EigenvalueClusterAmbiguous(
-                    f"relative eigenvalue gap {gap:.3e} is below {BLOCK_TOL:.1e}; reseed", gap
-                )
-            w, ww = kb @ vecs, vecs.T @ pairs @ vecs  # ww[:, i, j] = w_i w_j
-            scale = np.sum(np.abs(w) ** 2, axis=0) / np.sum(w.conj() * ww.diagonal(0, 1, 2), axis=0)
-            e = w * scale  # w / mu
-            traces = n * e[a.unit_index]
-            roots = np.rint(np.sqrt(np.abs(traces.real)))
-            error = float(np.max(np.abs(traces - roots**2)))
-            if error > BLOCK_TOL * n or roots.min() < 1:
-                raise NonIntegerBlockDim(
-                    f"block traces are not all positive perfect squares: worst integrality "
-                    f"error {error:.3e}, smallest trace {traces.real.min():.3e}", error
-                )
-            prod = ww * np.outer(scale, scale)  # e_i e_j
-            prod[:, np.arange(k), np.arange(k)] -= e
-            residual = float(np.max(np.abs(prod)))
-        else:
-            x, r, d, orbit = _orbit_sums(a)
-            label = np.full(n, n)
-            np.minimum.at(label, d, r)  # the head of each object
-            count = np.bincount(label[r == np.arange(n)], minlength=n)  # |D| at each head
-            heads = np.flatnonzero(count)
-            loops = np.flatnonzero((d == r) & (label[r] == r))  # the maximal subgroups
-            owner = heads.searchsorted(r[loops])
-            trivial = np.bincount(owner) == 1  # one block of size |D|, its coefficient 1
-            coeffs = [np.eye(x.shape[1])[:, orbit[heads[trivial]]]]  # the orbit of each head
-            blocks, eigs, splits = [count[heads[trivial]]], [np.ones(coeffs[0].shape[1])], {}
-            for c, head in zip(np.flatnonzero(~trivial), heads[~trivial]):
-                h = loops[owner == c]
-                table = h.searchsorted(a.mult[h[:, None], h])
-                key = table.tobytes()
-                if key not in splits:
-                    unit, inverses = int(h.searchsorted(head)), tuple(h.searchsorted(a.star[h]).tolist())
-                    sub = FiniteGroup(tuple(map(tuple, table.tolist())), unit, inverses)
-                    splits[key] = wedderburn(group_algebra(sub), seed)
-                split = splits[key]
-                coeffs.append(np.zeros((x.shape[1], len(split.blocks)), dtype=np.complex128))
-                coeffs[-1][orbit[h]] = np.array(split.idempotents).T
-                blocks.append(count[head] * np.array(split.blocks))
-                eigs.append(split.eigenvalues)
-            roots, eigs = np.concatenate(blocks), np.concatenate(eigs)
-            e = x @ np.hstack(coeffs)
-            unit_error = np.max(np.abs(e.sum(axis=1) - a.unit_vector()))
-            square_error = np.max(np.abs(multiply_elements(a, e, e) - e))
-            residual = float(max([unit_error, square_error] + [s.residual for s in splits.values()]))
+        x, r, d, orbit = _orbit_sums(a)
+        label = np.full(n, n)
+        np.minimum.at(label, d, r)  # the head of each object
+        count = np.bincount(label[r == np.arange(n)], minlength=n)  # |D| at each head
+        heads = np.flatnonzero(count)
+        loops = np.flatnonzero((d == r) & (label[r] == r))  # the maximal subgroups
+        owner = heads.searchsorted(r[loops])
+        trivial = np.bincount(owner) == 1  # one block of size |D|, its coefficient 1
+        coeffs = [np.eye(x.shape[1])[:, orbit[heads[trivial]]]]  # the orbit of each head
+        blocks, splits = [count[heads[trivial]]], {}
+        for c, head in zip(np.flatnonzero(~trivial), heads[~trivial]):
+            h = loops[owner == c]
+            table = h.searchsorted(a.mult[h[:, None], h])
+            key = table.tobytes()
+            if key not in splits:
+                unit, inverses = int(h.searchsorted(head)), tuple(h.searchsorted(a.star[h]).tolist())
+                sub = FiniteGroup(tuple(map(tuple, table.tolist())), unit, inverses)
+                splits[key] = _split_group_algebra(group_algebra(sub), seed)
+            roots, idempotents, _ = splits[key]
+            coeffs.append(np.zeros((x.shape[1], len(roots)), dtype=np.complex128))
+            coeffs[-1][orbit[h]] = idempotents
+            blocks.append(count[head] * roots)
+        roots = np.concatenate(blocks)
         if int(np.sum(roots**2)) != n:
-            raise NonIntegerBlockDim(f"squared blocks sum to {int((roots**2).sum())}, not {n}", error)
+            raise NonIntegerBlockDim(f"squared blocks sum to {int((roots**2).sum())}, not {n}")
+        e = x @ np.hstack(coeffs)
+        unit_error = np.max(np.abs(e.sum(axis=1) - a.unit_vector()))
+        square_error = np.max(np.abs(multiply_elements(a, e, e) - e))
+        residual = float(max([unit_error, square_error] + [s[2] for s in splits.values()]))
 
     order = np.argsort(roots, kind="stable")
-    blocks, eigenvalues = tuple(map(int, roots[order])), tuple(map(complex, eigs[order]))
-    return BlockDecomposition(blocks, list(e.T[order]), eigenvalues, residual)
+    return BlockDecomposition(tuple(map(int, roots[order])), list(e.T[order]), residual)
 
 
 def generator_index(a: StructureAlgebra, t: int) -> int:

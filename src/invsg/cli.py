@@ -28,10 +28,8 @@ from . import actions, algebra, graded, groups, reps, semigroup
 DOMAIN_ERRORS = (
     groups.GroupTableError,
     semigroup.CapExceeded,
-    semigroup.ConditionsViolated,
+    semigroup.Counterexample,  # ConditionsViolated, NotMultiplicative, NotRepresentation: with a witness
     actions.InvalidGroupAction,
-    actions.NotMultiplicative,
-    reps.NotRepresentation,
     reps.NonFiniteProduct,
     algebra.EigenvalueClusterAmbiguous,
     algebra.NonIntegerBlockDim,

@@ -9,7 +9,8 @@ isometry.  Matrices coming from partial actions are 0/1 and all checks
 on them are exact; elsewhere a max-entry tolerance applies.
 
 The triple-product laws, the extension formula and the multiplicativity
-scan shared with :mod:`invsg.actions` are ``semigroup.law_distances``,
+scan shared with :mod:`invsg.actions` are ``semigroup._triple_law`` (the
+derived law ``semigroup._derived_law`` is not reported here),
 ``semigroup.extension_formula`` and ``semigroup._worst_pair``, used here
 with the matrix product and the max-abs distance.
 """
@@ -25,12 +26,13 @@ import numpy as np
 from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
+    Counterexample,
     SgElement,
+    _triple_law,
     _worst_pair,
     enumerate_semigroup,
     extension_formula,
     generator,
-    law_distances,
 )
 from .actions import PartialAction
 
@@ -51,12 +53,8 @@ def _finite(op: Callable[..., np.ndarray], *args: np.ndarray, **kwargs) -> np.nd
         raise NonFiniteProduct(f"float matrix arithmetic is not finite: {exc}") from None
 
 
-class NotRepresentation(ValueError):
-    """A claimed semigroup representation fails an identity; carries the witness."""
-
-    def __init__(self, message: str, witness: tuple):
-        super().__init__(message)
-        self.witness = witness
+class NotRepresentation(Counterexample):
+    """A claimed semigroup representation fails an identity, or lacks a generator's image."""
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -101,31 +99,31 @@ def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple
     return worst, witness
 
 
+def _exact_dtype(bound: int) -> np.dtype:
+    """The dtype of exact integer arithmetic whose entries and partial
+    sums are at most ``bound`` in magnitude: float64, which goes through
+    BLAS, below 2^53, int64 below 2^63; past that a sum could wrap, so
+    ValueError."""
+    if bound < 2**53:
+        return np.dtype(np.float64)
+    if bound >= 2**63:
+        raise ValueError(f"integer matrix arithmetic may overflow int64: bound {bound} >= 2^63")
+    return np.dtype(np.int64)
+
+
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The exact product x @ y (stacks broadcast as in ``np.matmul``).
 
-    Integer operands come back as int64.  With b = max|x| * max|y| * k
-    (k the inner dimension) bounding every entry and partial sum, they
-    are multiplied in float64, which goes through BLAS and is exact,
-    when b < 2^53, and in int64 when b < 2^63; past that a sum could
-    wrap, so ValueError.  Anything else is multiplied in the operands'
-    own dtype, and NonFiniteProduct is raised if that overflows.
+    Integer operands come back as int64, multiplied in the
+    :func:`_exact_dtype` of b = max|x| * max|y| * k (k the inner
+    dimension), which bounds every entry and partial sum.  Anything else
+    is multiplied in the operands' own dtype, and NonFiniteProduct is
+    raised if that overflows.
     """
     if x.dtype.kind in "iu" and y.dtype.kind in "iu":
-        bound = _int_max_abs(x) * _int_max_abs(y) * x.shape[-1]
-        if bound < 2**53:
-            return np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
-        if bound >= 2**63:
-            raise ValueError(
-                f"integer matrix product may overflow int64: max|x| * max|y| * k = {bound} >= 2^63"
-            )
-        return np.matmul(x.astype(np.int64), y.astype(np.int64))
+        dtype = _exact_dtype(_int_max_abs(x) * _int_max_abs(y) * x.shape[-1])
+        return np.matmul(x.astype(dtype), y.astype(dtype)).astype(np.int64, copy=False)
     return _finite(np.matmul, x, y)
-
-
-def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Max-abs distance of each pair of stacked matrices."""
-    return np.max(_abs_diff(xs, ys), axis=(1, 2), initial=0)
 
 
 def _tolerance(matrices: Iterable[np.ndarray]) -> float:
@@ -193,8 +191,8 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
     g = rep.group
     tol = _tolerance(rep.matrices) if tol is None else tol
 
-    laws = law_distances(g, rep.matrices, _matmul, _distance)
-    dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple, _ in laws)
+    laws = _triple_law(g, rep.matrices, _matmul, _distance)
+    dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple in laws)
     dev_star, wit_star = _worst_case(
         (_distance(rep.matrices[g.inv(t)], adjoint(rep.matrices[t])), (t,)) for t in g.elements()
     )
@@ -241,17 +239,16 @@ class SgRepresentation:
         scan, which also take the product, the difference and its
         magnitude, so no second copy of the table is kept and no block
         allocates a matrix.  With m = max|entry| taken once per scan, an
-        integer table is multiplied in float64 buffers, exactly, when
-        every entry of a difference, at most m + m^2 dim, is below 2^53;
-        past that in int64 by :func:`_matmul`, which refuses a possible
-        overflow.  Float overflow raises NonFiniteProduct.
+        integer table runs in the :func:`_exact_dtype` of m + m^2 dim,
+        which bounds every entry of a difference.  Float overflow raises
+        NonFiniteProduct.
         """
         images = list(self.table.values())
         dtype = reduce(np.promote_types, {m.dtype for m in images})
         exact = bool(np.issubdtype(dtype, np.integer))
-        m = max(map(_int_max_abs, images)) if exact else 0
-        if exact and m * (m * self.dim + 1) < 2**53:
-            dtype = np.dtype(np.float64)
+        if exact:
+            m = max(map(_int_max_abs, images))
+            dtype = _exact_dtype(m * (m * self.dim + 1))
         dim = self.dim
 
         def scanner(width: int) -> Callable[[int, np.ndarray, int], np.ndarray]:
@@ -264,8 +261,6 @@ class SgRepresentation:
                 fa[...] = images[a]
                 np.concatenate([images[i] for i in indices.tolist()], out=targets[:k].reshape(k * dim, dim))
                 np.concatenate(images[lo : lo + k], out=operands[:k].reshape(k * dim, dim))
-                if dtype.kind in "iu":
-                    return _distances(targets[:k], _matmul(fa, operands[:k]))
                 _finite(np.matmul, fa, operands[:k], out=product[:k])
                 _finite(np.subtract, targets[:k], product[:k], out=product[:k])
                 return np.abs(product[:k], out=magnitude[:k]).max(axis=(1, 2), initial=0)
@@ -306,10 +301,15 @@ def extend_to_semigroup(
 def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     """Generator images of a semigroup representation, as a partial rep.
 
-    The input must be multiplicative and star-preserving, exactly when
-    every matrix has an integer dtype and else to ``FLOAT_TOL``; the
-    first worst pair or element is reported.
+    The input must hold every generator and be multiplicative and
+    star-preserving, exactly when every matrix has an integer dtype and
+    else to ``FLOAT_TOL``; the first missing generator, or the first worst
+    pair or element, is reported.
     """
+    gens = [generator(sgrep.group, t) for t in sgrep.group.elements()]
+    missing = [a for a in gens if a not in sgrep.table]
+    if missing:
+        raise NotRepresentation(f"no image of the generator {missing[0]}", (missing[0],))
     tol = _tolerance(sgrep.table.values())
     dev, witness = sgrep.max_multiplicative_deviation()
     if dev > tol:
@@ -317,9 +317,7 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     dev, witness = sgrep.max_star_deviation()
     if dev > tol:
         raise NotRepresentation(f"not star-preserving (deviation {dev:.3e})", witness or ())
-    g = sgrep.group
-    mats = [sgrep(generator(g, t)) for t in g.elements()]
-    return PartialRep(g, mats)
+    return PartialRep(sgrep.group, [sgrep(a) for a in gens])
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -38,12 +38,16 @@ class CapExceeded(ValueError):
     """An enumeration or table build would exceed its configured cap."""
 
 
-class ConditionsViolated(ValueError):
-    """A generator map fails the extension conditions; carries the witness pair."""
+class Counterexample(ValueError):
+    """A claimed identity fails; ``witness`` is the tuple of elements where it does."""
 
-    def __init__(self, message: str, witness: tuple[int, int]):
+    def __init__(self, message: str, witness: tuple):
         super().__init__(message)
         self.witness = witness
+
+
+class ConditionsViolated(Counterexample):
+    """A generator map fails the extension conditions; the witness is a pair (s, t)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,26 +363,27 @@ def verify_inverse_semigroup(
     return SemigroupReport(group.order, n, checks)
 
 
-def law_distances(
+def _triple_law(
     group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
-) -> Iterator[tuple[int, int, D, D]]:
-    """Distances of the two triple-product laws, pair by pair.
-
-    Yields (s, t, triple, derived) with s, then t, ascending, where
-    ``triple`` is the distance of f(s)f(t)f(t^-1) from f(st)f(t^-1) and
-    ``derived`` that of f(s^-1)f(s)f(t) from f(s^-1)f(st).  Lazy, so a
-    caller that stops at the first failure computes nothing past it.
-    """
+) -> Iterator[tuple[int, int, D]]:
+    """(s, t, distance of f(s)f(t)f(t^-1) from f(st)f(t^-1)), s then t
+    ascending.  Lazy, so a caller that stops at the first failure
+    computes nothing past it."""
     for s in group.elements():
         fs = images[s]
-        f_s_inv = images[group.inv(s)]
         for t in group.elements():
-            ft = images[t]
-            f_st = images[group.mul(s, t)]
             f_t_inv = images[group.inv(t)]
-            triple = distance(mul(mul(fs, ft), f_t_inv), mul(f_st, f_t_inv))
-            derived = distance(mul(mul(f_s_inv, fs), ft), mul(f_s_inv, f_st))
-            yield s, t, triple, derived
+            yield s, t, distance(mul(mul(fs, images[t]), f_t_inv), mul(images[group.mul(s, t)], f_t_inv))
+
+
+def _derived_law(
+    group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
+) -> Iterator[tuple[int, int, D]]:
+    """(s, t, distance of f(s^-1)f(s)f(t) from f(s^-1)f(st)), as :func:`_triple_law`."""
+    for s in group.elements():
+        fs, f_s_inv = images[s], images[group.inv(s)]
+        for t in group.elements():
+            yield s, t, distance(mul(mul(f_s_inv, fs), images[t]), mul(f_s_inv, images[group.mul(s, t)]))
 
 
 def check_extension_conditions(
@@ -389,19 +394,16 @@ def check_extension_conditions(
     first failure: per s, the unit law f(s)f(e) = f(s), then per t the
     derived law and the triple-product law."""
     e = group.identity
-    for s, t, triple, derived in law_distances(group, images, mul, operator.ne):
+    laws = zip(_triple_law(group, images, mul, operator.ne), _derived_law(group, images, mul, operator.ne))
+    for (s, t, triple), (_, _, derived) in laws:
         # the unit law for s comes before the first pair of its row
         if t == 0 and mul(images[s], images[e]) != images[s]:
             raise ConditionsViolated(f"f({s})f({e}) != f({s})", (s, e))
         s_inv, t_inv = group.inv(s), group.inv(t)
         if derived:
-            raise ConditionsViolated(
-                f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t)
-            )
+            raise ConditionsViolated(f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t))
         if triple:
-            raise ConditionsViolated(
-                f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t)
-            )
+            raise ConditionsViolated(f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t))
 
 
 def extension_formula(

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
 
-import numpy as np
+# One BLAS thread unless the caller chose otherwise: the wall-clock bounds
+# of the order-8 round trips must not depend on what else holds a CPU.
+# Set before numpy is first imported, which is when BLAS reads them.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from invsg.actions import PartialAction, PartialBijection, restriction_action
 from invsg.algebra import StructureAlgebra, center, group_algebra

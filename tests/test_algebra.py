@@ -304,6 +304,38 @@ def test_wedderburn_too_few_generators_raises(monkeypatch):
     assert abs(info.value.integrality_error - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "make, orders",
+    [
+        (lambda: build_algebra(klein_four()), [2, 4]),
+        (lambda: build_algebra(dihedral(3)), [2, 3, 6]),
+        (lambda: group_algebra(dihedral(3)), [6]),
+    ],
+    ids=["klein4", "dihedral:3", "group-algebra-dihedral:3"],
+)
+def test_wedderburn_splits_each_maximal_subgroup_once_without_recursing(monkeypatch, make, orders):
+    """One call of ``wedderburn`` per decomposition, through the module
+    attribute, and one numeric split per distinct nontrivial maximal
+    subgroup: Z2 and K4 in S(K4); Z2, Z3 and S3 in S(S3)."""
+    calls, splits = [], []
+    wedderburn_, split = algebra.wedderburn, algebra._split_group_algebra
+
+    def counted(a, seed=0):
+        calls.append(a)
+        return wedderburn_(a, seed)
+
+    def counted_split(a, seed):
+        splits.append(a.dim)
+        return split(a, seed)
+
+    monkeypatch.setattr(algebra, "wedderburn", counted)
+    monkeypatch.setattr(algebra, "_split_group_algebra", counted_split)
+    alg = make()
+    assert algebra.wedderburn(alg).dimension == alg.dim
+    assert calls == [alg]
+    assert sorted(splits) == orders
+
+
 def test_generator_vectors():
     g = cyclic(4)
     alg = build_algebra(g)

@@ -204,8 +204,9 @@ def test_large_integer_entries_stay_exact():
 def test_random_integer_tables_match_the_reference_on_both_sides_of_2_53(monkeypatch, past, columns):
     """max|entry| m at the largest m whose differences, at most
     m + m^2 dim, stay below 2^53, where the scan multiplies in float64
-    buffers, and at m + 1, just past it, where ``_matmul`` multiplies in
-    int64: the same deviation and witness as the reference either way."""
+    buffers, and at m + 1, just past it, where it multiplies in int64
+    buffers: the same deviation and witness as the reference either way,
+    and ``_matmul`` is never called."""
     g, dim = cyclic(3), 4
     m = math.isqrt(2**53 // dim)
     while m * (m * dim + 1) >= 2**53:
@@ -224,7 +225,7 @@ def test_random_integer_tables_match_the_reference_on_both_sides_of_2_53(monkeyp
 
     monkeypatch.setattr(reps, "_matmul", spy)
     assert SgRepresentation(g, dim, table).max_multiplicative_deviation() == expected
-    assert expected[0] > 0 and set(products) == ({np.dtype(np.int64)} if past else set())
+    assert expected[0] > 0 and products == []
 
 
 def test_float_overflow_in_the_scan_raises():

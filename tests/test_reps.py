@@ -289,5 +289,34 @@ def test_int64_distances_do_not_wrap():
     table = dict(extend_to_semigroup(PartialRep(g, [np.eye(1, dtype=np.int64)] * 3)).table)
     table[generator(g, 1)], table[generator(g, 2)] = rep.matrices[1], rep.matrices[2]
     assert SgRepresentation(g, 1, table).max_star_deviation() == (2.0**63, (generator(g, 1),))
-    # as does the stacked distance of the multiplicativity scan
-    assert reps._distances(np.array([[[2**62]]]), np.array([[[-2**62]]])).tolist() == [2**63]
+    # as does the multiplicativity scan, in int64 buffers: at the unit u,
+    # f(u)f(u) = 2^62 against f(uu) = -2^31, the first pair and the worst
+    table = {a: np.array([[2**31]]) for a in table}
+    table[unit(g)] = np.array([[-(2**31)]])
+    assert SgRepresentation(g, 1, table).max_multiplicative_deviation() == (2.0**62 + 2**31, (unit(g), unit(g)))
+
+
+def test_restrict_to_group_names_the_first_missing_generator():
+    """The idempotents of the klein4 0/1 table pass both scans but hold only
+    the generator [e]: the first missing generator is the witness."""
+    g = klein_four()
+    ext = extend_to_semigroup(partial_rep_from_partial_action(bernoulli_partial_action(g)))
+    idempotents = SgRepresentation(g, ext.dim, {a: m for a, m in ext.table.items() if a.is_idempotent()})
+    assert idempotents.max_multiplicative_deviation() == idempotents.max_star_deviation() == (0.0, None)
+    with pytest.raises(NotRepresentation, match="generator") as info:
+        restrict_to_group(idempotents)
+    assert info.value.witness == (generator(g, 1),)
+
+
+def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
+    """Three products per pair (s, t): the derived law is not computed."""
+    calls, matmul = [], reps._matmul
+
+    def spy(x, y):
+        calls.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(reps, "_matmul", spy)
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(6)))
+    assert validate_partial_rep(rep).passed
+    assert len(calls) == 3 * 6**2
