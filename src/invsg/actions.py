@@ -37,10 +37,11 @@ from .semigroup import (
     extension_formula,
     generator,
     identity_masks,
+    order_formula,
     unit,
 )
 
-MATERIALIZE_BUDGET = 10**6  # elements times ground-set size in a full action table
+MATERIALIZE_BUDGET = 10**6  # the largest set_size an action file may declare
 
 
 class InvalidGroupAction(ValueError):
@@ -51,13 +52,17 @@ class NotMultiplicative(Counterexample):
     """A claimed semigroup action fails multiplicativity; the witness is the pair."""
 
 
+@dataclass(frozen=True, slots=True)
 class PartialBijection:
-    """Injective partial map on {0..n-1}; immutable and hashable."""
+    """Injective partial map on {0..n-1}; immutable and hashable.
 
-    __slots__ = ("_map",)
+    ``mapping[x]`` is the image of x, or None where x is undefined.
+    """
 
-    def __init__(self, mapping: Sequence[int | None]):
-        m = tuple(None if v is None else int(v) for v in mapping)
+    mapping: tuple[int | None, ...]
+
+    def __post_init__(self) -> None:
+        m = tuple(None if v is None else int(v) for v in self.mapping)
         n = len(m)
         seen: set[int] = set()
         for x, v in enumerate(m):
@@ -68,7 +73,7 @@ class PartialBijection:
             if v in seen:
                 raise ValueError(f"not injective: {v} has two preimages")
             seen.add(v)
-        self._map = m
+        object.__setattr__(self, "mapping", m)
 
     @classmethod
     def identity(cls, n: int) -> PartialBijection:
@@ -96,59 +101,42 @@ class PartialBijection:
 
     @property
     def size(self) -> int:
-        return len(self._map)
-
-    @property
-    def mapping(self) -> tuple[int | None, ...]:
-        return self._map
+        return len(self.mapping)
 
     @property
     def domain(self) -> frozenset[int]:
-        return frozenset(x for x, v in enumerate(self._map) if v is not None)
+        return frozenset(x for x, v in enumerate(self.mapping) if v is not None)
 
     @property
     def image(self) -> frozenset[int]:
-        return frozenset(v for v in self._map if v is not None)
+        return frozenset(v for v in self.mapping if v is not None)
 
     def __call__(self, x: int) -> int | None:
-        return self._map[x]
+        return self.mapping[x]
 
     def apply_to_set(self, points: Iterable[int]) -> frozenset[int]:
         """Image of a subset (silently drops points outside the domain)."""
-        return frozenset(self._map[x] for x in points if self._map[x] is not None)
+        return frozenset(self.mapping[x] for x in points if self.mapping[x] is not None)
 
     def graph(self) -> frozenset[tuple[int, int]]:
-        return frozenset((x, v) for x, v in enumerate(self._map) if v is not None)
+        return frozenset((x, v) for x, v in enumerate(self.mapping) if v is not None)
 
     def invert(self) -> PartialBijection:
-        m: list[int | None] = [None] * len(self._map)
-        for x, v in enumerate(self._map):
+        m: list[int | None] = [None] * len(self.mapping)
+        for x, v in enumerate(self.mapping):
             if v is not None:
                 m[v] = x
         return PartialBijection(m)
 
     def __mul__(self, other: PartialBijection) -> PartialBijection:
         """Composition self(other(x)): ``other`` acts first."""
-        if len(self._map) != len(other._map):
+        if len(self.mapping) != len(other.mapping):
             raise ValueError("partial bijections live on different ground sets")
-        return PartialBijection(
-            tuple(
-                None if v is None else self._map[v]
-                for v in other._map
-            )
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartialBijection):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(self._map)
+        return PartialBijection(tuple(None if v is None else self.mapping[v] for v in other.mapping))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{x}->{v}" for x, v in sorted(self.graph()))
-        return f"PartialBijection({len(self._map)}; {pairs})"
+        return f"PartialBijection({len(self.mapping)}; {pairs})"
 
 
 @dataclass(frozen=True)
@@ -208,33 +196,25 @@ def validate_axioms(action: PartialAction) -> ActionReport:
 
     Failures carry the witnessing (r, s) or (r, s, x).
     """
-    g = action.group
-    failures: list[AxiomFailure] = []
-    dom = [action.theta[t].domain for t in g.elements()]
-    ran = [action.theta[t].image for t in g.elements()]
+    g, theta = action.group, action.theta
+    inv, mul = g.inverses, g.table
+    ran = [f.image for f in theta]
+    failures = [AxiomFailure("domains", (t,)) for t, f in enumerate(theta) if f.domain != ran[inv[t]]]
 
-    for t in g.elements():
-        if dom[t] != ran[g.inv(t)]:
-            failures.append(AxiomFailure("domains", (t,)))
-
-    if action.theta[g.identity] != PartialBijection.identity(action.set_size):
+    if theta[g.identity] != PartialBijection.identity(action.set_size):
         failures.append(AxiomFailure("identity", (g.identity,)))
 
     for r in g.elements():
         for s in g.elements():
-            left = action.theta[r].apply_to_set(ran[g.inv(r)] & ran[s])
-            right = ran[r] & ran[g.mul(r, s)]
-            if left != right:
+            if theta[r].apply_to_set(ran[inv[r]] & ran[s]) != ran[r] & ran[mul[r][s]]:
                 failures.append(AxiomFailure("domain translation", (r, s)))
 
     for r in g.elements():
         for s in g.elements():
-            pts = ran[g.inv(s)] & ran[g.mul(g.inv(s), g.inv(r))]
-            rs = g.mul(r, s)
-            for x in sorted(pts):
-                y = action.theta[s](x)
-                z = None if y is None else action.theta[r](y)
-                if z != action.theta[rs](x):
+            fr, fs, frs = theta[r].mapping, theta[s].mapping, theta[mul[r][s]].mapping
+            for x in sorted(ran[inv[s]] & ran[mul[inv[s]][inv[r]]]):
+                y = fs[x]
+                if (None if y is None else fr[y]) != frs[x]:
                     failures.append(AxiomFailure("composition", (r, s, x)))
                     break
 
@@ -270,38 +250,23 @@ def restriction_action(
     as 0..|X|-1 in increasing Y-order, with theta[t] defined where both
     the point and its image lie in X.
     """
-    perms = [tuple(int(v) for v in p) for p in permutations]
-    if len(perms) != group.order:
-        raise InvalidGroupAction("need one permutation per group element")
-    y_size = len(perms[0])
-    for t, p in enumerate(perms):
-        if len(p) != y_size or sorted(p) != list(range(y_size)):
-            raise InvalidGroupAction(f"permutations[{t}] is not a permutation")
-    if perms[group.identity] != tuple(range(y_size)):
-        raise InvalidGroupAction("identity element must act as the identity")
-    for t in group.elements():
-        for s in group.elements():
-            ts = group.mul(t, s)
-            for y in range(y_size):
-                if perms[t][perms[s][y]] != perms[ts][y]:
-                    raise InvalidGroupAction(
-                        f"not an action: t={t}, s={s}, y={y}"
-                    )
+    try:
+        # int() admits no undefined point: each map PartialBijection accepts is a permutation
+        perms = tuple(PartialBijection(tuple(map(int, p))) for p in permutations)
+        y_size = perms[0].size if perms else 0
+        action = PartialAction(group, y_size, perms)
+    except ValueError as exc:
+        raise InvalidGroupAction(f"not an action: {exc}") from None
+    report = validate_axioms(action)
+    if not report.passed:  # a partial action whose domains are all of Y is a group action
+        raise InvalidGroupAction("not an action: " + report.describe())
 
     points = sorted(set(subset))
     if any(not 0 <= y < y_size for y in points):
         raise InvalidGroupAction("subset contains points outside the ground set")
     pos = {y: i for i, y in enumerate(points)}
-    in_x = set(points)
-    theta = []
-    for t in group.elements():
-        m: list[int | None] = [None] * len(points)
-        for i, y in enumerate(points):
-            ty = perms[t][y]
-            if ty in in_x:
-                m[i] = pos[ty]
-        theta.append(PartialBijection(m))
-    return PartialAction(group, len(points), tuple(theta))
+    theta = tuple(PartialBijection([pos.get(f.mapping[y]) for y in points]) for f in perms)
+    return PartialAction(group, len(points), theta)
 
 
 def bernoulli_partial_action(
@@ -334,7 +299,9 @@ class InverseAction:
     Stores the generator images and evaluates arbitrary elements with
     the (unchecked) extension formula; the full table over the
     enumerated semigroup is materialized on demand, and kept, when its
-    size stays within ``MATERIALIZE_BUDGET``.
+    elements times ground-set size stay within those of the Bernoulli
+    table at the default order cap (2816 x 512 at order 10), so the
+    package's own actions extend at every order the cap allows.
     """
 
     def __init__(
@@ -343,14 +310,10 @@ class InverseAction:
         set_size: int,
         generator_images: Sequence[PartialBijection],
     ):
-        if len(generator_images) != group.order:
-            raise ValueError("need one generator image per group element")
-        for f in generator_images:
-            if f.size != set_size:
-                raise ValueError("generator images live on the wrong ground set")
         self.group = group
         self.set_size = set_size
-        self.generator_images = tuple(generator_images)
+        # one image per group element, on one ground set
+        self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
         self._extend = extension_formula(group, self.generator_images, operator.mul)
         self._table: dict[SgElement, PartialBijection] | None = None
 
@@ -364,8 +327,10 @@ class InverseAction:
         _check_cap(self.group, cap)
         if self._table is None:
             elements = enumerate_semigroup(self.group, cap)
-            if len(elements) * max(self.set_size, 1) > MATERIALIZE_BUDGET:
-                raise CapExceeded("full action table exceeds the materialization budget")
+            p = DEFAULT_ENUMERATION_CAP
+            bound = order_formula(p) << (p - 1)  # the Bernoulli table at the order cap: 2816 x 512
+            if len(elements) * max(self.set_size, 1) > bound:
+                raise CapExceeded(f"full action table exceeds {bound} entries, the Bernoulli table's at order {p}")
             self._table = {a: self._extend(a) for a in elements}
         return self._table
 

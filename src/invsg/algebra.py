@@ -58,8 +58,7 @@ class StructureAlgebra:
 
     Built over the enumerated semigroup by :func:`build_algebra`, or over
     a group by :func:`group_algebra`; immutable in use, equal by identity.
-    ``mult`` and ``star`` are index arrays in the narrowest unsigned dtype
-    holding ``dim``, so cast them (to int64, say) before any arithmetic.
+    ``mult`` and ``star`` are ``intp`` index arrays.
     """
 
     group: FiniteGroup
@@ -90,14 +89,13 @@ def build_algebra(group: FiniteGroup, cap: int = DEFAULT_DIM_CAP) -> StructureAl
         raise CapExceeded(f"algebra dimension {order_formula(group.order)} exceeds cap {cap}")
     elements = enumerate_semigroup(group, cap=group.order)
     mult, star, unit_idx = multiplication_tables(elements)
-    return StructureAlgebra(group, tuple(elements), mult, star, unit_idx)
+    return StructureAlgebra(group, tuple(elements), mult.astype(np.intp), star.astype(np.intp), unit_idx)
 
 
 def group_algebra(group: FiniteGroup) -> StructureAlgebra:
     """The plain group algebra on the same chassis (basis = group indices)."""
-    dtype = np.min_scalar_type(group.order)
-    mult = np.array(group.table, dtype=dtype)
-    star = np.array(group.inverses, dtype=dtype)
+    mult = np.array(group.table, dtype=np.intp)
+    star = np.array(group.inverses, dtype=np.intp)
     return StructureAlgebra(group, tuple(group.elements()), mult, star, group.identity)
 
 
@@ -114,7 +112,7 @@ def multiply_elements(a: StructureAlgebra, x: np.ndarray, y: np.ndarray) -> np.n
     p = np.arange(cx.size).repeat(hi - lo)
     q = np.arange(p.size) - (hi - lo).cumsum()[p] + hi[p]  # pair (p, q) for each of them
     col, i, j = cx[p], ix[p], iy[q]
-    key = col * n + a.mult[i, j]  # int64, as col is
+    key = col * n + a.mult[i, j]
     w = xs[i, col] * ys[j, col]
     out = np.bincount(key, w.real, xs.size)  # bincount takes real weights only
     out = out + 1j * np.bincount(key, w.imag, xs.size) if np.iscomplexobj(w) else out

@@ -28,7 +28,6 @@ from . import actions, algebra, graded, groups, reps, semigroup
 DOMAIN_ERRORS = (
     groups.GroupTableError,
     semigroup.CapExceeded,
-    semigroup.Counterexample,  # ConditionsViolated, NotMultiplicative, NotRepresentation: with a witness
     actions.InvalidGroupAction,
     reps.NonFiniteProduct,
     algebra.EigenvalueClusterAmbiguous,
@@ -352,9 +351,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     except DOMAIN_ERRORS as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        witness = getattr(exc, "witness", None)
-        if witness is not None:
-            payload["witness"] = [repr(w) for w in witness]
         for margin in ("relative_gap", "integrality_error"):  # NaN when unknown: not JSON
             value = getattr(exc, margin, None)
             if value is not None and math.isfinite(value):

@@ -50,30 +50,19 @@ class ConditionsViolated(Counterexample):
     """A generator map fails the extension conditions; the witness is a pair (s, t)."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SgElement:
     """Canonical element: support bitmask plus degree, tied to its group.
 
     Invariants (checked on construction): the identity bit and the
     degree bit are set in ``support`` and no bit beyond the group order
-    is set.
+    is set.  Equal when group, support and degree are; hashing reads the
+    group's cached hash, never its table.
     """
 
     group: FiniteGroup
     support: int
     degree: int
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SgElement):
-            return NotImplemented
-        return (
-            self.support == other.support
-            and self.degree == other.degree
-            and (self.group is other.group or self.group == other.group)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.support, self.degree))
 
     def __post_init__(self) -> None:
         g = self.group

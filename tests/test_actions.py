@@ -3,6 +3,7 @@ import random
 import pytest
 
 from invsg.actions import (
+    InvalidGroupAction,
     InverseAction,
     NotMultiplicative,
     PartialAction,
@@ -113,6 +114,28 @@ def test_restriction_action_examples():
         restriction_action(g4, [perms[0], perms[2], perms[1], perms[3]], [0, 1])
 
 
+@pytest.mark.parametrize(
+    "permutations, subset",
+    [
+        ([], [0]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1]], [0]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 0], [3, 0, 1, 2]], [0]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 4], [3, 0, 1, 2]], [0]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0], [3, 0, 1, 2]], [0]),
+        ([[1, 0, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], [0]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], [0, 4]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], [-1]),
+    ],
+    ids=[
+        "no-permutations", "too-few", "repeated-point", "point-off-the-set", "wrong-length",
+        "identity-moves-points", "subset-too-large", "subset-negative",
+    ],
+)
+def test_restriction_action_rejects_each_non_action(permutations, subset):
+    with pytest.raises(InvalidGroupAction):
+        restriction_action(cyclic(4), permutations, subset)
+
+
 def test_bernoulli_examples():
     g2 = cyclic(2)
     b = bernoulli_partial_action(g2)
@@ -209,6 +232,38 @@ def test_from_inverse_action_rejects_non_multiplicative():
     inv_action = InverseAction(g, 3, images)
     with pytest.raises(NotMultiplicative):
         from_inverse_action(inv_action)
+
+
+def test_to_inverse_action_rejects_an_invalid_action():
+    g = cyclic(2)
+    bad = PartialAction(g, 2, (PartialBijection.identity(2), pb(2, [(0, 1)])))
+    with pytest.raises(ValueError) as err:
+        to_inverse_action(bad)
+    assert str(err.value) == (
+        "invalid partial action: domains fails at (1,)\n"
+        "domain translation fails at (1, 0)\n"
+        "domain translation fails at (1, 1)\n"
+        "composition fails at (1, 1, 1)"
+    )
+
+
+def test_from_inverse_action_needs_the_unit_to_act_as_the_identity():
+    g = cyclic(2)
+    inv_action = InverseAction(g, 2, (pb(2, [(0, 0)]), PartialBijection.identity(2)))
+    with pytest.raises(NotMultiplicative) as err:
+        from_inverse_action(inv_action)
+    assert str(err.value) == "unit does not act as the identity"
+    assert err.value.witness == (unit(g),)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [(PartialBijection.identity(2),), (PartialBijection.identity(2), PartialBijection.identity(3))],
+    ids=["too-few", "wrong-ground-set"],
+)
+def test_inverse_action_needs_one_image_per_element_on_one_ground_set(images):
+    with pytest.raises(ValueError):
+        InverseAction(cyclic(2), 2, images)
 
 
 def test_from_inverse_action_of_group_action_is_global():

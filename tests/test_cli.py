@@ -71,6 +71,8 @@ def test_sg_reduce(capsys):
     assert code == 1
     code, _, err = invoke(capsys, "sg", "reduce", "cyclic:4", "--word", "x")
     assert code == 2
+    code, out, err = invoke(capsys, "sg", "reduce", "cyclic:4", "--word", ",")
+    assert code == 2 and out == "" and "--word must be nonempty" in err
 
 
 def test_sg_verify(capsys):
@@ -166,6 +168,13 @@ def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, tol):
     for command in ("validate", "extend"):
         code, out, err = invoke(capsys, "rep", command, str(path), "--tol", tol, "--json")
         assert code == 2 and out == "" and "--tol" in err and "finite number >= 0" in err
+
+
+def test_tol_must_be_a_number(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_dict(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(2))))))
+    code, out, err = invoke(capsys, "rep", "validate", str(path), "--tol", "abc")
+    assert code == 2 and out == "" and "finite number >= 0, got 'abc'" in err
 
 
 def test_rep_validate_rejects_bad_rep(tmp_path, capsys):
@@ -311,6 +320,17 @@ def test_alg_decompose(capsys):
     data = json.loads(out)
     assert code == 0 and data["center_dim"] == 22
     assert sum(n * n for n in data["blocks"]) == data["dim"] == 112
+
+
+@pytest.mark.parametrize(
+    "argv, dim, cap",
+    [(["cyclic:9"], 1280, 1000), (["cyclic:5", "--cap", "40"], 48, 40)],
+    ids=["default-cap", "given-cap"],
+)
+def test_alg_decompose_past_its_dimension_cap(capsys, argv, dim, cap):
+    code, out, err = invoke(capsys, "alg", "decompose", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "CapExceeded", "message": f"algebra dimension {dim} exceeds cap {cap}"}
 
 
 def test_graded_count_and_map(capsys):

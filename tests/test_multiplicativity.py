@@ -256,6 +256,27 @@ def test_order_8_bernoulli_round_trip(g):
     assert elapsed < 1.0
 
 
+def test_order_10_bernoulli_round_trip():
+    """The largest Bernoulli action the order cap allows, 2816 elements
+    on 512 points: its table is the size bound of ``InverseAction.table``."""
+    action = bernoulli_partial_action(cyclic(10))
+    inv_action = to_inverse_action(action)
+    assert len(inv_action.table()) == 2816
+    assert from_inverse_action(inv_action) == action
+
+
+def test_an_action_table_past_the_bound_is_refused_before_any_image(monkeypatch):
+    """Ten empty maps on 10^5 points: 2816 x 10^5 entries."""
+    inv_action = actions.InverseAction(cyclic(10), 10**5, [PartialBijection.empty(10**5)] * 10)
+
+    def no_image(a):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(inv_action, "_extend", no_image)
+    with pytest.raises(semigroup.CapExceeded):
+        inv_action.table()
+
+
 def test_action_scan_stops_at_the_first_failing_pair(monkeypatch):
     """One image of the unit corrupted in the cyclic:8 Bernoulli table:
     the witness is the first failing pair in row-major order, and the

@@ -1,10 +1,11 @@
+import operator
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from invsg.actions import bernoulli_partial_action, validate_axioms, validate_semigroup_form
+from invsg.actions import PartialBijection, bernoulli_partial_action, validate_axioms, validate_semigroup_form
 from invsg.algebra import build_algebra, wedderburn
 from invsg.graded import generated_semigroup, grading
 from invsg import semigroup
@@ -606,6 +607,22 @@ def test_extension_conditions_violated():
     with pytest.raises(ConditionsViolated) as err:
         check_extension_conditions(g, {0: 1, 1: 1}, g.mul)
     assert err.value.witness in {(0, 0), (1, 1), (0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize(
+    "images, message, witness",
+    [
+        ([PartialBijection.identity(2), PartialBijection.from_pairs(2, [(0, 1)])], "f(1)f(1)f(1) != f(1)f(1*1)", (1, 1)),
+        ([PartialBijection.empty(2), PartialBijection.from_pairs(2, [(1, 1)])], "f(0)f(1)f(1) != f(0*1)f(1)", (0, 1)),
+    ],
+    ids=["derived-law", "triple-law"],
+)
+def test_extension_conditions_name_the_failing_law(images, message, witness):
+    """Partial bijections of a 2-point set over Z/2 that pass the unit
+    law: the first pair to fail names its law and is the witness."""
+    with pytest.raises(ConditionsViolated) as err:
+        check_extension_conditions(cyclic(2), dict(enumerate(images)), operator.mul)
+    assert str(err.value) == message and err.value.witness == witness
 
 
 def test_element_json_round_trip():
