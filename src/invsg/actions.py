@@ -76,6 +76,14 @@ class PartialBijection:
         object.__setattr__(self, "mapping", m)
 
     @classmethod
+    def _trusted(cls, mapping: tuple[int | None, ...]) -> PartialBijection:
+        """A partial bijection from a normalised tuple known to be one
+        (a composite or an inverse), without the checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "mapping", mapping)
+        return f
+
+    @classmethod
     def identity(cls, n: int) -> PartialBijection:
         return cls(tuple(range(n)))
 
@@ -126,13 +134,14 @@ class PartialBijection:
         for x, v in enumerate(self.mapping):
             if v is not None:
                 m[v] = x
-        return PartialBijection(m)
+        return PartialBijection._trusted(tuple(m))
 
     def __mul__(self, other: PartialBijection) -> PartialBijection:
         """Composition self(other(x)): ``other`` acts first."""
         if len(self.mapping) != len(other.mapping):
             raise ValueError("partial bijections live on different ground sets")
-        return PartialBijection(tuple(None if v is None else self.mapping[v] for v in other.mapping))
+        m = self.mapping
+        return PartialBijection._trusted(tuple([None if v is None else m[v] for v in other.mapping]))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{x}->{v}" for x, v in sorted(self.graph()))
@@ -251,11 +260,12 @@ def restriction_action(
     the point and its image lie in X.
     """
     try:
-        # int() admits no undefined point: each map PartialBijection accepts is a permutation
+        # int() admits no undefined point (None raises TypeError): each map
+        # PartialBijection accepts is a permutation
         perms = tuple(PartialBijection(tuple(map(int, p))) for p in permutations)
         y_size = perms[0].size if perms else 0
         action = PartialAction(group, y_size, perms)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidGroupAction(f"not an action: {exc}") from None
     report = validate_axioms(action)
     if not report.passed:  # a partial action whose domains are all of Y is a group action
@@ -334,8 +344,8 @@ class InverseAction:
             self._table = {a: self._extend(a) for a in elements}
         return self._table
 
-    def check_multiplicative(self) -> tuple | None:
-        """The first pair (a, b) of ``table()`` (default cap) with pi(ab) != pi(a)pi(b), or None.
+    def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
+        """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b), or None.
 
         The images are stacked once as rows of an index array, in the
         narrowest unsigned dtype holding ``set_size``, with ``set_size``
@@ -343,7 +353,7 @@ class InverseAction:
         composing with f(a) is the gather f(a)[rows]: the marker picks
         the appended column.
         """
-        table = self.table()
+        table = self.table(cap)
         marker = self.set_size
         stacked = np.array(
             [[marker if v is None else v for v in f.mapping] + [marker] for f in table.values()],

@@ -16,6 +16,7 @@ import numpy as np  # noqa: E402
 from invsg.actions import PartialAction, PartialBijection, restriction_action
 from invsg.algebra import StructureAlgebra, center, group_algebra
 from invsg.groups import FiniteGroup, cyclic, dihedral, from_cayley_table, klein_four
+from invsg.reps import PartialRep
 
 
 def small_groups() -> list[FiniteGroup]:
@@ -91,6 +92,13 @@ def translation_permutations(group: FiniteGroup, copies: int) -> list[list[int]]
             perm.extend(group.mul(t, y) + c * p for y in range(p))
         perms.append(perm)
     return perms
+
+
+def signed_rep(rep: PartialRep) -> PartialRep:
+    """``rep`` times t -> (-1)^t, a character of cyclic groups of even
+    order and of klein4: a valid integer partial rep when ``rep`` is one,
+    with entries -1, 0 and 1, so not a partial-permutation rep."""
+    return PartialRep(rep.group, [(-1) ** t * m for t, m in enumerate(rep.matrices)])
 
 
 def random_restriction_action(rng: random.Random) -> PartialAction:

@@ -125,15 +125,47 @@ def test_restriction_action_examples():
         ([[1, 0, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], [0]),
         ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], [0, 4]),
         ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], [-1]),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, None], [3, 0, 1, 2]], [0]),
     ],
     ids=[
         "no-permutations", "too-few", "repeated-point", "point-off-the-set", "wrong-length",
-        "identity-moves-points", "subset-too-large", "subset-negative",
+        "identity-moves-points", "subset-too-large", "subset-negative", "undefined-point",
     ],
 )
 def test_restriction_action_rejects_each_non_action(permutations, subset):
     with pytest.raises(InvalidGroupAction):
         restriction_action(cyclic(4), permutations, subset)
+
+
+def test_an_undefined_point_is_no_permutation():
+    """int(None) raises TypeError, reported as the InvalidGroupAction of a non-action."""
+    with pytest.raises(InvalidGroupAction, match="not an action"):
+        restriction_action(cyclic(2), [[0, 1], [1, None]], [0])
+
+
+def _random_partial_bijection(rng, n):
+    return PartialBijection([y if rng.random() < 0.7 else None for y in rng.sample(range(n), n)])
+
+
+def test_composites_equal_validated_constructions():
+    """A composite or an inverse is built without the constructor's
+    checks: on random pairs it equals, and hashes as, the validated
+    construction of the pointwise composite or inverse."""
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        f, h = _random_partial_bijection(rng, n), _random_partial_bijection(rng, n)
+        composite = f * h
+        expected = PartialBijection([None if h(x) is None else f(h(x)) for x in range(n)])
+        assert composite == expected and hash(composite) == hash(expected)
+        assert type(composite.mapping) is tuple and composite.mapping == expected.mapping
+        inverse = PartialBijection([next((x for x in range(n) if f(x) == y), None) for y in range(n)])
+        assert f.invert() == inverse and hash(f.invert()) == hash(inverse)
+    for bad, message in (((0, 0), "not injective"), ((2, None), "out of range"), ((-1,), "out of range")):
+        with pytest.raises(ValueError, match=message):
+            PartialBijection(bad)
+    with pytest.raises(ValueError, match="different ground sets"):
+        PartialBijection((0,)) * PartialBijection((0, 1))
 
 
 def test_bernoulli_examples():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from invsg import algebra
+from invsg import algebra, reps
 from invsg.actions import action_to_dict, bernoulli_partial_action, to_inverse_action
 from invsg.algebra import group_algebra
 from invsg.cli import run
@@ -175,6 +175,28 @@ def test_tol_must_be_a_number(tmp_path, capsys):
     path.write_text(json.dumps(rep_to_dict(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(2))))))
     code, out, err = invoke(capsys, "rep", "validate", str(path), "--tol", "abc")
     assert code == 2 and out == "" and "finite number >= 0, got 'abc'" in err
+
+
+def test_rep_commands_print_the_same_bytes_on_both_routes(tmp_path, monkeypatch, capsys):
+    """A valid and an invalid 0/1 partial-permutation rep, checked as
+    partial actions and, with the recogniser switched off, as matrices:
+    the same exit codes, stdout and stderr."""
+    action = bernoulli_partial_action(cyclic(3))
+    theta = list(action.theta)
+    theta[1] = PartialBijection((None, 0, 1, 3))
+    for name, a in (("good", action), ("bad", PartialAction(action.group, action.set_size, tuple(theta)))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(rep_to_dict(partial_rep_from_partial_action(a))))
+    argvs = [
+        [command, str(tmp_path / f"{name}.json"), *flags]
+        for command in ("validate", "extend")
+        for name in ("good", "bad")
+        for flags in ([], ["--json"])
+    ]
+    via_actions = [invoke(capsys, "rep", *argv) for argv in argvs]
+    monkeypatch.setattr(reps, "_partial_bijections", lambda matrices: None)
+    via_matrices = [invoke(capsys, "rep", *argv) for argv in argvs]
+    assert via_actions == via_matrices
+    assert [code for code, _, _ in via_actions] == [0, 0, 1, 1, 0, 0, 1, 1]
 
 
 def test_rep_validate_rejects_bad_rep(tmp_path, capsys):

@@ -12,7 +12,7 @@ from invsg.actions import (
 )
 from invsg import reps
 from invsg.algebra import build_algebra
-from invsg.groups import cyclic, klein_four
+from invsg.groups import cyclic, dihedral, klein_four
 from invsg.reps import (
     NotRepresentation,
     PartialRep,
@@ -28,9 +28,15 @@ from invsg.reps import (
     restrict_to_group,
     validate_partial_rep,
 )
-from invsg.semigroup import enumerate_semigroup, generator, idempotent, unit, universal_extension
+from invsg.semigroup import CapExceeded, _triple_law, enumerate_semigroup, generator, idempotent, unit, universal_extension
 
-from conftest import left_regular_matrix, random_restriction_action, translation_permutations
+from conftest import (
+    left_regular_matrix,
+    perturb_one_image,
+    random_restriction_action,
+    signed_rep,
+    translation_permutations,
+)
 
 
 def unitary_character_rep(n):
@@ -309,7 +315,40 @@ def test_restrict_to_group_names_the_first_missing_generator():
 
 
 def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
-    """Three products per pair (s, t): the derived law is not computed."""
+    """Three products per pair (s, t) of a matrix rep (the signed
+    Bernoulli rep, which is not a partial-permutation rep): the derived
+    law is not computed."""
+    calls = _count_products(monkeypatch)
+    rep = signed_rep(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(6))))
+    assert validate_partial_rep(rep).passed
+    assert len(calls) == 3 * 6**2
+
+
+def _first_max(deviations):
+    worst, witness = 0.0, None
+    for d, w in deviations:
+        if d > worst:
+            worst, witness = d, w
+    return worst, witness
+
+
+def _matrix_report(rep):
+    """The (deviation, witness) of each law on the matrices themselves:
+    ``_triple_law`` with ``_matmul``, and max-abs distances."""
+    g, mats = rep.group, rep.matrices
+    laws = _triple_law(g, mats, reps._matmul, lambda x, y: max_abs(x - y))
+    return [
+        _first_max((d, (s, t)) for s, t, d in laws),
+        _first_max((max_abs(mats[g.inv(t)] - mats[t].T), (t,)) for t in g.elements()),
+        (max_abs(mats[g.identity] - np.eye(rep.dim, dtype=np.int64)), (g.identity,)),
+    ]
+
+
+def _checks(report):
+    return [(c.deviation, c.witness) for c in report.checks]
+
+
+def _count_products(monkeypatch):
     calls, matmul = [], reps._matmul
 
     def spy(x, y):
@@ -317,6 +356,149 @@ def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
         return matmul(x, y)
 
     monkeypatch.setattr(reps, "_matmul", spy)
-    rep = partial_rep_from_partial_action(bernoulli_partial_action(cyclic(6)))
+    return calls
+
+
+def _zero_one_rep():
+    return partial_rep_from_partial_action(bernoulli_partial_action(cyclic(3)))
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["two 1s in a column", "two 1s in a row", "an entry 2", "an entry -1", "float dtype", "bool dtype", "dimension 0"],
+)
+def test_partial_permutation_reps_are_recognised_exactly(change):
+    """Only integer 0/1 matrices with at most one 1 per row and per
+    column, of positive dimension, are read as partial bijections, and
+    then as the ones whose 0/1 matrices they are."""
+    rep = _zero_one_rep()
+    action = bernoulli_partial_action(cyclic(3))
+    assert reps._partial_bijections(rep.matrices) == list(action.theta)
+    mats = [m.copy() for m in rep.matrices]
+    m = mats[1]
+    x = int(np.flatnonzero(m.any(axis=0))[0])  # a defined point, m[y, x] = 1
+    y = int(np.argmax(m[:, x]))
+    if change == "two 1s in a column":
+        m[(y + 1) % rep.dim, x] = 1
+    elif change == "two 1s in a row":
+        m[y, (x + 1) % rep.dim] = 1
+    elif change == "an entry 2":
+        m[y, x] = 2
+    elif change == "an entry -1":
+        m[y, x] = -1
+    elif change == "float dtype":
+        mats = [a.astype(np.float64) for a in mats]
+    elif change == "bool dtype":
+        mats = [a.astype(bool) for a in mats]
+    else:
+        mats = [np.zeros((0, 0), dtype=np.int64)] * 3
+    assert reps._partial_bijections(mats) is None
+
+
+def test_a_zero_one_rep_with_two_ones_in_a_column_takes_the_matrix_route(monkeypatch):
+    """One 1 added to a column of a 0/1 Bernoulli matrix: still 0/1, no
+    longer a partial permutation, so the laws multiply matrices, and the
+    report is the matrix reference."""
+    rep = _zero_one_rep()
+    mats = [m.copy() for m in rep.matrices]
+    x = int(np.flatnonzero(mats[1].any(axis=0))[0])
+    mats[1][:, x] = 1
+    bad = PartialRep(rep.group, mats)
+    expected = _matrix_report(bad)
+    calls = _count_products(monkeypatch)
+    report = validate_partial_rep(bad)
+    assert calls and not report.passed
+    assert _checks(report) == expected
+
+
+def _invalid_partial_permutation_reps():
+    rng = random.Random(8)
+    found = []
+    while len(found) < 12:
+        action = perturb_one_image(random_restriction_action(rng), rng)
+        if action is not None:
+            found.append(partial_rep_from_partial_action(action))
+    found.append(PartialRep(cyclic(2), [np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)]))
+    return found
+
+
+def test_invalid_partial_permutation_reps_report_as_the_matrices_do(monkeypatch):
+    """Perturbed actions give invalid partial-permutation reps: each law
+    has the deviation and the first witness of the matrix reference, and
+    no matrix is multiplied."""
+    failed = 0
+    for rep in _invalid_partial_permutation_reps():
+        assert reps._partial_bijections(rep.matrices) is not None
+        expected = _matrix_report(rep)
+        calls = _count_products(monkeypatch)
+        report = validate_partial_rep(rep)
+        assert calls == [] and _checks(report) == expected
+        failed += not report.passed
+        monkeypatch.undo()
+    assert failed >= 10
+
+
+def test_both_routes_extend_and_check_alike(monkeypatch):
+    """Valid and invalid partial-permutation reps, extended at tolerance 1
+    so the invalid ones extend too: the table, and every deviation and
+    witness of the semigroup checks, are those of the matrix route."""
+    rng = random.Random(9)
+    cases = _invalid_partial_permutation_reps()[:6] + [
+        partial_rep_from_partial_action(random_restriction_action(rng)) for _ in range(4)
+    ]
+    cases.append(partial_rep_from_partial_action(bernoulli_partial_action(klein_four())))
+
+    def checked(rep):
+        ext = extend_to_semigroup(rep, tol=1.0)
+        summary = (
+            ext.max_multiplicative_deviation(),
+            ext.max_star_deviation(),
+            ext.max_partial_isometry_deviation(),
+        )
+        return _checks(validate_partial_rep(rep, tol=1.0)), summary, list(ext.table.items())
+
+    via_actions = [checked(rep) for rep in cases]
+    monkeypatch.setattr(reps, "_partial_bijections", lambda matrices: None)
+    via_matrices = [checked(rep) for rep in cases]
+    assert any(summary[0][0] == 1.0 for _, summary, _ in via_matrices)
+    for (report, summary, table), (report_m, summary_m, table_m) in zip(via_actions, via_matrices):
+        assert report == report_m and summary == summary_m
+        assert [a for a, _ in table] == [a for a, _ in table_m]
+        assert all(m.dtype == np.int64 and np.array_equal(m, r) for (_, m), (_, r) in zip(table, table_m))
+
+
+def test_bernoulli_round_trip_multiplies_no_matrix(monkeypatch):
+    """The 0/1 Bernoulli rep of dihedral:3 goes through its partial
+    action: no matrix product, and dense matrices for the p generators of
+    the restriction only."""
+    g = dihedral(3)
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(g))
+    calls = _count_products(monkeypatch)
+    built, zero_one = [], reps._zero_one
+
+    def spy(f):
+        built.append(f)
+        return zero_one(f)
+
+    monkeypatch.setattr(reps, "_zero_one", spy)
     assert validate_partial_rep(rep).passed
-    assert len(calls) == 3 * 6**2
+    ext = extend_to_semigroup(rep)
+    assert ext.max_partial_isometry_deviation() == ext.max_star_deviation() == (0.0, None)
+    back = restrict_to_group(ext)
+    assert calls == [] and len(built) <= g.order
+    assert all(m.dtype == np.int64 and np.array_equal(m, r) for m, r in zip(back.matrices, rep.matrices))
+    assert list(ext.table) == enumerate_semigroup(g) and len(ext.table) == 112
+    a = enumerate_semigroup(g)[57]
+    assert a in ext.table and np.array_equal(ext(a), _zero_one(to_inverse_action(bernoulli_partial_action(g))(a)))
+
+
+def test_the_action_route_keeps_the_cap():
+    """The order-11 trivial rep of dimension 1 extends at cap 11 and its
+    scans run at that cap; at the default cap it is refused."""
+    g = cyclic(11)
+    rep = PartialRep(g, [np.eye(1, dtype=np.int64)] * g.order)
+    ext = extend_to_semigroup(rep, cap=11)
+    assert len(ext.table) == 6144
+    assert ext.max_multiplicative_deviation() == ext.max_star_deviation() == (0.0, None)
+    with pytest.raises(CapExceeded):
+        extend_to_semigroup(rep)
