@@ -12,14 +12,15 @@ The triple-product laws, the extension formula and the multiplicativity
 scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
 ``semigroup._derived_law``, ``semigroup.extension_formula`` and
 ``semigroup._worst_pair``, used here with composition as the product and
-``!=`` as the distance.
+``!=`` as the distance; an :class:`InverseAction` composes the rows of
+an index array, where composition is a gather.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .semigroup import (
     order_formula,
     unit,
 )
+
+V = TypeVar("V")
 
 MATERIALIZE_BUDGET = 10**6  # the largest set_size an action file may declare
 
@@ -303,12 +306,47 @@ def bernoulli_partial_action(
     return PartialAction(group, len(masks), tuple(theta))
 
 
+def _index_rows(images: Sequence[PartialBijection], set_size: int) -> np.ndarray:
+    """The partial bijections as rows of an index array, in the narrowest
+    unsigned dtype holding ``set_size``, with ``set_size`` for undefined
+    points and one ``set_size`` column appended: composing with a row f
+    is the gather f[h], where the marker picks the appended column."""
+    marker = set_size
+    rows = [[marker if v is None else v for v in f.mapping] + [marker] for f in images]
+    return np.array(rows, dtype=np.min_scalar_type(marker))
+
+
+class _RowTable(Mapping[SgElement, V]):
+    """The read-only table of an :class:`InverseAction` at ``cap``: the
+    rows of its index array, one per element in enumeration order, each
+    read as ``read(row)`` when its entry is looked up."""
+
+    def __init__(self, action: InverseAction, cap: int, read: Callable[[np.ndarray], V]):
+        self.action = action
+        self.cap = cap
+        self.read = read
+        self.elements, self.index, self.rows = action._index_array(cap)
+
+    def __getitem__(self, a: SgElement) -> V:
+        return self.read(self.rows[self.index[a]])
+
+    def __contains__(self, a: object) -> bool:
+        return a in self.index
+
+    def __iter__(self) -> Iterator[SgElement]:
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
 class InverseAction:
     """Action of the enumerated semigroup by partial bijections.
 
-    Stores the generator images and evaluates arbitrary elements with
-    the (unchecked) extension formula; the full table over the
-    enumerated semigroup is materialized on demand, and kept, when its
+    Evaluates elements with the (unchecked) extension formula over the
+    generator images as index-array rows (:func:`_index_rows`), with
+    the gather as the product.  The images of the whole enumerated
+    semigroup form one such array, built on demand and kept, when its
     elements times ground-set size stay within those of the Bernoulli
     table at the default order cap (2816 x 512 at order 10), so the
     package's own actions extend at every order the cap allows.
@@ -324,41 +362,50 @@ class InverseAction:
         self.set_size = set_size
         # one image per group element, on one ground set
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
-        self._extend = extension_formula(group, self.generator_images, operator.mul)
-        self._table: dict[SgElement, PartialBijection] | None = None
+        self._extend = extension_formula(group, _index_rows(self.generator_images, set_size), lambda f, h: f[h])
+        self._array: tuple[list[SgElement], dict[SgElement, int], np.ndarray] | None = None
+        self._table: _RowTable[PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
-        return self._extend(a)
+        return self._bijection(self._extend(a))
 
-    def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[SgElement, PartialBijection]:
-        """The action of every element, in enumeration order.  ``cap`` is
-        checked on every call: enumerating past it raises CapExceeded,
-        cached table or not."""
+    def _bijection(self, row: np.ndarray) -> PartialBijection:
+        marker = self.set_size
+        return PartialBijection._trusted(tuple([None if v == marker else v for v in row[:-1].tolist()]))
+
+    def _index_array(self, cap: int) -> tuple[list[SgElement], dict[SgElement, int], np.ndarray]:
+        """The enumerated elements, their indices, and the index array of
+        their images, one row each; ``cap`` is checked on every call."""
         _check_cap(self.group, cap)
-        if self._table is None:
+        if self._array is None:
             elements = enumerate_semigroup(self.group, cap)
             p = DEFAULT_ENUMERATION_CAP
             bound = order_formula(p) << (p - 1)  # the Bernoulli table at the order cap: 2816 x 512
             if len(elements) * max(self.set_size, 1) > bound:
                 raise CapExceeded(f"full action table exceeds {bound} entries, the Bernoulli table's at order {p}")
-            self._table = {a: self._extend(a) for a in elements}
+            rows = np.stack([self._extend(a) for a in elements])
+            self._array = elements, {a: i for i, a in enumerate(elements)}, rows
+        return self._array
+
+    def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Mapping[SgElement, PartialBijection]:
+        """The action of every element, in enumeration order: a read-only
+        mapping over the index array that builds a partial bijection per
+        lookup.  ``cap`` is checked on every call: enumerating past it
+        raises CapExceeded, cached table or not."""
+        _check_cap(self.group, cap)
+        if self._table is None:
+            self._table = _RowTable(self, cap, self._bijection)
         return self._table
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
         """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b), or None.
 
-        The images are stacked once as rows of an index array, in the
-        narrowest unsigned dtype holding ``set_size``, with ``set_size``
-        for undefined points and one ``set_size`` column appended, so
-        composing with f(a) is the gather f(a)[rows]: the marker picks
-        the appended column.
+        Composing with f(a) is the gather f(a)[rows] over the rows of
+        the index array, taken in the order of the table's keys.
         """
         table = self.table(cap)
-        marker = self.set_size
-        stacked = np.array(
-            [[marker if v is None else v for v in f.mapping] + [marker] for f in table.values()],
-            dtype=np.min_scalar_type(marker),
-        )
+        _, index, rows = self._index_array(cap)
+        stacked = rows if isinstance(table, _RowTable) else rows[[index[a] for a in table]]
 
         def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
             return (stacked[targets] != stacked[a][stacked[lo : lo + len(targets)]]).any(axis=1)
@@ -392,7 +439,8 @@ def from_inverse_action(inv_action: InverseAction) -> PartialAction:
     witness = inv_action.check_multiplicative()
     if witness is not None:
         raise NotMultiplicative(f"not multiplicative at {witness}", witness)
-    theta = tuple(inv_action(generator(g, t)) for t in g.elements())
+    table = inv_action.table()
+    theta = tuple(table[generator(g, t)] for t in g.elements())
     return PartialAction(g, inv_action.set_size, theta)
 
 

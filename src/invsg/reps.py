@@ -13,10 +13,10 @@ representations, a family of integer 0/1 matrices with at most one 1 per
 row and per column (a partial-permutation rep, as every rep coming from
 a partial action is) is the same thing as a partial action on the
 basis.  Such a rep is checked as one: its laws compose partial
-bijections, its extension is an :class:`invsg.actions.InverseAction`
-whose multiplicativity is the action's index gather, and a matrix is
-built only when one is read.  So it reaches the enumeration cap: at
-order 10 its 2816 images on 512 points are checked in under 100 MiB,
+bijections, its extension is an :class:`invsg.actions.InverseAction`,
+whose index-array rows its semigroup checks scatter and gather, and a
+matrix is built only when one is read.  So it reaches the enumeration
+cap: at order 10 its 2816 images on 512 points take one 2.9 MB array,
 where the dense int64 images alone would take about 5.9 GB.
 
 The triple-product laws, the extension formula and the multiplicativity
@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .semigroup import (
     extension_formula,
     generator,
 )
-from .actions import InverseAction, PartialAction, PartialBijection
+from .actions import InverseAction, PartialAction, PartialBijection, _index_rows, _RowTable
 
 FLOAT_TOL = 1e-9
 
@@ -138,27 +138,9 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _finite(np.matmul, x, y)
 
 
-class _Ops(NamedTuple):
-    """The product, distance, adjoint and identity that the laws are checked with."""
-
-    mul: Callable
-    distance: Callable
-    adjoint: Callable
-    identity: Callable[[int], Any]
-
-
 def _mismatch(f: PartialBijection, h: PartialBijection) -> float:
     """The max-abs distance of the 0/1 matrices of two partial bijections."""
     return float(f != h)
-
-
-def _ops(bijections: bool) -> _Ops:
-    """The operations on partial bijections, which compose as their 0/1
-    matrices multiply, or on matrices (looked up per call, so a patched
-    ``_matmul`` is seen)."""
-    if bijections:
-        return _Ops(operator.mul, _mismatch, PartialBijection.invert, PartialBijection.identity)
-    return _Ops(_matmul, _distance, adjoint, np.eye)
 
 
 def _partial_bijections(matrices: Sequence[np.ndarray]) -> list[PartialBijection] | None:
@@ -177,11 +159,13 @@ def _partial_bijections(matrices: Sequence[np.ndarray]) -> list[PartialBijection
     return maps
 
 
-def _zero_one(f: PartialBijection) -> np.ndarray:
-    """The int64 matrix of a partial bijection: M[y, x] = 1 iff f(x) = y."""
-    m = np.zeros((f.size, f.size), dtype=np.int64)
-    domain = [x for x, y in enumerate(f.mapping) if y is not None]
-    m[[f.mapping[x] for x in domain], domain] = 1
+def _zero_one(row: np.ndarray) -> np.ndarray:
+    """The int64 matrix of an index-array row (``actions._index_rows``):
+    M[y, x] = 1 iff row[x] = y, the last entry being the undefined marker."""
+    dim = len(row) - 1
+    m = np.zeros((dim, dim), dtype=np.int64)
+    domain = np.flatnonzero(row[:-1] != dim)
+    m[row[domain], domain] = 1
     return m
 
 
@@ -251,8 +235,11 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
     g = rep.group
     tol = _tolerance(rep.matrices) if tol is None else tol
     maps = _partial_bijections(rep.matrices)
-    images = rep.matrices if maps is None else maps
-    mul, distance, star, identity = _ops(maps is not None)
+    if maps is None:  # looked up per call, so a patched ``_matmul`` is seen
+        images, mul, distance, star, identity = rep.matrices, _matmul, _distance, adjoint, np.eye
+    else:  # partial bijections compose as their 0/1 matrices multiply
+        images, mul, distance = maps, operator.mul, _mismatch
+        star, identity = PartialBijection.invert, PartialBijection.identity
 
     laws = _triple_law(g, images, mul, distance)
     dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple in laws)
@@ -271,30 +258,17 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
 
 def partial_rep_from_partial_action(action: PartialAction) -> PartialRep:
     """0/1 matrices of the partial bijections: M[y, x] = 1 iff theta(x) = y."""
-    return PartialRep(action.group, [_zero_one(f) for f in action.theta])
+    return PartialRep(action.group, [_zero_one(row) for row in _index_rows(action.theta, action.set_size)])
 
 
-class _ActionTable(Mapping[SgElement, np.ndarray]):
-    """The read-only table of a partial-permutation rep: the images are
-    the partial bijections of ``action.table(cap)``, in enumeration
-    order, and reading an entry builds its 0/1 matrix."""
-
-    def __init__(self, action: InverseAction, cap: int):
-        self.action = action
-        self.cap = cap
-        self.images = action.table(cap)
-
-    def __getitem__(self, a: SgElement) -> np.ndarray:
-        return _zero_one(self.images[a])
-
-    def __contains__(self, a: object) -> bool:
-        return a in self.images
-
-    def __iter__(self) -> Iterator[SgElement]:
-        return iter(self.images)
-
-    def __len__(self) -> int:
-        return len(self.images)
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """Every index-array row inverted by one scatter, x to [i, rows[i, x]];
+    the undefined points wrote to the marker column, which is then reset."""
+    marker = rows.shape[1] - 1
+    inverse = np.full_like(rows, marker)
+    inverse[np.arange(len(rows))[:, None], rows] = np.arange(marker + 1)
+    inverse[:, marker] = marker
+    return inverse
 
 
 class SgRepresentation:
@@ -302,24 +276,18 @@ class SgRepresentation:
     table of :func:`extend_to_semigroup` is in enumeration order.
 
     :func:`extend_to_semigroup` backs the table of a partial-permutation
-    rep by its partial action: the checks below then run on the action's
-    partial bijections, and a matrix is built only when an entry is read.
-    A table given here is copied into a dict of matrices.
+    rep by its partial action: the checks below then run on the rows of
+    the action's index array, and a matrix is built only when an entry
+    is read.  A table given here is copied into a dict of matrices.
     """
 
     def __init__(self, group: FiniteGroup, dim: int, table: Mapping[SgElement, np.ndarray]):
         self.group = group
         self.dim = dim
-        self.table = table if isinstance(table, _ActionTable) else dict(table)
+        self.table = table if isinstance(table, _RowTable) else dict(table)
 
     def __call__(self, a: SgElement) -> np.ndarray:
         return self.table[a]
-
-    def _images(self) -> tuple[Mapping, _Ops]:
-        """The images the laws are checked on, and their operations."""
-        if isinstance(self.table, _ActionTable):
-            return self.table.images, _ops(bijections=True)
-        return self.table, _ops(bijections=False)
 
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
         """The largest max-abs distance of M(ab) from M(a)M(b) and its first pair.
@@ -334,7 +302,7 @@ class SgRepresentation:
         by ``InverseAction.check_multiplicative``, where a mismatch is
         the distance 1.0 of two 0/1 matrices.
         """
-        if isinstance(self.table, _ActionTable):
+        if isinstance(self.table, _RowTable):
             witness = self.table.action.check_multiplicative(self.table.cap)
             return (0.0, None) if witness is None else (1.0, witness)
         images = list(self.table.values())
@@ -364,13 +332,24 @@ class SgRepresentation:
         return _worst_pair(self.table, dim * dim * dtype.itemsize, scanner, exact)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
-        images, (_, distance, star, _) = self._images()
-        return _worst_case((distance(images[a.star()], star(m)), (a,)) for a, m in images.items())
+        """Deviation of M(a^*) from M(a)^adj over all images.  On an
+        action's rows, the row of a^* is compared with the inverse row."""
+        if isinstance(self.table, _RowTable):
+            rows, index, elements = self.table.rows, self.table.index, self.table.elements
+            stars = rows[[index[a.star()] for a in elements]]
+            bad = (stars != _inverse_rows(rows)).any(axis=1).tolist()
+            return _worst_case((float(d), (a,)) for a, d in zip(elements, bad))
+        return _worst_case((_distance(self.table[a.star()], adjoint(m)), (a,)) for a, m in self.table.items())
 
     def max_partial_isometry_deviation(self) -> tuple[float, tuple | None]:
-        """Deviation from m @ m^adj @ m == m over all images."""
-        images, (mul, distance, star, _) = self._images()
-        return _worst_case((distance(mul(mul(m, star(m)), m), m), (a,)) for a, m in images.items())
+        """Deviation from m @ m^adj @ m == m over all images.  On an
+        action's rows, f f^-1 f is two gathers per row."""
+        if isinstance(self.table, _RowTable):
+            rows = self.table.rows
+            fff = np.take_along_axis(rows, np.take_along_axis(_inverse_rows(rows), rows, axis=1), axis=1)
+            bad = (fff != rows).any(axis=1).tolist()
+            return _worst_case((float(d), (a,)) for a, d in zip(self.table.elements, bad))
+        return _worst_case((_distance(_matmul(_matmul(m, adjoint(m)), m), m), (a,)) for a, m in self.table.items())
 
 
 def extend_to_semigroup(
@@ -392,7 +371,7 @@ def extend_to_semigroup(
     g = rep.group
     maps = _partial_bijections(rep.matrices)
     if maps is not None:
-        return SgRepresentation(g, rep.dim, _ActionTable(InverseAction(g, rep.dim, maps), cap))
+        return SgRepresentation(g, rep.dim, _RowTable(InverseAction(g, rep.dim, maps), cap, _zero_one))
     extend = extension_formula(g, rep.matrices, _matmul)
     return SgRepresentation(g, rep.dim, {a: extend(a) for a in enumerate_semigroup(g, cap)})
 
@@ -409,7 +388,7 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     missing = [a for a in gens if a not in sgrep.table]
     if missing:
         raise NotRepresentation(f"no image of the generator {missing[0]}", (missing[0],))
-    tol = 0.0 if isinstance(sgrep.table, _ActionTable) else _tolerance(sgrep.table.values())
+    tol = 0.0 if isinstance(sgrep.table, _RowTable) else _tolerance(sgrep.table.values())
     dev, witness = sgrep.max_multiplicative_deviation()
     if dev > tol:
         raise NotRepresentation(f"not multiplicative (deviation {dev:.3e})", witness or ())

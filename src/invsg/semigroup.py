@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -403,15 +402,27 @@ def extension_formula(
     (F, s) goes to the product of f(r)f(r^-1) over r in F (ascending
     index, read off the support bits; the factors commute once the
     extension conditions hold) times f(s).  The p projections
-    f(r)f(r^-1) are computed once.
+    f(r)f(r^-1) are computed once, and the product over each support
+    mask once, memoised, as the same ascending left fold: the product
+    over the mask without its top bit times the top projection.  So all
+    n elements take at most p + 2^(p-1) + n products when the identity
+    has index 0 (p + 2^p + n otherwise), each image bit for bit the fold
+    over F.  Every image is a new product; no memoised one is returned.
     """
     projections = [mul(images[r], images[group.inv(r)]) for r in group.elements()]
+    products: dict[int, T] = {}
+
+    def product(mask: int) -> T:
+        if mask not in products:
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            products[mask] = mul(product(rest), projections[top]) if rest else projections[top]
+        return products[mask]
 
     def extended(a: SgElement) -> T:
         if a.group != group:
             raise ValueError("element belongs to a different group")
-        support = (projections[r] for r in group.elements() if a.support >> r & 1)
-        return mul(reduce(mul, support), images[a.degree])
+        return mul(product(a.support), images[a.degree])
 
     return extended
 
@@ -476,7 +487,7 @@ def _worst_pair(
 
     if exact:
         g = elements[0].group
-        rows = [i for i, a in enumerate(elements) if a == generator(g, a.degree)]
+        rows = [i for i, a in enumerate(elements) if a.support == (1 << g.identity) | (1 << a.degree)]
         if len(rows) == g.order and scan(rows)[1] is None:
             return 0.0, None
     return scan(range(n))

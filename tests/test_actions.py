@@ -1,4 +1,6 @@
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -17,7 +19,7 @@ from invsg.actions import (
     validate_axioms,
     validate_semigroup_form,
 )
-from invsg.groups import cyclic, klein_four
+from invsg.groups import cyclic, group_from_spec, klein_four
 from invsg.semigroup import CapExceeded, enumerate_semigroup, generator, idempotent, unit
 
 from conftest import (
@@ -311,3 +313,26 @@ def test_action_json_round_trip():
     action = bernoulli_partial_action(klein_four())
     data = action_to_dict(action)
     assert action_from_dict(data) == action
+
+
+@pytest.mark.parametrize("spec", ["klein4", "cyclic:5", "dihedral:3"])
+def test_index_array_rows_are_the_extension_formula_off_partial_actions(spec):
+    """Random generator images that are no partial action (some image of
+    r^-1 is not the inverse of r's): every row of the index array, every
+    table entry and every single image is the extension formula multiplied
+    out as the plain ascending fold of partial bijections."""
+    g = group_from_spec(spec)
+    rng = random.Random(spec)
+    n = 6
+    images = []
+    for _ in g.elements():
+        perm = rng.sample(range(n), n)
+        images.append(PartialBijection(tuple(perm[x] if rng.random() < 0.7 else None for x in range(n))))
+    assert any(images[g.inv(r)] != images[r].invert() for r in g.elements())
+    inv_action = InverseAction(g, n, images)
+    table = inv_action.table()
+    for i, a in enumerate(enumerate_semigroup(g)):
+        projections = [images[r] * images[g.inv(r)] for r in g.elements() if a.support >> r & 1]
+        expected = reduce(operator.mul, projections) * images[a.degree]
+        assert table[a] == inv_action(a) == expected
+        assert table.rows[i].tolist() == [n if v is None else v for v in expected.mapping] + [n]

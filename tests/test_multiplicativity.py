@@ -87,6 +87,14 @@ def _bernoulli_rep_table(g):
     return extend_to_semigroup(partial_rep_from_partial_action(bernoulli_partial_action(g)))
 
 
+def _corrupt_action_image(inv_action, a):
+    """Drop the last defined point of the image of ``a`` in the action's
+    index array, which its table and its scan both read."""
+    table = inv_action.table()
+    row = table.rows[table.index[a]]
+    row[np.flatnonzero(row[:-1] != inv_action.set_size)[-1]] = inv_action.set_size
+
+
 GROUPS = [cyclic(3), cyclic(4), klein_four()]
 GROUP_IDS = ["cyclic3", "cyclic4", "klein4"]
 COLUMNS = [1, 3, None]
@@ -110,16 +118,14 @@ def _positions(n, columns):
 @pytest.mark.parametrize("columns", COLUMNS)
 @pytest.mark.parametrize("g", GROUPS, ids=GROUP_IDS)
 def test_one_corrupted_image_matches_the_reference(monkeypatch, g, columns):
-    """The last defined point dropped from one image of the action table."""
+    """The last defined point dropped from one row of the action's index
+    array; the reference reads the corrupted rows."""
     set_size = 1 << (g.order - 1)
     _columns_per_block(monkeypatch, np.min_scalar_type(set_size).itemsize * (set_size + 1), columns)
     for pos in _positions(len(semigroup.enumerate_semigroup(g)), columns):
         inv_action = to_inverse_action(bernoulli_partial_action(g))
         table = inv_action.table()
-        a = list(table)[pos]
-        mapping = list(table[a].mapping)
-        mapping[max(x for x, v in enumerate(mapping) if v is not None)] = None
-        table[a] = PartialBijection(mapping)
+        _corrupt_action_image(inv_action, list(table)[pos])
         expected = _pairwise(table, operator.mul, operator.ne)[1]
         assert expected is not None
         assert inv_action.check_multiplicative() == expected
@@ -288,9 +294,7 @@ def test_action_scan_stops_at_the_first_failing_pair(monkeypatch):
     table = inv_action.table()
     unit = semigroup.unit(cyclic(8))
     assert next(iter(table)) == unit
-    mapping = list(table[unit].mapping)
-    mapping[max(x for x, v in enumerate(mapping) if v is not None)] = None
-    table[unit] = PartialBijection(mapping)
+    _corrupt_action_image(inv_action, unit)
     expected = next((a, b) for a in table for b in table if table[a * b] != table[a] * table[b])
     assert expected[0] == unit
 
@@ -301,12 +305,6 @@ def test_action_scan_stops_at_the_first_failing_pair(monkeypatch):
     assert blocks and all(a == 0 for a, _ in blocks)
     row_bytes = np.min_scalar_type(128).itemsize * 129  # 128 points and the marker column
     assert len(blocks) <= 2 * -(-len(table) // (semigroup.SCAN_BYTES // row_bytes))
-
-
-def _corrupt_action_image(table, a):
-    mapping = list(table[a].mapping)
-    mapping[max(x for x, v in enumerate(mapping) if v is not None)] = None
-    table[a] = PartialBijection(mapping)
 
 
 def _corrupt_rep_image(table, a):
@@ -323,7 +321,7 @@ def test_every_corrupted_image_is_caught(g):
     for a in semigroup.enumerate_semigroup(g):
         inv_action = to_inverse_action(action)
         table = inv_action.table()
-        _corrupt_action_image(table, a)
+        _corrupt_action_image(inv_action, a)
         expected = _pairwise(table, operator.mul, operator.ne)[1]
         assert expected is not None
         assert inv_action.check_multiplicative() == expected
@@ -334,6 +332,29 @@ def test_every_corrupted_image_is_caught(g):
         expected = _pairwise(table, operator.matmul, _matrix_distance)
         assert expected[1] is not None
         assert SgRepresentation(g, ext.dim, table).max_multiplicative_deviation() == expected
+
+
+@pytest.mark.parametrize("g", [cyclic(3), klein_four(), cyclic(5)], ids=["cyclic3", "klein4", "cyclic5"])
+def test_row_star_and_isometry_scans_match_the_bijection_route(g):
+    """The star and partial-isometry scans of a 0/1 rep run on the rows
+    of its action's index array; with one, then a second, row corrupted,
+    they report what ``_worst_case`` reports over the partial bijections
+    the action's table reads from the same rows."""
+    ext = _bernoulli_rep_table(g)
+    bijections = ext.table.action.table()
+
+    def by_bijections():
+        star = reps._worst_case((float(bijections[a.star()] != f.invert()), (a,)) for a, f in bijections.items())
+        isometry = reps._worst_case((float(f * f.invert() * f != f), (a,)) for a, f in bijections.items())
+        return star, isometry
+
+    assert (ext.max_star_deviation(), ext.max_partial_isometry_deviation()) == by_bijections() == ((0.0, None),) * 2
+    elements = list(bijections)
+    for a in (elements[len(elements) // 2], elements[1]):
+        _corrupt_action_image(ext.table.action, a)
+        expected = by_bijections()
+        assert expected[0][0] == 1.0
+        assert (ext.max_star_deviation(), ext.max_partial_isometry_deviation()) == expected
 
 
 def test_a_table_without_the_generators_gets_the_full_scan(monkeypatch):

@@ -1,5 +1,6 @@
 import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,7 +29,16 @@ from invsg.reps import (
     restrict_to_group,
     validate_partial_rep,
 )
-from invsg.semigroup import CapExceeded, _triple_law, enumerate_semigroup, generator, idempotent, unit, universal_extension
+from invsg.semigroup import (
+    CapExceeded,
+    _triple_law,
+    enumerate_semigroup,
+    extension_formula,
+    generator,
+    idempotent,
+    unit,
+    universal_extension,
+)
 
 from conftest import (
     left_regular_matrix,
@@ -502,3 +512,31 @@ def test_the_action_route_keeps_the_cap():
     assert ext.max_multiplicative_deviation() == ext.max_star_deviation() == (0.0, None)
     with pytest.raises(CapExceeded):
         extend_to_semigroup(rep)
+
+
+def test_memoised_extension_is_the_plain_fold_bit_for_bit():
+    """The 0/1 Bernoulli rep of dihedral:3 conjugated by a seeded random
+    unitary, a float rep on the dense route: each extended image has the
+    bytes of the ascending fold of M_r M_r^-1 over its support times M_s,
+    and the memoised formula makes at most p + 2^(p-1) + n products."""
+    g = dihedral(3)
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    q = np.linalg.qr(z)[0]
+    zero_one = partial_rep_from_partial_action(bernoulli_partial_action(g)).matrices
+    rep = PartialRep(g, [q @ m @ q.conj().T for m in zero_one])
+    mats = rep.matrices
+    elements = enumerate_semigroup(g)
+    ext = extend_to_semigroup(rep)
+    products = []
+
+    def counted(x, y):
+        products.append(1)
+        return reps._matmul(x, y)
+
+    extended = extension_formula(g, mats, counted)
+    for a in elements:
+        projections = [reps._matmul(mats[r], mats[g.inv(r)]) for r in g.elements() if a.support >> r & 1]
+        folded = reps._matmul(reduce(reps._matmul, projections), mats[a.degree])
+        assert ext(a).tobytes() == folded.tobytes() == extended(a).tobytes()
+    assert len(products) <= g.order + 2 ** (g.order - 1) + len(elements)
