@@ -38,6 +38,7 @@ from .semigroup import (
     extension_formula,
     generator,
     identity_masks,
+    multiplication_tables,
     order_formula,
     unit,
 )
@@ -364,6 +365,7 @@ class InverseAction:
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
         self._extend = extension_formula(group, _index_rows(self.generator_images, set_size), lambda f, h: f[h])
         self._array: tuple[list[SgElement], dict[SgElement, int], np.ndarray] | None = None
+        self._products: np.ndarray | None = None  # multiplication_tables of the enumerated elements
         self._table: _RowTable[PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
@@ -401,16 +403,24 @@ class InverseAction:
         """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b), or None.
 
         Composing with f(a) is the gather f(a)[rows] over the rows of
-        the index array, taken in the order of the table's keys.
+        the index array, taken in the order of the table's keys.  The
+        product table of the enumerated elements is built on the first
+        call and kept with the index array.
         """
         table = self.table(cap)
-        _, index, rows = self._index_array(cap)
-        stacked = rows if isinstance(table, _RowTable) else rows[[index[a] for a in table]]
+        elements, index, rows = self._index_array(cap)
+        if isinstance(table, _RowTable):
+            if self._products is None:  # it depends on the elements only, not on the rows
+                self._products = multiplication_tables(elements)[0]
+            stacked, mult = rows, self._products
+        else:  # a table patched to a subset gets its own product table
+            keys = list(table)
+            stacked, mult = rows[[index[a] for a in keys]], multiplication_tables(keys)[0]
 
         def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
             return (stacked[targets] != stacked[a][stacked[lo : lo + len(targets)]]).any(axis=1)
 
-        return _worst_pair(table, stacked[0].nbytes, lambda width: differ, exact=True)[1]
+        return _worst_pair(table, mult, stacked[0].nbytes, lambda width: differ, exact=True)[1]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:

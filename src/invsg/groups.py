@@ -262,7 +262,10 @@ def document_group(data: object, keys: Sequence[str]) -> FiniteGroup:
 
 
 def _scalar(kind: type) -> Callable[[object], bool]:
-    return lambda v: isinstance(v, kind) and not isinstance(v, bool)
+    # json.load gives exactly int or float, so test those types first and
+    # the ABC (which also admits NumPy scalars) only for other values
+    exact = frozenset(t for t in (int, float) if issubclass(t, kind))
+    return lambda v: type(v) in exact or (isinstance(v, kind) and not isinstance(v, bool))
 
 
 def _list_of(item: Callable[[object], bool], length: int | None = None) -> Callable[[object], bool]:

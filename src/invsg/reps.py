@@ -45,6 +45,7 @@ from .semigroup import (
     enumerate_semigroup,
     extension_formula,
     generator,
+    multiplication_tables,
 )
 from .actions import InverseAction, PartialAction, PartialBijection, _index_rows, _RowTable
 
@@ -329,7 +330,8 @@ class SgRepresentation:
 
             return distances
 
-        return _worst_pair(self.table, dim * dim * dtype.itemsize, scanner, exact)
+        mult = multiplication_tables(list(self.table))[0]
+        return _worst_pair(self.table, mult, dim * dim * dtype.itemsize, scanner, exact)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         """Deviation of M(a^*) from M(a)^adj over all images.  On an

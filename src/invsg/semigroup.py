@@ -29,8 +29,8 @@ T = TypeVar("T")
 D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
-ROW_BLOCK = 128  # rows per block of Light's test: bounds its temporaries
-SCAN_BYTES = 1 << 17  # bytes per block of a table build, or per buffer of a pair scan (allocated once per scan)
+ROW_BLOCK = 128  # rows per block of Light's test and of the inverse check, bounding their temporaries; a multiple of 8
+SCAN_BYTES = 1 << 17  # bytes per block of a table build or of inverse-scan keys, or per buffer of a pair scan (allocated once per scan)
 
 
 class CapExceeded(ValueError):
@@ -199,15 +199,21 @@ def multiplication_tables(
     elements[i] * elements[j] and star[i] the index of elements[i]^*,
     or n = len(elements) where the involution leaves the list.  Both are
     index arrays in the narrowest unsigned dtype holding n, so cast them
-    (to int64, say) before any arithmetic.  Vectorized: one
-    left-translation lookup table per group element turns every product
-    into array indexing, in row blocks of about SCAN_BYTES; no n x n
-    int64 array is built.  Raises ValueError if the list is not closed
-    under multiplication.
+    (to int64, say) before any arithmetic.
+
+    Each element is keyed as support << k | degree, k bits holding a
+    degree, in the narrowest unsigned dtype holding every key (uint16
+    at order 10).  Since (F, s)(H, u) = (F | s.H, su), the key of a
+    product is F << k OR the key of s.(H, u), and the p x n keys of the
+    translates s.(H, u) are computed once.  So each block of about
+    SCAN_BYTES of key rows costs one gather of translates, one OR into a
+    key buffer allocated once and one lookup of the keys' indices.
+    Raises ValueError if the list is not closed under multiplication.
     """
     group = elements[0].group
     p = group.order
     n = len(elements)
+    k = max(1, (p - 1).bit_length())
     supports = np.array([a.support for a in elements], dtype=np.int64)
     degrees = np.array([a.degree for a in elements], dtype=np.int64)
 
@@ -215,28 +221,29 @@ def multiplication_tables(
     bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
     translate = (bits << group_mul[:, :, None]).sum(axis=1)  # translate[s, mask] = s . mask
 
-    # dense (support, degree) -> index lookup; n marks non-elements
-    key_of = supports * p + degrees
-    index_of = np.full((1 << p) * p, n, dtype=np.min_scalar_type(n))
-    index_of[key_of] = np.arange(n)
+    # dense key -> index lookup; n marks non-elements
+    key_dtype = np.min_scalar_type((1 << (p + k)) - 1)
+    index_of = np.full(1 << (p + k), n, dtype=np.min_scalar_type(n))
+    index_of[supports << k | degrees] = np.arange(n)
 
-    moved = translate[:, supports]  # moved[s, j] = s . support_j
-    degs = group_mul[:, degrees]    # degs[s, j] = s * degree_j
+    moved = (translate[:, supports] << k | group_mul[:, degrees]).astype(key_dtype)  # keys of s.(H, u)
+    left = (supports << k).astype(key_dtype)  # F << k
     mult = np.empty((n, n), dtype=index_of.dtype)
-    step = max(1, SCAN_BYTES // (8 * n))  # rows per block
+    step = max(1, SCAN_BYTES // (key_dtype.itemsize * n))  # rows per block
+    keys = np.empty((min(step, n), n), dtype=key_dtype)
     for lo in range(0, n, step):
         rows = degrees[lo : lo + step]
-        sup = supports[lo : lo + step, None] | moved[rows]
-        block = mult[lo : lo + step]
-        np.take(index_of, sup * p + degs[rows], out=block, mode="clip")  # keys are in range
-        if (block == n).any():
+        block, key = mult[lo : lo + step], keys[: len(rows)]
+        np.take(moved, rows, axis=0, out=key)
+        np.bitwise_or(key, left[lo : lo + step, None], out=key)
+        np.take(index_of, key, out=block, mode="clip")  # keys are in range
+        if block.max() == n:
             raise ValueError("element list is not closed under multiplication")
 
     inverses = np.array(group.inverses, dtype=np.int64)
     star_deg = inverses[degrees]
-    star_sup = translate[star_deg, supports]
-    star_idx = index_of[star_sup * p + star_deg]
-    unit_idx = int(index_of[(1 << group.identity) * p + group.identity])
+    star_idx = index_of[translate[star_deg, supports] << k | star_deg]
+    unit_idx = int(index_of[(1 << group.identity) << k | group.identity])
     return mult, star_idx, unit_idx
 
 
@@ -268,6 +275,14 @@ class SemigroupReport:
         return "\n".join([head] + [c.describe() for c in self.checks])
 
 
+def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
+    """The indices of the generators [t] = ({e, t}, t) among ``elements``,
+    in degree order; fewer than the group order when some are missing."""
+    e = 1 << elements[0].group.identity
+    rows = {a.degree: i for i, a in enumerate(elements) if a.support == e | 1 << a.degree}
+    return [rows[t] for t in sorted(rows)]
+
+
 def verify_inverse_semigroup(
     group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
 ) -> SemigroupReport:
@@ -288,8 +303,7 @@ def verify_inverse_semigroup(
     mult, star_idx, unit_idx = multiplication_tables(elements)
 
     # associativity: the generation scan, then Light's test per generator
-    index = {a: i for i, a in enumerate(elements)}
-    gens = [index[generator(group, t)] for t in group.elements()]
+    gens = _generator_rows(elements)
     reached = np.zeros(n, dtype=bool)
     frontier = np.array([unit_idx])
     count = 0  # generation lookups, then n^2 per generator scanned
@@ -323,16 +337,30 @@ def verify_inverse_semigroup(
     checks.append(CheckResult("involution identities", bad is None, n, bad))
 
     # uniqueness: for each a exactly one b with a b a == a and b a b == b,
-    # and that b is a*; rows a in blocks, columns b
+    # and that b is a*.  With R[a, b] = ((ab)a == a), packed to bits row
+    # by row, b is an inverse of a iff R[a, b] and R[b, a]; rows a in blocks
+    flat, ids = mult.ravel(), idx.astype(mult.dtype)
+    relation = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    step = max(1, SCAN_BYTES // (8 * n))  # rows per block of keys
+    keys = np.empty((min(step, n), n), dtype=np.intp)  # flat indices of (ab)a
+    products = np.empty(keys.shape, dtype=mult.dtype)
+    for lo in range(0, n, step):
+        a = ids[lo : lo + step, None]
+        key, product = keys[: a.size], products[: a.size]
+        np.multiply(mult[lo : lo + step], n, out=key, dtype=np.intp)
+        np.take(flat, np.add(key, a, out=key), out=product)
+        relation[lo : lo + step] = np.packbits(product == a, axis=1)
     bad = None
     for lo in range(0, n, ROW_BLOCK):
         a = idx[lo : lo + ROW_BLOCK]
-        w = mult[mult[lo : lo + ROW_BLOCK], a[:, None]] == a[:, None]  # (a*b)*a == a
-        z = mult[mult[:, lo : lo + ROW_BLOCK].T, idx] == idx  # (b*a)*b == b
-        inverse = w & z
-        fails = np.flatnonzero((inverse.sum(axis=1) != 1) | ~inverse[a - lo, star_idx[a]])
+        columns = np.unpackbits(relation[:, lo >> 3 : (lo + ROW_BLOCK) >> 3], axis=1, count=a.size)
+        inverse = np.unpackbits(relation[lo : lo + ROW_BLOCK], axis=1, count=n)
+        np.bitwise_and(inverse, columns.T, out=inverse)
+        inverse[a - lo, star_idx[a]] ^= 1  # now a row is 0 iff a* is the one inverse of a
+        fails = np.flatnonzero(inverse.any(axis=1))
         if fails.size:
             r = int(fails[0])
+            inverse[r, star_idx[lo + r]] ^= 1
             bad = (elements[lo + r], [elements[int(j)] for j in np.flatnonzero(inverse[r])])
             break
     checks.append(CheckResult("unique inverses", bad is None, n * n, bad))
@@ -442,6 +470,7 @@ def universal_extension(
 
 def _worst_pair(
     table: Mapping[SgElement, T],
+    mult: np.ndarray,
     item_bytes: int,
     scanner: Callable[[int], Callable[[int, np.ndarray, int], np.ndarray]],
     exact: bool,
@@ -457,10 +486,11 @@ def _worst_pair(
     ``distances(a, targets, lo)``: for each k the distance of the image
     at index targets[k] (that is, of f(ab) for b at index lo + k) from
     f(a) times the image of b.
-    Products are looked up in the :func:`multiplication_tables` index
-    table.  A boolean distance stops the scan at its first True pair,
-    which already attains the maximum.  Private, so a trace charges the
-    scan to its caller.
+    Products are looked up in ``mult``, the :func:`multiplication_tables`
+    index table of the table's keys in their order, which the caller
+    builds or keeps.  A boolean distance stops the scan at its first
+    True pair, which already attains the maximum.  Private, so a trace
+    charges the scan to its caller.
 
     An ``exact`` table has integer images, multiplied exactly and so
     associatively: if it holds every generator [t] (and so all of S(G))
@@ -469,7 +499,6 @@ def _worst_pair(
     """
     elements = list(table)
     n = len(elements)
-    mult = multiplication_tables(elements)[0]
     width = min(n, max(1, SCAN_BYTES // max(item_bytes, 1)))
     distances = scanner(width)
 
@@ -486,9 +515,8 @@ def _worst_pair(
         return worst, witness
 
     if exact:
-        g = elements[0].group
-        rows = [i for i, a in enumerate(elements) if a.support == (1 << g.identity) | (1 << a.degree)]
-        if len(rows) == g.order and scan(rows)[1] is None:
+        rows = _generator_rows(elements)
+        if len(rows) == elements[0].group.order and scan(rows)[1] is None:
             return 0.0, None
     return scan(range(n))
 

@@ -82,6 +82,29 @@ def test_sg_verify(capsys):
     assert data["passed"] is True and data["size"] == 20
 
 
+def test_sg_verify_at_the_order_cap(capsys):
+    """The full report of both order-10 certificates, JSON and plain."""
+    code, out, _ = invoke(capsys, "sg", "verify", "dihedral:5", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["group_order"], data["size"], data["passed"]) == (10, 2816, True)
+    assert [(c["name"], c["passed"], c["mode"], c["checked"], c["counterexample"]) for c in data["checks"]] == [
+        ("associativity", True, "exhaustive", 79326720, None),
+        ("involution identities", True, "exhaustive", 2816, None),
+        ("unique inverses", True, "exhaustive", 7929856, None),
+        ("idempotents commute", True, "exhaustive", 262144, None),
+    ]
+    code, out, _ = invoke(capsys, "sg", "verify", "cyclic:10")
+    assert code == 0
+    assert out.splitlines() == [
+        "semigroup on group of order 10: 2816 elements",
+        "associativity: ok (exhaustive, 79326720 cases)",
+        "involution identities: ok (exhaustive, 2816 cases)",
+        "unique inverses: ok (exhaustive, 7929856 cases)",
+        "idempotents commute: ok (exhaustive, 262144 cases)",
+    ]
+
+
 def test_unknown_group_is_usage_error(capsys):
     code, _, err = invoke(capsys, "sg", "order", "nonsense")
     assert code == 2 and "unknown group" in err

@@ -1,5 +1,7 @@
+import numbers
 from math import gcd
 
+import numpy as np
 import pytest
 
 from invsg.groups import (
@@ -14,6 +16,7 @@ from invsg.groups import (
     from_cayley_table,
     group_from_spec,
     group_to_dict,
+    json_value,
     klein_four,
     load_group,
 )
@@ -159,3 +162,58 @@ def test_group_spec_and_json(tmp_path):
 def test_value_equality_across_constructions():
     assert cyclic(4) == group_from_spec("cyclic:4")
     assert cyclic(4) != klein_four()
+
+
+def _abc_scalar(kind):
+    """The reference rule for a number: an instance of the ABC, not a bool."""
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _abc_list(item, length=None):
+    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(item, v))
+
+
+_REFERENCE_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "an integer": _abc_scalar(numbers.Integral),
+    "a list of rows of integers": _abc_list(_abc_list(_abc_scalar(numbers.Integral))),
+    "a list of [point, image] pairs": _abc_list(_abc_list(_abc_scalar(numbers.Integral), 2)),
+    "a list of rows of [re, im] pairs": _abc_list(_abc_list(_abc_list(_abc_scalar(numbers.Real), 2))),
+}
+
+_SCALARS = [3, -1, 2.5, 1.0, True, False, np.int64(3), np.float64(2.5), np.bool_(True), "1", None, 2**70, 1 + 0j]
+
+
+def _samples():
+    """Each scalar alone, as a row entry, as a pair entry and as a re or im
+    part; pairs and [re, im] entries of the wrong length; non-lists."""
+    yield {}
+    yield {"a": 1}
+    yield []
+    for x in _SCALARS:
+        yield x
+        yield [x]
+        yield [[x]]
+        yield [[0, x]]
+        yield [[x, 1], [2, 3]]
+        yield [[[x, 0.0]]]
+        yield [[[0.0, x], [1.0, 0.0]]]
+    for bad in ([[1]], [[1, 2, 3]], [[[1.0]]], [[[1.0, 0.0, 0.0]]], [[]], [[[]]], [(1, 2)], ((1, 2),)):
+        yield bad
+
+
+@pytest.mark.parametrize("kind", list(_REFERENCE_KINDS))
+def test_json_value_accepts_and_rejects_as_the_abc_rule(kind):
+    """The exact int/float fast path changes no verdict and no message:
+    bools are still refused as numbers, NumPy scalars still accepted."""
+    reference = _REFERENCE_KINDS[kind]
+    verdicts = set()
+    for value in _samples():
+        if reference(value):
+            assert json_value(value, kind, "field") is value
+        else:
+            with pytest.raises(ValueError) as info:
+                json_value(value, kind, "field")
+            assert str(info.value) == f"field must be {kind}, got {value!r}"
+        verdicts.add(reference(value))
+    assert verdicts == {True, False}

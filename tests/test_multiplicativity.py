@@ -60,7 +60,7 @@ def _record_blocks(monkeypatch, module):
     blocks, results = [], []
     real = semigroup._worst_pair
 
-    def spy(table, item_bytes, scanner, exact):
+    def spy(table, mult, item_bytes, scanner, exact):
         def recording(width):
             distances = scanner(width)
 
@@ -70,7 +70,7 @@ def _record_blocks(monkeypatch, module):
 
             return recorded
 
-        results.append(real(table, item_bytes, recording, exact))
+        results.append(real(table, mult, item_bytes, recording, exact))
         return results[-1]
 
     monkeypatch.setattr(module, "_worst_pair", spy)

@@ -195,6 +195,7 @@ def test_multiplication_tables_match_the_product(monkeypatch):
         (dihedral(3), np.uint8),
         (relabelled(cyclic(5), [3, 0, 4, 1, 2]), np.uint8),
         (cyclic(7), np.uint16),
+        (dihedral(4), np.uint16),
     ):
         elements = enumerate_semigroup(g)
         mult, star, unit_index = multiplication_tables(elements)
@@ -457,6 +458,35 @@ def test_unique_inverses_checks_the_inverse_is_the_star(monkeypatch):
     unique = verify_inverse_semigroup(g).checks[2]
     assert _first_non_unique_inverse(mult, star) == (a, [true_inverse])
     assert unique.counterexample == (elements[a], [elements[true_inverse]])
+
+
+@pytest.mark.parametrize("g", [klein_four(), cyclic(5), cyclic(8)], ids=["klein4", "cyclic5", "cyclic8"])
+def test_unique_inverses_match_the_reference_loop_on_random_corruptions(monkeypatch, g):
+    """Seeded single-entry corruptions, two of the product table to one of
+    the star table: the packed-bit scan reports what the reference loop does.
+    klein4 has n = 20, so its last packed byte is partial; cyclic(8) spans
+    several row blocks."""
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n = len(elements)
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for trial in range(60):
+        bad_mult, bad_star = mult.copy(), star.copy()
+        i, j = map(int, rng.integers(n, size=2))
+        if trial % 3:
+            bad_mult[i, j] = (int(bad_mult[i, j]) + int(rng.integers(1, n))) % n
+        else:
+            bad_star[i] = (int(bad_star[i]) + int(rng.integers(1, n))) % n
+        monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad_mult, s=bad_star: (m, s, unit_index))
+        unique = verify_inverse_semigroup(g).checks[2]
+        expected = _first_non_unique_inverse(bad_mult, bad_star)
+        assert unique.checked == n * n and unique.passed == (expected is None)
+        if expected is not None:
+            first, witnesses = expected
+            assert unique.counterexample == (elements[first], [elements[k] for k in witnesses])
+        outcomes.add(unique.passed)
+    assert outcomes == {True, False}
 
 
 def _generated(mult, unit_index, gens):
