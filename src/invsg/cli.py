@@ -12,7 +12,8 @@ schemas):
 Groups are builtin names (cyclic:n, klein4, dihedral:n) or JSON file
 paths; file paths win.  Exit codes: 0 success, 1 domain error (the
 payload on stderr carries the counterexample or the numeric margin),
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE, nothing on stderr) when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -360,7 +362,16 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): end silently, as a filter
+        # killed by SIGPIPE does; stdout goes to devnull so that the
+        # flush at exit has nowhere left to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,20 +5,23 @@ the linear span of a set of monomials is described exactly by its set
 of basis indices, and the span-of-products of two such subspaces is
 again one.  That turns the lattice of grading-generated subspaces into
 finite combinatorics: products are index-set images under the
-multiplication table, and closures terminate.  A product is computed as
-one gather of the table at every index pair, marked in a boolean mask
-over the basis; the mask's nonzero positions are the product's indices.
+multiplication table, and closures terminate.  A subspace used as a
+right operand keeps one Python-int bitmask per basis row, row i marking
+the images of b_i times its monomials; a product ORs the rows of its
+left operand's indices, and the set bits are the product's indices.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .algebra import StructureAlgebra
-from .semigroup import SgElement
+from .semigroup import SCAN_BYTES, SgElement
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,12 @@ class GradedSubspace:
 
     def __mul__(self, other: GradedSubspace) -> GradedSubspace:
         return subspace_product(self, other)
+
+    @functools.cached_property
+    def _rows(self) -> list[int]:
+        """Row masks, built on the first product with this subspace on
+        the right and kept: derived data, outside equality and the hash."""
+        return _row_masks(self.algebra, self.indices)
 
     def star(self) -> GradedSubspace:
         """Elementwise involution of the spanning monomials."""
@@ -50,20 +59,47 @@ def _array(indices: frozenset[int]) -> np.ndarray:
     return np.fromiter(indices, dtype=np.intp, count=len(indices))
 
 
-def _from_mask(a: StructureAlgebra, hit: np.ndarray) -> GradedSubspace:
-    return GradedSubspace(a, frozenset(np.flatnonzero(hit).tolist()))
+def _row_masks(a: StructureAlgebra, indices: frozenset[int]) -> list[int]:
+    """Row mask i has bit k set iff k = mult[i, j] for some j in
+    ``indices``.  Per block of rows: one gather, offset row by row and
+    scattered into a flat boolean array, packed to bytes, one int per
+    row; a block's temporaries take about SCAN_BYTES."""
+    dim = a.dim
+    cols = _array(indices)
+    width = (dim + 7) // 8  # bytes per packed row
+    step = max(1, SCAN_BYTES // (dim + 8 * len(cols)))  # rows per block
+    masks: list[int] = []
+    for lo in range(0, dim, step):
+        images = a.mult[lo : lo + step, cols]
+        count = len(images)
+        images += dim * np.arange(count)[:, None]
+        hit = np.zeros(count * dim, dtype=bool)
+        hit[images] = True
+        packed = np.packbits(hit.reshape(count, dim), axis=1, bitorder="little").tobytes()
+        masks.extend(int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
+    return masks
+
+
+def _set_bits(mask: int) -> frozenset[int]:
+    """Positions of the set bits, cleared from the top one at a time."""
+    bits = []
+    while mask:
+        k = mask.bit_length() - 1
+        bits.append(k)
+        mask ^= 1 << k
+    return frozenset(bits)
 
 
 def subspace_product(x: GradedSubspace, y: GradedSubspace) -> GradedSubspace:
     """Exact span of pairwise products: the image of the index sets
-    under the multiplication table, gathered at every pair at once and
-    marked in a boolean mask over the basis."""
+    under the multiplication table, the OR of y's row masks at x's
+    indices.  y builds its row masks on its first product as the right
+    operand and keeps them, so a closure builds one set per generator."""
     if x.algebra is not y.algebra:
         raise ValueError("subspaces live in different algebras")
-    a = x.algebra
-    hit = np.zeros(a.dim, dtype=bool)
-    hit[a.mult[np.ix_(_array(x.indices), _array(y.indices))]] = True
-    return _from_mask(a, hit)
+    rows = y._rows
+    mask = functools.reduce(operator.or_, map(rows.__getitem__, x.indices), 0)
+    return GradedSubspace(x.algebra, _set_bits(mask))
 
 
 def grading(a: StructureAlgebra) -> dict[int, GradedSubspace]:
@@ -118,4 +154,5 @@ def element_subspace(a: StructureAlgebra, elem: SgElement) -> GradedSubspace:
     if elem.group != a.group:
         raise ValueError("elements belong to different groups")
     idx = np.arange(a.dim)
-    return _from_mask(a, a.mult[a.mult[idx, a.star], a.index[elem]] == idx)
+    below = a.mult[a.mult[idx, a.star], a.index[elem]] == idx
+    return GradedSubspace(a, frozenset(np.flatnonzero(below).tolist()))

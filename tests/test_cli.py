@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +397,24 @@ def test_graded_count_and_map(capsys):
     }
     # the unit maps to the whole identity-degree piece
     assert by_elem[((0,), 0)] == [0, 1]
+
+
+def test_a_closed_stdout_ends_the_cli_silently():
+    """``invsg ... | head -1``: the reader takes one line and closes the
+    pipe while the CLI still has about 200 KB to write; it ends without
+    a traceback and without a domain or usage exit code."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "invsg.cli", "graded", "map", "dihedral:4", "--json"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from invsg.algebra import build_algebra, group_algebra
+from invsg import graded
+from invsg.algebra import DEFAULT_DIM_CAP, build_algebra, group_algebra
 from invsg.graded import (
     GradedSubspace,
     element_subspace,
@@ -72,10 +73,11 @@ def test_products_of_pieces():
         (cyclic(7), 256),
         (cyclic(8), 576),
         (dihedral(4), 576),
+        (cyclic(9), 1280),
     ],
 )
 def test_generated_semigroup_count(g, expected):
-    alg = build_algebra(g)
+    alg = build_algebra(g, cap=max(expected, DEFAULT_DIM_CAP))  # cyclic:9 lies past the default cap
     closure = generated_semigroup(grading(alg))
     assert len(closure) == expected == (
         order_formula(g.order) if g.order >= 2 else 1
@@ -161,7 +163,7 @@ def _random_subsets(rng, dim, count):
     ids=["cyclic2", "cyclic3", "cyclic4", "klein4", "cyclic5", "dihedral3", "cyclic7", "ga_dihedral3", "ga_cyclic7"],
 )
 def test_products_and_stars_match_the_pairwise_image(alg):
-    """The table gather against the set image of every index pair."""
+    """The OR of row masks against the set image of every index pair."""
     rng = np.random.default_rng(alg.dim)
     subsets = [GradedSubspace(alg, ix) for ix in _random_subsets(rng, alg.dim, 6)]
     for x in subsets:
@@ -172,6 +174,31 @@ def test_products_and_stars_match_the_pairwise_image(alg):
             prod = subspace_product(x, y)
             assert prod.indices == {int(alg.mult[i, j]) for i in x.indices for j in y.indices}
             assert isinstance(prod.indices, frozenset) and all(type(i) is int for i in prod.indices)
+
+
+def test_a_closure_builds_row_masks_once_per_piece(monkeypatch):
+    """The closure's right operands are its generators: dihedral:3 builds
+    row masks for its 6 pieces, once each and never for a product, and
+    the masks stay out of equality and the hash."""
+    alg = build_algebra(dihedral(3))
+    pieces = list(grading(alg).values())
+    built = []
+    row_masks = graded._row_masks
+
+    def spy(a, indices):
+        built.append(indices)
+        return row_masks(a, indices)
+
+    monkeypatch.setattr(graded, "_row_masks", spy)
+    closure = generated_semigroup(pieces)
+    assert len(closure) == 112 and len(built) == 6
+    assert sorted(built, key=sorted) == sorted((p.indices for p in pieces), key=sorted)
+    assert [s for s in closure if "_rows" in vars(s)] == [s for s in closure if any(s is p for p in pieces)]
+    assert generated_semigroup(pieces) == closure and len(built) == 6
+    for p in pieces:
+        fresh = GradedSubspace(alg, frozenset(p.indices))
+        assert "_rows" in vars(p) and "_rows" not in vars(fresh)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
 @pytest.mark.parametrize(
