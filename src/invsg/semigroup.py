@@ -190,6 +190,14 @@ def act_on_subset(a: SgElement, subset: Iterable[int]) -> frozenset[int]:
     return frozenset(row[x] for x in e_set) | a.support_set()
 
 
+def _translates(group: FiniteGroup) -> np.ndarray:
+    """translate[s, mask] = s.mask: the left translate of every subset of
+    G by every s, as int64 bitmasks."""
+    p = group.order
+    bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
+    return (bits << np.array(group.table, dtype=np.int64)[:, :, None]).sum(axis=1)
+
+
 def multiplication_tables(
     elements: Sequence[SgElement],
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -218,8 +226,7 @@ def multiplication_tables(
     degrees = np.array([a.degree for a in elements], dtype=np.int64)
 
     group_mul = np.array(group.table, dtype=np.int64)
-    bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
-    translate = (bits << group_mul[:, :, None]).sum(axis=1)  # translate[s, mask] = s . mask
+    translate = _translates(group)
 
     # dense key -> index lookup; n marks non-elements
     key_dtype = np.min_scalar_type((1 << (p + k)) - 1)
@@ -283,37 +290,140 @@ def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
     return [rows[t] for t in sorted(rows)]
 
 
-def verify_inverse_semigroup(
-    group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
-) -> SemigroupReport:
-    """Exhaustive certification that the enumerated structure is an
-    inverse semigroup; ``seed`` is accepted and ignored.
+def _bernoulli_rows(elements: Sequence[SgElement]) -> np.ndarray:
+    """The Bernoulli model of ``elements``: an n x (m + 1) index array
+    over m = 2^(p-1) + p points, the identity masks E (as ordered by
+    :func:`identity_masks`), then the group elements g.  Row (F, s) sends
+    E to sE where F is in sE, and g to sg; the marker m is undefined and
+    fills an appended column, so composing rows is a gather (the
+    ``InverseAction`` layout).  Built from the formula, one translate row
+    per degree, in the narrowest unsigned dtype holding m."""
+    group = elements[0].group
+    p, e = group.order, group.identity
+    mask_dtype = np.min_scalar_type((1 << p) - 1)
+    masks = np.array(identity_masks(group), dtype=mask_dtype)
+    half = masks.size
+    m = half + p
+    phi = np.empty((len(elements), m + 1), dtype=np.min_scalar_type(m))
+    phi[:, m] = m
+    supports = np.array([a.support for a in elements], dtype=mask_dtype)
+    degrees = np.array([a.degree for a in elements])
+    translate = _translates(group).astype(mask_dtype)
+    for s in group.elements():
+        rows = np.flatnonzero(degrees == s)
+        moved = translate[s, masks]  # sE; where it holds F, so e, its point is sE without bit e
+        points = (moved >> (e + 1) << e | moved & ((1 << e) - 1)).astype(phi.dtype)
+        phi[rows, :half] = np.where(supports[rows, None] & ~moved == 0, points, phi.dtype.type(m))
+        phi[rows, half:m] = half + np.array(group.table[s])
+    return phi
 
-    Associativity is Light's test over the generators A = {[t] : t in G},
-    the unit [e] among them.  A generation scan closes the unit under
-    right multiplication by A; an element left unreached is the
-    counterexample.  Otherwise every element is a product of elements of
-    A, so (xa)y = x(ay) for all x, y and a in A certifies the table, and
-    the first failing (x, a, y) is the counterexample.  The other checks
-    scan every case: a a* a = a and a* a a* = a*, unique generalized
-    inverses, and commuting idempotents.
-    """
-    elements = enumerate_semigroup(group, cap)
-    n = len(elements)
-    mult, star_idx, unit_idx = multiplication_tables(elements)
 
-    # associativity: the generation scan, then Light's test per generator
-    gens = _generator_rows(elements)
-    reached = np.zeros(n, dtype=bool)
+def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int], left: bool) -> tuple[np.ndarray, ...]:
+    """Breadth-first closure of the unit under multiplication by ``gens``
+    on the left (x = a * x') or the right (x = x' * a): (reached, via,
+    parent) with a = gens[via[x]] and x' = parent[x] for each reached x
+    but the unit, x' of the previous layer; -1 elsewhere.  Each x is
+    reached at its first product, a-major, in its layer."""
+    n = len(mult)
+    reached, via, parent = np.zeros(n, dtype=bool), np.full(n, -1), np.full(n, -1)
+    reached[unit_idx] = True
     frontier = np.array([unit_idx])
-    count = 0  # generation lookups, then n^2 per generator scanned
     while frontier.size:
-        reached[frontier] = True
-        products = mult[np.ix_(frontier, gens)].ravel()
-        count += products.size
-        frontier = np.unique(products[~reached[products]])
-    bad = None if reached.all() else (elements[int(np.argmin(reached))],)
-    for a in gens if bad is None else ():
+        products = mult[np.ix_(gens, frontier)] if left else mult[np.ix_(frontier, gens)].T
+        found, first = np.unique(products.ravel(), return_index=True)
+        new = ~reached[found]
+        found, first = found[new], first[new]
+        reached[found] = True
+        via[found], parent[found] = np.divmod(first, frontier.size)
+        parent[found] = frontier[parent[found]]
+        frontier = found
+    return reached, via, parent
+
+
+def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int, gens: Sequence[int]) -> int | None:
+    """Certify ``mult`` associative through the model phi of
+    :func:`_bernoulli_rows`: the number of entries read, or None when a
+    check fails (which does not make ``mult`` non-associative).
+
+    (a) phi[unit] is the identity and unit * y = y; (b) phi(ay) =
+    phi(a) o phi(y) for every generator a and every y; (c) a tree closes
+    the unit under left multiplication by the generators, x = a * x'
+    with x' earlier, and xy = a(x'y) for every y; (d) the rows of phi
+    are pairwise distinct.  By induction on the depth of x, phi(xy) =
+    phi(x) o phi(y): at the unit by (a), and for x = a * x' by (c), (b),
+    induction and (b) again, phi(a(x'y)) = phi(a) o phi(x') o phi(y) =
+    phi(x) o phi(y).  So phi((xy)z) = phi(x) o phi(y) o phi(z) =
+    phi(x(yz)), and (d) gives (xy)z = x(yz).
+
+    The entries read: n^2 products, each compared once in (a) or (c); p n
+    composites of m + 1 entries in (b); n p entries in (d), which
+    compares rows at p probe points, enough to tell every (F, s) apart:
+    the p - 1 sets G - {g}, g != e, where (F, s) is defined iff g is not
+    in s^-1 F, and the group element 0, which it sends to s0.
+    """
+    n, p = len(elements), elements[0].group.order
+    phi = _bernoulli_rows(elements)
+    width = phi.shape[1]
+    # (a) the unit
+    if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):
+        return None
+
+    # (c) row x against row a o row x', blocks of rows per generator a
+    reached, via, parent = _closure_tree(mult, unit_idx, gens, left=True)
+    if not reached.all():
+        return None
+    step = max(1, SCAN_BYTES // (mult.itemsize * n))  # rows per block
+    for k, a in enumerate(gens):
+        xs = np.flatnonzero(via == k)
+        for lo in range(0, xs.size, step):
+            x = xs[lo : lo + step]
+            if not np.array_equal(mult[x], mult[a].take(mult[parent[x]])):
+                return None
+
+    # (b) each block of rows of phi, as intp once, composed with every generator
+    step = max(1, SCAN_BYTES // (phi.itemsize * width))
+    composite = np.empty((min(step, n), width), dtype=phi.dtype)
+    for lo in range(0, n, step):
+        block = phi[lo : lo + step].astype(np.intp)
+        out = composite[: len(block)]
+        for a in gens:
+            np.take(phi[a], block, out=out, mode="clip")  # entries are points or the marker
+            if not np.array_equal(phi[mult[a, lo : lo + step]], out):
+                return None
+
+    # (d) the probe columns, sorted, have no two equal rows
+    half = 1 << (p - 1)
+    probes = phi[:, [half - 1 - (1 << j) for j in range(p - 1)] + [half]]
+    probes = probes[np.lexsort(probes.T)]
+    if not (probes[1:] != probes[:-1]).any(axis=1).all():
+        return None
+    return n * n + len(gens) * n * width + n * p
+
+
+def _associativity(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int) -> CheckResult:
+    """The associativity check of :func:`verify_inverse_semigroup`.
+
+    A generation scan closes the unit under right multiplication by the
+    generators A = {[t] : t in G}, p lookups per element reached; an
+    element left unreached is the counterexample.  Then
+    :func:`_bernoulli_check` certifies the table.  If it cannot, Light's
+    test decides: every element being a product of elements of A,
+    (xa)y = x(ay) for all x, y and a in A certifies the table, and the
+    first failing (x, a, y) is the counterexample.  ``checked`` counts
+    the generation lookups, then the model's reads or n^2 per generator
+    Light's test scanned.
+    """
+    n = len(elements)
+    gens = _generator_rows(elements)
+    reached = _closure_tree(mult, unit_idx, gens, left=False)[0]
+    count = len(gens) * int(reached.sum())
+    if not reached.all():
+        return CheckResult("associativity", False, count, (elements[int(np.argmin(reached))],))
+    model = _bernoulli_check(elements, mult, unit_idx, gens)
+    if model is not None:
+        return CheckResult("associativity", True, count + model)
+    bad = None
+    for a in gens:
         count += n * n
         for lo in range(0, n, ROW_BLOCK):
             left = mult[mult[lo : lo + ROW_BLOCK, a]]  # (xa)y
@@ -324,7 +434,26 @@ def verify_inverse_semigroup(
                 break
         if bad is not None:
             break
-    checks = [CheckResult("associativity", bad is None, count, bad)]
+    return CheckResult("associativity", bad is None, count, bad)
+
+
+def verify_inverse_semigroup(
+    group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
+) -> SemigroupReport:
+    """Exhaustive certification that the enumerated structure is an
+    inverse semigroup; ``seed`` is accepted and ignored.
+
+    Associativity is :func:`_associativity`: a generation scan from the
+    unit, then the Bernoulli model, with Light's test to find the
+    witness when the model cannot certify the table.  The other checks
+    scan every case: a a* a = a and a* a a* = a*, unique generalized
+    inverses, and commuting idempotents.
+    """
+    elements = enumerate_semigroup(group, cap)
+    n = len(elements)
+    mult, star_idx, unit_idx = multiplication_tables(elements)
+
+    checks = [_associativity(elements, mult, unit_idx)]
 
     # a a* a == a  and  a* a a* == a*
     idx = np.arange(n)

@@ -23,6 +23,15 @@ def small_groups() -> list[FiniteGroup]:
     return [cyclic(2), cyclic(3), cyclic(4), klein_four(), cyclic(5)]
 
 
+def model_checked(n: int, p: int) -> int:
+    """Associativity's ``checked`` on a table of n elements over a group
+    of order p that the Bernoulli model certifies: n p generation
+    lookups, then the model's reads, m = 2^(p-1) + p points: n^2
+    products, p n composites of m + 1 entries and n p probe entries."""
+    m = (1 << (p - 1)) + p
+    return n * p + n * n + p * n * (m + 1) + n * p
+
+
 def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
     """Matrix of left multiplication by x in the monomial basis."""
     x = np.asarray(x)

@@ -32,7 +32,7 @@ from invsg.semigroup import (
     verify_inverse_semigroup,
 )
 
-from conftest import relabelled, small_groups
+from conftest import model_checked, relabelled, small_groups
 
 
 def test_generator_examples():
@@ -216,8 +216,9 @@ def test_multiplication_tables_match_the_product(monkeypatch):
 
 def test_certificate_peak_memory_at_order_10():
     """The uint16 table of cyclic(10) takes 15.1 MiB and is built without
-    an int64 one (63 MiB): the traced peak of the whole certificate
-    stays under 24 MiB, and the report is the one it has always been."""
+    an int64 one (63 MiB): the traced peak of the whole certificate,
+    the 2.9 MiB Bernoulli model included, stays under 24 MiB, and the
+    report is the one the model's count gives."""
     tracemalloc.start()
     try:
         report = verify_inverse_semigroup(cyclic(10))
@@ -227,7 +228,7 @@ def test_certificate_peak_memory_at_order_10():
     assert peak < 24 * 2**20
     assert report.passed and report.size == 2816
     assert [(c.name, c.checked, c.counterexample) for c in report.checks] == [
-        ("associativity", 79326720, None),
+        ("associativity", model_checked(2816, 10), None),
         ("involution identities", 2816, None),
         ("unique inverses", 7929856, None),
         ("idempotents commute", 262144, None),
@@ -318,12 +319,39 @@ def test_verify_inverse_semigroup(g):
 
 
 def test_verify_exhaustive_at_orders_8_and_10():
-    # 576 and 2816 elements: associativity is certified by Light's test, not sampled
+    # 576 and 2816 elements: associativity is certified through the
+    # Bernoulli model, which reads every product once, not sampled
     for g in (cyclic(8), dihedral(5)):
         report = verify_inverse_semigroup(g)
         assert report.passed, report.describe()
         assert all(c.mode == "exhaustive" for c in report.checks)
         assert report.size == order_formula(g.order)
+        assert report.checks[0].checked == model_checked(report.size, g.order)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(1), cyclic(2), cyclic(3), klein_four(), cyclic(6), dihedral(3), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
+    ids=["cyclic1", "cyclic2", "cyclic3", "klein4", "cyclic6", "dihedral3", "relabelled-dihedral3"],
+)
+def test_bernoulli_model_is_a_faithful_action(g):
+    """Row (F, s) of the model sends the point E (an identity mask) to sE
+    where F is in sE and the point of g to sg, the marker m elsewhere;
+    composing rows is the product, and no two rows are equal."""
+    elements = enumerate_semigroup(g)
+    phi = semigroup._bernoulli_rows(elements)
+    masks = identity_masks(g)
+    m = len(masks) + g.order
+    assert phi.shape == (len(elements), m + 1) and phi.dtype == np.min_scalar_type(m)
+    for a, row in zip(elements, phi.tolist()):
+        for E, image in zip(masks, row):
+            sE = g.left_translate(a.degree, E)
+            assert image == (masks.index(sE) if a.support & ~sE == 0 else m)
+        assert row[len(masks):] == [len(masks) + g.mul(a.degree, t) for t in g.elements()] + [m]
+    mult, _, _ = multiplication_tables(elements)
+    for i in range(len(elements)):
+        assert np.array_equal(phi[mult[i]], phi[i][phi])
+    assert len({row.tobytes() for row in phi}) == len(elements)
 
 
 _real_tables = semigroup.multiplication_tables
@@ -545,6 +573,98 @@ def test_associative_table_outside_the_generated_one_fails(monkeypatch):
     assert not assoc.passed and assoc.checked == g.order
     (a,) = assoc.counterexample
     assert elements.index(a) != unit_index
+
+
+@pytest.mark.parametrize(
+    "g",
+    [klein_four(), cyclic(5), dihedral(3), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
+    ids=["klein4", "cyclic5", "dihedral3", "relabelled-dihedral3"],
+)
+def test_associativity_reports_match_the_references_on_random_corruptions(g):
+    """Seeded corruptions of one to three entries, 80 per group: a pass
+    implies the n^3 scan, an unreached element is the first one the
+    generators miss, and every other failure is the first failing
+    triple of Light's test, with its count, whatever the model decided."""
+    elements = enumerate_semigroup(g)
+    mult, _, unit_index = _real_tables(elements)
+    n, p = len(elements), g.order
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    rng = np.random.default_rng(11)
+    triples = 0
+    for _ in range(80):
+        bad = mult.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = map(int, rng.integers(n, size=2))
+            bad[i, j] = (int(bad[i, j]) + int(rng.integers(1, n))) % n
+        assoc = semigroup._associativity(elements, bad, unit_index)
+        reached = _generated(bad, unit_index, gens)
+        if assoc.passed:
+            assert _associative(bad) and assoc.checked == model_checked(n, p)
+        elif len(reached) < n:
+            first = min(set(range(n)) - reached)
+            assert assoc.counterexample == (elements[first],) and assoc.checked == len(reached) * p
+        else:
+            triples += 1
+            k, (x, a, y) = _first_light_failure(bad, gens)
+            assert assoc.counterexample == (elements[x], elements[a], elements[y])
+            assert assoc.checked == n * p + (k + 1) * n * n
+    assert triples > 40  # the generators reach every element, so the model was consulted
+
+
+def test_opposite_table_falls_back_to_lights_test(monkeypatch):
+    """The opposite table xy := yx of dihedral(3) is associative and
+    generated by the generators, but the Bernoulli model is no
+    homomorphism for it: the model check fails, and Light's test passes
+    it after scanning every generator."""
+    g = dihedral(3)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    opposite = np.ascontiguousarray(mult.T)
+    n, p = len(elements), g.order
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    assert _associative(opposite) and len(_generated(opposite, unit_index, gens)) == n
+    assert semigroup._bernoulli_check(elements, opposite, unit_index, gens) is None
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (opposite, star, unit_index))
+    assoc = verify_inverse_semigroup(g).checks[0]
+    assert assoc.passed and assoc.counterexample is None
+    assert assoc.checked == n * p + p * n * n
+
+
+def test_an_unfaithful_model_certifies_nothing(monkeypatch):
+    """Set a * y to the unit for a generator a and an element y whose
+    product is no edge of the tree, then rebuild every other row along
+    the tree, x = a' x' giving row x = a' o row x'.  The table passes the
+    unit and tree checks but is not associative.  The model refuses it
+    at the composition check; a model whose rows all act as the identity
+    passes that check for any table, and the distinctness check refuses
+    it.  Either way Light's test reports the first failing triple."""
+    g = cyclic(4)
+    elements = enumerate_semigroup(g)
+    mult, _, unit_index = _real_tables(elements)
+    n = len(elements)
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    _, via, parent = semigroup._closure_tree(mult, unit_index, gens, left=True)
+    edges = set(zip(via.tolist(), parent.tolist()))
+    k, y = next((k, y) for k in range(1, g.order) for y in range(n) if y != unit_index and (k, y) not in edges)
+    bad = mult.copy()
+    bad[gens[k], y] = unit_index
+    depth = np.zeros(n, dtype=int)
+    for _ in range(n):
+        depth[via >= 0] = depth[parent[via >= 0]] + 1
+    for x in sorted(np.flatnonzero(via >= 0), key=lambda x: depth[x]):
+        bad[x] = bad[gens[via[x]]][bad[parent[x]]]
+    assert not _associative(bad)
+    _, bad_via, bad_parent = semigroup._closure_tree(bad, unit_index, gens, left=True)
+    assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
+    assert semigroup._bernoulli_check(elements, bad, unit_index, gens) is None
+
+    phi = semigroup._bernoulli_rows(elements)
+    trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
+    monkeypatch.setattr(semigroup, "_bernoulli_rows", lambda _: trivial)
+    assert semigroup._bernoulli_check(elements, bad, unit_index, gens) is None
+    _, (x, a, z) = _first_light_failure(bad, gens)
+    assoc = semigroup._associativity(elements, bad, unit_index)
+    assert assoc.counterexample == (elements[x], elements[a], elements[z])
 
 
 def test_identity_not_at_index_zero():
