@@ -437,37 +437,14 @@ def _associativity(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: in
     return CheckResult("associativity", bad is None, count, bad)
 
 
-def verify_inverse_semigroup(
-    group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
-) -> SemigroupReport:
-    """Exhaustive certification that the enumerated structure is an
-    inverse semigroup; ``seed`` is accepted and ignored.
-
-    Associativity is :func:`_associativity`: a generation scan from the
-    unit, then the Bernoulli model, with Light's test to find the
-    witness when the model cannot certify the table.  The other checks
-    scan every case: a a* a = a and a* a a* = a*, unique generalized
-    inverses, and commuting idempotents.
-    """
-    elements = enumerate_semigroup(group, cap)
+def _inverse_scan(elements: Sequence[SgElement], mult: np.ndarray, star_idx: np.ndarray) -> CheckResult:
+    """The unique-inverses scan: for each a exactly one b with a b a == a
+    and b a b == b, and that b is a*.  With R[a, b] = ((ab)a == a),
+    packed to bits row by row, b is an inverse of a iff R[a, b] and
+    R[b, a]; rows a in blocks.  The first failing a is the
+    counterexample, with every inverse it has; n^2 cases."""
     n = len(elements)
-    mult, star_idx, unit_idx = multiplication_tables(elements)
-
-    checks = [_associativity(elements, mult, unit_idx)]
-
-    # a a* a == a  and  a* a a* == a*
     idx = np.arange(n)
-    lhs = mult[mult[idx, star_idx], idx]
-    ok1 = lhs == idx
-    lhs2 = mult[mult[star_idx, idx], star_idx]
-    ok2 = lhs2 == star_idx
-    both = ok1 & ok2
-    bad = (elements[int(np.flatnonzero(~both)[0])],) if not both.all() else None
-    checks.append(CheckResult("involution identities", bad is None, n, bad))
-
-    # uniqueness: for each a exactly one b with a b a == a and b a b == b,
-    # and that b is a*.  With R[a, b] = ((ab)a == a), packed to bits row
-    # by row, b is an inverse of a iff R[a, b] and R[b, a]; rows a in blocks
     flat, ids = mult.ravel(), idx.astype(mult.dtype)
     relation = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     step = max(1, SCAN_BYTES // (8 * n))  # rows per block of keys
@@ -492,20 +469,51 @@ def verify_inverse_semigroup(
             inverse[r, star_idx[lo + r]] ^= 1
             bad = (elements[lo + r], [elements[int(j)] for j in np.flatnonzero(inverse[r])])
             break
-    checks.append(CheckResult("unique inverses", bad is None, n * n, bad))
+    return CheckResult("unique inverses", bad is None, n * n, bad)
+
+
+def verify_inverse_semigroup(
+    group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
+) -> SemigroupReport:
+    """Exhaustive certification that the enumerated structure is an
+    inverse semigroup; ``seed`` is accepted and ignored.
+
+    Associativity is :func:`_associativity`: a generation scan from the
+    unit, then the Bernoulli model, with Light's test to find the
+    witness when the model cannot certify the table.  The involution
+    identities a a* a = a and a* a a* = a* and commuting idempotents
+    scan every case.  Unique inverses follow from those three: if b and
+    c are inverses of a, then ba, ca, ab and ac are idempotents, so b =
+    bab = (ba)(ca)b = (ca)(ba)b = cab and c = cac = c(ab)(ac) =
+    c(ac)(ab) = cab; and a* is one inverse of a.  So when all three
+    pass, unique inverses passes on the cases it rests on, the n
+    involution cases and the idempotent pairs (n + 4^(p-1) on S(G));
+    otherwise :func:`_inverse_scan` decides and finds the witness.
+    """
+    elements = enumerate_semigroup(group, cap)
+    n = len(elements)
+    mult, star_idx, unit_idx = multiplication_tables(elements)
+
+    assoc = _associativity(elements, mult, unit_idx)
+
+    # a a* a == a  and  a* a a* == a*
+    idx = np.arange(n)
+    both = (mult[mult[idx, star_idx], idx] == idx) & (mult[mult[star_idx, idx], star_idx] == star_idx)
+    bad = (elements[int(np.flatnonzero(~both)[0])],) if not both.all() else None
+    invol = CheckResult("involution identities", bad is None, n, bad)
 
     # idempotents commute pairwise
     idem = np.flatnonzero(mult[idx, idx] == idx)
     sub = mult[np.ix_(idem, idem)]
     comm = sub == sub.T
-    if comm.all():
-        bad = None
-    else:
-        i_, j_ = map(int, np.argwhere(~comm)[0])
-        bad = (elements[int(idem[i_])], elements[int(idem[j_])])
-    checks.append(CheckResult("idempotents commute", bad is None, int(idem.size) ** 2, bad))
+    bad = None if comm.all() else tuple(elements[int(idem[i])] for i in np.argwhere(~comm)[0])
+    commute = CheckResult("idempotents commute", bad is None, int(idem.size) ** 2, bad)
 
-    return SemigroupReport(group.order, n, checks)
+    if assoc.passed and invol.passed and commute.passed:
+        unique = CheckResult("unique inverses", True, invol.checked + commute.checked)
+    else:
+        unique = _inverse_scan(elements, mult, star_idx)
+    return SemigroupReport(group.order, n, [assoc, invol, unique, commute])
 
 
 def _triple_law(

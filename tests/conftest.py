@@ -32,6 +32,13 @@ def model_checked(n: int, p: int) -> int:
     return n * p + n * n + p * n * (m + 1) + n * p
 
 
+def inverses_checked(n: int, p: int) -> int:
+    """Unique inverses' ``checked`` on a table of n elements over a group
+    of order p whose other three checks pass, so that no scan runs: the
+    n involution cases and the (2^(p-1))^2 pairs of idempotents."""
+    return n + 4 ** (p - 1)
+
+
 def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
     """Matrix of left multiplication by x in the monomial basis."""
     x = np.asarray(x)

@@ -32,7 +32,7 @@ from invsg.semigroup import (
     verify_inverse_semigroup,
 )
 
-from conftest import model_checked, relabelled, small_groups
+from conftest import inverses_checked, model_checked, relabelled, small_groups
 
 
 def test_generator_examples():
@@ -218,7 +218,7 @@ def test_certificate_peak_memory_at_order_10():
     """The uint16 table of cyclic(10) takes 15.1 MiB and is built without
     an int64 one (63 MiB): the traced peak of the whole certificate,
     the 2.9 MiB Bernoulli model included, stays under 24 MiB, and the
-    report is the one the model's count gives."""
+    report is the one the closed-form counts give."""
     tracemalloc.start()
     try:
         report = verify_inverse_semigroup(cyclic(10))
@@ -230,7 +230,7 @@ def test_certificate_peak_memory_at_order_10():
     assert [(c.name, c.checked, c.counterexample) for c in report.checks] == [
         ("associativity", model_checked(2816, 10), None),
         ("involution identities", 2816, None),
-        ("unique inverses", 7929856, None),
+        ("unique inverses", inverses_checked(2816, 10), None),
         ("idempotents commute", 262144, None),
     ]
 
@@ -507,15 +507,119 @@ def test_unique_inverses_match_the_reference_loop_on_random_corruptions(monkeypa
         else:
             bad_star[i] = (int(bad_star[i]) + int(rng.integers(1, n))) % n
         monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad_mult, s=bad_star: (m, s, unit_index))
-        unique = verify_inverse_semigroup(g).checks[2]
+        assoc, invol, unique, commute = verify_inverse_semigroup(g).checks
         expected = _first_non_unique_inverse(bad_mult, bad_star)
-        assert unique.checked == n * n and unique.passed == (expected is None)
+        assert unique.passed == (expected is None)
+        if assoc.passed and invol.passed and commute.passed:  # unique inverses is derived
+            assert unique.checked == n + commute.checked
+        else:  # the scan ran
+            assert unique.checked == n * n
         if expected is not None:
             first, witnesses = expected
             assert unique.counterexample == (elements[first], [elements[k] for k in witnesses])
         outcomes.add(unique.passed)
     assert outcomes == {True, False}
 
+
+
+def _counting_scan(monkeypatch):
+    """Wrap ``semigroup._inverse_scan``: the list of its arguments, one
+    entry per call, and the unwrapped scan."""
+    calls, real = [], semigroup._inverse_scan
+    monkeypatch.setattr(semigroup, "_inverse_scan", lambda *args: calls.append(args) or real(*args))
+    return calls, real
+
+
+def _never_scanned(*args):
+    raise AssertionError("the unique-inverses scan ran")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(p) for p in range(1, 9)] + [klein_four(), dihedral(3), dihedral(4), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
+    ids=[f"cyclic{p}" for p in range(1, 9)] + ["klein4", "dihedral3", "dihedral4", "relabelled-dihedral3"],
+)
+def test_passing_certificates_derive_unique_inverses(monkeypatch, g):
+    """On S(G) the other three checks pass, so unique inverses is derived
+    from them and counts their cases: the scan never runs."""
+    monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
+    report = verify_inverse_semigroup(g)
+    assert report.passed, report.describe()
+    assert report.checks[2].checked == inverses_checked(report.size, g.order)
+
+
+@pytest.mark.parametrize("broken", ["associativity", "involution identities", "idempotents commute"])
+def test_one_failed_prerequisite_runs_the_scan_once(monkeypatch, broken):
+    """Break one of the three checks the derivation rests on, the other
+    two passing: a wrong product xy, x not idempotent and y neither x
+    nor x* (an entry the other two never read); a wrong star entry; or
+    ef := e for idempotents e, f with ef not in {e, f}, associativity
+    stubbed to pass.  The scan runs once and its result is the report's."""
+    g = cyclic(5)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    mult, star = mult.copy(), star.copy()
+    n = len(elements)
+    idem = [i for i in range(n) if mult[i, i] == i]
+    if broken == "associativity":
+        x = next(i for i in range(n) if i not in idem)
+        y = next(j for j in range(n) if j not in (x, star[x]))
+        mult[x, y] = (int(mult[x, y]) + 1) % n
+    elif broken == "involution identities":
+        x = next(i for i in range(n) if star[i] != i)
+        star[x] = x
+    else:
+        e, f = next((e, f) for e in idem for f in idem if mult[e, f] not in (e, f))
+        mult[e, f] = e
+        passing = semigroup.CheckResult("associativity", True, 0)
+        monkeypatch.setattr(semigroup, "_associativity", lambda *args: passing)
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    calls, scan = _counting_scan(monkeypatch)
+    report = verify_inverse_semigroup(g)
+    assoc, invol, unique, commute = report.checks
+    assert [c.name for c in (assoc, invol, commute) if not c.passed] == [broken]
+    assert len(calls) == 1 and unique == scan(*calls[0]) and unique.checked == n * n
+
+
+@pytest.mark.parametrize(
+    "g",
+    [klein_four(), cyclic(5), dihedral(3), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
+    ids=["klein4", "cyclic5", "dihedral3", "relabelled-dihedral3"],
+)
+def test_derived_unique_inverses_agree_with_the_reference_loop(monkeypatch, g):
+    """The table itself, then seeded corruptions of one or two entries of
+    the product or the star table, 80 per group: wherever unique inverses
+    is derived the reference loop finds every inverse unique, and
+    wherever the scan runs its report is the loop's witness, n^2 cases."""
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n = len(elements)
+    calls, _ = _counting_scan(monkeypatch)
+    rng = np.random.default_rng(13)
+    derived = scanned = 0
+    for trial in range(81):
+        bad_mult, bad_star = mult.copy(), star.copy()
+        for _ in range(int(rng.integers(1, 3)) if trial else 0):
+            i, j = map(int, rng.integers(n, size=2))
+            if rng.random() < 0.5:
+                bad_mult[i, j] = (int(bad_mult[i, j]) + int(rng.integers(1, n))) % n
+            else:
+                bad_star[i] = (int(bad_star[i]) + int(rng.integers(1, n))) % n
+        monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad_mult, s=bad_star: (m, s, unit_index))
+        before = len(calls)
+        _, invol, unique, commute = verify_inverse_semigroup(g).checks
+        expected = _first_non_unique_inverse(bad_mult, bad_star)
+        if len(calls) == before:
+            derived += 1
+            assert expected is None and unique.passed and unique.counterexample is None
+            assert unique.checked == invol.checked + commute.checked
+        else:
+            scanned += 1
+            assert unique.checked == n * n and unique.passed == (expected is None)
+            if expected is not None:
+                first, witnesses = expected
+                assert unique.counterexample == (elements[first], [elements[k] for k in witnesses])
+    assert derived >= 1 and scanned >= 70
 
 def _generated(mult, unit_index, gens):
     """The reference closure of the unit under right multiplication by gens."""
@@ -615,7 +719,8 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
     """The opposite table xy := yx of dihedral(3) is associative and
     generated by the generators, but the Bernoulli model is no
     homomorphism for it: the model check fails, and Light's test passes
-    it after scanning every generator."""
+    it after scanning every generator.  It is an inverse semigroup, so
+    unique inverses is derived without the scan, as the loop agrees."""
     g = dihedral(3)
     elements = enumerate_semigroup(g)
     mult, star, unit_index = _real_tables(elements)
@@ -625,9 +730,13 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
     assert _associative(opposite) and len(_generated(opposite, unit_index, gens)) == n
     assert semigroup._bernoulli_check(elements, opposite, unit_index, gens) is None
     monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (opposite, star, unit_index))
-    assoc = verify_inverse_semigroup(g).checks[0]
+    monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
+    report = verify_inverse_semigroup(g)
+    assoc, unique = report.checks[0], report.checks[2]
     assert assoc.passed and assoc.counterexample is None
     assert assoc.checked == n * p + p * n * n
+    assert report.passed and _first_non_unique_inverse(opposite, star) is None
+    assert unique.checked == inverses_checked(n, p)
 
 
 def test_an_unfaithful_model_certifies_nothing(monkeypatch):
