@@ -12,8 +12,9 @@ The triple-product laws, the extension formula and the multiplicativity
 scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
 ``semigroup._derived_law``, ``semigroup.extension_formula`` and
 ``semigroup._worst_pair``, used here with composition as the product and
-``!=`` as the distance; an :class:`InverseAction` composes the rows of
-an index array, where composition is a gather.
+``!=`` as the distance.  An :class:`InverseAction` composes the rows of
+an index array, where composition is a gather, and its table is their
+``semigroup._extension_rows``, as the certificate's model of S(G) is.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ from .semigroup import (
     CapExceeded,
     Counterexample,
     SgElement,
+    _bernoulli_generators,
     _check_cap,
     _derived_law,
+    _extension_rows,
     _triple_law,
     _worst_pair,
     enumerate_semigroup,
     extension_formula,
     generator,
-    identity_masks,
     multiplication_tables,
     order_formula,
     unit,
@@ -290,21 +292,12 @@ def bernoulli_partial_action(
 
     The ground set is the 2^(p-1) identity-containing subsets in
     ascending bitmask order (``semigroup.identity_masks``); theta[t]
-    sends E to tE wherever t^-1 lies in E.
+    sends E to tE wherever t^-1 lies in E.  Read off the mask columns of
+    the certificate model's generator rows (``_bernoulli_generators``).
     """
     _check_cap(group, cap)
-    masks = identity_masks(group)
-    index = {mask: i for i, mask in enumerate(masks)}
-
-    theta = []
-    for t in group.elements():
-        t_inv = group.inv(t)
-        m: list[int | None] = [None] * len(masks)
-        for i, mask in enumerate(masks):
-            if (mask >> t_inv) & 1:
-                m[i] = index[group.left_translate(t, mask)]
-        theta.append(PartialBijection(m))
-    return PartialAction(group, len(masks), tuple(theta))
+    half = 1 << (group.order - 1)
+    return PartialAction(group, half, tuple(_bijection(row, half) for row in _bernoulli_generators(group)))
 
 
 def _index_rows(images: Sequence[PartialBijection], set_size: int) -> np.ndarray:
@@ -312,9 +305,14 @@ def _index_rows(images: Sequence[PartialBijection], set_size: int) -> np.ndarray
     unsigned dtype holding ``set_size``, with ``set_size`` for undefined
     points and one ``set_size`` column appended: composing with a row f
     is the gather f[h], where the marker picks the appended column."""
-    marker = set_size
-    rows = [[marker if v is None else v for v in f.mapping] + [marker] for f in images]
-    return np.array(rows, dtype=np.min_scalar_type(marker))
+    rows = [[set_size if v is None else v for v in f.mapping] + [set_size] for f in images]
+    return np.array(rows, dtype=np.min_scalar_type(set_size))
+
+
+def _bijection(row: np.ndarray, size: int) -> PartialBijection:
+    """The partial bijection on {0..size-1} of the first ``size`` entries
+    of an index row, where every entry of ``size`` or more is undefined."""
+    return PartialBijection._trusted(tuple([None if v >= size else v for v in row[:size].tolist()]))
 
 
 class _RowTable(Mapping[SgElement, V]):
@@ -344,13 +342,14 @@ class _RowTable(Mapping[SgElement, V]):
 class InverseAction:
     """Action of the enumerated semigroup by partial bijections.
 
-    Evaluates elements with the (unchecked) extension formula over the
-    generator images as index-array rows (:func:`_index_rows`), with
-    the gather as the product.  The images of the whole enumerated
-    semigroup form one such array, built on demand and kept, when its
-    elements times ground-set size stay within those of the Bernoulli
-    table at the default order cap (2816 x 512 at order 10), so the
-    package's own actions extend at every order the cap allows.
+    Evaluates an element with the (unchecked) extension formula over the
+    generator images as index-array rows (:func:`_index_rows`), with the
+    gather as the product.  The images of the whole enumerated semigroup
+    form one such array, the same fold batched (``_extension_rows``),
+    built on demand and kept when its elements times ground-set size stay
+    within those of the Bernoulli table at the default order cap (2816 x
+    512 at order 10), so the package's own actions extend at every order
+    the cap allows.
     """
 
     def __init__(
@@ -363,17 +362,14 @@ class InverseAction:
         self.set_size = set_size
         # one image per group element, on one ground set
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
-        self._extend = extension_formula(group, _index_rows(self.generator_images, set_size), lambda f, h: f[h])
+        self._rows = _index_rows(self.generator_images, set_size)
+        self._extend = extension_formula(group, self._rows, lambda f, h: f[h])
         self._array: tuple[list[SgElement], dict[SgElement, int], np.ndarray] | None = None
         self._products: np.ndarray | None = None  # multiplication_tables of the enumerated elements
         self._table: _RowTable[PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
-        return self._bijection(self._extend(a))
-
-    def _bijection(self, row: np.ndarray) -> PartialBijection:
-        marker = self.set_size
-        return PartialBijection._trusted(tuple([None if v == marker else v for v in row[:-1].tolist()]))
+        return _bijection(self._extend(a), self.set_size)
 
     def _index_array(self, cap: int) -> tuple[list[SgElement], dict[SgElement, int], np.ndarray]:
         """The enumerated elements, their indices, and the index array of
@@ -385,8 +381,7 @@ class InverseAction:
             bound = order_formula(p) << (p - 1)  # the Bernoulli table at the order cap: 2816 x 512
             if len(elements) * max(self.set_size, 1) > bound:
                 raise CapExceeded(f"full action table exceeds {bound} entries, the Bernoulli table's at order {p}")
-            rows = np.stack([self._extend(a) for a in elements])
-            self._array = elements, {a: i for i, a in enumerate(elements)}, rows
+            self._array = elements, {a: i for i, a in enumerate(elements)}, _extension_rows(self.group, self._rows, elements)
         return self._array
 
     def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Mapping[SgElement, PartialBijection]:
@@ -396,31 +391,26 @@ class InverseAction:
         raises CapExceeded, cached table or not."""
         _check_cap(self.group, cap)
         if self._table is None:
-            self._table = _RowTable(self, cap, self._bijection)
+            self._table = _RowTable(self, cap, lambda row: _bijection(row, self.set_size))
         return self._table
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
         """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b), or None.
 
         Composing with f(a) is the gather f(a)[rows] over the rows of
-        the index array, taken in the order of the table's keys.  The
+        the index array, one per element in enumeration order.  The
         product table of the enumerated elements is built on the first
         call and kept with the index array.
         """
         table = self.table(cap)
-        elements, index, rows = self._index_array(cap)
-        if isinstance(table, _RowTable):
-            if self._products is None:  # it depends on the elements only, not on the rows
-                self._products = multiplication_tables(elements)[0]
-            stacked, mult = rows, self._products
-        else:  # a table patched to a subset gets its own product table
-            keys = list(table)
-            stacked, mult = rows[[index[a] for a in keys]], multiplication_tables(keys)[0]
+        if self._products is None:  # it depends on the elements only, not on the rows
+            self._products = multiplication_tables(table.elements)[0]
+        rows = table.rows
 
         def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
-            return (stacked[targets] != stacked[a][stacked[lo : lo + len(targets)]]).any(axis=1)
+            return (rows[targets] != rows[a][rows[lo : lo + len(targets)]]).any(axis=1)
 
-        return _worst_pair(table, mult, stacked[0].nbytes, lambda width: differ, exact=True)[1]
+        return _worst_pair(table, self._products, rows[0].nbytes, lambda width: differ, exact=True)[1]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:

@@ -290,32 +290,40 @@ def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
     return [rows[t] for t in sorted(rows)]
 
 
-def _bernoulli_rows(elements: Sequence[SgElement]) -> np.ndarray:
-    """The Bernoulli model of ``elements``: an n x (m + 1) index array
-    over m = 2^(p-1) + p points, the identity masks E (as ordered by
-    :func:`identity_masks`), then the group elements g.  Row (F, s) sends
-    E to sE where F is in sE, and g to sg; the marker m is undefined and
-    fills an appended column, so composing rows is a gather (the
-    ``InverseAction`` layout).  Built from the formula, one translate row
-    per degree, in the narrowest unsigned dtype holding m."""
-    group = elements[0].group
-    p, e = group.order, group.identity
-    mask_dtype = np.min_scalar_type((1 << p) - 1)
-    masks = np.array(identity_masks(group), dtype=mask_dtype)
-    half = masks.size
-    m = half + p
-    phi = np.empty((len(elements), m + 1), dtype=np.min_scalar_type(m))
-    phi[:, m] = m
-    supports = np.array([a.support for a in elements], dtype=mask_dtype)
-    degrees = np.array([a.degree for a in elements])
-    translate = _translates(group).astype(mask_dtype)
+def _extension_rows(group: FiniteGroup, rows: np.ndarray, elements: Sequence[SgElement]) -> np.ndarray:
+    """:func:`extension_formula` of the index rows ``rows`` (the
+    ``InverseAction`` layout, f o h = f[h]) at each of ``elements``, as
+    the same ascending fold batched: the p projections in one gather, the
+    products over all 2^p masks by top bit, P[2^k + rest] = P[rest] o
+    proj[k] from P[0] the identity, then P[F] o rows[s] per degree s.  So
+    each row is the formula's bit for bit, partial action or not."""
+    p, width = rows.shape
+    projections = rows[np.arange(p)[:, None], rows[np.array(group.inverses)]]
+    products = np.empty((1 << p, width), dtype=rows.dtype)
+    products[0] = np.arange(width)
+    for k in range(p):
+        np.take(products[: 1 << k], projections[k], axis=1, out=products[1 << k : 2 << k], mode="clip")
+    supports = np.array([a.support for a in elements], dtype=np.intp)
+    degrees = np.array([a.degree for a in elements], dtype=np.intp)
+    out = np.empty((len(elements), width), dtype=rows.dtype)
     for s in group.elements():
-        rows = np.flatnonzero(degrees == s)
-        moved = translate[s, masks]  # sE; where it holds F, so e, its point is sE without bit e
-        points = (moved >> (e + 1) << e | moved & ((1 << e) - 1)).astype(phi.dtype)
-        phi[rows, :half] = np.where(supports[rows, None] & ~moved == 0, points, phi.dtype.type(m))
-        phi[rows, half:m] = half + np.array(group.table[s])
-    return phi
+        at = np.flatnonzero(degrees == s)
+        out[at] = products[supports[at]].take(rows[s], axis=1)
+    return out
+
+
+def _bernoulli_generators(group: FiniteGroup) -> np.ndarray:
+    """The generator rows of the Bernoulli model, in the ``InverseAction``
+    layout over m = 2^(p-1) + p points, the identity masks E (ordered as
+    by :func:`identity_masks`), then the group elements g: row t sends E
+    to tE where t^-1 is in E (the Bernoulli partial action) and g to tg
+    (the regular action), in the narrowest unsigned dtype holding m."""
+    p, e = group.order, group.identity
+    moved = _translates(group)[:, identity_masks(group)]  # tE, holding e iff t^-1 is in E
+    m = moved.shape[1] + p
+    points = moved >> (e + 1) << e | moved & ((1 << e) - 1)  # tE without bit e
+    rows = np.hstack([np.where(moved >> e & 1, points, m), m - p + np.array(group.table), np.full((p, 1), m)])
+    return rows.astype(np.min_scalar_type(m))
 
 
 def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int], left: bool) -> tuple[np.ndarray, ...]:
@@ -341,9 +349,10 @@ def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int], left: bo
 
 
 def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int, gens: Sequence[int]) -> int | None:
-    """Certify ``mult`` associative through the model phi of
-    :func:`_bernoulli_rows`: the number of entries read, or None when a
-    check fails (which does not make ``mult`` non-associative).
+    """Certify ``mult`` associative through the Bernoulli model phi, the
+    :func:`_extension_rows` of :func:`_bernoulli_generators`, so never
+    read off ``mult``: the number of entries read, or None when a check
+    fails (which does not make ``mult`` non-associative).
 
     (a) phi[unit] is the identity and unit * y = y; (b) phi(ay) =
     phi(a) o phi(y) for every generator a and every y; (c) a tree closes
@@ -361,9 +370,9 @@ def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: 
     the p - 1 sets G - {g}, g != e, where (F, s) is defined iff g is not
     in s^-1 F, and the group element 0, which it sends to s0.
     """
-    n, p = len(elements), elements[0].group.order
-    phi = _bernoulli_rows(elements)
-    width = phi.shape[1]
+    group = elements[0].group
+    phi = _extension_rows(group, _bernoulli_generators(group), elements)
+    (n, width), p = phi.shape, group.order
     # (a) the unit
     if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):
         return None

@@ -27,6 +27,7 @@ from invsg.semigroup import CapExceeded, enumerate_semigroup, generator, idempot
 from conftest import (
     perturb_one_image,
     random_restriction_action,
+    relabelled,
     translation_permutations,
 )
 
@@ -337,13 +338,15 @@ def test_action_json_round_trip():
     assert action_from_dict(data) == action
 
 
-@pytest.mark.parametrize("spec", ["klein4", "cyclic:5", "dihedral:3"])
+@pytest.mark.parametrize("spec", ["klein4", "cyclic:5", "dihedral:3", "cyclic:1", "relabelled-cyclic:4"])
 def test_index_array_rows_are_the_extension_formula_off_partial_actions(spec):
     """Random generator images that are no partial action (some image of
     r^-1 is not the inverse of r's): every row of the index array, every
     table entry and every single image is the extension formula multiplied
-    out as the plain ascending fold of partial bijections."""
-    g = group_from_spec(spec)
+    out as the plain ascending fold of partial bijections.  On the trivial
+    group and on a group whose identity is not at index 0, the batched
+    fold runs through products over masks that are no support."""
+    g = relabelled(cyclic(4), [2, 0, 3, 1]) if spec == "relabelled-cyclic:4" else group_from_spec(spec)
     rng = random.Random(spec)
     n = 6
     images = []

@@ -329,29 +329,57 @@ def test_verify_exhaustive_at_orders_8_and_10():
         assert report.checks[0].checked == model_checked(report.size, g.order)
 
 
+def _model(elements):
+    """The certificate's Bernoulli model of ``elements``."""
+    g = elements[0].group
+    return semigroup._extension_rows(g, semigroup._bernoulli_generators(g), elements)
+
+
+def _bernoulli_model_reference(g, elements):
+    """The model's rows by ``left_translate``: row (F, s) sends the point
+    E (an identity mask) to sE where F is in sE and the point of g to sg,
+    the marker m elsewhere; and m."""
+    masks = identity_masks(g)
+    m = len(masks) + g.order
+    rows = []
+    for a in elements:
+        moved = [g.left_translate(a.degree, E) for E in masks]
+        rows.append([masks.index(sE) if a.support & ~sE == 0 else m for sE in moved])
+        rows[-1] += [len(masks) + g.mul(a.degree, t) for t in g.elements()] + [m]
+    return rows, m
+
+
 @pytest.mark.parametrize(
     "g",
     [cyclic(1), cyclic(2), cyclic(3), klein_four(), cyclic(6), dihedral(3), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
     ids=["cyclic1", "cyclic2", "cyclic3", "klein4", "cyclic6", "dihedral3", "relabelled-dihedral3"],
 )
 def test_bernoulli_model_is_a_faithful_action(g):
-    """Row (F, s) of the model sends the point E (an identity mask) to sE
-    where F is in sE and the point of g to sg, the marker m elsewhere;
-    composing rows is the product, and no two rows are equal."""
+    """The model's rows are the reference's; composing rows is the
+    product, and no two rows are equal."""
     elements = enumerate_semigroup(g)
-    phi = semigroup._bernoulli_rows(elements)
-    masks = identity_masks(g)
-    m = len(masks) + g.order
+    phi = _model(elements)
+    expected, m = _bernoulli_model_reference(g, elements)
     assert phi.shape == (len(elements), m + 1) and phi.dtype == np.min_scalar_type(m)
-    for a, row in zip(elements, phi.tolist()):
-        for E, image in zip(masks, row):
-            sE = g.left_translate(a.degree, E)
-            assert image == (masks.index(sE) if a.support & ~sE == 0 else m)
-        assert row[len(masks):] == [len(masks) + g.mul(a.degree, t) for t in g.elements()] + [m]
+    assert phi.tolist() == expected
     mult, _, _ = multiplication_tables(elements)
     for i in range(len(elements)):
         assert np.array_equal(phi[mult[i]], phi[i][phi])
     assert len({row.tobytes() for row in phi}) == len(elements)
+
+
+def test_bernoulli_model_is_built_without_the_product_table(monkeypatch):
+    """The certificate rests on the model not being derived from the
+    table it certifies: with ``multiplication_tables`` refusing to run,
+    the model of dihedral:3 is built, and is the reference's."""
+    g = dihedral(3)
+    elements = enumerate_semigroup(g)
+
+    def no_table(*args):
+        raise AssertionError("the model read a product table")
+
+    monkeypatch.setattr(semigroup, "multiplication_tables", no_table)
+    assert _model(elements).tolist() == _bernoulli_model_reference(g, elements)[0]
 
 
 _real_tables = semigroup.multiplication_tables
@@ -767,9 +795,9 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
     assert semigroup._bernoulli_check(elements, bad, unit_index, gens) is None
 
-    phi = semigroup._bernoulli_rows(elements)
+    phi = _model(elements)
     trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
-    monkeypatch.setattr(semigroup, "_bernoulli_rows", lambda _: trivial)
+    monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
     assert semigroup._bernoulli_check(elements, bad, unit_index, gens) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
     assoc = semigroup._associativity(elements, bad, unit_index)
