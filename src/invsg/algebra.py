@@ -21,6 +21,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .semigroup import (
+    DEFAULT_DIM_CAP,
     CapExceeded,
     enumerate_semigroup,
     generator,
@@ -28,7 +29,6 @@ from .semigroup import (
     order_formula,
 )
 
-DEFAULT_DIM_CAP = 1000
 BLOCK_TOL = 1e-9  # wedderburn: least relative eigenvalue gap; times |H|, most trace integrality error
 
 

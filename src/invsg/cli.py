@@ -23,19 +23,20 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from . import actions, algebra, graded, groups, reps, semigroup
+from . import groups, semigroup  # the other layers load inside the commands that use them
 
-DOMAIN_ERRORS = (
-    groups.GroupTableError,
-    semigroup.CapExceeded,
-    actions.InvalidGroupAction,
-    reps.NonFiniteProduct,
-    algebra.EigenvalueClusterAmbiguous,
-    algebra.NonIntegerBlockDim,
-    ValueError,
-)
+if TYPE_CHECKING:
+    from . import actions
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """What exits 1: every ValueError (the package's input, cap and
+    counterexample errors among them) and the two numeric errors of
+    ``algebra``, which only a loaded ``algebra`` can raise."""
+    algebra = sys.modules.get(f"{__package__}.algebra")
+    numeric = () if algebra is None else (algebra.EigenvalueClusterAmbiguous, algebra.NonIntegerBlockDim)
+    return (ValueError, *numeric)
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict], plain: Callable[[], Iterable[str]]) -> None:
@@ -145,6 +146,7 @@ def _action_report_payload(name: str, report: actions.ActionReport) -> dict:
 
 
 def _cmd_pa_validate(args: argparse.Namespace) -> int:
+    from . import actions
     action = actions.action_from_dict(_load_json(args.file))
     rep_a = actions.validate_axioms(action)
     rep_b = actions.validate_semigroup_form(action)
@@ -163,6 +165,7 @@ def _cmd_pa_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pa_extend(args: argparse.Namespace) -> int:
+    from . import actions
     action = actions.action_from_dict(_load_json(args.file))
     inv = actions.to_inverse_action(action)
     graphs = [(a, sorted(f.graph())) for a, f in inv.table(cap=args.cap).items()]  # enumeration order
@@ -182,6 +185,7 @@ def _cmd_pa_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_pa_bernoulli(args: argparse.Namespace) -> int:
+    from . import actions
     group = groups.group_from_spec(args.group)
     action = actions.bernoulli_partial_action(group, cap=args.cap)
     print(json.dumps(actions.action_to_dict(action), sort_keys=True, indent=2))
@@ -189,6 +193,7 @@ def _cmd_pa_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_rep_validate(args: argparse.Namespace) -> int:
+    from . import reps
     rep = reps.rep_from_dict(_load_json(args.file))
     report = reps.validate_partial_rep(rep, tol=args.tol)
     payload = {
@@ -207,6 +212,7 @@ def _cmd_rep_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rep_extend(args: argparse.Namespace) -> int:
+    from . import reps
     rep = reps.rep_from_dict(_load_json(args.file))
     ext = reps.extend_to_semigroup(rep, tol=args.tol, cap=args.cap)  # table in enumeration order
     _emit(
@@ -229,6 +235,7 @@ def _cmd_rep_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_alg_decompose(args: argparse.Namespace) -> int:
+    from . import algebra
     group = groups.group_from_spec(args.group)
     alg = algebra.build_algebra(group, cap=args.cap)
     blocks = list(algebra.wedderburn(alg, seed=args.seed).blocks)
@@ -241,6 +248,7 @@ def _cmd_alg_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_graded_count(args: argparse.Namespace) -> int:
+    from . import algebra, graded
     group = groups.group_from_spec(args.group)
     alg = algebra.build_algebra(group, cap=args.cap)
     count = len(graded.generated_semigroup(graded.grading(alg)))
@@ -251,6 +259,7 @@ def _cmd_graded_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_graded_map(args: argparse.Namespace) -> int:
+    from . import algebra, graded
     group = groups.group_from_spec(args.group)
     alg = algebra.build_algebra(group, cap=args.cap)
     subspaces = [(a, sorted(graded.element_subspace(alg, a).indices)) for a in alg.basis]
@@ -320,17 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(al, "decompose", _cmd_alg_decompose, help="numerical matrix-block decomposition")
     p.add_argument("group")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=algebra.DEFAULT_DIM_CAP)
+    p.add_argument("--cap", type=int, default=semigroup.DEFAULT_DIM_CAP)
 
     gr = top.add_parser("graded", help="graded subspace lattice").add_subparsers(
         dest="command", required=True
     )
     p = sub(gr, "count", _cmd_graded_count, help="size of the generated subspace semigroup")
     p.add_argument("group")
-    p.add_argument("--cap", type=int, default=algebra.DEFAULT_DIM_CAP)
+    p.add_argument("--cap", type=int, default=semigroup.DEFAULT_DIM_CAP)
     p = sub(gr, "map", _cmd_graded_map, help="element-to-subspace table")
     p.add_argument("group")
-    p.add_argument("--cap", type=int, default=algebra.DEFAULT_DIM_CAP)
+    p.add_argument("--cap", type=int, default=semigroup.DEFAULT_DIM_CAP)
 
     return parser
 
@@ -351,7 +360,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"invsg: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for margin in ("relative_gap", "integrality_error"):  # NaN when unknown: not JSON
             value = getattr(exc, margin, None)

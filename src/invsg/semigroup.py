@@ -12,23 +12,27 @@ the product and the involution are closed two-line formulas:
 
 Supports are bitmasks over group indices, so products are O(|G|) and
 the whole semigroup (size 2^(p-2) * (p+1) for |G| = p >= 2) can be
-enumerated and multiplied out exhaustively at small orders.
+enumerated and multiplied out exhaustively at small orders.  Arithmetic
+and enumeration run without numpy; the index tables, the certificate
+and the pair scans import it when called.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .groups import FiniteGroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
+DEFAULT_DIM_CAP = 1000  # of an algebra over the enumerated semigroup: group order <= 8
 ROW_BLOCK = 128  # rows per block of Light's test and of the inverse check, bounding their temporaries; a multiple of 8
 SCAN_BYTES = 1 << 17  # bytes per block of a table build or of inverse-scan keys, or per buffer of a pair scan (allocated once per scan)
 
@@ -193,6 +197,7 @@ def act_on_subset(a: SgElement, subset: Iterable[int]) -> frozenset[int]:
 def _translates(group: FiniteGroup) -> np.ndarray:
     """translate[s, mask] = s.mask: the left translate of every subset of
     G by every s, as int64 bitmasks."""
+    import numpy as np
     p = group.order
     bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
     return (bits << np.array(group.table, dtype=np.int64)[:, :, None]).sum(axis=1)
@@ -218,6 +223,7 @@ def multiplication_tables(
     key buffer allocated once and one lookup of the keys' indices.
     Raises ValueError if the list is not closed under multiplication.
     """
+    import numpy as np
     group = elements[0].group
     p = group.order
     n = len(elements)
@@ -297,6 +303,7 @@ def _extension_rows(group: FiniteGroup, rows: np.ndarray, elements: Sequence[SgE
     products over all 2^p masks by top bit, P[2^k + rest] = P[rest] o
     proj[k] from P[0] the identity, then P[F] o rows[s] per degree s.  So
     each row is the formula's bit for bit, partial action or not."""
+    import numpy as np
     p, width = rows.shape
     projections = rows[np.arange(p)[:, None], rows[np.array(group.inverses)]]
     products = np.empty((1 << p, width), dtype=rows.dtype)
@@ -318,6 +325,7 @@ def _bernoulli_generators(group: FiniteGroup) -> np.ndarray:
     by :func:`identity_masks`), then the group elements g: row t sends E
     to tE where t^-1 is in E (the Bernoulli partial action) and g to tg
     (the regular action), in the narrowest unsigned dtype holding m."""
+    import numpy as np
     p, e = group.order, group.identity
     moved = _translates(group)[:, identity_masks(group)]  # tE, holding e iff t^-1 is in E
     m = moved.shape[1] + p
@@ -332,6 +340,7 @@ def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int], left: bo
     parent) with a = gens[via[x]] and x' = parent[x] for each reached x
     but the unit, x' of the previous layer; -1 elsewhere.  Each x is
     reached at its first product, a-major, in its layer."""
+    import numpy as np
     n = len(mult)
     reached, via, parent = np.zeros(n, dtype=bool), np.full(n, -1), np.full(n, -1)
     reached[unit_idx] = True
@@ -370,6 +379,7 @@ def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: 
     the p - 1 sets G - {g}, g != e, where (F, s) is defined iff g is not
     in s^-1 F, and the group element 0, which it sends to s0.
     """
+    import numpy as np
     group = elements[0].group
     phi = _extension_rows(group, _bernoulli_generators(group), elements)
     (n, width), p = phi.shape, group.order
@@ -422,6 +432,7 @@ def _associativity(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: in
     the generation lookups, then the model's reads or n^2 per generator
     Light's test scanned.
     """
+    import numpy as np
     n = len(elements)
     gens = _generator_rows(elements)
     reached = _closure_tree(mult, unit_idx, gens, left=False)[0]
@@ -452,6 +463,7 @@ def _inverse_scan(elements: Sequence[SgElement], mult: np.ndarray, star_idx: np.
     packed to bits row by row, b is an inverse of a iff R[a, b] and
     R[b, a]; rows a in blocks.  The first failing a is the
     counterexample, with every inverse it has; n^2 cases."""
+    import numpy as np
     n = len(elements)
     idx = np.arange(n)
     flat, ids = mult.ravel(), idx.astype(mult.dtype)
@@ -499,6 +511,7 @@ def verify_inverse_semigroup(
     involution cases and the idempotent pairs (n + 4^(p-1) on S(G));
     otherwise :func:`_inverse_scan` decides and finds the witness.
     """
+    import numpy as np
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
     mult, star_idx, unit_idx = multiplication_tables(elements)
@@ -643,6 +656,7 @@ def _worst_pair(
     and their rows pass, f(bx) = f(b)f(x) for every b by induction on
     word length: (0.0, None) from p rows.  Otherwise the full scan runs.
     """
+    import numpy as np
     elements = list(table)
     n = len(elements)
     width = min(n, max(1, SCAN_BYTES // max(item_bytes, 1)))

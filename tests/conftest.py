@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from pathlib import Path
 
 # One BLAS thread unless the caller chose otherwise: the wall-clock bounds
 # of the order-8 round trips must not depend on what else holds a CPU.
@@ -17,6 +18,12 @@ from invsg.actions import PartialAction, PartialBijection, restriction_action
 from invsg.algebra import StructureAlgebra, center, group_algebra
 from invsg.groups import FiniteGroup, cyclic, dihedral, from_cayley_table, klein_four
 from invsg.reps import PartialRep
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def small_groups() -> list[FiniteGroup]:

@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from invsg import algebra, reps
+from invsg import algebra, reps, semigroup
 from invsg.actions import action_to_dict, bernoulli_partial_action, to_inverse_action
 from invsg.algebra import group_algebra
 from invsg.cli import run
@@ -14,7 +12,7 @@ from invsg.groups import cyclic, group_to_dict, klein_four
 from invsg.reps import partial_rep_from_partial_action, rep_to_dict
 from invsg.semigroup import CapExceeded
 from invsg.actions import PartialAction, PartialBijection
-from conftest import draw_the_unit, inverses_checked, model_checked, reflection_commutant
+from conftest import draw_the_unit, fresh_env, inverses_checked, model_checked, reflection_commutant
 
 
 def invoke(capsys, *argv):
@@ -299,6 +297,35 @@ def test_unknown_margins_stay_out_of_the_payload(monkeypatch, capsys):
     assert strict_json(err) == {"error": "NonIntegerBlockDim", "message": "no margin known"}
 
 
+def raising(exc: Exception):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_only_value_errors_and_the_numeric_errors_exit_1(monkeypatch, capsys):
+    """The domain-error rule: every ValueError and algebra's two numeric
+    errors exit 1 with their margins; any other error, RuntimeError
+    included, is a bug and propagates out of ``run``."""
+    for bug in (RuntimeError("a bug"), TypeError("a bug")):
+        monkeypatch.setattr(semigroup, "order_formula", raising(bug))
+        with pytest.raises(type(bug)):
+            run(["sg", "order", "cyclic:4"])
+    monkeypatch.setattr(semigroup, "order_formula", raising(ValueError("a domain error")))
+    code, out, err = invoke(capsys, "sg", "order", "cyclic:4")
+    assert (code, out, strict_json(err)) == (1, "", {"error": "ValueError", "message": "a domain error"})
+
+    for numeric, margin in (
+        (algebra.EigenvalueClusterAmbiguous("too close", relative_gap=1e-13), "relative_gap"),
+        (algebra.NonIntegerBlockDim("not a square", integrality_error=0.5), "integrality_error"),
+    ):
+        monkeypatch.setattr(algebra, "wedderburn", raising(numeric))
+        code, out, err = invoke(capsys, "alg", "decompose", "cyclic:2")
+        assert (code, out) == (1, "")
+        assert strict_json(err) == {"error": type(numeric).__name__, "message": str(numeric), margin: getattr(numeric, margin)}
+
+
 def test_rep_files_need_exactly_the_group_indices(tmp_path, capsys):
     rep = rep_to_dict(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(2))))
     missing = dict(rep, matrices={"0": rep["matrices"]["0"]})
@@ -403,11 +430,9 @@ def test_a_closed_stdout_ends_the_cli_silently():
     """``invsg ... | head -1``: the reader takes one line and closes the
     pipe while the CLI still has about 200 KB to write; it ends without
     a traceback and without a domain or usage exit code."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "invsg.cli", "graded", "map", "dihedral:4", "--json"],
-        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -415,6 +440,83 @@ def test_a_closed_stdout_ends_the_cli_silently():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+LOADED_AFTER = """
+import sys
+if sys.argv[1:]:
+    from invsg import cli
+    code = cli.run(sys.argv[1:])
+else:
+    import invsg
+    code = 0
+print(code, *(m for m in sys.modules if m.split(".")[0] == "invsg" or m == "numpy"))
+"""
+
+
+def loaded_after(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``cli.run(argv)`` in a fresh interpreter, or 0 for
+    a bare ``import invsg`` when argv is empty, and the ``invsg`` and
+    ``numpy`` modules loaded by then."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, *argv], env=fresh_env(), capture_output=True, text=True, timeout=60
+    )
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+def test_a_bare_import_loads_no_layer():
+    assert loaded_after() == (0, {"invsg"})
+
+
+@pytest.mark.parametrize("command", ["sg order cyclic:28", "sg enumerate cyclic:3", "sg reduce cyclic:4 --word 1,2"])
+def test_sg_arithmetic_loads_no_numpy(command):
+    assert loaded_after(*command.split()) == (0, {"invsg", "invsg.cli", "invsg.groups", "invsg.semigroup"})
+
+
+# the layers each family never loads; every command shown loads numpy
+UNUSED_LAYERS = {
+    "sg": {"actions", "reps", "algebra", "graded"},
+    "pa": {"reps", "algebra", "graded"},
+    "rep": {"algebra", "graded"},
+    "alg": {"actions", "reps", "graded"},
+    "graded": {"actions", "reps"},
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "sg verify klein4",
+        "pa validate ACTION",
+        "pa extend ACTION",
+        "pa bernoulli cyclic:2",
+        "rep validate REP",
+        "rep extend REP",
+        "alg decompose klein4",
+        "graded count cyclic:3",
+        "graded map cyclic:3",
+    ],
+)
+def test_each_family_loads_only_its_own_layers(tmp_path, command):
+    action = bernoulli_partial_action(cyclic(2))
+    files = {"ACTION": action_to_dict(action), "REP": rep_to_dict(partial_rep_from_partial_action(action))}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argv = [str(tmp_path / a) if a in files else a for a in command.split()]
+    code, loaded = loaded_after(*argv)
+    assert code == 0 and "numpy" in loaded
+    assert loaded.isdisjoint(f"invsg.{layer}" for layer in UNUSED_LAYERS[argv[0]])
+
+
+def test_the_entry_point_imports_no_numpy_for_sg_order():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "invsg.cli", "sg", "order", "cyclic:28"],
+        env=fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1946157056\n")
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+    assert "invsg" in imported and "numpy" not in imported
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -1,0 +1,79 @@
+"""The package namespace: every exported name, resolved from its home layer on first use."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import invsg
+from conftest import fresh_env
+
+EXPORTS = {
+    "groups": [
+        "FiniteGroup", "GroupSpecError", "GroupTableError", "NoIdentity", "NoInverse", "NotAssociative",
+        "NotLatinSquare", "cyclic", "dihedral", "direct_product", "from_cayley_table", "group_from_spec",
+        "klein_four", "load_group",
+    ],
+    "semigroup": [
+        "CapExceeded", "ConditionsViolated", "Counterexample", "SgElement", "act_on_subset", "enumerate_semigroup",
+        "generator", "idempotent", "natural_partial_order", "order_formula", "reduce_word", "unit",
+        "universal_extension", "verify_inverse_semigroup",
+    ],
+    "actions": [
+        "InverseAction", "PartialAction", "PartialBijection", "bernoulli_partial_action", "from_inverse_action",
+        "restriction_action", "to_inverse_action", "validate_axioms", "validate_semigroup_form",
+    ],
+    "reps": [
+        "PartialRep", "SgRepresentation", "extend_to_semigroup", "partial_rep_from_partial_action",
+        "restrict_to_group", "validate_partial_rep",
+    ],
+    "algebra": [
+        "BlockDecomposition", "EigenvalueClusterAmbiguous", "NonIntegerBlockDim", "StructureAlgebra",
+        "build_algebra", "center", "group_algebra", "multiply_elements", "wedderburn",
+    ],
+    "graded": ["GradedSubspace", "element_subspace", "generated_semigroup", "grading", "subspace_product"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+HOMES = [(layer, name) for layer, names in EXPORTS.items() for name in names]
+
+
+def test_all_lists_the_exported_names():
+    assert invsg.__all__ == NAMES
+    assert invsg.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("layer, name", HOMES, ids=[name for _, name in HOMES])
+def test_each_name_is_the_object_in_its_home_layer(layer, name):
+    home = getattr(importlib.import_module(f"invsg.{layer}"), name)
+    namespace = {}
+    exec(f"from invsg import {name}", namespace)
+    assert getattr(invsg, name) is home and namespace[name] is home
+
+
+def test_dir_lists_the_names_and_the_layers():
+    assert set(dir(invsg)) >= {*NAMES, *EXPORTS}
+
+
+def test_a_layer_resolves_before_anything_imports_it():
+    script = (
+        "import sys, invsg\n"
+        "assert 'invsg.reps' not in sys.modules\n"
+        "print(getattr(invsg, 'reps') is sys.modules['invsg.reps'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="'invsg' has no attribute 'nonsense'"):
+        invsg.nonsense
+    with pytest.raises(ImportError):
+        exec("from invsg import nonsense", {})
+    assert not hasattr(invsg, "DEFAULT_DIM_CAP")
+
+
+def test_star_import_binds_the_exported_names():
+    namespace = {}
+    exec("from invsg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
