@@ -8,7 +8,8 @@ finite combinatorics: products are index-set images under the
 multiplication table, and closures terminate.  A subspace used as a
 right operand keeps one Python-int bitmask per basis row, row i marking
 the images of b_i times its monomials; a product ORs the rows of its
-left operand's indices, and the set bits are the product's indices.
+left operand's indices into its own mask, whose set bits are its
+indices.  A closure keys its subspaces by mask, decoding only new ones.
 """
 
 from __future__ import annotations
@@ -90,16 +91,17 @@ def _set_bits(mask: int) -> frozenset[int]:
     return frozenset(bits)
 
 
-def subspace_product(x: GradedSubspace, y: GradedSubspace) -> GradedSubspace:
-    """Exact span of pairwise products: the image of the index sets
-    under the multiplication table, the OR of y's row masks at x's
-    indices.  y builds its row masks on its first product as the right
-    operand and keeps them, so a closure builds one set per generator."""
+def _product_mask(x: GradedSubspace, y: GradedSubspace) -> int:
+    """Bitmask of x·y: the OR of y's row masks at x's indices."""
     if x.algebra is not y.algebra:
         raise ValueError("subspaces live in different algebras")
-    rows = y._rows
-    mask = functools.reduce(operator.or_, map(rows.__getitem__, x.indices), 0)
-    return GradedSubspace(x.algebra, _set_bits(mask))
+    return functools.reduce(operator.or_, map(y._rows.__getitem__, x.indices), 0)
+
+
+def subspace_product(x: GradedSubspace, y: GradedSubspace) -> GradedSubspace:
+    """Exact span of pairwise products: the image of the index sets
+    under the multiplication table, decoded from the product's mask."""
+    return GradedSubspace(x.algebra, _set_bits(_product_mask(x, y)))
 
 
 def grading(a: StructureAlgebra) -> dict[int, GradedSubspace]:
@@ -119,27 +121,25 @@ def generated_semigroup(
 ) -> set[GradedSubspace]:
     """Closure of the given subspaces under the subspace product.
 
-    Worklist algorithm: multiply each frontier subspace on the right by
-    every generator until nothing new appears; terminates because index
-    sets live in a finite power set.  One side is enough when the
-    algebra's ``mult`` is associative, as it is for ``build_algebra``
-    and ``group_algebra``: then the subspace product is associative too,
-    every product g1...gk equals (g1...gk-1)gk, and g1...gk-1 was on an
-    earlier frontier.
+    Worklist algorithm: multiply each subspace, in the order found, on
+    the right by every generator until nothing new appears; terminates
+    because index sets live in a finite power set.  One side is enough
+    when the algebra's ``mult`` is associative, as it is for
+    ``build_algebra`` and ``group_algebra``: then the subspace product
+    is associative too, every product g1...gk equals (g1...gk-1)gk, and
+    g1...gk-1 was found earlier.  Subspaces are keyed by bitmask, and
+    only a new product's set bits are read.
     """
     gens = list(pieces.values()) if isinstance(pieces, Mapping) else list(pieces)
-    found: set[GradedSubspace] = set(gens)
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                candidate = x * g
-                if candidate not in found:
-                    found.add(candidate)
-                    fresh.append(candidate)
-        frontier = fresh
-    return found
+    found = {sum(1 << i for i in g.indices): g for g in gens}
+    queue = list(found.values())
+    for x in queue:  # grows while it is read
+        for g in gens:
+            mask = _product_mask(x, g)
+            if mask not in found:
+                found[mask] = GradedSubspace(x.algebra, _set_bits(mask))
+                queue.append(found[mask])
+    return set(queue)
 
 
 def element_subspace(a: StructureAlgebra, elem: SgElement) -> GradedSubspace:

@@ -74,10 +74,11 @@ def test_products_of_pieces():
         (cyclic(8), 576),
         (dihedral(4), 576),
         (cyclic(9), 1280),
+        (cyclic(10), 2816),
     ],
 )
 def test_generated_semigroup_count(g, expected):
-    alg = build_algebra(g, cap=max(expected, DEFAULT_DIM_CAP))  # cyclic:9 lies past the default cap
+    alg = build_algebra(g, cap=max(expected, DEFAULT_DIM_CAP))  # orders 9 and 10 lie past the default cap
     closure = generated_semigroup(grading(alg))
     assert len(closure) == expected == (
         order_formula(g.order) if g.order >= 2 else 1
@@ -176,29 +177,108 @@ def test_products_and_stars_match_the_pairwise_image(alg):
             assert isinstance(prod.indices, frozenset) and all(type(i) is int for i in prod.indices)
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap ``graded.<name>`` so that every call is counted."""
+    calls = []
+    original = getattr(graded, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(graded, name, spy)
+    return calls
+
+
 def test_a_closure_builds_row_masks_once_per_piece(monkeypatch):
     """The closure's right operands are its generators: dihedral:3 builds
     row masks for its 6 pieces, once each and never for a product, and
     the masks stay out of equality and the hash."""
     alg = build_algebra(dihedral(3))
     pieces = list(grading(alg).values())
-    built = []
-    row_masks = graded._row_masks
-
-    def spy(a, indices):
-        built.append(indices)
-        return row_masks(a, indices)
-
-    monkeypatch.setattr(graded, "_row_masks", spy)
+    built = _count_calls(monkeypatch, "_row_masks")
     closure = generated_semigroup(pieces)
     assert len(closure) == 112 and len(built) == 6
-    assert sorted(built, key=sorted) == sorted((p.indices for p in pieces), key=sorted)
+    assert sorted((indices for _, indices in built), key=sorted) == sorted((p.indices for p in pieces), key=sorted)
     assert [s for s in closure if "_rows" in vars(s)] == [s for s in closure if any(s is p for p in pieces)]
     assert generated_semigroup(pieces) == closure and len(built) == 6
     for p in pieces:
         fresh = GradedSubspace(alg, frozenset(p.indices))
         assert "_rows" in vars(p) and "_rows" not in vars(fresh)
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+
+
+def test_a_closure_decodes_only_new_subspaces(monkeypatch):
+    """dihedral:3: 112 subspaces times 6 generators is 672 products, and
+    only the 106 that are not generators have their set bits read."""
+    pieces = grading(build_algebra(dihedral(3)))
+    products = _count_calls(monkeypatch, "_product_mask")
+    decodes = _count_calls(monkeypatch, "_set_bits")
+    closure = generated_semigroup(pieces)
+    assert len(closure) == 112
+    assert len(products) == 672 == 112 * 6
+    assert len(decodes) == 106 == len({mask for (mask,) in decodes})
+
+
+def _reference_closure(alg, generators):
+    """Naive worklist over frozensets of table images, right products only."""
+    gens = {frozenset(g.indices) for g in generators}
+    found, todo = set(gens), list(gens)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            product = frozenset(int(alg.mult[i, j]) for i in x for j in g)
+            if product not in found:
+                found.add(product)
+                todo.append(product)
+    return found
+
+
+def _generator_sets(alg, rng):
+    """Seeded random generator sets, plus the edge cases of the mask-keyed
+    closure: a repeated generator, two equal generators built apart, the
+    empty subspace (mask 0) and a product that is also a generator."""
+    def sub(ix):
+        return GradedSubspace(alg, frozenset(ix))
+
+    sizes = rng.integers(1, min(3, alg.dim) + 1, size=8)
+    subsets = [sub(rng.choice(alg.dim, size=int(k), replace=False).tolist()) for k in sizes]
+    x, y, z = subsets[:3]
+    return [
+        *([subsets[k], subsets[k + 1]] for k in range(3, 7)),
+        [x, y, z, x],
+        [x, sub(x.indices), y],
+        [sub(()), x, y],
+        [sub(())],
+        [x, y, x * y],
+        [x, x * x, y],
+    ]
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        *(build_algebra(g) for g in [cyclic(1), cyclic(2), cyclic(3), klein_four(), dihedral(3)]),
+        group_algebra(dihedral(3)),
+    ],
+    ids=["cyclic1", "cyclic2", "cyclic3", "klein4", "dihedral3", "ga_dihedral3"],
+)
+def test_generated_semigroup_matches_a_naive_closure(alg, monkeypatch):
+    rng = np.random.default_rng(alg.dim)
+    decodes = _count_calls(monkeypatch, "_set_bits")
+    for gens in _generator_sets(alg, rng):
+        decodes.clear()
+        closure = generated_semigroup(gens)
+        assert {s.indices for s in closure} == _reference_closure(alg, gens)
+        assert all(s.algebra is alg for s in closure)
+        assert len(decodes) == len(closure) - len(set(gens))
+
+
+def test_generators_from_two_algebras_are_rejected():
+    a1, a2 = build_algebra(cyclic(2)), build_algebra(cyclic(2))
+    for ix in [(0,), (1,)]:  # the same mask, then different ones
+        with pytest.raises(ValueError):
+            generated_semigroup([GradedSubspace(a1, frozenset({0})), GradedSubspace(a2, frozenset(ix))])
 
 
 @pytest.mark.parametrize(
