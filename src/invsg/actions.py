@@ -460,6 +460,8 @@ def action_to_dict(action: PartialAction) -> dict:
 def action_from_dict(data: Mapping) -> PartialAction:
     group = document_group(data, ("set_size", "theta"))
     n = json_value(data["set_size"], "an integer", "set_size")
+    if n < 0:
+        raise ValueError(f"set_size {n} is negative")
     if n > MATERIALIZE_BUDGET:
         raise ValueError(f"set_size {n} exceeds the materialization budget {MATERIALIZE_BUDGET}")
     raw = json_value(data["theta"], "an object", "theta")

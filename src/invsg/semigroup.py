@@ -33,8 +33,7 @@ D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_DIM_CAP = 1000  # of an algebra over the enumerated semigroup: group order <= 8
-ROW_BLOCK = 128  # rows per block of Light's test and of the inverse check, bounding their temporaries; a multiple of 8
-SCAN_BYTES = 1 << 17  # bytes per block of a table build or of inverse-scan keys, or per buffer of a pair scan (allocated once per scan)
+SCAN_BYTES = 1 << 17  # bytes per block of rows of a table build or a certificate check, or per pair-scan buffer (allocated once per scan)
 
 
 class CapExceeded(ValueError):
@@ -334,20 +333,19 @@ def _bernoulli_generators(group: FiniteGroup) -> np.ndarray:
     return rows.astype(np.min_scalar_type(m))
 
 
-def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int], left: bool) -> tuple[np.ndarray, ...]:
-    """Breadth-first closure of the unit under multiplication by ``gens``
-    on the left (x = a * x') or the right (x = x' * a): (reached, via,
-    parent) with a = gens[via[x]] and x' = parent[x] for each reached x
-    but the unit, x' of the previous layer; -1 elsewhere.  Each x is
-    reached at its first product, a-major, in its layer."""
+def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Breadth-first closure of the unit under right multiplication by
+    ``gens``, x = x' * a: (reached, via, parent) with a = gens[via[x]]
+    and x' = parent[x] for each reached x but the unit, x' of the
+    previous layer; -1 elsewhere.  Each x is reached at its first
+    product, a-major, in its layer."""
     import numpy as np
     n = len(mult)
     reached, via, parent = np.zeros(n, dtype=bool), np.full(n, -1), np.full(n, -1)
     reached[unit_idx] = True
     frontier = np.array([unit_idx])
     while frontier.size:
-        products = mult[np.ix_(gens, frontier)] if left else mult[np.ix_(frontier, gens)].T
-        found, first = np.unique(products.ravel(), return_index=True)
+        found, first = np.unique(mult[np.ix_(frontier, gens)].T.ravel(), return_index=True)
         new = ~reached[found]
         found, first = found[new], first[new]
         reached[found] = True
@@ -357,21 +355,25 @@ def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int], left: bo
     return reached, via, parent
 
 
-def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int, gens: Sequence[int]) -> int | None:
+def _bernoulli_check(
+    elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int, gens: Sequence[int], via: np.ndarray, parent: np.ndarray
+) -> int | None:
     """Certify ``mult`` associative through the Bernoulli model phi, the
     :func:`_extension_rows` of :func:`_bernoulli_generators`, so never
     read off ``mult``: the number of entries read, or None when a check
-    fails (which does not make ``mult`` non-associative).
+    fails (which does not make ``mult`` non-associative).  ``via`` and
+    ``parent`` are a :func:`_closure_tree` of ``gens`` reaching every
+    element.
 
     (a) phi[unit] is the identity and unit * y = y; (b) phi(ay) =
-    phi(a) o phi(y) for every generator a and every y; (c) a tree closes
-    the unit under left multiplication by the generators, x = a * x'
-    with x' earlier, and xy = a(x'y) for every y; (d) the rows of phi
+    phi(a) o phi(y) for every generator a and every y; (c) for every x
+    = x' * a of the tree, x' earlier, row x of ``mult`` is row x'
+    composed with row a, xy = x'(ay) for every y; (d) the rows of phi
     are pairwise distinct.  By induction on the depth of x, phi(xy) =
-    phi(x) o phi(y): at the unit by (a), and for x = a * x' by (c), (b),
-    induction and (b) again, phi(a(x'y)) = phi(a) o phi(x') o phi(y) =
-    phi(x) o phi(y).  So phi((xy)z) = phi(x) o phi(y) o phi(z) =
-    phi(x(yz)), and (d) gives (xy)z = x(yz).
+    phi(x) o phi(y) for every y: at the unit by (a), and for x = x' * a
+    by (c), induction, (b) and induction at y = a, phi(x'(ay)) =
+    phi(x') o phi(a) o phi(y) = phi(x) o phi(y).  So phi((xy)z) =
+    phi(x) o phi(y) o phi(z) = phi(x(yz)), and (d) gives (xy)z = x(yz).
 
     The entries read: n^2 products, each compared once in (a) or (c); p n
     composites of m + 1 entries in (b); n p entries in (d), which
@@ -387,16 +389,13 @@ def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: 
     if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):
         return None
 
-    # (c) row x against row a o row x', blocks of rows per generator a
-    reached, via, parent = _closure_tree(mult, unit_idx, gens, left=True)
-    if not reached.all():
-        return None
+    # (c) row x against row x' o row a, blocks of rows per generator a
     step = max(1, SCAN_BYTES // (mult.itemsize * n))  # rows per block
     for k, a in enumerate(gens):
         xs = np.flatnonzero(via == k)
         for lo in range(0, xs.size, step):
             x = xs[lo : lo + step]
-            if not np.array_equal(mult[x], mult[a].take(mult[parent[x]])):
+            if not np.array_equal(mult[x], mult[parent[x]].take(mult[a], axis=1)):
                 return None
 
     # (b) each block of rows of phi, as intp once, composed with every generator
@@ -422,53 +421,50 @@ def _bernoulli_check(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: 
 def _associativity(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int) -> CheckResult:
     """The associativity check of :func:`verify_inverse_semigroup`.
 
-    A generation scan closes the unit under right multiplication by the
-    generators A = {[t] : t in G}, p lookups per element reached; an
-    element left unreached is the counterexample.  Then
-    :func:`_bernoulli_check` certifies the table.  If it cannot, Light's
-    test decides: every element being a product of elements of A,
-    (xa)y = x(ay) for all x, y and a in A certifies the table, and the
-    first failing (x, a, y) is the counterexample.  ``checked`` counts
-    the generation lookups, then the model's reads or n^2 per generator
-    Light's test scanned.
+    A generation scan, the one :func:`_closure_tree` of the certificate,
+    closes the unit under right multiplication by the generators A =
+    {[t] : t in G}, p lookups per element reached; an element left
+    unreached is the counterexample.  Then :func:`_bernoulli_check`
+    certifies the table along that tree.  If it cannot, Light's test
+    decides: every element being a product of elements of A, (xa)y =
+    x(ay) for all x, y and a in A certifies the table, and the first
+    failing (x, a, y) is the counterexample.  Its row blocks take about
+    SCAN_BYTES.  ``checked`` counts the generation lookups, then the
+    model's reads or n^2 per generator Light's test scanned.
     """
     import numpy as np
     n = len(elements)
     gens = _generator_rows(elements)
-    reached = _closure_tree(mult, unit_idx, gens, left=False)[0]
+    reached, via, parent = _closure_tree(mult, unit_idx, gens)
     count = len(gens) * int(reached.sum())
     if not reached.all():
         return CheckResult("associativity", False, count, (elements[int(np.argmin(reached))],))
-    model = _bernoulli_check(elements, mult, unit_idx, gens)
+    model = _bernoulli_check(elements, mult, unit_idx, gens, via, parent)
     if model is not None:
         return CheckResult("associativity", True, count + model)
-    bad = None
+    step = max(1, SCAN_BYTES // (mult.itemsize * n))  # rows per block
     for a in gens:
         count += n * n
-        for lo in range(0, n, ROW_BLOCK):
-            left = mult[mult[lo : lo + ROW_BLOCK, a]]  # (xa)y
-            right = mult[lo : lo + ROW_BLOCK].take(mult[a], axis=1)  # x(ay)
+        for lo in range(0, n, step):
+            left = mult[mult[lo : lo + step, a]]  # (xa)y
+            right = mult[lo : lo + step].take(mult[a], axis=1)  # x(ay)
             if not np.array_equal(left, right):
                 x, y = map(int, np.argwhere(left != right)[0])
-                bad = (elements[lo + x], elements[a], elements[y])
-                break
-        if bad is not None:
-            break
-    return CheckResult("associativity", bad is None, count, bad)
+                return CheckResult("associativity", False, count, (elements[lo + x], elements[a], elements[y]))
+    return CheckResult("associativity", True, count)
 
 
 def _inverse_scan(elements: Sequence[SgElement], mult: np.ndarray, star_idx: np.ndarray) -> CheckResult:
     """The unique-inverses scan: for each a exactly one b with a b a == a
-    and b a b == b, and that b is a*.  With R[a, b] = ((ab)a == a),
-    packed to bits row by row, b is an inverse of a iff R[a, b] and
-    R[b, a]; rows a in blocks.  The first failing a is the
+    and b a b == b, and that b is a*.  With the n x n boolean R[a, b] =
+    ((ab)a == a), b is an inverse of a iff R[a, b] and R[b, a]; rows in
+    blocks of about SCAN_BYTES.  The first failing a is the
     counterexample, with every inverse it has; n^2 cases."""
     import numpy as np
     n = len(elements)
-    idx = np.arange(n)
-    flat, ids = mult.ravel(), idx.astype(mult.dtype)
-    relation = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-    step = max(1, SCAN_BYTES // (8 * n))  # rows per block of keys
+    flat, ids = mult.ravel(), np.arange(n, dtype=mult.dtype)
+    relation = np.empty((n, n), dtype=bool)
+    step = max(1, SCAN_BYTES // (np.dtype(np.intp).itemsize * n))  # rows per block of keys
     keys = np.empty((min(step, n), n), dtype=np.intp)  # flat indices of (ab)a
     products = np.empty(keys.shape, dtype=mult.dtype)
     for lo in range(0, n, step):
@@ -476,21 +472,19 @@ def _inverse_scan(elements: Sequence[SgElement], mult: np.ndarray, star_idx: np.
         key, product = keys[: a.size], products[: a.size]
         np.multiply(mult[lo : lo + step], n, out=key, dtype=np.intp)
         np.take(flat, np.add(key, a, out=key), out=product)
-        relation[lo : lo + step] = np.packbits(product == a, axis=1)
-    bad = None
-    for lo in range(0, n, ROW_BLOCK):
-        a = idx[lo : lo + ROW_BLOCK]
-        columns = np.unpackbits(relation[:, lo >> 3 : (lo + ROW_BLOCK) >> 3], axis=1, count=a.size)
-        inverse = np.unpackbits(relation[lo : lo + ROW_BLOCK], axis=1, count=n)
-        np.bitwise_and(inverse, columns.T, out=inverse)
-        inverse[a - lo, star_idx[a]] ^= 1  # now a row is 0 iff a* is the one inverse of a
+        np.equal(product, a, out=relation[lo : lo + step])
+    step = max(1, SCAN_BYTES // n)  # rows per block of the relation
+    for lo in range(0, n, step):
+        inverse = relation[lo : lo + step] & relation[:, lo : lo + step].T
+        rows = np.arange(len(inverse))
+        inverse[rows, star_idx[lo + rows]] ^= True  # now a row is all False iff a* is the one inverse of a
         fails = np.flatnonzero(inverse.any(axis=1))
         if fails.size:
             r = int(fails[0])
-            inverse[r, star_idx[lo + r]] ^= 1
-            bad = (elements[lo + r], [elements[int(j)] for j in np.flatnonzero(inverse[r])])
-            break
-    return CheckResult("unique inverses", bad is None, n * n, bad)
+            inverse[r, star_idx[lo + r]] ^= True
+            witnesses = [elements[int(j)] for j in np.flatnonzero(inverse[r])]
+            return CheckResult("unique inverses", False, n * n, (elements[lo + r], witnesses))
+    return CheckResult("unique inverses", True, n * n)
 
 
 def verify_inverse_semigroup(
@@ -500,8 +494,9 @@ def verify_inverse_semigroup(
     inverse semigroup; ``seed`` is accepted and ignored.
 
     Associativity is :func:`_associativity`: a generation scan from the
-    unit, then the Bernoulli model, with Light's test to find the
-    witness when the model cannot certify the table.  The involution
+    unit, then the Bernoulli model along the same closure tree, with
+    Light's test to find the witness when the model cannot certify the
+    table.  The involution
     identities a a* a = a and a* a a* = a* and commuting idempotents
     scan every case.  Unique inverses follow from those three: if b and
     c are inverses of a, then ba, ca, ab and ac are idempotents, so b =

@@ -539,6 +539,7 @@ _MATRICES = {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "1": [[[0, 0], [0, 0]], 
         ("rep", "matrices", list(_MATRICES.values()), "matrices must be an object"),
         ("pa", "set_size", [2], "set_size must be an integer"),
         ("pa", "set_size", 2.7, "set_size must be an integer"),
+        ("pa", "set_size", -3, "set_size -3 is negative"),
         ("rep", "dim", 2.5, "dim must be an integer"),
         ("pa", "theta", dict(_THETA, **{"1": [[2, 1]]}), "point 2 out of range [0, 2)"),
         ("pa", "theta", dict(_THETA, **{"1": [[-1, 0], [0, 1]]}), "point -1 out of range [0, 2)"),
@@ -548,7 +549,7 @@ _MATRICES = {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "1": [[[0, 0], [0, 0]], 
         ("group", "table", [[0, 1.9], [1, 0]], "table must be a list of rows of integers"),
     ],
     ids=[
-        "theta-list", "matrices-list", "set_size-list", "set_size-float", "dim-float",
+        "theta-list", "matrices-list", "set_size-list", "set_size-float", "set_size-negative", "dim-float",
         "point-too-large", "point-negative", "image-float", "pair-not-list", "entry-not-pair",
         "table-entry-float",
     ],

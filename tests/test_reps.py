@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from invsg.actions import (
+    InverseAction,
     PartialBijection,
     bernoulli_partial_action,
     restriction_action,
@@ -30,6 +31,7 @@ from invsg.reps import (
     validate_partial_rep,
 )
 from invsg.semigroup import (
+    DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     _triple_law,
     enumerate_semigroup,
@@ -500,6 +502,46 @@ def test_bernoulli_round_trip_multiplies_no_matrix(monkeypatch):
     assert list(ext.table) == enumerate_semigroup(g) and len(ext.table) == 112
     a = enumerate_semigroup(g)[57]
     assert a in ext.table and np.array_equal(ext(a), _zero_one(to_inverse_action(bernoulli_partial_action(g))(a)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(1), cyclic(2), cyclic(3), klein_four(), cyclic(5), cyclic(6), dihedral(3)],
+    ids=["cyclic1", "cyclic2", "cyclic3", "klein4", "cyclic5", "cyclic6", "dihedral3"],
+)
+def test_index_array_rows_are_partial_isometries(g):
+    """Why the isometry check of an action-backed rep reads no row: from
+    random generator images that are no partial action, every row of the
+    index array is a composite of partial bijections, so it is injective
+    on its domain, and the dense check of its 0/1 matrices gives 0."""
+    rng = random.Random(g.order)
+    n = 5
+    images = []
+    for _ in g.elements():
+        perm = rng.sample(range(n), n)
+        images.append(PartialBijection(tuple(perm[x] if rng.random() < 0.7 else None for x in range(n))))
+    assert any(images[g.inv(r)] != images[r].invert() for r in g.elements())
+    elements, _, rows = InverseAction(g, n, images)._index_array(DEFAULT_ENUMERATION_CAP)
+    for row in rows.tolist():
+        defined = [y for y in row[:n] if y != n]
+        assert len(set(defined)) == len(defined)
+    dense = SgRepresentation(g, n, {a: reps._zero_one(row) for a, row in zip(elements, rows)})
+    assert dense.max_partial_isometry_deviation() == (0.0, None)
+
+
+def test_isometry_check_of_an_action_backed_rep_builds_no_matrix(monkeypatch):
+    """At cyclic:10, 2816 images of the regular rep: with ``_zero_one``
+    refusing to run from the extension on, the isometry check passes."""
+    g = cyclic(10)
+    rep = partial_rep_from_partial_action(restriction_action(g, translation_permutations(g, 1), range(10)))
+
+    def no_matrix(row):
+        raise AssertionError("a 0/1 matrix was built")
+
+    monkeypatch.setattr(reps, "_zero_one", no_matrix)
+    ext = extend_to_semigroup(rep)
+    assert len(ext.table) == 2816
+    assert ext.max_partial_isometry_deviation() == (0.0, None)
 
 
 def test_the_action_route_keeps_the_cap():

@@ -462,9 +462,38 @@ def test_associativity_scans_every_row_block(monkeypatch):
     monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
     assoc = verify_inverse_semigroup(g).checks[0]
     k, (x, a, y) = _first_light_failure(mult, [elements.index(generator(g, t)) for t in g.elements()])
-    assert x >= semigroup.ROW_BLOCK
+    assert x >= semigroup.SCAN_BYTES // (mult.itemsize * n)  # Light's test reads rows in blocks of this many
     assert assoc.counterexample == (elements[x], elements[a], elements[y])
     assert assoc.checked == n * g.order + (k + 1) * n * n
+
+
+def test_failing_certificate_at_order_10(monkeypatch):
+    """One wrong entry of the last row of the cyclic(10) table, a a* for
+    the last element a: Light's test and the unique-inverses scan both
+    run, and report what the reference loops do.  The table is built
+    before tracing, so the traced peak is the checks' own: the n x n
+    boolean relation (7.6 MiB) and the blocks of Light's test."""
+    g = cyclic(10)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n, p = len(elements), g.order
+    mult[n - 1, star[n - 1]] = (int(mult[n - 1, star[n - 1]]) + 1) % n
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    tracemalloc.start()
+    try:
+        report = verify_inverse_semigroup(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assoc, invol, unique, commute = report.checks
+    k, (x, a, y) = _first_light_failure(mult, [elements.index(generator(g, t)) for t in g.elements()])
+    assert assoc.counterexample == (elements[x], elements[a], elements[y])
+    assert assoc.checked == n * p + (k + 1) * n * n
+    assert not invol.passed and commute.passed
+    first, witnesses = _first_non_unique_inverse(mult, star)
+    assert unique.counterexample == (elements[first], [elements[j] for j in witnesses])
+    assert unique.checked == n * n
 
 
 def _first_non_unique_inverse(mult, star):
@@ -486,7 +515,8 @@ def test_unique_inverses_reports_a_second_inverse(monkeypatch):
     g = cyclic(8)
     elements = enumerate_semigroup(g)
     mult, star, unit_index = _real_tables(elements)
-    a = 3 * semigroup.ROW_BLOCK + 5
+    block = semigroup.SCAN_BYTES // len(elements)  # rows per block of the boolean relation
+    a = block + 5
     e = next(
         elements.index(f) for f in idempotent_elements(g)
         if mult[star[a], elements.index(f)] != star[a]
@@ -496,7 +526,7 @@ def test_unique_inverses_reports_a_second_inverse(monkeypatch):
     monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
     unique = verify_inverse_semigroup(g).checks[2]
     first, witnesses = _first_non_unique_inverse(mult, star)
-    assert first == min(a, b) >= semigroup.ROW_BLOCK and len(witnesses) == 2
+    assert first == min(a, b) >= block and len(witnesses) == 2
     assert unique.counterexample == (elements[first], [elements[j] for j in witnesses])
 
 
@@ -506,7 +536,7 @@ def test_unique_inverses_checks_the_inverse_is_the_star(monkeypatch):
     g = cyclic(8)
     elements = enumerate_semigroup(g)
     mult, star, unit_index = _real_tables(elements)
-    a = next(i for i in range(semigroup.ROW_BLOCK, len(elements)) if star[i] != i)
+    a = next(i for i in range(semigroup.SCAN_BYTES // len(elements), len(elements)) if star[i] != i)
     true_inverse = int(star[a])
     star = star.copy()
     star[a] = a
@@ -519,9 +549,9 @@ def test_unique_inverses_checks_the_inverse_is_the_star(monkeypatch):
 @pytest.mark.parametrize("g", [klein_four(), cyclic(5), cyclic(8)], ids=["klein4", "cyclic5", "cyclic8"])
 def test_unique_inverses_match_the_reference_loop_on_random_corruptions(monkeypatch, g):
     """Seeded single-entry corruptions, two of the product table to one of
-    the star table: the packed-bit scan reports what the reference loop does.
-    klein4 has n = 20, so its last packed byte is partial; cyclic(8) spans
-    several row blocks."""
+    the star table: the block scan of the boolean relation reports what
+    the reference loop does.  klein4 has n = 20 and fits in one block;
+    cyclic(8) spans several row blocks."""
     elements = enumerate_semigroup(g)
     mult, star, unit_index = _real_tables(elements)
     n = len(elements)
@@ -756,7 +786,8 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
     n, p = len(elements), g.order
     gens = [elements.index(generator(g, t)) for t in g.elements()]
     assert _associative(opposite) and len(_generated(opposite, unit_index, gens)) == n
-    assert semigroup._bernoulli_check(elements, opposite, unit_index, gens) is None
+    _, via, parent = semigroup._closure_tree(opposite, unit_index, gens)
+    assert semigroup._bernoulli_check(elements, opposite, unit_index, gens, via, parent) is None
     monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (opposite, star, unit_index))
     monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
     report = verify_inverse_semigroup(g)
@@ -768,37 +799,39 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
 
 
 def test_an_unfaithful_model_certifies_nothing(monkeypatch):
-    """Set a * y to the unit for a generator a and an element y whose
-    product is no edge of the tree, then rebuild every other row along
-    the tree, x = a' x' giving row x = a' o row x'.  The table passes the
-    unit and tree checks but is not associative.  The model refuses it
-    at the composition check; a model whose rows all act as the identity
-    passes that check for any table, and the distinctness check refuses
-    it.  Either way Light's test reports the first failing triple."""
+    """Set a * y to the unit for a generator a and an element y where the
+    entry is no edge of the tree, then rebuild every row along the tree,
+    x = x' a giving row x = row x' o row a.  The table keeps its tree and
+    passes the unit and tree checks, but is not associative: at cyclic(4)
+    the first such entry is (generator 1, element 1).  The model refuses
+    it at the composition check; a model whose rows all act as the
+    identity passes that check for any table, and the distinctness check
+    refuses it.  Either way Light's test reports the first failing triple."""
     g = cyclic(4)
     elements = enumerate_semigroup(g)
     mult, _, unit_index = _real_tables(elements)
     n = len(elements)
     gens = [elements.index(generator(g, t)) for t in g.elements()]
-    _, via, parent = semigroup._closure_tree(mult, unit_index, gens, left=True)
-    edges = set(zip(via.tolist(), parent.tolist()))
-    k, y = next((k, y) for k in range(1, g.order) for y in range(n) if y != unit_index and (k, y) not in edges)
+    _, via, parent = semigroup._closure_tree(mult, unit_index, gens)
+    edges = {(int(parent[x]), gens[via[x]]) for x in np.flatnonzero(via >= 0)}
+    k, y = next((k, y) for k in range(1, g.order) for y in range(n) if y != unit_index and (gens[k], y) not in edges)
+    assert (k, y) == (1, 1)
     bad = mult.copy()
     bad[gens[k], y] = unit_index
     depth = np.zeros(n, dtype=int)
     for _ in range(n):
         depth[via >= 0] = depth[parent[via >= 0]] + 1
     for x in sorted(np.flatnonzero(via >= 0), key=lambda x: depth[x]):
-        bad[x] = bad[gens[via[x]]][bad[parent[x]]]
+        bad[x] = bad[parent[x]][bad[gens[via[x]]]]
     assert not _associative(bad)
-    _, bad_via, bad_parent = semigroup._closure_tree(bad, unit_index, gens, left=True)
+    _, bad_via, bad_parent = semigroup._closure_tree(bad, unit_index, gens)
     assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
-    assert semigroup._bernoulli_check(elements, bad, unit_index, gens) is None
+    assert semigroup._bernoulli_check(elements, bad, unit_index, gens, via, parent) is None
 
     phi = _model(elements)
     trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
-    assert semigroup._bernoulli_check(elements, bad, unit_index, gens) is None
+    assert semigroup._bernoulli_check(elements, bad, unit_index, gens, via, parent) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
     assoc = semigroup._associativity(elements, bad, unit_index)
     assert assoc.counterexample == (elements[x], elements[a], elements[z])
