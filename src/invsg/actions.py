@@ -15,6 +15,8 @@ scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
 ``!=`` as the distance.  An :class:`InverseAction` composes the rows of
 an index array, where composition is a gather, and its table is their
 ``semigroup._extension_rows``, as the certificate's model of S(G) is.
+That view of the array (``_RowTable``) is scanned by ``_row_scan``,
+for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 """
 
 from __future__ import annotations
@@ -315,16 +317,16 @@ def _bijection(row: np.ndarray, size: int) -> PartialBijection:
     return PartialBijection._trusted(tuple([None if v >= size else v for v in row[:size].tolist()]))
 
 
+@dataclass(eq=False)
 class _RowTable(Mapping[SgElement, V]):
-    """The read-only table of an :class:`InverseAction` at ``cap``: the
-    rows of its index array, one per element in enumeration order, each
-    read as ``read(row)`` when its entry is looked up."""
+    """The read-only table of :meth:`InverseAction.table`: ``elements``
+    in enumeration order, their ``index``, and one of ``rows`` each, read
+    as ``read(row)`` when its entry is looked up."""
 
-    def __init__(self, action: InverseAction, cap: int, read: Callable[[np.ndarray], V]):
-        self.action = action
-        self.cap = cap
-        self.read = read
-        self.elements, self.index, self.rows = action._index_array(cap)
+    elements: list[SgElement]
+    index: dict[SgElement, int]
+    rows: np.ndarray
+    read: Callable[[np.ndarray], V]
 
     def __getitem__(self, a: SgElement) -> V:
         return self.read(self.rows[self.index[a]])
@@ -339,17 +341,25 @@ class _RowTable(Mapping[SgElement, V]):
         return len(self.elements)
 
 
+def _row_scan(table: _RowTable, mult: np.ndarray) -> tuple[float, tuple | None]:
+    """``semigroup._worst_pair`` over index rows, where composing is the
+    gather rows[a][rows[b]]: (1.0, the first failing pair) or (0.0, None)."""
+    rows = table.rows
+
+    def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
+        return (rows[targets] != rows[a][rows[lo : lo + len(targets)]]).any(axis=1)
+
+    return _worst_pair(table, mult, rows[0].nbytes, lambda width: differ, exact=True)
+
+
 class InverseAction:
     """Action of the enumerated semigroup by partial bijections.
 
     Evaluates an element with the (unchecked) extension formula over the
     generator images as index-array rows (:func:`_index_rows`), with the
-    gather as the product.  The images of the whole enumerated semigroup
-    form one such array, the same fold batched (``_extension_rows``),
-    built on demand and kept when its elements times ground-set size stay
-    within those of the Bernoulli table at the default order cap (2816 x
-    512 at order 10), so the package's own actions extend at every order
-    the cap allows.
+    gather as the product.  :meth:`table` holds the images of the whole
+    enumerated semigroup as one such array, the same fold batched
+    (``_extension_rows``).
     """
 
     def __init__(
@@ -364,53 +374,38 @@ class InverseAction:
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
         self._rows = _index_rows(self.generator_images, set_size)
         self._extend = extension_formula(group, self._rows, lambda f, h: f[h])
-        self._array: tuple[list[SgElement], dict[SgElement, int], np.ndarray] | None = None
         self._products: np.ndarray | None = None  # multiplication_tables of the enumerated elements
         self._table: _RowTable[PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
         return _bijection(self._extend(a), self.set_size)
 
-    def _index_array(self, cap: int) -> tuple[list[SgElement], dict[SgElement, int], np.ndarray]:
-        """The enumerated elements, their indices, and the index array of
-        their images, one row each; ``cap`` is checked on every call."""
-        _check_cap(self.group, cap)
-        if self._array is None:
-            elements = enumerate_semigroup(self.group, cap)
-            p = DEFAULT_ENUMERATION_CAP
-            bound = order_formula(p) << (p - 1)  # the Bernoulli table at the order cap: 2816 x 512
-            if len(elements) * max(self.set_size, 1) > bound:
-                raise CapExceeded(f"full action table exceeds {bound} entries, the Bernoulli table's at order {p}")
-            self._array = elements, {a: i for i, a in enumerate(elements)}, _extension_rows(self.group, self._rows, elements)
-        return self._array
-
-    def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Mapping[SgElement, PartialBijection]:
-        """The action of every element, in enumeration order: a read-only
-        mapping over the index array that builds a partial bijection per
-        lookup.  ``cap`` is checked on every call: enumerating past it
-        raises CapExceeded, cached table or not."""
+    def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> _RowTable[PartialBijection]:
+        """The action of every element as rows of one index array, read
+        as partial bijections.  ``cap`` is checked on every call, cached
+        table or not.  The array is built once, if its elements times
+        ground-set size stay within the Bernoulli table's at the default
+        order cap (2816 x 512), so the package's own actions extend at
+        every order the cap allows."""
         _check_cap(self.group, cap)
         if self._table is None:
-            self._table = _RowTable(self, cap, lambda row: _bijection(row, self.set_size))
+            elements = enumerate_semigroup(self.group, cap)
+            p = DEFAULT_ENUMERATION_CAP
+            bound = order_formula(p) << (p - 1)
+            if len(elements) * max(self.set_size, 1) > bound:
+                raise CapExceeded(f"full action table exceeds {bound} entries, the Bernoulli table's at order {p}")
+            rows = _extension_rows(self.group, self._rows, elements)
+            index = {a: i for i, a in enumerate(elements)}
+            self._table = _RowTable(elements, index, rows, lambda row: _bijection(row, self.set_size))
         return self._table
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
-        """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b), or None.
-
-        Composing with f(a) is the gather f(a)[rows] over the rows of
-        the index array, one per element in enumeration order.  The
-        product table of the enumerated elements is built on the first
-        call and kept with the index array.
-        """
+        """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b),
+        or None, by :func:`_row_scan`; the product table is built once."""
         table = self.table(cap)
         if self._products is None:  # it depends on the elements only, not on the rows
             self._products = multiplication_tables(table.elements)[0]
-        rows = table.rows
-
-        def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
-            return (rows[targets] != rows[a][rows[lo : lo + len(targets)]]).any(axis=1)
-
-        return _worst_pair(table, self._products, rows[0].nbytes, lambda width: differ, exact=True)[1]
+        return _row_scan(table, self._products)[1]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:

@@ -354,10 +354,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except groups.GroupSpecError as exc:
-        print(f"invsg: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        raise  # stdout closed: main ends silently
+    except (groups.GroupSpecError, OSError) as exc:  # OSError: an input path that cannot be read
         print(f"invsg: {exc}", file=sys.stderr)
         return 2
     except _domain_errors() as exc:

@@ -13,11 +13,12 @@ representations, a family of integer 0/1 matrices with at most one 1 per
 row and per column (a partial-permutation rep, as every rep coming from
 a partial action is) is the same thing as a partial action on the
 basis.  Such a rep is checked as one: its laws compose partial
-bijections, its extension is an :class:`invsg.actions.InverseAction`,
-whose index-array rows its semigroup checks scatter and gather, and a
-matrix is built only when one is read.  So it reaches the enumeration
-cap: at order 10 its 2816 images on 512 points take one 2.9 MB array,
-where the dense int64 images alone would take about 5.9 GB.
+bijections, its extension is its action's ``InverseAction.table``,
+whose index-array rows its semigroup checks scatter and gather (with
+the action's ``actions._row_scan``), and a matrix is built only when
+one is read.  So it reaches the enumeration cap: at order 10 its 2816
+images on 512 points take one 2.9 MB array, where the dense int64
+images alone would take about 5.9 GB.
 
 The triple-product laws, the extension formula and the multiplicativity
 scan shared with :mod:`invsg.actions` are ``semigroup._triple_law`` (the
@@ -29,7 +30,7 @@ with the matrix product and the max-abs distance.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -47,7 +48,7 @@ from .semigroup import (
     generator,
     multiplication_tables,
 )
-from .actions import InverseAction, PartialAction, PartialBijection, _index_rows, _RowTable
+from .actions import InverseAction, PartialAction, PartialBijection, _index_rows, _row_scan, _RowTable
 
 FLOAT_TOL = 1e-9
 
@@ -276,10 +277,10 @@ class SgRepresentation:
     """Matrices for every element of the enumerated semigroup; the
     table of :func:`extend_to_semigroup` is in enumeration order.
 
-    :func:`extend_to_semigroup` backs the table of a partial-permutation
-    rep by its partial action: the checks below then run on the rows of
-    the action's index array, and a matrix is built only when an entry
-    is read.  A table given here is copied into a dict of matrices.
+    :func:`extend_to_semigroup` gives a partial-permutation rep the rows
+    of its action's table, read as 0/1 matrices: the checks below run on
+    those rows, and a matrix is built only when an entry is read.  Any
+    other table given here is copied into a dict of matrices.
     """
 
     def __init__(self, group: FiniteGroup, dim: int, table: Mapping[SgElement, np.ndarray]):
@@ -299,13 +300,13 @@ class SgRepresentation:
         allocates a matrix.  With m = max|entry| taken once per scan, an
         integer table runs in the :func:`_exact_dtype` of m + m^2 dim,
         which bounds every entry of a difference.  Float overflow raises
-        NonFiniteProduct.  A table backed by a partial action is scanned
-        by ``InverseAction.check_multiplicative``, where a mismatch is
-        the distance 1.0 of two 0/1 matrices.
+        NonFiniteProduct.  A table of index rows is scanned by
+        ``actions._row_scan``, where a mismatch is the distance 1.0 of two
+        0/1 matrices.
         """
+        mult = multiplication_tables(list(self.table))[0]
         if isinstance(self.table, _RowTable):
-            witness = self.table.action.check_multiplicative(self.table.cap)
-            return (0.0, None) if witness is None else (1.0, witness)
+            return _row_scan(self.table, mult)
         images = list(self.table.values())
         dtype = reduce(np.promote_types, {m.dtype for m in images})
         exact = bool(np.issubdtype(dtype, np.integer))
@@ -330,7 +331,6 @@ class SgRepresentation:
 
             return distances
 
-        mult = multiplication_tables(list(self.table))[0]
         return _worst_pair(self.table, mult, dim * dim * dtype.itemsize, scanner, exact)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
@@ -362,8 +362,8 @@ def extend_to_semigroup(
     The element (F, s) maps to the product over r in F (ascending) of
     M_r M_{r^-1}, times M_s.  Raises with the validation report if the
     input fails its axioms.  A partial-permutation rep extends as its
-    partial action, an ``InverseAction``, whose table builds each matrix
-    when it is read.
+    partial action: the rows of the action's table, each read as a 0/1
+    matrix when it is looked up.
     """
     report = validate_partial_rep(rep, tol)
     if not report.passed:
@@ -371,7 +371,7 @@ def extend_to_semigroup(
     g = rep.group
     maps = _partial_bijections(rep.matrices)
     if maps is not None:
-        return SgRepresentation(g, rep.dim, _RowTable(InverseAction(g, rep.dim, maps), cap, _zero_one))
+        return SgRepresentation(g, rep.dim, replace(InverseAction(g, rep.dim, maps).table(cap), read=_zero_one))
     extend = extension_formula(g, rep.matrices, _matmul)
     return SgRepresentation(g, rep.dim, {a: extend(a) for a in enumerate_semigroup(g, cap)})
 
@@ -404,10 +404,14 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
-def matrix_from_json(data: Sequence) -> np.ndarray:
-    if len(data) == 0:
+def matrix_from_json(data: Sequence, name: str = "matrix") -> np.ndarray:
+    """Rows of [re, im] pairs as a matrix, or ValueError naming ``name``."""
+    if len(json_value(data, "a list of rows of [re, im] pairs", name)) == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    m = np.array([[complex(float(re), float(im)) for re, im in row] for row in data], dtype=np.complex128)
+    try:
+        m = np.array([[complex(float(re), float(im)) for re, im in row] for row in data], dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry too large for float64") from None
     if np.all(m.imag == 0) and np.all(m.real == np.round(m.real)) and np.all(np.abs(m.real) < 2**53):
         return m.real.astype(np.int64)
     return m
@@ -430,8 +434,7 @@ def rep_from_dict(data: Mapping) -> PartialRep:
             f"matrices need one key per index of a group of order {group.order}: "
             f"missing {sorted(keys - set(raw), key=int)}, unknown {sorted(set(raw) - keys)}"
         )
-    kind = "a list of rows of [re, im] pairs"
-    mats = [matrix_from_json(json_value(raw[str(t)], kind, f"matrices[{t}]")) for t in group.elements()]
+    mats = [matrix_from_json(raw[str(t)], f"matrices[{t}]") for t in group.elements()]
     rep = PartialRep(group, mats)
     if rep.dim != json_value(data.get("dim", rep.dim), "an integer", "dim"):
         raise ValueError("declared dim does not match the matrices")

@@ -519,9 +519,12 @@ def test_the_entry_point_imports_no_numpy_for_sg_order():
     assert "invsg" in imported and "numpy" not in imported
 
 
-def test_missing_file_is_usage_error(capsys):
+def test_missing_file_is_usage_error(tmp_path, capsys):
     code, _, _ = invoke(capsys, "pa", "validate", "/nonexistent/file.json")
     assert code == 2
+    for command in ("pa validate", "rep extend", "sg order"):  # a directory cannot be read either
+        code, out, err = invoke(capsys, *command.split(), str(tmp_path))
+        assert (code, out) == (2, "") and err.startswith("invsg: ") and str(tmp_path) in err
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -546,12 +549,14 @@ _MATRICES = {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "1": [[[0, 0], [0, 0]], 
         ("pa", "theta", dict(_THETA, **{"1": [[1, 1.0]]}), "theta[1] must be a list of [point, image] pairs"),
         ("pa", "theta", dict(_THETA, **{"1": [1, 1]}), "theta[1] must be a list of [point, image] pairs"),
         ("rep", "matrices", dict(_MATRICES, **{"1": [[0, 0], [0, 1]]}), "matrices[1] must be a list of rows"),
+        ("rep", "matrices", dict(_MATRICES, **{"1": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+         "matrices[1] has an entry too large for float64"),
         ("group", "table", [[0, 1.9], [1, 0]], "table must be a list of rows of integers"),
     ],
     ids=[
         "theta-list", "matrices-list", "set_size-list", "set_size-float", "set_size-negative", "dim-float",
         "point-too-large", "point-negative", "image-float", "pair-not-list", "entry-not-pair",
-        "table-entry-float",
+        "entry-past-float64", "table-entry-float",
     ],
 )
 def test_malformed_values_are_domain_errors(tmp_path, capsys, family, key, value, message):

@@ -31,7 +31,6 @@ from invsg.reps import (
     validate_partial_rep,
 )
 from invsg.semigroup import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     _triple_law,
     enumerate_semigroup,
@@ -521,7 +520,8 @@ def test_index_array_rows_are_partial_isometries(g):
         perm = rng.sample(range(n), n)
         images.append(PartialBijection(tuple(perm[x] if rng.random() < 0.7 else None for x in range(n))))
     assert any(images[g.inv(r)] != images[r].invert() for r in g.elements())
-    elements, _, rows = InverseAction(g, n, images)._index_array(DEFAULT_ENUMERATION_CAP)
+    table = InverseAction(g, n, images).table()
+    elements, rows = table.elements, table.rows
     for row in rows.tolist():
         defined = [y for y in row[:n] if y != n]
         assert len(set(defined)) == len(defined)
