@@ -8,9 +8,9 @@ algebra" of a finite group: its monomial basis multiplies exactly like
 the spanning monomials (projection times group shift) of the partial
 crossed product, and all block computations happen here.
 
-The Moebius basis makes it a groupoid algebra (Steinberg): its center
-and blocks are read off the tables, and only the group algebras of the
-maximal subgroups, of dimension at most |G|, are split numerically.
+The Moebius basis, one exact step per coatom from the monomials, makes
+it a groupoid algebra (Steinberg): center and blocks come off the tables,
+and only the maximal subgroups' group algebras are split numerically.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class StructureAlgebra:
 
 def build_algebra(group: FiniteGroup, cap: int = DEFAULT_DIM_CAP) -> StructureAlgebra:
     """Tables for the semigroup algebra; dimension 2^(p-2)(p+1)."""
-    if group.order >= 2 and order_formula(group.order) > cap:
-        raise CapExceeded(f"algebra dimension {order_formula(group.order)} exceeds cap {cap}")
+    dim = order_formula(group.order) if group.order >= 2 else 1
+    if dim > cap:
+        raise CapExceeded(f"algebra dimension {dim} exceeds cap {cap}")
     elements = enumerate_semigroup(group, cap=group.order)
     mult, star, unit_idx = multiplication_tables(elements)
     return StructureAlgebra(group, tuple(elements), mult.astype(np.intp), star.astype(np.intp), unit_idx)
@@ -127,27 +128,26 @@ def _orbit_sums(a: StructureAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray
     algebra into a groupoid algebra (Steinberg): [s] is an arrow from
     d(s) to r(s), and [s][t] = [st] when d(s) = r(t), else 0.  The center
     of a groupoid algebra has one 0/1 vector per conjugacy orbit
-    {g s g* : d(g) = r(s)} of loops (d(s) = r(s)).  Monomials expand as
-    s = sum over t <= s of [t], with t <= s iff r(t) s = t, so the orbit
-    sums come back to the monomial basis through the inverse of that
-    zeta matrix, I + N with N nilpotent: the alternating sum of powers
-    of N, whose integer products float64 computes exactly.
+    {g s g* : d(g) = r(s)} of loops (d(s) = r(s)).  Below s = (F, s) lie
+    the (F', s) with F' a superset of F, so [s] is the product over the
+    coatoms c = ({e, g}, e) with cs != s of (1 - c) s: one step per
+    coatom, exact as it subtracts small integers and, since c sends the
+    s it moves to distinct cs, writes no entry twice.
     """
     n, mult, star = a.dim, a.mult, a.star
     idx = np.arange(n)
-    r = mult[idx, star]
-    d = mult[star, idx]
+    r, d = mult[idx, star], mult[star, idx]
     loops = np.flatnonzero(d == r)
     conj = mult[mult[:, loops], star[:, None]]  # conj[g, j] = g s g* for s = loops[j]
     orbit_min = np.where(d[:, None] == r[loops], conj, n).min(axis=0)
     orbit = np.full(n, -1)
     orbit[loops] = (np.bincount(orbit_min, minlength=n) > 0).cumsum()[orbit_min] - 1  # by least element
-    x = term = np.zeros((n, orbit.max() + 1))
-    x[loops, orbit[loops]] = 1.0                   # orbit sums in the Moebius basis
-    nil = (mult[r] == idx[:, None]) - np.eye(n)    # zeta - I, zeta[t, s] = [t <= s]
-    while term.any():                              # zeta^-1 = sum over j of (-N)^j
-        term = -(nil @ term)
-        x = x + term
+    x = np.zeros((n, orbit.max() + 1))
+    x[loops, orbit[loops]] = 1.0  # orbit sums in the Moebius basis
+    e = np.flatnonzero(r == idx)  # the idempotents; f <= e iff ef = f
+    for c in e[(mult[e[:, None], e] == e).sum(axis=0) == 2]:  # coatoms: only c and the unit lie above c
+        moved = mult[c] != idx  # t -> t - ct where ct != t
+        x[mult[c, moved]] -= x[moved]
     return x, r, d, orbit
 
 

@@ -6,8 +6,8 @@ schemas):
     invsg sg order|enumerate|reduce|verify <group> ...
     invsg pa validate|extend|bernoulli ...
     invsg rep validate|extend <file> ...
-    invsg alg decompose <group> [--seed K]
-    invsg graded count|map <group>
+    invsg alg decompose <group> [--seed K] [--cap K]
+    invsg graded count|map <group> [--cap K]
 
 Groups are builtin names (cyclic:n, klein4, dihedral:n) or JSON file
 paths; file paths win.  Exit codes: 0 success, 1 domain error (the

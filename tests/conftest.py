@@ -105,6 +105,23 @@ def relabelled(group: FiniteGroup, new_index: list[int]) -> FiniteGroup:
     return from_cayley_table(table)
 
 
+def quaternion() -> FiniteGroup:
+    """Q8 from the unit rule i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j:
+    element 4h + u is (-1)^h times the unit u of (1, i, j, k)."""
+
+    def mul(a: int, b: int) -> int:
+        u, v = a % 4, b % 4
+        if u == 0 or v == 0:
+            sign, w = 1, u + v
+        elif u == v:
+            sign, w = -1, 0
+        else:  # ij = k, jk = i, ki = j and their reverses
+            sign, w = (1 if (v - u) % 3 == 1 else -1), 6 - u - v
+        return 4 * ((a // 4 + b // 4 + (sign < 0)) % 2) + w
+
+    return from_cayley_table([[mul(a, b) for b in range(8)] for a in range(8)])
+
+
 def translation_permutations(group: FiniteGroup, copies: int) -> list[list[int]]:
     """Left translation on ``copies`` disjoint copies of the group."""
     p = group.order

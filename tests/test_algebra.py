@@ -18,7 +18,12 @@ from invsg.algebra import (
     multiply_elements,
     wedderburn,
 )
-from conftest import draw_the_unit, left_regular_matrix, reflection_commutant
+from conftest import draw_the_unit, left_regular_matrix, quaternion, reflection_commutant, relabelled
+
+
+def _group(spec):
+    """A builtin group, or Q8 for ``q8``."""
+    return quaternion() if spec == "q8" else group_from_spec(spec)
 
 
 def test_dimensions():
@@ -118,9 +123,9 @@ def test_left_regular_matrix():
 
 def test_center_dimensions():
     dims = {"cyclic:2": 3, "cyclic:4": 9, "klein4": 12, "dihedral:3": 25,
-            "cyclic:7": 25, "cyclic:8": 48, "dihedral:4": 69}
+            "cyclic:7": 25, "cyclic:8": 48, "dihedral:4": 69, "q8": 51}
     for spec, k in dims.items():
-        assert len(center(build_algebra(group_from_spec(spec)))) == k
+        assert len(center(build_algebra(_group(spec)))) == k
 
 
 def test_center_of_z2_by_brute_force():
@@ -209,6 +214,7 @@ D_CLASS_BLOCKS = {
     "cyclic:7": {1: 8, 2: 3, 3: 5, 4: 5, 5: 3, 6: 1},
     "cyclic:8": {1: 15, 2: 5, 3: 9, 4: 8, 5: 7, 6: 3, 7: 1},
     "dihedral:4": {1: 27, 2: 10, 3: 17, 4: 6, 5: 7, 6: 1, 7: 1},
+    "q8": {1: 19, 2: 4, 3: 9, 4: 8, 5: 7, 6: 3, 7: 1},
     "cyclic:2": {1: 3},
     "cyclic:3": {1: 4, 2: 1},
 }
@@ -228,6 +234,7 @@ D_CLASS_BLOCKS.update(
         GROUP_ALGEBRA + "cyclic:7": {1: 7},
         GROUP_ALGEBRA + "cyclic:8": {1: 8},
         GROUP_ALGEBRA + "dihedral:4": {1: 4, 2: 1},
+        GROUP_ALGEBRA + "q8": {1: 4, 2: 1},
     }
 )
 
@@ -236,10 +243,10 @@ D_CLASS_BLOCKS.update(
 @pytest.mark.parametrize("spec", list(D_CLASS_BLOCKS))
 def test_wedderburn_matches_d_class_blocks(spec, seed):
     if spec.startswith(GROUP_ALGEBRA):
-        g = group_from_spec(spec.removeprefix(GROUP_ALGEBRA))
+        g = _group(spec.removeprefix(GROUP_ALGEBRA))
         alg, dim = group_algebra(g), g.order
     else:
-        g = group_from_spec(spec)
+        g = _group(spec)
         alg, dim = build_algebra(g), 2 ** (g.order - 2) * (g.order + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -248,6 +255,28 @@ def test_wedderburn_matches_d_class_blocks(spec, seed):
     assert d.dimension == alg.dim == dim
     assert len(d.blocks) == len(center(alg))
     assert d.residual <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(p) for p in (*range(1, 9), 10)]
+    + [klein_four(), dihedral(3), dihedral(4), quaternion(), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
+    ids=[f"cyclic:{p}" for p in (*range(1, 9), 10)] + ["klein4", "dihedral:3", "dihedral:4", "q8", "relabelled-dihedral:3"],
+)
+def test_orbit_sums_match_the_moebius_function_of_the_order(group):
+    """Independent oracle for the coatom steps: x[t, j] is the sum over
+    the loops s of orbit j with t <= s of mu(t, s) = (-1)^(|supp t| -
+    |supp s|), read from supports and degrees, never from ``mult``."""
+    alg = build_algebra(group, cap=3000)
+    x, _, _, orbit = algebra._orbit_sums(alg)
+    support = np.array([b.support for b in alg.basis])
+    degree = np.array([b.degree for b in alg.basis])
+    size = np.array([b.support.bit_count() for b in alg.basis])
+    expected = np.zeros_like(x)
+    for s in np.flatnonzero(orbit >= 0):
+        below = (degree == degree[s]) & (support | support[s] == support)  # natural_partial_order(t, s)
+        expected[below, orbit[s]] += (-1.0) ** (size[below] - size[s])
+    assert np.array_equal(x, expected)
 
 
 @pytest.mark.parametrize(

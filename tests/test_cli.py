@@ -409,6 +409,15 @@ def test_alg_decompose_past_its_dimension_cap(capsys, argv, dim, cap):
     assert json.loads(err) == {"error": "CapExceeded", "message": f"algebra dimension {dim} exceeds cap {cap}"}
 
 
+@pytest.mark.parametrize("command", [["alg", "decompose"], ["graded", "count"], ["graded", "map"]])
+def test_trivial_group_meets_the_dimension_cap(capsys, command):
+    code, out, err = invoke(capsys, *command, "cyclic:1", "--cap", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "CapExceeded", "message": "algebra dimension 1 exceeds cap 0"}
+    code, out, _ = invoke(capsys, *command, "cyclic:1", "--cap", "1")
+    assert code == 0 and out
+
+
 def test_graded_count_and_map(capsys):
     code, out, _ = invoke(capsys, "graded", "count", "klein4", "--json")
     assert code == 0
