@@ -349,7 +349,7 @@ def _row_scan(table: _RowTable, mult: np.ndarray) -> tuple[float, tuple | None]:
     def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
         return (rows[targets] != rows[a][rows[lo : lo + len(targets)]]).any(axis=1)
 
-    return _worst_pair(table, mult, rows[0].nbytes, lambda width: differ, exact=True)
+    return _worst_pair(table, mult, rows[0].nbytes, differ, exact=True)
 
 
 class InverseAction:

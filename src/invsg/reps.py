@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -177,7 +176,11 @@ def _tolerance(matrices: Iterable[np.ndarray]) -> float:
 
 
 def _as_square(m, dim: int | None = None) -> np.ndarray:
+    """``m`` as a finite square array, of dimension ``dim`` if given; a
+    bool matrix is read as the int64 0/1 matrix it denotes."""
     a = np.asarray(m)
+    if a.dtype == bool:
+        a = a.astype(np.int64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
@@ -280,13 +283,14 @@ class SgRepresentation:
     :func:`extend_to_semigroup` gives a partial-permutation rep the rows
     of its action's table, read as 0/1 matrices: the checks below run on
     those rows, and a matrix is built only when an entry is read.  Any
-    other table given here is copied into a dict of matrices.
+    other table given here is copied into a dict of finite matrices of
+    dimension ``dim`` (see :func:`_as_square`).
     """
 
     def __init__(self, group: FiniteGroup, dim: int, table: Mapping[SgElement, np.ndarray]):
         self.group = group
         self.dim = dim
-        self.table = table if isinstance(table, _RowTable) else dict(table)
+        self.table = table if isinstance(table, _RowTable) else {a: _as_square(m, dim) for a, m in table.items()}
 
     def __call__(self, a: SgElement) -> np.ndarray:
         return self.table[a]
@@ -294,44 +298,30 @@ class SgRepresentation:
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
         """The largest max-abs distance of M(ab) from M(a)M(b) and its first pair.
 
-        Each column block is stacked into buffers allocated once per
-        scan, which also take the product, the difference and its
-        magnitude, so no second copy of the table is kept and no block
-        allocates a matrix.  With m = max|entry| taken once per scan, an
-        integer table runs in the :func:`_exact_dtype` of m + m^2 dim,
-        which bounds every entry of a difference.  Float overflow raises
-        NonFiniteProduct.  A table of index rows is scanned by
-        ``actions._row_scan``, where a mismatch is the distance 1.0 of two
-        0/1 matrices.
+        The images are stacked once per scan.  A block of columns
+        b = lo .. lo + k - 1 of row a then costs one gather of the
+        targets M(ab), one product of M(a) with a slice of the stack and
+        one difference, each allocated by the block.  With m = max|entry|
+        of the stack, an integer table is cast once to the
+        :func:`_exact_dtype` of m + m^2 dim, which bounds every entry of a
+        difference.  Float overflow raises NonFiniteProduct.  A table of
+        index rows is scanned by ``actions._row_scan``, where a mismatch
+        is the distance 1.0 of two 0/1 matrices.
         """
         mult = multiplication_tables(list(self.table))[0]
         if isinstance(self.table, _RowTable):
             return _row_scan(self.table, mult)
-        images = list(self.table.values())
-        dtype = reduce(np.promote_types, {m.dtype for m in images})
-        exact = bool(np.issubdtype(dtype, np.integer))
+        images = np.stack(list(self.table.values()))
+        exact = images.dtype.kind in "iu"
         if exact:
-            m = max(map(_int_max_abs, images))
-            dtype = _exact_dtype(m * (m * self.dim + 1))
-        dim = self.dim
+            m = _int_max_abs(images)
+            images = images.astype(_exact_dtype(m * (m * self.dim + 1)), copy=False)
 
-        def scanner(width: int) -> Callable[[int, np.ndarray, int], np.ndarray]:
-            fa = np.empty((dim, dim), dtype)
-            targets, operands, product = np.empty((3, width, dim, dim), dtype)
-            magnitude = np.empty((width, dim, dim), fa.real.dtype)
+        def distances(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
+            product = _finite(np.matmul, images[a], images[lo : lo + len(targets)])
+            return np.abs(_finite(np.subtract, images[targets], product)).max(axis=(1, 2), initial=0)
 
-            def distances(a: int, indices: np.ndarray, lo: int) -> np.ndarray:
-                k = len(indices)
-                fa[...] = images[a]
-                np.concatenate([images[i] for i in indices.tolist()], out=targets[:k].reshape(k * dim, dim))
-                np.concatenate(images[lo : lo + k], out=operands[:k].reshape(k * dim, dim))
-                _finite(np.matmul, fa, operands[:k], out=product[:k])
-                _finite(np.subtract, targets[:k], product[:k], out=product[:k])
-                return np.abs(product[:k], out=magnitude[:k]).max(axis=(1, 2), initial=0)
-
-            return distances
-
-        return _worst_pair(self.table, mult, dim * dim * dtype.itemsize, scanner, exact)
+        return _worst_pair(self.table, mult, images[0].nbytes, distances, exact)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         """Deviation of M(a^*) from M(a)^adj over all images.  On an

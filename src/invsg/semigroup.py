@@ -33,7 +33,7 @@ D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_DIM_CAP = 1000  # of an algebra over the enumerated semigroup: group order <= 8
-SCAN_BYTES = 1 << 17  # bytes per block of rows of a table build or a certificate check, or per pair-scan buffer (allocated once per scan)
+SCAN_BYTES = 1 << 17  # bytes per block of rows of a table build or a certificate check, or of images per pair-scan block
 
 
 class CapExceeded(ValueError):
@@ -626,20 +626,18 @@ def _worst_pair(
     table: Mapping[SgElement, T],
     mult: np.ndarray,
     item_bytes: int,
-    scanner: Callable[[int], Callable[[int, np.ndarray, int], np.ndarray]],
+    distances: Callable[[int, np.ndarray, int], np.ndarray],
     exact: bool,
 ) -> tuple[float, tuple[SgElement, SgElement] | None]:
     """Multiplicativity of a table over a closed set of elements.
 
     The largest distance of f(ab) from f(a)f(b) and the first pair
     (a, b), in the table's order row by row, attaining it; (0.0, None)
-    when every distance is 0.  Each row runs in blocks of ``width``
-    columns, whose images take about SCAN_BYTES at ``item_bytes`` each.
-    ``scanner(width)`` is called once, before any row, so it can
-    allocate the buffers of every block, and returns
-    ``distances(a, targets, lo)``: for each k the distance of the image
-    at index targets[k] (that is, of f(ab) for b at index lo + k) from
-    f(a) times the image of b.
+    when every distance is 0.  Each row runs in blocks of columns whose
+    images take about SCAN_BYTES at ``item_bytes`` each, and
+    ``distances(a, targets, lo)`` gives a block's distances: for each k
+    that of the image at index targets[k] (that is, of f(ab) for b at
+    index lo + k) from f(a) times the image of b.
     Products are looked up in ``mult``, the :func:`multiplication_tables`
     index table of the table's keys in their order, which the caller
     builds or keeps.  A boolean distance stops the scan at its first
@@ -655,7 +653,6 @@ def _worst_pair(
     elements = list(table)
     n = len(elements)
     width = min(n, max(1, SCAN_BYTES // max(item_bytes, 1)))
-    distances = scanner(width)
 
     def scan(rows: Iterable[int]) -> tuple[float, tuple[SgElement, SgElement] | None]:
         worst, witness = 0.0, None

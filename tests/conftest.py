@@ -122,6 +122,20 @@ def quaternion() -> FiniteGroup:
     return from_cayley_table([[mul(a, b) for b in range(8)] for a in range(8)])
 
 
+def conjugated_regular_rep(group: FiniteGroup, seed: int = 0) -> PartialRep:
+    """The regular representation of ``group``, conjugated by a seeded
+    random orthogonal matrix: a dense float64 group representation, so a
+    partial one, that is not a partial-permutation rep."""
+    p = group.order
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))
+    mats = []
+    for t in group.elements():
+        m = np.zeros((p, p))
+        m[[group.mul(t, y) for y in range(p)], range(p)] = 1
+        mats.append(q @ m @ q.T)
+    return PartialRep(group, mats)
+
+
 def translation_permutations(group: FiniteGroup, copies: int) -> list[list[int]]:
     """Left translation on ``copies`` disjoint copies of the group."""
     p = group.order

@@ -13,6 +13,8 @@ from invsg.graded import (
 from invsg.groups import cyclic, dihedral, klein_four
 from invsg.semigroup import enumerate_semigroup, generator, order_formula
 
+from conftest import quaternion
+
 
 def test_grading_sizes():
     g = cyclic(4)
@@ -75,6 +77,7 @@ def test_products_of_pieces():
         (dihedral(4), 576),
         (cyclic(9), 1280),
         (cyclic(10), 2816),
+        (quaternion(), 576),
     ],
 )
 def test_generated_semigroup_count(g, expected):

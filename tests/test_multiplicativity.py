@@ -35,7 +35,7 @@ from invsg.reps import (
     validate_partial_rep,
 )
 
-from conftest import signed_rep
+from conftest import conjugated_regular_rep, quaternion, signed_rep
 
 
 def _pairwise(table, mul, distance):
@@ -61,17 +61,12 @@ def _record_blocks(monkeypatch, module):
     blocks, results = [], []
     real = semigroup._worst_pair
 
-    def spy(table, mult, item_bytes, scanner, exact):
-        def recording(width):
-            distances = scanner(width)
+    def spy(table, mult, item_bytes, distances, exact):
+        def recorded(a, targets, lo):
+            blocks.append((a, lo))
+            return distances(a, targets, lo)
 
-            def recorded(a, targets, lo):
-                blocks.append((a, lo))
-                return distances(a, targets, lo)
-
-            return recorded
-
-        results.append(real(table, mult, item_bytes, recording, exact))
+        results.append(real(table, mult, item_bytes, recorded, exact))
         return results[-1]
 
     monkeypatch.setattr(module, "_worst_pair", spy)
@@ -173,6 +168,54 @@ def test_float_noise_matches_the_reference_bit_for_bit(monkeypatch, dtype, colum
     assert (deviation, witness) == _pairwise(noisy, operator.matmul, _matrix_distance)
 
 
+def test_mixed_integer_and_float_images_match_the_reference():
+    """Every other image of the klein4 0/1 table as float64 and one entry
+    set to 2: the stack promotes to float64, and the full scan gives the
+    reference's deviation and witness."""
+    g = klein_four()
+    ext = _bernoulli_rep_table(g)
+    table = {a: m.astype(np.float64) if i % 2 else m for i, (a, m) in enumerate(ext.table.items())}
+    _corrupt_rep_image(table, list(table)[len(table) // 2])
+    assert {m.dtype for m in table.values()} == {np.dtype(np.int64), np.dtype(np.float64)}
+    expected = _pairwise(table, operator.matmul, _matrix_distance)
+    assert expected[1] is not None
+    assert SgRepresentation(g, ext.dim, table).max_multiplicative_deviation() == expected
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+def test_a_conjugated_float_rep_matches_the_reference(monkeypatch, columns):
+    """The regular rep of dihedral:3, orthogonally conjugated and extended
+    to its 112 elements: rounding noise in every product, and the
+    reference's deviation and witness bit for bit, whatever the blocks."""
+    ext = extend_to_semigroup(conjugated_regular_rep(dihedral(3)))
+    _columns_per_block(monkeypatch, 8 * ext.dim * ext.dim, columns)
+    deviation, witness = ext.max_multiplicative_deviation()
+    assert 0.0 < deviation < 1e-12
+    assert (deviation, witness) == _pairwise(ext.table, operator.matmul, _matrix_distance)
+
+
+def test_the_scan_keeps_one_stacked_copy_of_the_images():
+    """The dihedral:3 0/1 table conjugated by a unitary, 112 complex
+    images of dimension 32 (1.75 MiB): the traced peak of the scan is one
+    stacked copy of the images, the product table and the temporaries of
+    a few blocks of SCAN_BYTES."""
+    ext = _bernoulli_rep_table(dihedral(3))
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(ext.dim, ext.dim)) + 1j * rng.normal(size=(ext.dim, ext.dim)))
+    sgrep = SgRepresentation(ext.group, ext.dim, {a: q @ m @ q.conj().T for a, m in ext.table.items()})
+    images = sum(m.nbytes for m in sgrep.table.values())
+    mult = semigroup.multiplication_tables(list(sgrep.table))[0]
+    tracemalloc.start()
+    try:
+        deviation, _ = sgrep.max_multiplicative_deviation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < deviation < 1e-12
+    assert images == 112 * 32 * 32 * 16
+    assert peak < images + mult.nbytes + 4 * semigroup.SCAN_BYTES
+
+
 def _sheared(table, k):
     """M -> P M P^-1 for P = I + k E_xy, where some M has M[y, x] = 1: a
     multiplicative integer table with entries of size k^2 whose products
@@ -260,7 +303,11 @@ def test_empty_images():
     assert to_inverse_action(action).check_multiplicative() is None
 
 
-@pytest.mark.parametrize("g", [cyclic(8), dihedral(4)], ids=["cyclic8", "dihedral4"])
+ORDER_8 = [cyclic(8), dihedral(4), quaternion()]
+ORDER_8_IDS = ["cyclic8", "dihedral4", "q8"]
+
+
+@pytest.mark.parametrize("g", ORDER_8, ids=ORDER_8_IDS)
 def test_order_8_bernoulli_round_trip(g):
     """576 elements on 128 points: the scan covers 331,776 pairs."""
     action = bernoulli_partial_action(g)
@@ -393,7 +440,7 @@ def test_only_integer_tables_are_certified_on_the_generator_rows(monkeypatch, dt
     assert {a for a, _ in blocks} == (generators if dtype is np.int64 else set(range(len(table))))
 
 
-@pytest.mark.parametrize("g", [cyclic(8), dihedral(4)], ids=["cyclic8", "dihedral4"])
+@pytest.mark.parametrize("g", ORDER_8, ids=ORDER_8_IDS)
 def test_order_8_bernoulli_rep_round_trip(g):
     """The 0/1 rep on 128 points: 576 matrices of size 128, checked exactly."""
     rep = partial_rep_from_partial_action(bernoulli_partial_action(g))
@@ -421,6 +468,17 @@ def test_order_10_bernoulli_rep_round_trip(g):
     assert len(ext.table) == 2816
     assert all(m.dtype == np.int64 and np.array_equal(m, r) for m, r in zip(back.matrices, rep.matrices))
     assert peak < 500 * 2**20
+
+
+def test_a_float_rep_of_q8_round_trips():
+    """The regular rep of Q8, orthogonally conjugated: dense float64
+    images of dimension 8 for all 576 elements, multiplicative and
+    star-preserving to FLOAT_TOL over the 331,776 pairs."""
+    rep = conjugated_regular_rep(quaternion())
+    ext = extend_to_semigroup(rep)
+    assert len(ext.table) == 576 and ext.dim == 8
+    back = restrict_to_group(ext)
+    assert max(max_abs(b - m) for b, m in zip(back.matrices, rep.matrices)) <= reps.FLOAT_TOL
 
 
 def test_integer_reps_keep_an_integer_dtype(monkeypatch):

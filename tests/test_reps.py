@@ -273,6 +273,26 @@ def test_restrict_to_group_accepts_float_noise():
     assert all(max_abs(back.matrices[t] - rep.matrices[t]) < 1e-11 for t in rep.group.elements())
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "dimension"])
+def test_a_dense_table_refuses_non_finite_and_misshapen_images(bad):
+    """One image of the cyclic:3 0/1 table as float64, not a generator's,
+    made all NaN, given an infinite entry or one more row and column: the
+    table is refused before any scan could read it."""
+    g = cyclic(3)
+    ext = extend_to_semigroup(_zero_one_rep())
+    table = {a: m.astype(np.float64) for a, m in ext.table.items()}
+    a = list(table)[5]
+    assert a not in {generator(g, t) for t in g.elements()}
+    if bad == "nan":
+        table[a] = np.full_like(table[a], np.nan)
+    elif bad == "inf":
+        table[a][0, 0] = np.inf
+    else:
+        table[a] = np.eye(ext.dim + 1)
+    with pytest.raises(ValueError, match="non-finite" if bad != "dimension" else "expected 4"):
+        SgRepresentation(g, ext.dim, table)
+
+
 def test_restrict_to_group_checks_integer_tables_exactly():
     """An integer table with one product off by one is not a representation."""
     ext = extend_to_semigroup(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(3))))
@@ -404,6 +424,25 @@ def test_partial_permutation_reps_are_recognised_exactly(change):
     else:
         mats = [np.zeros((0, 0), dtype=np.int64)] * 3
     assert reps._partial_bijections(mats) is None
+
+
+def test_bool_matrices_are_read_as_zero_one_integers():
+    """A bool matrix denotes its int64 0/1 matrix: the all-ones J of
+    cyclic:2 gets the int64 copy's report, where J J J = 4J fails the
+    triple law, and a bool copy of the cyclic:3 0/1 rep is a
+    partial-permutation rep that round-trips exactly."""
+    mats = [np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)]
+    rep = PartialRep(cyclic(2), mats)
+    report = validate_partial_rep(rep)
+    assert report == validate_partial_rep(PartialRep(cyclic(2), [m.astype(np.int64) for m in mats]))
+    assert not report.passed and report.checks[0].deviation == 3.0
+    zero_one = _zero_one_rep()
+    as_bool = PartialRep(zero_one.group, [m.astype(bool) for m in zero_one.matrices])
+    assert as_bool.exact and reps._partial_bijections(as_bool.matrices) is not None
+    ext = extend_to_semigroup(as_bool)
+    assert isinstance(ext.table, reps._RowTable)
+    back = restrict_to_group(ext)
+    assert all(m.dtype == np.int64 and np.array_equal(m, r) for m, r in zip(back.matrices, zero_one.matrices))
 
 
 def test_a_zero_one_rep_with_two_ones_in_a_column_takes_the_matrix_route(monkeypatch):

@@ -32,7 +32,7 @@ from invsg.semigroup import (
     verify_inverse_semigroup,
 )
 
-from conftest import inverses_checked, model_checked, relabelled, small_groups
+from conftest import inverses_checked, model_checked, quaternion, relabelled, small_groups
 
 
 def test_generator_examples():
@@ -321,7 +321,7 @@ def test_verify_inverse_semigroup(g):
 def test_verify_exhaustive_at_orders_8_and_10():
     # 576 and 2816 elements: associativity is certified through the
     # Bernoulli model, which reads every product once, not sampled
-    for g in (cyclic(8), dihedral(5)):
+    for g in (cyclic(8), quaternion(), dihedral(5)):
         report = verify_inverse_semigroup(g)
         assert report.passed, report.describe()
         assert all(c.mode == "exhaustive" for c in report.checks)
