@@ -58,7 +58,8 @@ class StructureAlgebra:
 
     Built over the enumerated semigroup by :func:`build_algebra`, or over
     a group by :func:`group_algebra`; immutable in use, equal by identity.
-    ``mult`` and ``star`` are ``intp`` index arrays.
+    ``mult`` and ``star`` are index arrays in the narrowest unsigned
+    dtype holding ``dim``: cast before arithmetic.
     """
 
     group: FiniteGroup
@@ -90,13 +91,13 @@ def build_algebra(group: FiniteGroup, cap: int = DEFAULT_DIM_CAP) -> StructureAl
         raise CapExceeded(f"algebra dimension {dim} exceeds cap {cap}")
     elements = enumerate_semigroup(group, cap=group.order)
     mult, star, unit_idx = multiplication_tables(elements)
-    return StructureAlgebra(group, tuple(elements), mult.astype(np.intp), star.astype(np.intp), unit_idx)
+    return StructureAlgebra(group, tuple(elements), mult, star, unit_idx)
 
 
 def group_algebra(group: FiniteGroup) -> StructureAlgebra:
     """The plain group algebra on the same chassis (basis = group indices)."""
-    mult = np.array(group.table, dtype=np.intp)
-    star = np.array(group.inverses, dtype=np.intp)
+    dtype = np.min_scalar_type(group.order)
+    mult, star = np.array(group.table, dtype=dtype), np.array(group.inverses, dtype=dtype)
     return StructureAlgebra(group, tuple(group.elements()), mult, star, group.identity)
 
 

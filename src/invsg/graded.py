@@ -71,9 +71,8 @@ def _row_masks(a: StructureAlgebra, indices: frozenset[int]) -> list[int]:
     step = max(1, SCAN_BYTES // (dim + 8 * len(cols)))  # rows per block
     masks: list[int] = []
     for lo in range(0, dim, step):
-        images = a.mult[lo : lo + step, cols]
-        count = len(images)
-        images += dim * np.arange(count)[:, None]
+        count = min(step, dim - lo)
+        images = a.mult[lo : lo + step, cols] + dim * np.arange(count)[:, None]  # an intp sum: no wrap
         hit = np.zeros(count * dim, dtype=bool)
         hit[images] = True
         packed = np.packbits(hit.reshape(count, dim), axis=1, bitorder="little").tobytes()

@@ -52,7 +52,7 @@ def left_regular_matrix(a: StructureAlgebra, x: np.ndarray) -> np.ndarray:
     if x.shape != (a.dim,):
         raise ValueError("coefficient vector has the wrong length")
     n = a.dim
-    flat = (a.mult * n + np.arange(n)).ravel()  # entry (basis_i basis_j, j) gets x_i
+    flat = (a.mult.astype(np.intp) * n + np.arange(n)).ravel()  # entry (basis_i basis_j, j) gets x_i
     out = np.empty((n, n), dtype=np.result_type(x.dtype, np.float64))
     out.real = np.bincount(flat, weights=np.repeat(x.real, n), minlength=n * n).reshape(n, n)
     if np.iscomplexobj(x):  # bincount takes real weights only

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from invsg import algebra
+from invsg.graded import GradedSubspace, element_subspace, generated_semigroup, grading
 from invsg.groups import cyclic, dihedral, group_from_spec, klein_four
-from invsg.semigroup import CapExceeded, SgElement, enumerate_semigroup, generator, order_formula
+from invsg.semigroup import SCAN_BYTES, CapExceeded, SgElement, enumerate_semigroup, generator, order_formula
 from invsg.algebra import (
     EigenvalueClusterAmbiguous,
     NonIntegerBlockDim,
@@ -396,3 +398,61 @@ def test_trivial_group_algebra():
     alg = build_algebra(cyclic(1))
     assert alg.dim == 1
     assert wedderburn(alg).blocks == (1,)
+
+
+@pytest.mark.parametrize(
+    ("build", "g", "dtype"),
+    [
+        (build_algebra, cyclic(6), np.uint8),
+        (build_algebra, cyclic(7), np.uint16),  # n = 256: the marker value n needs 9 bits
+        (group_algebra, dihedral(4), np.uint8),
+    ],
+    ids=["cyclic6", "cyclic7", "group_dihedral4"],
+)
+def test_tables_are_in_the_narrowest_unsigned_dtype(build, g, dtype):
+    """Both builders keep one table in the dtype ``multiplication_tables``
+    picks: the narrowest unsigned one holding ``dim``."""
+    alg = build(g)
+    assert alg.mult.dtype == alg.star.dtype == np.min_scalar_type(alg.dim) == dtype
+
+
+def test_build_algebra_holds_one_narrow_table():
+    """No widened copy of the 663 KB uint16 table at order 8: the traced
+    peak stays below two tables and a few scan blocks (3.42 MB with an
+    intp copy)."""
+    tracemalloc.start()
+    try:
+        alg = build_algebra(cyclic(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = alg.dim**2 * np.min_scalar_type(alg.dim).itemsize
+    assert peak < 2 * table_bytes + 4 * SCAN_BYTES  # 1.85 MB
+
+
+@pytest.mark.parametrize(
+    ("build", "g"),
+    [(build_algebra, g) for g in (cyclic(5), cyclic(6), cyclic(7), dihedral(3), dihedral(4), quaternion())]
+    + [(group_algebra, dihedral(4))],
+    ids=["cyclic5", "cyclic6", "cyclic7", "dihedral3", "dihedral4", "q8", "group_dihedral4"],
+)
+def test_narrow_tables_agree_with_a_widened_copy(build, g):
+    """Across the uint8/uint16 boundary, the narrow tables give what an
+    intp copy of them gives: center, blocks, idempotents, residual, and
+    every subspace product, star and element subspace."""
+    narrow = build(g)
+    mult, star = narrow.mult.astype(np.intp), narrow.star.astype(np.intp)
+    wide = algebra.StructureAlgebra(g, narrow.basis, mult, star, narrow.unit_index)
+    assert all(np.array_equal(u, v) for u, v in zip(center(narrow), center(wide), strict=True))
+    x, y = wedderburn(narrow), wedderburn(wide)
+    assert x.blocks == y.blocks and x.residual == y.residual
+    assert all(np.array_equal(u, v) for u, v in zip(x.idempotents, y.idempotents, strict=True))
+    if isinstance(narrow.basis[0], SgElement):
+        pieces = {a: list(grading(a).values()) for a in (narrow, wide)}
+        for b in narrow.basis:
+            assert element_subspace(narrow, b).indices == element_subspace(wide, b).indices
+    else:  # a group algebra, graded by the singleton spans of the group basis
+        pieces = {a: [GradedSubspace(a, frozenset({t})) for t in range(a.dim)] for a in (narrow, wide)}
+    assert [p.star().indices for p in pieces[narrow]] == [p.star().indices for p in pieces[wide]]
+    closures = [{s.indices for s in generated_semigroup(pieces[a])} for a in (narrow, wide)]
+    assert closures[0] == closures[1]
