@@ -14,7 +14,8 @@ scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
 ``semigroup._worst_pair``, used here with composition as the product and
 ``!=`` as the distance.  An :class:`InverseAction` composes the rows of
 an index array, where composition is a gather, and its table is their
-``semigroup._extension_rows``, as the certificate's model of S(G) is.
+``semigroup._extension_rows``, which builds the certificate's 2p - 1
+point model of S(G) too.
 That view of the array (``_RowTable``) is scanned by ``_row_scan``,
 for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 """
@@ -295,7 +296,7 @@ def bernoulli_partial_action(
     The ground set is the 2^(p-1) identity-containing subsets in
     ascending bitmask order (``semigroup.identity_masks``); theta[t]
     sends E to tE wherever t^-1 lies in E.  Read off the mask columns of
-    the certificate model's generator rows (``_bernoulli_generators``).
+    ``semigroup._bernoulli_generators``.
     """
     _check_cap(group, cap)
     half = 1 << (group.order - 1)

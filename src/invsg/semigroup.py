@@ -319,11 +319,11 @@ def _extension_rows(group: FiniteGroup, rows: np.ndarray, elements: Sequence[SgE
 
 
 def _bernoulli_generators(group: FiniteGroup) -> np.ndarray:
-    """The generator rows of the Bernoulli model, in the ``InverseAction``
-    layout over m = 2^(p-1) + p points, the identity masks E (ordered as
-    by :func:`identity_masks`), then the group elements g: row t sends E
-    to tE where t^-1 is in E (the Bernoulli partial action) and g to tg
-    (the regular action), in the narrowest unsigned dtype holding m."""
+    """The generator rows of the Bernoulli partial action beside the
+    regular one, in the ``InverseAction`` layout over m = 2^(p-1) + p
+    points, the identity masks E (ordered as by :func:`identity_masks`),
+    then the group elements g: row t sends E to tE where t^-1 is in E
+    and g to tg, in the narrowest unsigned dtype holding m."""
     import numpy as np
     p, e = group.order, group.identity
     moved = _translates(group)[:, identity_masks(group)]  # tE, holding e iff t^-1 is in E
@@ -358,12 +358,18 @@ def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int]) -> tuple
 def _bernoulli_check(
     elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int, gens: Sequence[int], via: np.ndarray, parent: np.ndarray
 ) -> int | None:
-    """Certify ``mult`` associative through the Bernoulli model phi, the
-    :func:`_extension_rows` of :func:`_bernoulli_generators`, so never
-    read off ``mult``: the number of entries read, or None when a check
-    fails (which does not make ``mult`` non-associative).  ``via`` and
-    ``parent`` are a :func:`_closure_tree` of ``gens`` reaching every
-    element.
+    """Certify ``mult`` associative through a model phi of S(G) built
+    from the group alone, never read off ``mult``: the number of entries
+    read, or None when a check fails (which does not make ``mult``
+    non-associative).  ``via`` and ``parent`` are a :func:`_closure_tree`
+    of ``gens`` reaching every element.
+
+    phi is the :func:`_extension_rows` of generator rows on m = 2p - 1
+    points: the sets G - {g}, g != e ascending, which the Bernoulli
+    action E -> tE (t^-1 in E) keeps, sending G - {g} to G - {tg} unless
+    tg = e; then the group, g -> tg.  Row (F, s) is defined at G - {g}
+    iff g is not in s^-1 F, and sends 0 to s0, so its first p entries
+    tell every (F, s) apart.
 
     (a) phi[unit] is the identity and unit * y = y; (b) phi(ay) =
     phi(a) o phi(y) for every generator a and every y; (c) for every x
@@ -376,15 +382,17 @@ def _bernoulli_check(
     phi(x) o phi(y) o phi(z) = phi(x(yz)), and (d) gives (xy)z = x(yz).
 
     The entries read: n^2 products, each compared once in (a) or (c); p n
-    composites of m + 1 entries in (b); n p entries in (d), which
-    compares rows at p probe points, enough to tell every (F, s) apart:
-    the p - 1 sets G - {g}, g != e, where (F, s) is defined iff g is not
-    in s^-1 F, and the group element 0, which it sends to s0.
+    composites of m + 1 entries in (b); the n p entries of (d).
     """
     import numpy as np
     group = elements[0].group
-    phi = _extension_rows(group, _bernoulli_generators(group), elements)
-    (n, width), p = phi.shape, group.order
+    p, e = group.order, group.identity
+    table = np.array(group.table)
+    point = np.arange(p) - (np.arange(p) > e)  # of G - {g}; the marker at g = e
+    point[e] = m = 2 * p - 1
+    rows = np.hstack([point[table[:, np.arange(p) != e]], p - 1 + table, np.full((p, 1), m)])
+    phi = _extension_rows(group, rows.astype(np.min_scalar_type(m)), elements)
+    n, width = phi.shape
     # (a) the unit
     if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):
         return None
@@ -398,21 +406,12 @@ def _bernoulli_check(
             if not np.array_equal(mult[x], mult[parent[x]].take(mult[a], axis=1)):
                 return None
 
-    # (b) each block of rows of phi, as intp once, composed with every generator
-    step = max(1, SCAN_BYTES // (phi.itemsize * width))
-    composite = np.empty((min(step, n), width), dtype=phi.dtype)
-    for lo in range(0, n, step):
-        block = phi[lo : lo + step].astype(np.intp)
-        out = composite[: len(block)]
-        for a in gens:
-            np.take(phi[a], block, out=out, mode="clip")  # entries are points or the marker
-            if not np.array_equal(phi[mult[a, lo : lo + step]], out):
-                return None
-
-    # (d) the probe columns, sorted, have no two equal rows
-    half = 1 << (p - 1)
-    probes = phi[:, [half - 1 - (1 << j) for j in range(p - 1)] + [half]]
-    probes = probes[np.lexsort(probes.T)]
+    # (b) every row of phi, as intp once, composed with every generator
+    images = phi.astype(np.intp)
+    if not all(np.array_equal(phi[mult[a]], phi[a][images]) for a in gens):
+        return None
+    # (d) the first p columns, sorted, have no two equal rows
+    probes = phi[np.lexsort(phi[:, :p].T), :p]
     if not (probes[1:] != probes[:-1]).any(axis=1).all():
         return None
     return n * n + len(gens) * n * width + n * p
@@ -494,9 +493,9 @@ def verify_inverse_semigroup(
     inverse semigroup; ``seed`` is accepted and ignored.
 
     Associativity is :func:`_associativity`: a generation scan from the
-    unit, then the Bernoulli model along the same closure tree, with
-    Light's test to find the witness when the model cannot certify the
-    table.  The involution
+    unit, then S(G)'s action on the 2p - 1 points G - {g} (g != e) and
+    G along the same closure tree, with Light's test to find the
+    witness when that model cannot certify the table.  The involution
     identities a a* a = a and a* a a* = a* and commuting idempotents
     scan every case.  Unique inverses follow from those three: if b and
     c are inverses of a, then ba, ca, ab and ac are idempotents, so b =

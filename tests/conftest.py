@@ -32,10 +32,11 @@ def small_groups() -> list[FiniteGroup]:
 
 def model_checked(n: int, p: int) -> int:
     """Associativity's ``checked`` on a table of n elements over a group
-    of order p that the Bernoulli model certifies: n p generation
-    lookups, then the model's reads, m = 2^(p-1) + p points: n^2
-    products, p n composites of m + 1 entries and n p probe entries."""
-    m = (1 << (p - 1)) + p
+    of order p that the model certifies: n p generation lookups, then
+    the model's reads, m = 2p - 1 points (the sets G - {g}, g != e, then
+    G): n^2 products, p n composites of m + 1 entries and the n p
+    entries of its first p columns."""
+    m = 2 * p - 1
     return n * p + n * n + p * n * (m + 1) + n * p
 
 

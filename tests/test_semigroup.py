@@ -217,15 +217,16 @@ def test_multiplication_tables_match_the_product(monkeypatch):
 def test_certificate_peak_memory_at_order_10():
     """The uint16 table of cyclic(10) takes 15.1 MiB and is built without
     an int64 one (63 MiB): the traced peak of the whole certificate,
-    the 2.9 MiB Bernoulli model included, stays under 24 MiB, and the
-    report is the one the closed-form counts give."""
+    the 55 KiB model and its 440 KiB intp copy included, stays under
+    17 MiB (16.25 MiB measured), and the report is the one the
+    closed-form counts give."""
     tracemalloc.start()
     try:
         report = verify_inverse_semigroup(cyclic(10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 17 * 2**20
     assert report.passed and report.size == 2816
     assert [(c.name, c.checked, c.counterexample) for c in report.checks] == [
         ("associativity", model_checked(2816, 10), None),
@@ -320,7 +321,7 @@ def test_verify_inverse_semigroup(g):
 
 def test_verify_exhaustive_at_orders_8_and_10():
     # 576 and 2816 elements: associativity is certified through the
-    # Bernoulli model, which reads every product once, not sampled
+    # 2p - 1 point model, which reads every product once, not sampled
     for g in (cyclic(8), quaternion(), dihedral(5)):
         report = verify_inverse_semigroup(g)
         assert report.passed, report.describe()
@@ -330,7 +331,8 @@ def test_verify_exhaustive_at_orders_8_and_10():
 
 
 def _model(elements):
-    """The certificate's Bernoulli model of ``elements``."""
+    """The Bernoulli model of ``elements``, whose rows the certificate's
+    model restricts to 2p - 1 points."""
     g = elements[0].group
     return semigroup._extension_rows(g, semigroup._bernoulli_generators(g), elements)
 
@@ -369,9 +371,10 @@ def test_bernoulli_model_is_a_faithful_action(g):
 
 
 def test_bernoulli_model_is_built_without_the_product_table(monkeypatch):
-    """The certificate rests on the model not being derived from the
-    table it certifies: with ``multiplication_tables`` refusing to run,
-    the model of dihedral:3 is built, and is the reference's."""
+    """The certificate rests on its model, a restriction of this one, not
+    being derived from the table it certifies: with
+    ``multiplication_tables`` refusing to run, the model of dihedral:3
+    is built, and is the reference's."""
     g = dihedral(3)
     elements = enumerate_semigroup(g)
 
@@ -380,6 +383,60 @@ def test_bernoulli_model_is_built_without_the_product_table(monkeypatch):
 
     monkeypatch.setattr(semigroup, "multiplication_tables", no_table)
     assert _model(elements).tolist() == _bernoulli_model_reference(g, elements)[0]
+
+
+def _restricted_bernoulli_rows(g):
+    """``_bernoulli_generators`` at the columns of the sets G - {x}, x
+    != e ascending, then of the group and the marker, each entry
+    renamed to its column's place in that list (a KeyError if the
+    columns were not an invariant set)."""
+    masks, everything = identity_masks(g), (1 << g.order) - 1
+    cols = [masks.index(everything ^ 1 << x) for x in g.elements() if x != g.identity]
+    cols += [len(masks) + x for x in g.elements()] + [len(masks) + g.order]
+    place = {c: i for i, c in enumerate(cols)}
+    return [[place[int(v)] for v in row[cols]] for row in semigroup._bernoulli_generators(g)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(p) for p in range(1, 11)]
+    + [klein_four(), dihedral(3), dihedral(4), dihedral(5), quaternion(), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])],
+    ids=[f"cyclic{p}" for p in range(1, 11)] + ["klein4", "dihedral3", "dihedral4", "dihedral5", "quaternion", "relabelled-dihedral3"],
+)
+def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypatch, g):
+    """The certificate's generator rows are the Bernoulli rows restricted
+    to the p - 1 sets G - {x}, x != e, and the group, re-indexed, in
+    uint8; its model has 2p columns, and its rows over the semigroup
+    are pairwise distinct."""
+    calls, real = [], semigroup._extension_rows
+    monkeypatch.setattr(semigroup, "_extension_rows", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
+    elements = enumerate_semigroup(g)
+    mult, _, unit_index = multiplication_tables(elements)
+    assoc = semigroup._associativity(elements, mult, unit_index)
+    assert assoc.passed and assoc.checked == model_checked(len(elements), g.order)
+    ((rows, phi),) = calls
+    assert rows.dtype == np.uint8 and rows.tolist() == _restricted_bernoulli_rows(g)
+    assert phi.shape == (len(elements), 2 * g.order)
+    assert len({row.tobytes() for row in phi}) == len(elements)
+
+
+def test_past_the_cap_certificate_is_the_models(monkeypatch):
+    """cyclic(11) with cap 11, 6144 elements and a 72 MiB table: the
+    model certifies associativity, so Light's test never runs, and
+    unique inverses is derived without the scan."""
+    real = semigroup._bernoulli_check
+
+    def model_or_fail(*args):
+        checked = real(*args)
+        assert checked is not None, "the model refused the table, so Light's test would run"
+        return checked
+
+    monkeypatch.setattr(semigroup, "_bernoulli_check", model_or_fail)
+    monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
+    report = verify_inverse_semigroup(cyclic(11), cap=11)
+    assert report.passed and report.size == order_formula(11) == 6144
+    assert report.checks[0].checked == model_checked(6144, 11)
+    assert report.checks[2].checked == inverses_checked(6144, 11)
 
 
 _real_tables = semigroup.multiplication_tables
