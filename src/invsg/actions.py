@@ -14,8 +14,8 @@ scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
 ``semigroup._worst_pair``, used here with composition as the product and
 ``!=`` as the distance.  An :class:`InverseAction` composes the rows of
 an index array, where composition is a gather, and its table is their
-``semigroup._extension_rows``, which builds the certificate's 2p - 1
-point model of S(G) too.
+``semigroup._extension_rows``, as the certificate's 2p - 1 point model
+of S(G) is that of the Bernoulli rows, ``semigroup._bernoulli_rows``.
 That view of the array (``_RowTable``) is scanned by ``_row_scan``,
 for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 """
@@ -34,7 +34,7 @@ from .semigroup import (
     CapExceeded,
     Counterexample,
     SgElement,
-    _bernoulli_generators,
+    _bernoulli_rows,
     _check_cap,
     _derived_law,
     _extension_rows,
@@ -43,6 +43,7 @@ from .semigroup import (
     enumerate_semigroup,
     extension_formula,
     generator,
+    identity_masks,
     multiplication_tables,
     order_formula,
     unit,
@@ -296,11 +297,11 @@ def bernoulli_partial_action(
     The ground set is the 2^(p-1) identity-containing subsets in
     ascending bitmask order (``semigroup.identity_masks``); theta[t]
     sends E to tE wherever t^-1 lies in E.  Read off the mask columns of
-    ``semigroup._bernoulli_generators``.
+    ``semigroup._bernoulli_rows``, which the certificate's model shares.
     """
     _check_cap(group, cap)
     half = 1 << (group.order - 1)
-    return PartialAction(group, half, tuple(_bijection(row, half) for row in _bernoulli_generators(group)))
+    return PartialAction(group, half, tuple(_bijection(row, half) for row in _bernoulli_rows(group, identity_masks(group))))
 
 
 def _index_rows(images: Sequence[PartialBijection], set_size: int) -> np.ndarray:

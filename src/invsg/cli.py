@@ -236,6 +236,9 @@ def _cmd_rep_extend(args: argparse.Namespace) -> int:
 
 def _cmd_alg_decompose(args: argparse.Namespace) -> int:
     from . import algebra
+    if args.seed < 0:
+        print("alg decompose: --seed must be >= 0", file=sys.stderr)
+        return 2
     group = groups.group_from_spec(args.group)
     alg = algebra.build_algebra(group, cap=args.cap)
     blocks = list(algebra.wedderburn(alg, seed=args.seed).blocks)

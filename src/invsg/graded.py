@@ -150,8 +150,8 @@ def element_subspace(a: StructureAlgebra, elem: SgElement) -> GradedSubspace:
     over the basis, read off the tables: b <= elem iff b = (b b*) elem,
     that is, b has elem's degree and a support containing elem's.
     """
-    if elem.group != a.group:
-        raise ValueError("elements belong to different groups")
+    if elem not in a.index:  # another group's element, or any element of a group algebra
+        raise ValueError(f"{elem!r} is not a basis element of the algebra")
     idx = np.arange(a.dim)
     below = a.mult[a.mult[idx, a.star], a.index[elem]] == idx
     return GradedSubspace(a, frozenset(np.flatnonzero(below).tolist()))

@@ -194,12 +194,13 @@ def act_on_subset(a: SgElement, subset: Iterable[int]) -> frozenset[int]:
 
 
 def _translates(group: FiniteGroup) -> np.ndarray:
-    """translate[s, mask] = s.mask: the left translate of every subset of
-    G by every s, as int64 bitmasks."""
+    """translate[s, mask] = s.mask as int64 bitmasks, built in place by
+    top bit b: s.(2^b + rest) = s.rest | 2^(sb) for each rest < 2^b."""
     import numpy as np
-    p = group.order
-    bits = (np.arange(1 << p, dtype=np.int64) >> np.arange(p)[:, None]) & 1  # bits[b, mask]
-    return (bits << np.array(group.table, dtype=np.int64)[:, :, None]).sum(axis=1)
+    translate = np.zeros((group.order, 1 << group.order), dtype=np.int64)
+    for b, bit in enumerate(1 << np.array(group.table, dtype=np.int64).T[:, :, None]):  # bit[s] = 2^(sb)
+        np.bitwise_or(translate[:, : 1 << b], bit, out=translate[:, 1 << b : 2 << b])
+    return translate
 
 
 def multiplication_tables(
@@ -318,18 +319,18 @@ def _extension_rows(group: FiniteGroup, rows: np.ndarray, elements: Sequence[SgE
     return out
 
 
-def _bernoulli_generators(group: FiniteGroup) -> np.ndarray:
-    """The generator rows of the Bernoulli partial action beside the
-    regular one, in the ``InverseAction`` layout over m = 2^(p-1) + p
-    points, the identity masks E (ordered as by :func:`identity_masks`),
-    then the group elements g: row t sends E to tE where t^-1 is in E
-    and g to tg, in the narrowest unsigned dtype holding m."""
+def _bernoulli_rows(group: FiniteGroup, masks: Sequence[int]) -> np.ndarray:
+    """The generator rows of the Bernoulli action E -> tE on ``masks``,
+    identity masks of a family it keeps, then of the regular action g ->
+    tg, in the ``InverseAction`` layout over m = len(masks) + p points
+    (the masks as given, then G) and the narrowest unsigned dtype
+    holding m.  As every mask holds e, tE is in the family iff t^-1 is
+    in E, so one 2^p lookup from mask to place, m elsewhere, reads both."""
     import numpy as np
-    p, e = group.order, group.identity
-    moved = _translates(group)[:, identity_masks(group)]  # tE, holding e iff t^-1 is in E
-    m = moved.shape[1] + p
-    points = moved >> (e + 1) << e | moved & ((1 << e) - 1)  # tE without bit e
-    rows = np.hstack([np.where(moved >> e & 1, points, m), m - p + np.array(group.table), np.full((p, 1), m)])
+    p, m = group.order, len(masks) + group.order
+    place = np.full(1 << p, m)
+    place[masks] = np.arange(len(masks))
+    rows = np.hstack([place[_translates(group)[:, masks]], m - p + np.array(group.table), np.full((p, 1), m)])
     return rows.astype(np.min_scalar_type(m))
 
 
@@ -364,12 +365,11 @@ def _bernoulli_check(
     non-associative).  ``via`` and ``parent`` are a :func:`_closure_tree`
     of ``gens`` reaching every element.
 
-    phi is the :func:`_extension_rows` of generator rows on m = 2p - 1
-    points: the sets G - {g}, g != e ascending, which the Bernoulli
-    action E -> tE (t^-1 in E) keeps, sending G - {g} to G - {tg} unless
-    tg = e; then the group, g -> tg.  Row (F, s) is defined at G - {g}
-    iff g is not in s^-1 F, and sends 0 to s0, so its first p entries
-    tell every (F, s) apart.
+    phi is the :func:`_extension_rows` of the :func:`_bernoulli_rows` on
+    m = 2p - 1 points: the sets G - {g}, g != e ascending, which E -> tE
+    keeps, sending G - {g} to G - {tg} unless tg = e; then the group, g
+    -> tg.  Row (F, s) is defined at G - {g} iff g is not in s^-1 F,
+    and sends 0 to s0, so its first p entries tell every (F, s) apart.
 
     (a) phi[unit] is the identity and unit * y = y; (b) phi(ay) =
     phi(a) o phi(y) for every generator a and every y; (c) for every x
@@ -386,12 +386,9 @@ def _bernoulli_check(
     """
     import numpy as np
     group = elements[0].group
-    p, e = group.order, group.identity
-    table = np.array(group.table)
-    point = np.arange(p) - (np.arange(p) > e)  # of G - {g}; the marker at g = e
-    point[e] = m = 2 * p - 1
-    rows = np.hstack([point[table[:, np.arange(p) != e]], p - 1 + table, np.full((p, 1), m)])
-    phi = _extension_rows(group, rows.astype(np.min_scalar_type(m)), elements)
+    p = group.order
+    co_singletons = [(1 << p) - 1 ^ 1 << g for g in group.elements() if g != group.identity]  # G - {g}
+    phi = _extension_rows(group, _bernoulli_rows(group, co_singletons), elements)
     n, width = phi.shape
     # (a) the unit
     if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):
@@ -461,17 +458,12 @@ def _inverse_scan(elements: Sequence[SgElement], mult: np.ndarray, star_idx: np.
     counterexample, with every inverse it has; n^2 cases."""
     import numpy as np
     n = len(elements)
-    flat, ids = mult.ravel(), np.arange(n, dtype=mult.dtype)
+    flat, ids = mult.ravel(), np.arange(n)[:, None]
     relation = np.empty((n, n), dtype=bool)
     step = max(1, SCAN_BYTES // (np.dtype(np.intp).itemsize * n))  # rows per block of keys
-    keys = np.empty((min(step, n), n), dtype=np.intp)  # flat indices of (ab)a
-    products = np.empty(keys.shape, dtype=mult.dtype)
     for lo in range(0, n, step):
-        a = ids[lo : lo + step, None]
-        key, product = keys[: a.size], products[: a.size]
-        np.multiply(mult[lo : lo + step], n, out=key, dtype=np.intp)
-        np.take(flat, np.add(key, a, out=key), out=product)
-        np.equal(product, a, out=relation[lo : lo + step])
+        a = ids[lo : lo + step]
+        relation[lo : lo + step] = flat[mult[lo : lo + step].astype(np.intp) * n + a] == a  # (ab)a at (ab) n + a
     step = max(1, SCAN_BYTES // n)  # rows per block of the relation
     for lo in range(0, n, step):
         inverse = relation[lo : lo + step] & relation[:, lo : lo + step].T

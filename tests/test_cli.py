@@ -392,6 +392,10 @@ def test_alg_decompose(capsys):
     code, out_seeded, _ = invoke(capsys, "alg", "decompose", "klein4", "--json", "--seed", "5")
     assert json.loads(out_seeded)["blocks"] == data["blocks"]
 
+    for group in ("klein4", "cyclic:2", "cyclic:1"):  # a usage error whether or not a subgroup needs splitting
+        code, out, err = invoke(capsys, "alg", "decompose", group, "--seed", "-1")
+        assert code == 2 and out == "" and "--seed must be >= 0" in err
+
     code, out, _ = invoke(capsys, "alg", "decompose", "cyclic:6", "--json")
     data = json.loads(out)
     assert code == 0 and data["center_dim"] == 22

@@ -11,7 +11,7 @@ from invsg.graded import (
     subspace_product,
 )
 from invsg.groups import cyclic, dihedral, klein_four
-from invsg.semigroup import enumerate_semigroup, generator, order_formula
+from invsg.semigroup import enumerate_semigroup, generator, order_formula, unit
 
 from conftest import quaternion
 
@@ -146,6 +146,11 @@ def test_mismatched_algebras_rejected():
         subspace_product(x, y)
     with pytest.raises(ValueError):
         element_subspace(a1, enumerate_semigroup(cyclic(3))[0])
+    # a group algebra's basis is the group's indices: no semigroup element
+    # is in it, of its own group or another (ValueError, not KeyError)
+    for elem in (unit(cyclic(3)), generator(cyclic(3), 1), unit(cyclic(2))):
+        with pytest.raises(ValueError, match="not a basis element"):
+            element_subspace(group_algebra(cyclic(3)), elem)
 
 
 def _random_subsets(rng, dim, count):

@@ -1,8 +1,10 @@
 """The package namespace: every exported name, resolved from its home layer on first use."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +79,21 @@ def test_star_import_binds_the_exported_names():
     namespace = {}
     exec("from invsg import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(NAMES)
+
+
+def test_every_private_helper_is_used_elsewhere_in_the_package():
+    """Each private module-level function or class of ``src/invsg`` is
+    read as a name or an attribute by package code outside its own
+    definition; a mention in a docstring does not count.  So a helper
+    that a fork leaves behind fails here."""
+    statements = [stmt for path in Path(invsg.__file__).parent.glob("*.py") for stmt in ast.parse(path.read_text()).body]
+    reads = [
+        {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+        for stmt in statements
+    ]
+    private = [
+        (i, stmt.name) for i, stmt in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_") and not stmt.name.endswith("__")
+    ]
+    assert private
+    assert [name for i, name in private if not any(name in names for j, names in enumerate(reads) if j != i)] == []
