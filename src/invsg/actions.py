@@ -8,14 +8,13 @@ element; two equivalent axiom systems for "partial action" are
 implemented as independent validators, and the translation to and from
 homomorphisms of the universal inverse semigroup is exact.
 
-The triple-product laws, the extension formula and the multiplicativity
-scan shared with :mod:`invsg.reps` are ``semigroup._triple_law`` and
-``semigroup._derived_law``, ``semigroup.extension_formula`` and
-``semigroup._worst_pair``, used here with composition as the product and
-``!=`` as the distance.  An :class:`InverseAction` composes the rows of
-an index array, where composition is a gather, and its table is their
-``semigroup._extension_rows``, as the certificate's 2p - 1 point model
-of S(G) is that of the Bernoulli rows, ``semigroup._bernoulli_rows``.
+The triple-product laws and the multiplicativity scan shared with
+:mod:`invsg.reps` are ``semigroup._triple_law``, ``semigroup._derived_law``
+and ``semigroup._worst_pair``, used here with composition as the product
+and ``!=`` as the distance.  An :class:`InverseAction` composes the rows
+of an index array by a gather; its table, which every single image is
+read off, is their ``semigroup._extension_rows``, as the certificate's
+model of S(G) is that of the Bernoulli rows, ``semigroup._bernoulli_rows``.
 That view of the array (``_RowTable``) is scanned by ``_row_scan``,
 for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 """
@@ -41,7 +40,6 @@ from .semigroup import (
     _triple_law,
     _worst_pair,
     enumerate_semigroup,
-    extension_formula,
     generator,
     identity_masks,
     multiplication_tables,
@@ -357,11 +355,9 @@ def _row_scan(table: _RowTable, mult: np.ndarray) -> tuple[float, tuple | None]:
 class InverseAction:
     """Action of the enumerated semigroup by partial bijections.
 
-    Evaluates an element with the (unchecked) extension formula over the
-    generator images as index-array rows (:func:`_index_rows`), with the
-    gather as the product.  :meth:`table` holds the images of the whole
-    enumerated semigroup as one such array, the same fold batched
-    (``_extension_rows``).
+    :meth:`table` holds every image as index-array rows (:func:`_index_rows`),
+    the unchecked extension formula of the generator rows batched by
+    ``_extension_rows``; a single image is read off it, within its caps.
     """
 
     def __init__(
@@ -375,12 +371,13 @@ class InverseAction:
         # one image per group element, on one ground set
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
         self._rows = _index_rows(self.generator_images, set_size)
-        self._extend = extension_formula(group, self._rows, lambda f, h: f[h])
         self._products: np.ndarray | None = None  # multiplication_tables of the enumerated elements
         self._table: _RowTable[PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
-        return _bijection(self._extend(a), self.set_size)
+        if a.group != self.group:
+            raise ValueError("element belongs to a different group")
+        return self.table()[a]
 
     def table(self, cap: int = DEFAULT_ENUMERATION_CAP) -> _RowTable[PartialBijection]:
         """The action of every element as rows of one index array, read
@@ -436,8 +433,7 @@ def from_inverse_action(inv_action: InverseAction) -> PartialAction:
     witness = inv_action.check_multiplicative()
     if witness is not None:
         raise NotMultiplicative(f"not multiplicative at {witness}", witness)
-    table = inv_action.table()
-    theta = tuple(table[generator(g, t)] for t in g.elements())
+    theta = tuple(inv_action(generator(g, t)) for t in g.elements())
     return PartialAction(g, inv_action.set_size, theta)
 
 

@@ -20,10 +20,10 @@ one is read.  So it reaches the enumeration cap: at order 10 its 2816
 images on 512 points take one 2.9 MB array, where the dense int64
 images alone would take about 5.9 GB.
 
-The triple-product laws, the extension formula and the multiplicativity
+The triple-product laws, the extension fold and the multiplicativity
 scan shared with :mod:`invsg.actions` are ``semigroup._triple_law`` (the
 derived law ``semigroup._derived_law`` is not reported here),
-``semigroup.extension_formula`` and ``semigroup._worst_pair``, used here
+``semigroup._extension_rows`` and ``semigroup._worst_pair``, used here
 with the matrix product and the max-abs distance.
 """
 
@@ -40,10 +40,10 @@ from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     Counterexample,
     SgElement,
+    _extension_rows,
     _triple_law,
     _worst_pair,
     enumerate_semigroup,
-    extension_formula,
     generator,
     multiplication_tables,
 )
@@ -350,10 +350,10 @@ def extend_to_semigroup(
     """Extend a validated partial representation to the whole semigroup.
 
     The element (F, s) maps to the product over r in F (ascending) of
-    M_r M_{r^-1}, times M_s.  Raises with the validation report if the
-    input fails its axioms.  A partial-permutation rep extends as its
-    partial action: the rows of the action's table, each read as a 0/1
-    matrix when it is looked up.
+    M_r M_{r^-1}, times M_s: ``_extension_rows`` of the stacked matrices.
+    Raises with the validation report if the input fails its axioms.  A
+    partial-permutation rep extends as its partial action: the rows of
+    the action's table, each read as a 0/1 matrix when it is looked up.
     """
     report = validate_partial_rep(rep, tol)
     if not report.passed:
@@ -362,8 +362,8 @@ def extend_to_semigroup(
     maps = _partial_bijections(rep.matrices)
     if maps is not None:
         return SgRepresentation(g, rep.dim, replace(InverseAction(g, rep.dim, maps).table(cap), read=_zero_one))
-    extend = extension_formula(g, rep.matrices, _matmul)
-    return SgRepresentation(g, rep.dim, {a: extend(a) for a in enumerate_semigroup(g, cap)})
+    elements = enumerate_semigroup(g, cap)
+    return SgRepresentation(g, rep.dim, dict(zip(elements, _extension_rows(g, np.stack(rep.matrices), elements, _matmul))))
 
 
 def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:

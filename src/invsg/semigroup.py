@@ -296,26 +296,30 @@ def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
     return [rows[t] for t in sorted(rows)]
 
 
-def _extension_rows(group: FiniteGroup, rows: np.ndarray, elements: Sequence[SgElement]) -> np.ndarray:
-    """:func:`extension_formula` of the index rows ``rows`` (the
-    ``InverseAction`` layout, f o h = f[h]) at each of ``elements``, as
-    the same ascending fold batched: the p projections in one gather, the
-    products over all 2^p masks by top bit, P[2^k + rest] = P[rest] o
-    proj[k] from P[0] the identity, then P[F] o rows[s] per degree s.  So
-    each row is the formula's bit for bit, partial action or not."""
+def _extension_rows(
+    group: FiniteGroup, images: np.ndarray, elements: Sequence[SgElement], compose: Callable = lambda f, h: f.take(h, axis=-1)
+) -> np.ndarray:
+    """:func:`extension_formula` of the p stacked generator ``images`` at
+    each of ``elements``, batched and so bit for bit, stacked in their
+    order.  ``compose(f, h)`` composes each image of a stack f with one
+    image h: the gather f[h] of index rows (the ``InverseAction`` layout)
+    by default, ``reps._matmul`` for matrices.  Per stage it runs p times:
+    the projections; the products over all 2^p masks by top bit, P[2^k] =
+    proj[k], P[2^k + rest] = P[rest] o proj[k] (P[0], no support, is never
+    read); and P[F] o images[s] per degree s."""
     import numpy as np
-    p, width = rows.shape
-    projections = rows[np.arange(p)[:, None], rows[np.array(group.inverses)]]
-    products = np.empty((1 << p, width), dtype=rows.dtype)
-    products[0] = np.arange(width)
+    p = group.order
+    projections = np.stack([compose(images[r], images[group.inv(r)]) for r in group.elements()])
+    products = np.empty((1 << p, *projections.shape[1:]), dtype=projections.dtype)
     for k in range(p):
-        np.take(products[: 1 << k], projections[k], axis=1, out=products[1 << k : 2 << k], mode="clip")
+        products[1 << k] = projections[k]
+        products[(1 << k) + 1 : 2 << k] = compose(products[1 : 1 << k], projections[k])
     supports = np.array([a.support for a in elements], dtype=np.intp)
     degrees = np.array([a.degree for a in elements], dtype=np.intp)
-    out = np.empty((len(elements), width), dtype=rows.dtype)
+    out = np.empty((len(elements), *projections.shape[1:]), dtype=projections.dtype)
     for s in group.elements():
         at = np.flatnonzero(degrees == s)
-        out[at] = products[supports[at]].take(rows[s], axis=1)
+        out[at] = compose(products[supports[at]], images[s])
     return out
 
 
@@ -570,17 +574,17 @@ def check_extension_conditions(
 def extension_formula(
     group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T]
 ) -> Callable[[SgElement], T]:
-    """The extension of a generator map to the semigroup, unchecked.
+    """The extension of a generator map into any Python target, unchecked
+    and lazy, as :func:`universal_extension` returns it; array targets
+    batch the same fold in :func:`_extension_rows`.
 
     (F, s) goes to the product of f(r)f(r^-1) over r in F (ascending
-    index, read off the support bits; the factors commute once the
-    extension conditions hold) times f(s).  The p projections
-    f(r)f(r^-1) are computed once, and the product over each support
-    mask once, memoised, as the same ascending left fold: the product
-    over the mask without its top bit times the top projection.  So all
-    n elements take at most p + 2^(p-1) + n products when the identity
-    has index 0 (p + 2^p + n otherwise), each image bit for bit the fold
-    over F.  Every image is a new product; no memoised one is returned.
+    index; the factors commute once the extension conditions hold) times
+    f(s).  The p projections and the product over each support mask are
+    computed once, memoised, the latter as the product over the mask
+    without its top bit times the top projection: at most p + 2^(p-1) + n
+    products when the identity has index 0 (p + 2^p + n otherwise).
+    Every image is a new product.
     """
     projections = [mul(images[r], images[group.inv(r)]) for r in group.elements()]
     products: dict[int, T] = {}

@@ -313,6 +313,14 @@ def test_from_inverse_action_needs_the_unit_to_act_as_the_identity():
     assert err.value.witness == (unit(g),)
 
 
+def test_an_inverse_action_refuses_another_groups_element():
+    """A single image is read off the table, whose lookup alone would
+    raise KeyError on an element of klein4 beside cyclic:4."""
+    inv_action = to_inverse_action(bernoulli_partial_action(cyclic(4)))
+    with pytest.raises(ValueError, match="element belongs to a different group"):
+        inv_action(unit(klein_four()))
+
+
 @pytest.mark.parametrize(
     "images",
     [(PartialBijection.identity(2),), (PartialBijection.identity(2), PartialBijection.identity(3))],

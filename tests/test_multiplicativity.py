@@ -329,16 +329,17 @@ def test_order_10_bernoulli_round_trip():
 
 def test_an_action_table_past_the_bound_is_refused_before_any_image(monkeypatch):
     """Ten empty maps on 10^5 points: 2816 x 10^5 entries.  Neither the
-    batched extension of the table nor a single image is computed."""
+    table nor a single image, which is read off the table, is computed."""
     inv_action = actions.InverseAction(cyclic(10), 10**5, [PartialBijection.empty(10**5)] * 10)
 
     def no_image(*args):
         raise AssertionError("an image was built")
 
-    monkeypatch.setattr(inv_action, "_extend", no_image)
     monkeypatch.setattr(actions, "_extension_rows", no_image)
     with pytest.raises(semigroup.CapExceeded):
         inv_action.table()
+    with pytest.raises(semigroup.CapExceeded):
+        inv_action(semigroup.unit(cyclic(10)))
 
 
 def test_action_scan_stops_at_the_first_failing_pair(monkeypatch):

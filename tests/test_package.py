@@ -97,3 +97,19 @@ def test_every_private_helper_is_used_elsewhere_in_the_package():
     ]
     assert private
     assert [name for i, name in private if not any(name in names for j, names in enumerate(reads) if j != i)] == []
+
+
+def test_only_universal_extension_reads_the_memoised_fold():
+    """``semigroup.extension_formula`` evaluates the formula in any
+    Python target; every array target goes through the batched
+    ``semigroup._extension_rows``.  So no module-level statement of
+    ``src/invsg`` but ``universal_extension`` reads or imports it."""
+    readers = {
+        f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}"
+        for path in Path(invsg.__file__).parent.glob("*.py")
+        for stmt in ast.parse(path.read_text()).body
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and "extension_formula" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert readers == {"semigroup.universal_extension"}

@@ -14,7 +14,7 @@ from invsg.actions import (
 )
 from invsg import reps
 from invsg.algebra import build_algebra
-from invsg.groups import cyclic, dihedral, klein_four
+from invsg.groups import cyclic, dihedral, group_from_spec, klein_four
 from invsg.reps import (
     NotRepresentation,
     PartialRep,
@@ -42,8 +42,10 @@ from invsg.semigroup import (
 )
 
 from conftest import (
+    conjugated_regular_rep,
     left_regular_matrix,
     perturb_one_image,
+    quaternion,
     random_restriction_action,
     signed_rep,
     translation_permutations,
@@ -597,9 +599,11 @@ def test_the_action_route_keeps_the_cap():
 
 def test_memoised_extension_is_the_plain_fold_bit_for_bit():
     """The 0/1 Bernoulli rep of dihedral:3 conjugated by a seeded random
-    unitary, a float rep on the dense route: each extended image has the
-    bytes of the ascending fold of M_r M_r^-1 over its support times M_s,
-    and the memoised formula makes at most p + 2^(p-1) + n products."""
+    unitary, a float rep: each image of its dense extension (the batched
+    fold) and of ``extension_formula`` (the memoised fold that
+    ``universal_extension`` returns) has the bytes of the ascending fold
+    of M_r M_r^-1 over its support times M_s, and the memoised formula
+    makes at most p + 2^(p-1) + n products."""
     g = dihedral(3)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -621,3 +625,28 @@ def test_memoised_extension_is_the_plain_fold_bit_for_bit():
         folded = reps._matmul(reduce(reps._matmul, projections), mats[a.degree])
         assert ext(a).tobytes() == folded.tobytes() == extended(a).tobytes()
     assert len(products) <= g.order + 2 ** (g.order - 1) + len(elements)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "cyclic:5", "Q8"])
+def test_a_dense_extension_takes_three_products_per_group_element(monkeypatch, spec):
+    """Past the triple law's 3p^2 products, the batched fold of a dense
+    rep makes one product per projection, one per top bit over the 2^p
+    masks and one per degree: 3p^2 + 3p in all."""
+    g = quaternion() if spec == "Q8" else group_from_spec(spec)
+    rep = conjugated_regular_rep(g)
+    calls = _count_products(monkeypatch)
+    extend_to_semigroup(rep)
+    assert len(calls) == 3 * g.order**2 + 3 * g.order
+
+
+def test_a_dense_extension_has_one_dtype():
+    """The generator images are stacked into one array, so an int64
+    identity beside float64 images extends as float64 throughout, with
+    the values and the deviation of the all-float rep."""
+    g = dihedral(3)
+    floats = [np.eye(6) if t == g.identity else m for t, m in enumerate(conjugated_regular_rep(g).matrices)]
+    mixed = [np.eye(6, dtype=np.int64) if t == g.identity else m for t, m in enumerate(floats)]
+    ext, ref = extend_to_semigroup(PartialRep(g, mixed)), extend_to_semigroup(PartialRep(g, floats))
+    assert {m.dtype for m in ext.table.values()} == {np.dtype(np.float64)}
+    assert all(np.array_equal(ext(a), ref(a)) for a in ref.table)
+    assert ext.max_multiplicative_deviation()[0] == ref.max_multiplicative_deviation()[0] <= reps.FLOAT_TOL
