@@ -36,6 +36,7 @@ from .semigroup import (
     _bernoulli_rows,
     _check_cap,
     _derived_law,
+    _exact_certificate,
     _extension_rows,
     _triple_law,
     _worst_pair,
@@ -349,7 +350,7 @@ def _row_scan(table: _RowTable, mult: np.ndarray) -> tuple[float, tuple | None]:
     def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
         return (rows[targets] != rows[a][rows[lo : lo + len(targets)]]).any(axis=1)
 
-    return _worst_pair(table, mult, rows[0].nbytes, differ, exact=True)
+    return _worst_pair(table, mult, rows[0].nbytes, differ, _exact_certificate)
 
 
 class InverseAction:

@@ -25,6 +25,11 @@ scan shared with :mod:`invsg.actions` are ``semigroup._triple_law`` (the
 derived law ``semigroup._derived_law`` is not reported here),
 ``semigroup._extension_rows`` and ``semigroup._worst_pair``, used here
 with the matrix product and the max-abs distance.
+
+S(G) is generated by the p generators [t].  So an integer table passes
+if its generator rows pass, and :func:`restrict_to_group` passes a float
+table whose :func:`_product_bound` from those rows is at most half the
+tolerance; only otherwise are all n^2 pairs scanned.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
     Counterexample,
     SgElement,
+    _exact_certificate,
     _extension_rows,
     _triple_law,
     _worst_pair,
@@ -276,6 +282,41 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _product_bound(generators: np.ndarray, worst: float) -> float:
+    """A bound on every distance that the multiplicativity scan computes
+    on a float table over S(G), from the stacked generator images f(t)
+    and the largest distance ``worst`` on their rows.
+
+    In dimension d, with E(a, x) = f(ax) - f(a)f(x) and the spectral
+    norm, ||E|| <= d max|E|, and a computed product AB is off by at most
+    r ||A|| ||B|| per entry, r = 2 (d + 2) eps.  So err(N), below, bounds
+    ||E(t, x)|| when ||f(x)|| <= N, kappa = max ||f(t)||.  Each (F, s) is a
+    word of at most max(1, |F|) <= p generators, so its image norm is at
+    most N_p (N_1 = kappa, N_L = kappa N_(L-1) + err(N_(L-1))), and eps =
+    err(N_p) bounds every generator row.  As f(tbx) - f(tb)f(x) = E(t, bx)
+    + f(t) E(b, x) - E(t, b) f(x), the row of a word of length L is within
+    D_L = eps (1 + N_p) + kappa D_(L-1), D_1 = eps, and a computed distance
+    within D_p + r (D_p + N_p^2), which is returned.  Certifying only
+    below tol / 2 leaves room for the rounding of this arithmetic and of
+    the SVDs.
+    """
+    p, d = len(generators), generators.shape[-1]
+    r = 2 * (d + 2) * float(np.finfo(generators.dtype).eps)
+    # as complex128, since linalg takes no float16 or longdouble
+    kappa = float(np.linalg.norm(generators.astype(np.complex128), 2, axis=(1, 2)).max())
+
+    def err(norm: float) -> float:
+        return d * (worst + r * (worst + kappa * norm))
+
+    norm = kappa
+    for _ in range(p - 1):
+        norm = kappa * norm + err(norm)
+    eps = dev = err(norm)
+    for _ in range(p - 1):
+        dev = eps * (1 + norm) + kappa * dev
+    return dev + r * (dev + norm * norm)
+
+
 class SgRepresentation:
     """Matrices for every element of the enumerated semigroup; the
     table of :func:`extend_to_semigroup` is in enumeration order.
@@ -304,34 +345,51 @@ class SgRepresentation:
         one difference, each allocated by the block.  With m = max|entry|
         of the stack, an integer table is cast once to the
         :func:`_exact_dtype` of m + m^2 dim, which bounds every entry of a
-        difference.  Float overflow raises NonFiniteProduct.  A table of
+        difference, and is certified from its generator rows when they
+        pass.  Float overflow raises NonFiniteProduct.  A table of
         index rows is scanned by ``actions._row_scan``, where a mismatch
         is the distance 1.0 of two 0/1 matrices.
         """
+        return self._multiplicative(0.0)
+
+    def _multiplicative(self, tol: float) -> tuple[float, tuple | None]:
+        """:meth:`max_multiplicative_deviation`, except that with tol > 0
+        a float table whose :func:`_product_bound` b is at most tol / 2
+        answers (b, None) from its p generator rows."""
         mult = multiplication_tables(list(self.table))[0]
         if isinstance(self.table, _RowTable):
             return _row_scan(self.table, mult)
         images = np.stack(list(self.table.values()))
-        exact = images.dtype.kind in "iu"
-        if exact:
+        certify = None
+        if images.dtype.kind in "iu":
             m = _int_max_abs(images)
             images = images.astype(_exact_dtype(m * (m * self.dim + 1)), copy=False)
+            certify = _exact_certificate
+        elif tol > 0:
+            def certify(rows: list[int], worst: float) -> float | None:
+                bound = _product_bound(images[rows], worst)
+                return bound if bound <= tol / 2 else None
 
         def distances(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
             product = _finite(np.matmul, images[a], images[lo : lo + len(targets)])
             return np.abs(_finite(np.subtract, images[targets], product)).max(axis=(1, 2), initial=0)
 
-        return _worst_pair(self.table, mult, images[0].nbytes, distances, exact)
+        return _worst_pair(self.table, mult, images[0].nbytes, distances, certify)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
-        """Deviation of M(a^*) from M(a)^adj over all images.  On an
-        action's rows, the row of a^* is compared with the inverse row."""
+        """Deviation of M(a^*) from M(a)^adj over all images; ValueError
+        naming the first a whose a^* has no image.  On an action's rows,
+        the row of a^* is compared with the inverse row."""
         if isinstance(self.table, _RowTable):
             rows, index, elements = self.table.rows, self.table.index, self.table.elements
             stars = rows[[index[a.star()] for a in elements]]
             bad = (stars != _inverse_rows(rows)).any(axis=1).tolist()
             return _worst_case((float(d), (a,)) for a, d in zip(elements, bad))
-        return _worst_case((_distance(self.table[a.star()], adjoint(m)), (a,)) for a, m in self.table.items())
+        stars = {a: a.star() for a in self.table}
+        lost = next((a for a, b in stars.items() if b not in self.table), None)
+        if lost is not None:
+            raise ValueError(f"no image of the star {stars[lost]} of {lost}")
+        return _worst_case((_distance(self.table[stars[a]], adjoint(m)), (a,)) for a, m in self.table.items())
 
     def max_partial_isometry_deviation(self) -> tuple[float, tuple | None]:
         """Deviation from m @ m^adj @ m == m over all images.  An action's
@@ -372,14 +430,17 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     The input must hold every generator and be multiplicative and
     star-preserving, exactly when every matrix has an integer dtype and
     else to ``FLOAT_TOL``; the first missing generator, or the first worst
-    pair or element, is reported.
+    pair or element, is reported.  A float table is first bounded from
+    its p generator rows (:func:`_product_bound`); only a bound past
+    FLOAT_TOL / 2, or a non-finite product or norm, leaves the verdict to
+    the n^2 scan, so every answer and error is the scan's.
     """
     gens = [generator(sgrep.group, t) for t in sgrep.group.elements()]
     missing = [a for a in gens if a not in sgrep.table]
     if missing:
         raise NotRepresentation(f"no image of the generator {missing[0]}", (missing[0],))
     tol = 0.0 if isinstance(sgrep.table, _RowTable) else _tolerance(sgrep.table.values())
-    dev, witness = sgrep.max_multiplicative_deviation()
+    dev, witness = sgrep._multiplicative(tol) if tol else sgrep.max_multiplicative_deviation()
     if dev > tol:
         raise NotRepresentation(f"not multiplicative (deviation {dev:.3e})", witness or ())
     dev, witness = sgrep.max_star_deviation()

@@ -304,16 +304,23 @@ def _extension_rows(
     order.  ``compose(f, h)`` composes each image of a stack f with one
     image h: the gather f[h] of index rows (the ``InverseAction`` layout)
     by default, ``reps._matmul`` for matrices.  Per stage it runs p times:
-    the projections; the products over all 2^p masks by top bit, P[2^k] =
-    proj[k], P[2^k + rest] = P[rest] o proj[k] (P[0], no support, is never
-    read); and P[F] o images[s] per degree s."""
+    the projections; the products over the masks by top bit, P[2^k] =
+    proj[k], P[2^k + rest] = P[rest] o proj[k]; and P[F] o images[s] per
+    degree s.  A support F holds the identity e, and so does each of its
+    prefixes past bit e, so only the masks holding e and those below 2^e
+    are composed (half of the 2^p when e = 0); the other entries of P are
+    never read."""
     import numpy as np
-    p = group.order
+    p, e = group.order, group.identity
     projections = np.stack([compose(images[r], images[group.inv(r)]) for r in group.elements()])
     products = np.empty((1 << p, *projections.shape[1:]), dtype=projections.dtype)
     for k in range(p):
         products[1 << k] = projections[k]
-        products[(1 << k) + 1 : 2 << k] = compose(products[1 : 1 << k], projections[k])
+        if k <= e:
+            products[(1 << k) + 1 : 2 << k] = compose(products[1 : 1 << k], projections[k])
+        else:  # a view of the masks holding e: axes bit k, bits k-1..e+1, bit e, bits below e
+            held = products[: 2 << k].reshape(2, 1 << (k - e - 1), 2, 1 << e, *projections.shape[1:])[:, :, 1]
+            held[1] = compose(held[0], projections[k])
     supports = np.array([a.support for a in elements], dtype=np.intp)
     degrees = np.array([a.degree for a in elements], dtype=np.intp)
     out = np.empty((len(elements), *projections.shape[1:]), dtype=projections.dtype)
@@ -617,12 +624,20 @@ def universal_extension(
     return extension_formula(group, images, mul)
 
 
+def _exact_certificate(rows: Sequence[int], worst: float) -> float | None:
+    """The :func:`_worst_pair` certificate of an exact table, whose
+    integer images multiply exactly and so associatively: if its
+    generator rows pass, f(bx) = f(b)f(x) for every b by induction on
+    word length, so 0.0; else None."""
+    return None if worst else 0.0
+
+
 def _worst_pair(
     table: Mapping[SgElement, T],
     mult: np.ndarray,
     item_bytes: int,
     distances: Callable[[int, np.ndarray, int], np.ndarray],
-    exact: bool,
+    certify: Callable[[Sequence[int], float], float | None] | None,
 ) -> tuple[float, tuple[SgElement, SgElement] | None]:
     """Multiplicativity of a table over a closed set of elements.
 
@@ -639,10 +654,13 @@ def _worst_pair(
     True pair, which already attains the maximum.  Private, so a trace
     charges the scan to its caller.
 
-    An ``exact`` table has integer images, multiplied exactly and so
-    associatively: if it holds every generator [t] (and so all of S(G))
-    and their rows pass, f(bx) = f(b)f(x) for every b by induction on
-    word length: (0.0, None) from p rows.  Otherwise the full scan runs.
+    S(G) is generated by the generators [t].  So if the table holds all
+    p of them, ``certify(rows, worst)`` is given their row indices and
+    the largest distance on those rows, and may return a bound b on
+    every distance: then (b, None) is the answer, from p rows (see
+    :func:`_exact_certificate` and ``reps._product_bound``).  Otherwise,
+    or on None, or if a row raises ValueError (a non-finite product,
+    say), the full scan runs, and raises where it first meets the error.
     """
     import numpy as np
     elements = list(table)
@@ -661,10 +679,14 @@ def _worst_pair(
                         return worst, witness
         return worst, witness
 
-    if exact:
-        rows = _generator_rows(elements)
-        if len(rows) == elements[0].group.order and scan(rows)[1] is None:
-            return 0.0, None
+    rows = _generator_rows(elements) if certify else []
+    if len(rows) == elements[0].group.order:
+        try:
+            bound = certify(rows, scan(rows)[0])
+        except ValueError:  # the full scan below raises it where it first occurs
+            bound = None
+        if bound is not None:
+            return bound, None
     return scan(range(n))
 
 

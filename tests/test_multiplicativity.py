@@ -23,8 +23,9 @@ from invsg.actions import (
     from_inverse_action,
     to_inverse_action,
 )
-from invsg.groups import cyclic, dihedral, klein_four
+from invsg.groups import cyclic, dihedral, group_from_spec, klein_four
 from invsg.reps import (
+    NotRepresentation,
     PartialRep,
     SgRepresentation,
     extend_to_semigroup,
@@ -35,7 +36,7 @@ from invsg.reps import (
     validate_partial_rep,
 )
 
-from conftest import conjugated_regular_rep, quaternion, signed_rep
+from conftest import conjugated_regular_rep, quaternion, relabelled, signed_rep
 
 
 def _pairwise(table, mul, distance):
@@ -431,7 +432,8 @@ def test_a_table_without_the_generators_gets_the_full_scan():
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 def test_only_integer_tables_are_certified_on_the_generator_rows(monkeypatch, dtype):
     """A valid 0/1 table: as int64 only its p generator rows are
-    scanned, as float64 every row is."""
+    scanned, as float64 every row is.  (``restrict_to_group`` may bound
+    a float table from its generator rows; see the tests below.)"""
     g = klein_four()
     table = {a: m.astype(dtype) for a, m in _bernoulli_rep_table(g).table.items()}
     blocks, _ = _record_blocks(monkeypatch, reps)
@@ -473,8 +475,8 @@ def test_order_10_bernoulli_rep_round_trip(g):
 
 def test_a_float_rep_of_q8_round_trips():
     """The regular rep of Q8, orthogonally conjugated: dense float64
-    images of dimension 8 for all 576 elements, multiplicative and
-    star-preserving to FLOAT_TOL over the 331,776 pairs."""
+    images of dimension 8 for all 576 elements, multiplicative (by the
+    bound on its 8 generator rows) and star-preserving to FLOAT_TOL."""
     rep = conjugated_regular_rep(quaternion())
     ext = extend_to_semigroup(rep)
     assert len(ext.table) == 576 and ext.dim == 8
@@ -527,3 +529,186 @@ def test_matmul_refuses_int64_overflow():
         _matmul(np.array([[2**31, 2**31]]), np.array([[2**31], [2**31]]))
     below = np.array([[2**30, 2**30]])  # 2^30 * 2^30 * 2 = 2^61
     assert _matmul(below, below.T)[0, 0] == 2**61
+
+
+def _unitary_bernoulli_rep(g, seed=0):
+    """The 0/1 Bernoulli rep of ``g`` conjugated by a seeded random
+    unitary: dense complex images, not a partial-permutation rep."""
+    rep = partial_rep_from_partial_action(bernoulli_partial_action(g))
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim)))
+    return PartialRep(g, [q @ m @ q.conj().T for m in rep.matrices])
+
+
+def _generator_indices(table):
+    g = next(iter(table)).group
+    index = {a: i for i, a in enumerate(table)}
+    return {index[semigroup.generator(g, t)] for t in g.elements()}
+
+
+def _group_rep_table(g, matrices):
+    """(F, s) -> matrices[s]: multiplicative on S(G) whenever the
+    matrices form a group representation, star-preserving only when they
+    are unitary."""
+    return {a: matrices[a.degree] for a in semigroup.enumerate_semigroup(g)}
+
+
+CERTIFIED = [f"cyclic:{p}" for p in range(2, 11)] + [f"dihedral:{p}" for p in range(3, 6)]
+CERTIFIED += ["Q8", "relabelled-dihedral:3", "unitary-dihedral:3"]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED)
+def test_the_bound_certifies_float_reps_from_their_generator_rows(monkeypatch, spec):
+    """``restrict_to_group`` on the extension of an orthogonally conjugated
+    regular rep, or of the dim-32 unitary dihedral:3 Bernoulli rep: the
+    scan kernel reads the p generator rows only, the bound is at most
+    FLOAT_TOL / 2, and the generator images come back bit for bit, as
+    the full scan lets them.  Up to order 8 the full scan also runs, and
+    its maximum is at most the bound."""
+    if spec == "unitary-dihedral:3":
+        rep = _unitary_bernoulli_rep(dihedral(3))
+    elif spec == "relabelled-dihedral:3":
+        rep = conjugated_regular_rep(relabelled(dihedral(3), [4, 2, 0, 5, 1, 3]))
+    else:
+        rep = conjugated_regular_rep(quaternion() if spec == "Q8" else group_from_spec(spec))
+    ext = extend_to_semigroup(rep)
+    g = ext.group
+    blocks, results = _record_blocks(monkeypatch, reps)
+    back = restrict_to_group(ext)
+    assert {a for a, _ in blocks} == _generator_indices(ext.table)
+    [(bound, witness)] = results
+    assert witness is None and 0.0 < bound <= reps.FLOAT_TOL / 2
+    assert [m.tobytes() for m in back.matrices] == [ext(semigroup.generator(g, t)).tobytes() for t in g.elements()]
+    if len(ext.table) <= 576:
+        assert ext.max_multiplicative_deviation()[0] <= bound
+
+
+def test_rounding_sized_noise_is_certified(monkeypatch):
+    """1e-12 of noise on every image of the conjugated regular rep of
+    cyclic:3: certified from the 3 generator rows, and the full scan
+    agrees."""
+    ext = extend_to_semigroup(conjugated_regular_rep(cyclic(3)))
+    rng = np.random.default_rng(0)
+    noisy = SgRepresentation(ext.group, ext.dim, {a: m + rng.normal(scale=1e-12, size=m.shape) for a, m in ext.table.items()})
+    blocks, results = _record_blocks(monkeypatch, reps)
+    restrict_to_group(noisy)
+    assert {a for a, _ in blocks} == _generator_indices(noisy.table)
+    [(bound, witness)] = results
+    assert witness is None and bound <= reps.FLOAT_TOL / 2
+    assert 0.0 < noisy.max_multiplicative_deviation()[0] <= bound
+
+
+def test_noise_near_the_tolerance_is_left_to_the_scan(monkeypatch):
+    """Noise scaled so that the scan's maximum is about 0.9 FLOAT_TOL: the
+    bound does not certify it, and the full scan runs and passes it."""
+    ext = extend_to_semigroup(conjugated_regular_rep(dihedral(3)))
+    rng = np.random.default_rng(1)
+    noise = {a: rng.normal(size=m.shape) for a, m in ext.table.items()}
+
+    def noisy(scale):
+        return SgRepresentation(ext.group, ext.dim, {a: m + scale * noise[a] for a, m in ext.table.items()})
+
+    scale = 0.9 * reps.FLOAT_TOL / noisy(1e-12).max_multiplicative_deviation()[0] * 1e-12
+    table = noisy(scale)
+    expected = table.max_multiplicative_deviation()
+    assert 0.8 * reps.FLOAT_TOL < expected[0] <= reps.FLOAT_TOL
+    blocks, results = _record_blocks(monkeypatch, reps)
+    restrict_to_group(table)
+    assert {a for a, _ in blocks} == set(range(len(table.table)))
+    assert results == [expected]
+
+
+def test_a_moved_image_is_refused_as_the_scan_refuses_it():
+    """One image that is no generator's moved by 2 FLOAT_TOL: the
+    message and the witness are those of the full scan."""
+    ext = extend_to_semigroup(conjugated_regular_rep(dihedral(3)))
+    table = dict(ext.table)
+    a = list(table)[len(table) // 2]
+    assert a not in {semigroup.generator(ext.group, t) for t in ext.group.elements()}
+    table[a] = table[a] + 2 * reps.FLOAT_TOL
+    sgrep = SgRepresentation(ext.group, ext.dim, table)
+    deviation, witness = sgrep.max_multiplicative_deviation()
+    assert witness is not None
+    with pytest.raises(NotRepresentation) as info:
+        restrict_to_group(sgrep)
+    assert str(info.value) == f"not multiplicative (deviation {deviation:.3e})"
+    assert info.value.witness == witness
+
+
+def test_large_images_are_left_to_the_scan(monkeypatch):
+    """The regular rep of cyclic:3 conjugated by diag(1, 2^10, 2^20): every
+    product is exact, so the scan reads 0, but ||f(t)|| = 2^20 puts the
+    bound far past FLOAT_TOL.  The full scan runs, and the table is
+    refused as not star-preserving, as the parent refuses it."""
+    g = cyclic(3)
+    s = np.diag([1.0, 2.0**10, 2.0**20])
+    regular = [np.eye(3)[[g.mul(t, y) for y in range(3)]].T for t in g.elements()]
+    sgrep = SgRepresentation(g, 3, _group_rep_table(g, [s @ m @ np.linalg.inv(s) for m in regular]))
+    blocks, results = _record_blocks(monkeypatch, reps)
+    deviation, witness = sgrep.max_star_deviation()
+    with pytest.raises(NotRepresentation, match="not star-preserving") as info:
+        restrict_to_group(sgrep)
+    assert info.value.witness == witness and deviation > 1.0
+    assert results == [(0.0, None)] and {a for a, _ in blocks} == set(range(len(sgrep.table)))
+
+
+def test_an_overflowing_generator_row_raises_as_the_scan_does():
+    """The generator image f([1]) of the cyclic:3 regular rep times
+    1e200: f([1])f([1]) overflows, and restrict_to_group raises the
+    NonFiniteProduct of the full scan."""
+    g = cyclic(3)
+    table = _group_rep_table(g, list(conjugated_regular_rep(g).matrices))
+    table[semigroup.generator(g, 1)] = table[semigroup.generator(g, 1)] * 1e200
+    sgrep = SgRepresentation(g, 3, table)
+    with pytest.raises(reps.NonFiniteProduct) as scanned:
+        sgrep.max_multiplicative_deviation()
+    with pytest.raises(reps.NonFiniteProduct) as restricted:
+        restrict_to_group(sgrep)
+    assert str(restricted.value) == str(scanned.value)
+
+
+def test_no_random_table_is_certified_past_its_scan():
+    """A seeded sweep over small float tables: conjugated regular reps,
+    some also conjugated by a random diagonal (so not star-preserving),
+    and unitary Bernoulli reps, with noise of scale 1e-15 to 1e-8 on every
+    image or on one.  A certified table's scan maximum is at most its
+    bound, so at most FLOAT_TOL / 2; any other table gets the full scan's
+    answer."""
+    rng = np.random.default_rng(7)
+    groups = [cyclic(2), cyclic(3), cyclic(4), klein_four(), cyclic(5), dihedral(3)]
+    certified = scanned = 0
+    for _ in range(80):
+        g = groups[rng.integers(len(groups))]
+        if g.order <= 4 and rng.random() < 0.3:
+            table = dict(extend_to_semigroup(_unitary_bernoulli_rep(g, int(rng.integers(100)))).table)
+        else:
+            mats = conjugated_regular_rep(g, int(rng.integers(100))).matrices
+            if rng.random() < 0.3:
+                d = np.diag(rng.uniform(0.5, 2.0, g.order))
+                mats = [d @ m @ np.linalg.inv(d) for m in mats]
+            table = _group_rep_table(g, mats)
+        scale = 10.0 ** rng.uniform(-15, -8)
+        moved = list(table) if rng.random() < 0.5 else [list(table)[rng.integers(len(table))]]
+        for a in moved:
+            table[a] = table[a] + rng.normal(scale=scale, size=table[a].shape)
+        sgrep = SgRepresentation(g, len(next(iter(table.values()))), table)
+        expected = sgrep.max_multiplicative_deviation()
+        bound, witness = sgrep._multiplicative(reps.FLOAT_TOL)
+        if witness is None:
+            certified += 1
+            assert expected[0] <= bound <= reps.FLOAT_TOL / 2
+        else:
+            scanned += 1
+            assert (bound, witness) == expected
+    assert certified >= 10 and scanned >= 10
+
+
+def test_the_order_10_float_rep_round_trips_in_time():
+    """The dim-10 float rep of cyclic:10: 2816 images, whose full scan
+    reads 7.9 M pairs, certified from 10 generator rows."""
+    rep = conjugated_regular_rep(cyclic(10))
+    start = time.perf_counter()
+    back = restrict_to_group(extend_to_semigroup(rep))
+    elapsed = time.perf_counter() - start
+    assert max(max_abs(b - m) for b, m in zip(back.matrices, rep.matrices)) <= reps.FLOAT_TOL
+    assert elapsed < 1.5

@@ -347,6 +347,18 @@ def test_restrict_to_group_names_the_first_missing_generator():
     assert info.value.witness == (generator(g, 1),)
 
 
+def test_a_dense_table_without_a_star_is_refused_by_name():
+    """The cyclic:3 table holding only [1]: the star scan names [1], whose
+    star [2] has no image, in a ValueError, as the product scan refuses
+    the same table for not being closed."""
+    g = cyclic(3)
+    sgrep = SgRepresentation(g, 2, {generator(g, 1): np.eye(2)})
+    with pytest.raises(ValueError, match="not closed"):
+        sgrep.max_multiplicative_deviation()
+    with pytest.raises(ValueError, match=r"no image of the star SgElement\(\[0, 2\], deg=2\) of SgElement\(\[0, 1\], deg=1\)"):
+        sgrep.max_star_deviation()
+
+
 def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
     """Three products per pair (s, t) of a matrix rep (the signed
     Bernoulli rep, which is not a partial-permutation rep): the derived
