@@ -22,7 +22,7 @@ for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -320,14 +320,17 @@ def _bijection(row: np.ndarray, size: int) -> PartialBijection:
 
 @dataclass(eq=False)
 class _RowTable(Mapping[SgElement, V]):
-    """The read-only table of :meth:`InverseAction.table`: ``elements``
-    in enumeration order, their ``index``, and one of ``rows`` each, read
-    as ``read(row)`` when its entry is looked up."""
+    """A read-only table of ``elements``, their ``index``, built here, and
+    one of ``rows`` each, read as ``read(row)`` when looked up: index rows
+    (2-D) for an :class:`InverseAction`, or a dense rep's matrices (3-D)."""
 
     elements: list[SgElement]
-    index: dict[SgElement, int]
     rows: np.ndarray
     read: Callable[[np.ndarray], V]
+    index: dict[SgElement, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.index = {a: i for i, a in enumerate(self.elements)}
 
     def __getitem__(self, a: SgElement) -> V:
         return self.read(self.rows[self.index[a]])
@@ -394,9 +397,8 @@ class InverseAction:
             bound = order_formula(p) << (p - 1)
             if len(elements) * max(self.set_size, 1) > bound:
                 raise CapExceeded(f"full action table exceeds {bound} entries, the Bernoulli table's at order {p}")
-            rows = _extension_rows(self.group, self._rows, elements)
-            index = {a: i for i, a in enumerate(elements)}
-            self._table = _RowTable(elements, index, rows, lambda row: _bijection(row, self.set_size))
+            rows = _extension_rows(self.group, self._rows)
+            self._table = _RowTable(elements, rows, lambda row: _bijection(row, self.set_size))
         return self._table
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:

@@ -167,8 +167,11 @@ def _cmd_pa_validate(args: argparse.Namespace) -> int:
 def _cmd_pa_extend(args: argparse.Namespace) -> int:
     from . import actions
     action = actions.action_from_dict(_load_json(args.file))
-    inv = actions.to_inverse_action(action)
-    graphs = [(a, sorted(f.graph())) for a, f in inv.table(cap=args.cap).items()]  # enumeration order
+    table = actions.to_inverse_action(action).table(cap=args.cap)  # index rows in enumeration order
+    graphs = []
+    for a, row in zip(table, table.rows):
+        xs = (row < action.set_size).nonzero()[0]  # the defined points, ascending
+        graphs.append((a, list(zip(xs.tolist(), row[xs].tolist()))))
     _emit(
         args,
         lambda: {

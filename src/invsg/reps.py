@@ -20,11 +20,12 @@ one is read.  So it reaches the enumeration cap: at order 10 its 2816
 images on 512 points take one 2.9 MB array, where the dense int64
 images alone would take about 5.9 GB.
 
-The triple-product laws, the extension fold and the multiplicativity
-scan shared with :mod:`invsg.actions` are ``semigroup._triple_law`` (the
-derived law ``semigroup._derived_law`` is not reported here),
-``semigroup._extension_rows`` and ``semigroup._worst_pair``, used here
-with the matrix product and the max-abs distance.
+The triple-product laws, the extension fold, whose array is the table
+of any other rep, and the multiplicativity scan shared with
+:mod:`invsg.actions` are ``semigroup._triple_law`` (the derived law
+``semigroup._derived_law`` is not reported here), ``_extension_rows``
+and ``_worst_pair``, used here with the matrix product and the max-abs
+distance.
 
 S(G) is generated by the p generators [t].  So an integer table passes
 if its generator rows pass, and :func:`restrict_to_group` passes a float
@@ -89,21 +90,17 @@ def _int_max_abs(m: np.ndarray) -> int:
     return max(int(m.max()), -int(m.min())) if m.size else 0
 
 
-def _abs_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entrywise |x - y|.  An int64 difference wraps at 2^63, so for
-    integers this is larger minus smaller, taken mod 2^64 and read as
-    uint64, where it always fits."""
-    if x.dtype.kind in "iu" and y.dtype.kind in "iu":
-        return np.subtract(np.maximum(x, y), np.minimum(x, y), dtype=np.int64).view(np.uint64)
-    return np.abs(_finite(np.subtract, x, y))
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
 def _distance(x: np.ndarray, y: np.ndarray) -> float:
-    diff = _abs_diff(x, y)
+    """max|x - y|, 0.0 if empty.  As an int64 difference wraps at 2^63,
+    integers subtract larger minus smaller mod 2^64, read as uint64."""
+    if x.dtype.kind in "iu" and y.dtype.kind in "iu":
+        diff = np.subtract(np.maximum(x, y), np.minimum(x, y), dtype=np.int64).view(np.uint64)
+    else:
+        diff = np.abs(_finite(np.subtract, x, y))
     return float(np.max(diff)) if diff.size else 0.0
 
 
@@ -143,11 +140,6 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dtype = _exact_dtype(_int_max_abs(x) * _int_max_abs(y) * x.shape[-1])
         return np.matmul(x.astype(dtype), y.astype(dtype)).astype(np.int64, copy=False)
     return _finite(np.matmul, x, y)
-
-
-def _mismatch(f: PartialBijection, h: PartialBijection) -> float:
-    """The max-abs distance of the 0/1 matrices of two partial bijections."""
-    return float(f != h)
 
 
 def _partial_bijections(matrices: Sequence[np.ndarray]) -> list[PartialBijection] | None:
@@ -248,8 +240,8 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
     maps = _partial_bijections(rep.matrices)
     if maps is None:  # looked up per call, so a patched ``_matmul`` is seen
         images, mul, distance, star, identity = rep.matrices, _matmul, _distance, adjoint, np.eye
-    else:  # partial bijections compose as their 0/1 matrices multiply
-        images, mul, distance = maps, operator.mul, _mismatch
+    else:  # partial bijections compose as their 0/1 matrices multiply, and differ by max-abs 1.0
+        images, mul, distance = maps, operator.mul, lambda f, h: float(f != h)
         star, identity = PartialBijection.invert, PartialBijection.identity
 
     laws = _triple_law(g, images, mul, distance)
@@ -318,20 +310,23 @@ def _product_bound(generators: np.ndarray, worst: float) -> float:
 
 
 class SgRepresentation:
-    """Matrices for every element of the enumerated semigroup; the
-    table of :func:`extend_to_semigroup` is in enumeration order.
+    """Matrices for every element of the enumerated semigroup, held in an
+    ``actions._RowTable`` (enumeration order from the extension).
 
-    :func:`extend_to_semigroup` gives a partial-permutation rep the rows
-    of its action's table, read as 0/1 matrices: the checks below run on
-    those rows, and a matrix is built only when an entry is read.  Any
-    other table given here is copied into a dict of finite matrices of
-    dimension ``dim`` (see :func:`_as_square`).
+    A partial-permutation rep's table holds its action's index rows (2-D),
+    read as 0/1 matrices: the checks below run on those rows, and a matrix
+    is built only when an entry is read.  Any other holds an (n, dim, dim)
+    stack, each image a view of it; a mapping given here is checked image
+    by image (see :func:`_as_square`), then stacked once.
     """
 
     def __init__(self, group: FiniteGroup, dim: int, table: Mapping[SgElement, np.ndarray]):
         self.group = group
         self.dim = dim
-        self.table = table if isinstance(table, _RowTable) else {a: _as_square(m, dim) for a, m in table.items()}
+        if not isinstance(table, _RowTable):
+            mats = [_as_square(m, dim) for m in table.values()]
+            table = _RowTable(list(table), np.array(mats).reshape(len(mats), dim, dim), np.asarray)
+        self.table = table
 
     def __call__(self, a: SgElement) -> np.ndarray:
         return self.table[a]
@@ -339,11 +334,11 @@ class SgRepresentation:
     def max_multiplicative_deviation(self) -> tuple[float, tuple | None]:
         """The largest max-abs distance of M(ab) from M(a)M(b) and its first pair.
 
-        The images are stacked once per scan.  A block of columns
-        b = lo .. lo + k - 1 of row a then costs one gather of the
-        targets M(ab), one product of M(a) with a slice of the stack and
-        one difference, each allocated by the block.  With m = max|entry|
-        of the stack, an integer table is cast once to the
+        The scan reads the table's stack.  A block of columns
+        b = lo .. lo + k - 1 of row a costs one gather of the targets
+        M(ab), one product of M(a) with a slice of the stack and one
+        difference, each allocated by the block.  With m = max|entry| of
+        the stack, an integer table is cast once to the
         :func:`_exact_dtype` of m + m^2 dim, which bounds every entry of a
         difference, and is certified from its generator rows when they
         pass.  Float overflow raises NonFiniteProduct.  A table of
@@ -356,10 +351,10 @@ class SgRepresentation:
         """:meth:`max_multiplicative_deviation`, except that with tol > 0
         a float table whose :func:`_product_bound` b is at most tol / 2
         answers (b, None) from its p generator rows."""
-        mult = multiplication_tables(list(self.table))[0]
-        if isinstance(self.table, _RowTable):
+        mult = multiplication_tables(self.table.elements)[0]
+        images = self.table.rows
+        if images.ndim == 2:
             return _row_scan(self.table, mult)
-        images = np.stack(list(self.table.values()))
         certify = None
         if images.dtype.kind in "iu":
             m = _int_max_abs(images)
@@ -378,24 +373,23 @@ class SgRepresentation:
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         """Deviation of M(a^*) from M(a)^adj over all images; ValueError
-        naming the first a whose a^* has no image.  On an action's rows,
-        the row of a^* is compared with the inverse row."""
-        if isinstance(self.table, _RowTable):
-            rows, index, elements = self.table.rows, self.table.index, self.table.elements
-            stars = rows[[index[a.star()] for a in elements]]
-            bad = (stars != _inverse_rows(rows)).any(axis=1).tolist()
+        naming the first a whose a^* has no image.  Index rows are compared
+        with the inverse rows, matrices one element at a time."""
+        rows, elements = self.table.rows, self.table.elements
+        stars = [self.table.index.get(a.star()) for a in elements]
+        if None in stars:
+            lost = elements[stars.index(None)]
+            raise ValueError(f"no image of the star {lost.star()} of {lost}")
+        if rows.ndim == 2:
+            bad = (rows[stars] != _inverse_rows(rows)).any(axis=1).tolist()
             return _worst_case((float(d), (a,)) for a, d in zip(elements, bad))
-        stars = {a: a.star() for a in self.table}
-        lost = next((a for a, b in stars.items() if b not in self.table), None)
-        if lost is not None:
-            raise ValueError(f"no image of the star {stars[lost]} of {lost}")
-        return _worst_case((_distance(self.table[stars[a]], adjoint(m)), (a,)) for a, m in self.table.items())
+        return _worst_case((_distance(rows[i], adjoint(m)), (a,)) for a, i, m in zip(elements, stars, rows))
 
     def max_partial_isometry_deviation(self) -> tuple[float, tuple | None]:
-        """Deviation from m @ m^adj @ m == m over all images.  An action's
-        row is a composite of partial bijections, so it is one, and its 0/1
+        """Deviation from m @ m^adj @ m == m over all images.  An index row
+        is a composite of partial bijections, so it is one, and its 0/1
         matrix is a partial isometry: (0.0, None) without reading a row."""
-        if isinstance(self.table, _RowTable):
+        if self.table.rows.ndim == 2:
             return 0.0, None
         return _worst_case((_distance(_matmul(_matmul(m, adjoint(m)), m), m), (a,)) for a, m in self.table.items())
 
@@ -408,10 +402,10 @@ def extend_to_semigroup(
     """Extend a validated partial representation to the whole semigroup.
 
     The element (F, s) maps to the product over r in F (ascending) of
-    M_r M_{r^-1}, times M_s: ``_extension_rows`` of the stacked matrices.
-    Raises with the validation report if the input fails its axioms.  A
-    partial-permutation rep extends as its partial action: the rows of
-    the action's table, each read as a 0/1 matrix when it is looked up.
+    M_r M_{r^-1}, times M_s: the table is ``_extension_rows`` of the stacked
+    matrices.  Raises with the validation report if the input fails its
+    axioms.  A partial-permutation rep extends as its partial action: the
+    rows of the action's table, each read as a 0/1 matrix when looked up.
     """
     report = validate_partial_rep(rep, tol)
     if not report.passed:
@@ -421,7 +415,7 @@ def extend_to_semigroup(
     if maps is not None:
         return SgRepresentation(g, rep.dim, replace(InverseAction(g, rep.dim, maps).table(cap), read=_zero_one))
     elements = enumerate_semigroup(g, cap)
-    return SgRepresentation(g, rep.dim, dict(zip(elements, _extension_rows(g, np.stack(rep.matrices), elements, _matmul))))
+    return SgRepresentation(g, rep.dim, _RowTable(elements, _extension_rows(g, np.stack(rep.matrices), _matmul), np.asarray))
 
 
 def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
@@ -439,7 +433,7 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     missing = [a for a in gens if a not in sgrep.table]
     if missing:
         raise NotRepresentation(f"no image of the generator {missing[0]}", (missing[0],))
-    tol = 0.0 if isinstance(sgrep.table, _RowTable) else _tolerance(sgrep.table.values())
+    tol = _tolerance([sgrep.table.rows])
     dev, witness = sgrep._multiplicative(tol) if tol else sgrep.max_multiplicative_deviation()
     if dev > tol:
         raise NotRepresentation(f"not multiplicative (deviation {dev:.3e})", witness or ())

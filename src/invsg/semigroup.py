@@ -297,19 +297,19 @@ def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
 
 
 def _extension_rows(
-    group: FiniteGroup, images: np.ndarray, elements: Sequence[SgElement], compose: Callable = lambda f, h: f.take(h, axis=-1)
+    group: FiniteGroup, images: np.ndarray, compose: Callable = lambda f, h: f.take(h, axis=-1)
 ) -> np.ndarray:
     """:func:`extension_formula` of the p stacked generator ``images`` at
-    each of ``elements``, batched and so bit for bit, stacked in their
-    order.  ``compose(f, h)`` composes each image of a stack f with one
-    image h: the gather f[h] of index rows (the ``InverseAction`` layout)
-    by default, ``reps._matmul`` for matrices.  Per stage it runs p times:
-    the projections; the products over the masks by top bit, P[2^k] =
-    proj[k], P[2^k + rest] = P[rest] o proj[k]; and P[F] o images[s] per
-    degree s.  A support F holds the identity e, and so does each of its
-    prefixes past bit e, so only the masks holding e and those below 2^e
-    are composed (half of the 2^p when e = 0); the other entries of P are
-    never read."""
+    every element of :func:`enumerate_semigroup`, batched and so bit for
+    bit, in its order.  ``compose(f, h)`` composes each image of a stack f
+    with one image h: the gather f[h] of index rows (the ``InverseAction``
+    layout) by default, ``reps._matmul`` for matrices.  Per stage it runs
+    p times: the projections; the products over the masks by top bit,
+    P[2^k] = proj[k], P[2^k + rest] = P[rest] o proj[k]; and P[F] o
+    images[s] per degree s, one range of rows.  A support F holds the
+    identity e, and so does each of its prefixes past bit e, so only the
+    masks holding e and those below 2^e are composed (half of the 2^p
+    when e = 0); the other entries of P are never read."""
     import numpy as np
     p, e = group.order, group.identity
     projections = np.stack([compose(images[r], images[group.inv(r)]) for r in group.elements()])
@@ -321,12 +321,12 @@ def _extension_rows(
         else:  # a view of the masks holding e: axes bit k, bits k-1..e+1, bit e, bits below e
             held = products[: 2 << k].reshape(2, 1 << (k - e - 1), 2, 1 << e, *projections.shape[1:])[:, :, 1]
             held[1] = compose(held[0], projections[k])
-    supports = np.array([a.support for a in elements], dtype=np.intp)
-    degrees = np.array([a.degree for a in elements], dtype=np.intp)
-    out = np.empty((len(elements), *projections.shape[1:]), dtype=projections.dtype)
-    for s in group.elements():
-        at = np.flatnonzero(degrees == s)
-        out[at] = compose(products[supports[at]], images[s])
+    masks = np.array(identity_masks(group))
+    supports = [masks[masks >> s & 1 == 1] for s in group.elements()]  # of the elements of degree s
+    starts = [0, *np.cumsum([len(f) for f in supports]).tolist()]
+    out = np.empty((starts[-1], *projections.shape[1:]), dtype=projections.dtype)
+    for s, support in enumerate(supports):
+        out[starts[s] : starts[s + 1]] = compose(products[support], images[s])
     return out
 
 
@@ -399,7 +399,7 @@ def _bernoulli_check(
     group = elements[0].group
     p = group.order
     co_singletons = [(1 << p) - 1 ^ 1 << g for g in group.elements() if g != group.identity]  # G - {g}
-    phi = _extension_rows(group, _bernoulli_rows(group, co_singletons), elements)
+    phi = _extension_rows(group, _bernoulli_rows(group, co_singletons))
     n, width = phi.shape
     # (a) the unit
     if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):

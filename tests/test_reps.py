@@ -359,6 +359,50 @@ def test_a_dense_table_without_a_star_is_refused_by_name():
         sgrep.max_star_deviation()
 
 
+def test_a_mixed_mapping_is_one_float_stack():
+    """Every other image of the cyclic:3 0/1 table as float64, one entry
+    of a non-generator set to 2: the table is one float64 stack of the
+    same values, and each scan reports what it reports on the all-float
+    table.  The valid mixed table restricts to float64 matrices."""
+    g = cyclic(3)
+    ext = extend_to_semigroup(_zero_one_rep())
+    valid = {a: m.astype(np.float64) if i % 2 else m for i, (a, m) in enumerate(ext.table.items())}
+    mixed = dict(valid)
+    a = list(mixed)[5]
+    mixed[a] = mixed[a].copy()
+    mixed[a][0, 0] = 2
+    assert {m.dtype for m in mixed.values()} == {np.dtype(np.int64), np.dtype(np.float64)}
+    sgrep = SgRepresentation(g, ext.dim, mixed)
+    floats = SgRepresentation(g, ext.dim, {a: m.astype(np.float64) for a, m in mixed.items()})
+    assert sgrep.table.rows.dtype == np.float64 and sgrep.table.rows.shape == (len(mixed), ext.dim, ext.dim)
+    assert all(np.array_equal(sgrep(a), m) for a, m in mixed.items())
+    scans = ("max_multiplicative_deviation", "max_star_deviation", "max_partial_isometry_deviation")
+    assert [getattr(sgrep, scan)() for scan in scans] == [getattr(floats, scan)() for scan in scans]
+    assert sgrep.max_multiplicative_deviation()[0] > 0
+    back = restrict_to_group(SgRepresentation(g, ext.dim, valid))
+    assert not back.exact and all(np.array_equal(b, m) for b, m in zip(back.matrices, _zero_one_rep().matrices))
+
+
+def test_an_empty_mapping_is_refused_at_its_first_generator():
+    """An empty table is constructible and its element scans find
+    nothing; restricting it names the generator of the first index."""
+    g = cyclic(3)
+    empty = SgRepresentation(g, 2, {})
+    assert len(empty.table) == 0 and empty.table.rows.shape == (0, 2, 2)
+    assert empty.max_star_deviation() == empty.max_partial_isometry_deviation() == (0.0, None)
+    with pytest.raises(NotRepresentation, match=r"no image of the generator SgElement\(\[0\], deg=0\)") as info:
+        restrict_to_group(empty)
+    assert info.value.witness == (generator(g, 0),)
+
+
+def test_a_dense_extension_is_read_off_its_stack():
+    """Each image of the dense extension of a float rep of dihedral:3 is
+    a view of the table's one (112, 6, 6) array."""
+    ext = extend_to_semigroup(conjugated_regular_rep(dihedral(3)))
+    assert ext.table.rows.shape == (112, 6, 6)
+    assert all(np.shares_memory(ext(a), ext.table.rows) for a in ext.table)
+
+
 def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
     """Three products per pair (s, t) of a matrix rep (the signed
     Bernoulli rep, which is not a partial-permutation rep): the derived

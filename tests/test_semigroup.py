@@ -331,10 +331,10 @@ def test_verify_exhaustive_at_orders_8_and_10():
 
 
 def _model(elements):
-    """The Bernoulli model of ``elements``, whose rows the certificate's
-    model restricts to 2p - 1 points."""
+    """The Bernoulli model of ``elements``, an ``enumerate_semigroup``
+    list, whose rows the certificate's model restricts to 2p - 1 points."""
     g = elements[0].group
-    return semigroup._extension_rows(g, semigroup._bernoulli_rows(g, identity_masks(g)), elements)
+    return semigroup._extension_rows(g, semigroup._bernoulli_rows(g, identity_masks(g)))
 
 
 def _bernoulli_model_reference(g, elements):
