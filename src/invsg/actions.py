@@ -9,19 +9,19 @@ implemented as independent validators, and the translation to and from
 homomorphisms of the universal inverse semigroup is exact.
 
 The triple-product laws and the multiplicativity scan shared with
-:mod:`invsg.reps` are ``semigroup._triple_law``, ``semigroup._derived_law``
-and ``semigroup._worst_pair``, used here with composition as the product
-and ``!=`` as the distance.  An :class:`InverseAction` composes the rows
-of an index array by a gather; its table, which every single image is
-read off, is their ``semigroup._extension_rows``, as the certificate's
-model of S(G) is that of the Bernoulli rows, ``semigroup._bernoulli_rows``.
+:mod:`invsg.reps` are ``semigroup._stacked_laws`` and
+``semigroup._worst_pair``, run here on the index rows of the partial
+bijections (``_index_rows``), composed by a gather, with ``!=`` as the
+distance.  An :class:`InverseAction` composes its rows the same way;
+its table, which every single image is read off, is their
+``semigroup._extension_rows``, as the certificate's model of S(G) is
+that of the Bernoulli rows, ``semigroup._bernoulli_rows``.
 That view of the array (``_RowTable``) is scanned by ``_row_scan``,
 for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -35,10 +35,9 @@ from .semigroup import (
     SgElement,
     _bernoulli_rows,
     _check_cap,
-    _derived_law,
     _exact_certificate,
     _extension_rows,
-    _triple_law,
+    _stacked_laws,
     _worst_pair,
     enumerate_semigroup,
     generator,
@@ -248,12 +247,11 @@ def validate_semigroup_form(action: PartialAction) -> ActionReport:
     and the derived (iii) theta[s^-1] theta[s] theta[t] == theta[s^-1] theta[st].
     """
     g, theta = action.group, action.theta
-    triple = _triple_law(g, theta, operator.mul, operator.ne)
-    derived = _derived_law(g, theta, operator.mul, operator.ne)
-    failures = [AxiomFailure("triple product", (s, t)) for s, t, bad in triple if bad]
+    triple, derived = _stacked_laws(g, _index_rows(theta, action.set_size))
+    failures = [AxiomFailure("triple product", (s, t)) for s, t in np.argwhere(triple).tolist()]
     if theta[g.identity] != PartialBijection.identity(action.set_size):
         failures.append(AxiomFailure("identity", (g.identity,)))
-    failures += [AxiomFailure("derived triple product", (s, t)) for s, t, bad in derived if bad]
+    failures += [AxiomFailure("derived triple product", (s, t)) for s, t in np.argwhere(derived).tolist()]
     return ActionReport(failures)
 
 

@@ -12,20 +12,23 @@ By the correspondence between partial actions and partial
 representations, a family of integer 0/1 matrices with at most one 1 per
 row and per column (a partial-permutation rep, as every rep coming from
 a partial action is) is the same thing as a partial action on the
-basis.  Such a rep is checked as one: its laws compose partial
-bijections, its extension is its action's ``InverseAction.table``,
-whose index-array rows its semigroup checks scatter and gather (with
-the action's ``actions._row_scan``), and a matrix is built only when
-one is read.  So it reaches the enumeration cap: at order 10 its 2816
-images on 512 points take one 2.9 MB array, where the dense int64
-images alone would take about 5.9 GB.
+basis.  Such a rep is checked as one: its laws compose the index rows
+of its partial bijections, its extension is its action's
+``InverseAction.table``, whose index-array rows its semigroup checks
+scatter and gather (with the action's ``actions._row_scan``), and a
+matrix is built only when one is read.  So it reaches the enumeration
+cap: at order 10 its 2816 images on 512 points take one 2.9 MB array,
+where the dense int64 images alone would take about 5.9 GB.
 
-The triple-product laws, the extension fold, whose array is the table
+The triple-product law, the extension fold, whose array is the table
 of any other rep, and the multiplicativity scan shared with
-:mod:`invsg.actions` are ``semigroup._triple_law`` (the derived law
-``semigroup._derived_law`` is not reported here), ``_extension_rows``
-and ``_worst_pair``, used here with the matrix product and the max-abs
-distance.
+:mod:`invsg.actions` are ``semigroup._stacked_laws`` (the derived law
+is not computed here), ``_extension_rows`` and ``_worst_pair``, used
+here on the stacked matrices with the matrix product and the max-abs
+distance (:func:`_distance`); the star and partial-isometry checks
+compare stacks too.  A rep whose matrices differ in dtype is validated
+pair by pair with the generic ``semigroup._triple_law``, so that no
+product is made in a dtype that a stack promoted it to.
 
 S(G) is generated by the p generators [t].  So an integer table passes
 if its generator rows pass, and :func:`restrict_to_group` passes a float
@@ -35,7 +38,6 @@ tolerance; only otherwise are all n^2 pairs scanned.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -44,10 +46,12 @@ import numpy as np
 from .groups import FiniteGroup, document_group, group_to_dict, json_value
 from .semigroup import (
     DEFAULT_ENUMERATION_CAP,
+    SCAN_BYTES,
     Counterexample,
     SgElement,
     _exact_certificate,
     _extension_rows,
+    _stacked_laws,
     _triple_law,
     _worst_pair,
     enumerate_semigroup,
@@ -90,18 +94,28 @@ def _int_max_abs(m: np.ndarray) -> int:
     return max(int(m.max()), -int(m.min())) if m.size else 0
 
 
+def _int_max_abs_each(m: np.ndarray) -> np.ndarray:
+    """:func:`_int_max_abs` of each matrix of an integer stack, as an
+    object array of Python ints."""
+    low = m.min(axis=(-2, -1), initial=0).astype(object)
+    return np.maximum(m.max(axis=(-2, -1), initial=0).astype(object), -low)
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """The conjugate transpose, of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
-def _distance(x: np.ndarray, y: np.ndarray) -> float:
-    """max|x - y|, 0.0 if empty.  As an int64 difference wraps at 2^63,
-    integers subtract larger minus smaller mod 2^64, read as uint64."""
+def _distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max|x - y| per matrix of the broadcast stacks (over the last two
+    axes), 0 where a matrix is empty.  As an int64 difference wraps at
+    2^63, integers subtract larger minus smaller mod 2^64, read as
+    uint64; float overflow raises NonFiniteProduct."""
     if x.dtype.kind in "iu" and y.dtype.kind in "iu":
         diff = np.subtract(np.maximum(x, y), np.minimum(x, y), dtype=np.int64).view(np.uint64)
     else:
         diff = np.abs(_finite(np.subtract, x, y))
-    return float(np.max(diff)) if diff.size else 0.0
+    return diff.max(axis=(-2, -1), initial=0)
 
 
 def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple | None]:
@@ -113,6 +127,17 @@ def _worst_case(deviations: Iterable[tuple[float, tuple]]) -> tuple[float, tuple
         if d > worst:
             worst, witness = d, w
     return worst, witness
+
+
+def _per_image(images: np.ndarray, distances: Callable[[slice], np.ndarray]) -> list[float]:
+    """The distances of every image of a stack, as floats: ``distances``
+    of each run of consecutive images taking about SCAN_BYTES, so no
+    temporary is a copy of the whole stack."""
+    out = np.empty(len(images))
+    step = max(1, SCAN_BYTES // max(images[:1].nbytes, 1))  # images per block
+    for lo in range(0, len(images), step):
+        out[lo : lo + step] = distances(slice(lo, lo + step))
+    return out.tolist()
 
 
 def _exact_dtype(bound: int) -> np.dtype:
@@ -132,12 +157,17 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Integer operands come back as int64, multiplied in the
     :func:`_exact_dtype` of b = max|x| * max|y| * k (k the inner
-    dimension), which bounds every entry and partial sum.  Anything else
-    is multiplied in the operands' own dtype, and NonFiniteProduct is
-    raised if that overflows.
+    dimension), which bounds every entry and partial sum; of stacks, b is
+    the largest such bound of a pair of matrices multiplied, so a stack
+    is refused only where one of its pairs, multiplied alone, would be.
+    Anything else is multiplied in the operands' own dtype, and
+    NonFiniteProduct is raised if that overflows.
     """
     if x.dtype.kind in "iu" and y.dtype.kind in "iu":
-        dtype = _exact_dtype(_int_max_abs(x) * _int_max_abs(y) * x.shape[-1])
+        bound = _int_max_abs(x) * _int_max_abs(y) * x.shape[-1]  # of all pairs; past 2^53 refined pair by pair
+        if bound >= 2**53 and min(x.ndim, y.ndim) > 2:
+            bound = int((_int_max_abs_each(x) * _int_max_abs_each(y)).max(initial=0)) * x.shape[-1]
+        dtype = _exact_dtype(bound)
         return np.matmul(x.astype(dtype), y.astype(dtype)).astype(np.int64, copy=False)
     return _finite(np.matmul, x, y)
 
@@ -233,21 +263,38 @@ class RepReport:
 
 
 def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport:
-    """Per-axiom max deviations for the three partial-representation laws;
-    a partial-permutation rep is checked on its partial bijections."""
+    """Per-axiom max deviations for the three partial-representation
+    laws, the triple law by ``semigroup._stacked_laws``.  A
+    partial-permutation rep is checked on the index rows of its partial
+    bijections, which compose as their 0/1 matrices multiply and, where
+    they differ, are at max-abs distance 1.0; any other on its stacked
+    matrices, unless they differ in dtype: one stack would promote them
+    all, so each pair is then multiplied in its own dtypes by the generic
+    ``semigroup._triple_law``."""
     g = rep.group
     tol = _tolerance(rep.matrices) if tol is None else tol
+    inverses = list(g.inverses)
     maps = _partial_bijections(rep.matrices)
-    if maps is None:  # looked up per call, so a patched ``_matmul`` is seen
-        images, mul, distance, star, identity = rep.matrices, _matmul, _distance, adjoint, np.eye
-    else:  # partial bijections compose as their 0/1 matrices multiply, and differ by max-abs 1.0
-        images, mul, distance = maps, operator.mul, lambda f, h: float(f != h)
-        star, identity = PartialBijection.invert, PartialBijection.identity
+    # ``_matmul`` is looked up per call, so a patched one is seen
+    if maps is not None:
+        images = _index_rows(maps, rep.dim)
+        triple = _stacked_laws(g, images, derived=False)[0].ravel().tolist()
+        star = (images[inverses] != _inverse_rows(images)).any(axis=1).astype(float).tolist()
+        dev_unit = float((images[g.identity] != np.arange(rep.dim + 1)).any())
+    elif len({m.dtype for m in rep.matrices}) == 1:
+        images = np.stack(rep.matrices)
+        triple = _stacked_laws(g, images, _matmul, _distance, derived=False)[0].ravel().tolist()
+        star = _distance(images[inverses], adjoint(images)).astype(float).tolist()
+        dev_unit = float(_distance(images[g.identity], np.eye(rep.dim)))
+    else:
+        images = rep.matrices
+        triple = [float(d) for _, _, d in _triple_law(g, images, _matmul, _distance)]
+        star = [float(_distance(images[t_inv], adjoint(images[t]))) for t, t_inv in enumerate(inverses)]
+        dev_unit = float(_distance(images[g.identity], np.eye(rep.dim)))
 
-    laws = _triple_law(g, images, mul, distance)
-    dev_triple, wit_triple = _worst_case((triple, (s, t)) for s, t, triple in laws)
-    dev_star, wit_star = _worst_case((distance(images[g.inv(t)], star(images[t])), (t,)) for t in g.elements())
-    dev_unit = distance(images[g.identity], identity(rep.dim))
+    pairs = ((s, t) for s in g.elements() for t in g.elements())
+    dev_triple, wit_triple = _worst_case(zip(triple, pairs))
+    dev_star, wit_star = _worst_case(zip(star, ((t,) for t in g.elements())))
 
     return RepReport(
         tol,
@@ -366,32 +413,41 @@ class SgRepresentation:
                 return bound if bound <= tol / 2 else None
 
         def distances(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
-            product = _finite(np.matmul, images[a], images[lo : lo + len(targets)])
-            return np.abs(_finite(np.subtract, images[targets], product)).max(axis=(1, 2), initial=0)
+            return _distance(images[targets], _finite(np.matmul, images[a], images[lo : lo + len(targets)]))
 
         return _worst_pair(self.table, mult, images[0].nbytes, distances, certify)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         """Deviation of M(a^*) from M(a)^adj over all images; ValueError
         naming the first a whose a^* has no image.  Index rows are compared
-        with the inverse rows, matrices one element at a time."""
+        with the inverse rows, matrices with the adjoints of a block of
+        the stack at a time (:func:`_per_image`)."""
         rows, elements = self.table.rows, self.table.elements
         stars = [self.table.index.get(a.star()) for a in elements]
         if None in stars:
             lost = elements[stars.index(None)]
             raise ValueError(f"no image of the star {lost.star()} of {lost}")
         if rows.ndim == 2:
-            bad = (rows[stars] != _inverse_rows(rows)).any(axis=1).tolist()
-            return _worst_case((float(d), (a,)) for a, d in zip(elements, bad))
-        return _worst_case((_distance(rows[i], adjoint(m)), (a,)) for a, i, m in zip(elements, stars, rows))
+            bad = (rows[stars] != _inverse_rows(rows)).any(axis=1).astype(float).tolist()
+        else:
+            stars = np.array(stars, dtype=np.intp)
+            bad = _per_image(rows, lambda block: _distance(rows[stars[block]], adjoint(rows[block])))
+        return _worst_case(zip(bad, ((a,) for a in elements)))
 
     def max_partial_isometry_deviation(self) -> tuple[float, tuple | None]:
-        """Deviation from m @ m^adj @ m == m over all images.  An index row
-        is a composite of partial bijections, so it is one, and its 0/1
-        matrix is a partial isometry: (0.0, None) without reading a row."""
-        if self.table.rows.ndim == 2:
+        """Deviation from m @ m^adj @ m == m over all images, a block of
+        the stack at a time (:func:`_per_image`).  An index row is a
+        composite of partial bijections, so it is one, and its 0/1 matrix
+        is a partial isometry: (0.0, None) without reading a row."""
+        rows = self.table.rows
+        if rows.ndim == 2:
             return 0.0, None
-        return _worst_case((_distance(_matmul(_matmul(m, adjoint(m)), m), m), (a,)) for a, m in self.table.items())
+
+        def deviations(block: slice) -> np.ndarray:
+            m = rows[block]
+            return _distance(_matmul(_matmul(m, adjoint(m)), m), m)
+
+        return _worst_case(zip(_per_image(rows, deviations), ((a,) for a in self.table.elements)))
 
 
 def extend_to_semigroup(
@@ -440,7 +496,7 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     dev, witness = sgrep.max_star_deviation()
     if dev > tol:
         raise NotRepresentation(f"not star-preserving (deviation {dev:.3e})", witness or ())
-    return PartialRep(sgrep.group, [sgrep(a) for a in gens])
+    return PartialRep(sgrep.group, [sgrep(a).copy() for a in gens])  # not views that keep the table
 
 
 def matrix_to_json(m: np.ndarray) -> list:

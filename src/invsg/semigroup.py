@@ -540,7 +540,8 @@ def _triple_law(
 ) -> Iterator[tuple[int, int, D]]:
     """(s, t, distance of f(s)f(t)f(t^-1) from f(st)f(t^-1)), s then t
     ascending.  Lazy, so a caller that stops at the first failure
-    computes nothing past it."""
+    computes nothing past it.  Array targets batch both laws in
+    :func:`_stacked_laws`."""
     for s in group.elements():
         fs = images[s]
         for t in group.elements():
@@ -551,11 +552,54 @@ def _triple_law(
 def _derived_law(
     group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
 ) -> Iterator[tuple[int, int, D]]:
-    """(s, t, distance of f(s^-1)f(s)f(t) from f(s^-1)f(st)), as :func:`_triple_law`."""
+    """(s, t, distance of f(s^-1)f(s)f(t) from f(s^-1)f(st)), as
+    :func:`_triple_law`; f(s^-1)f(s) is computed once per s."""
     for s in group.elements():
-        fs, f_s_inv = images[s], images[group.inv(s)]
+        f_s_inv = images[group.inv(s)]
+        projection = mul(f_s_inv, images[s])
         for t in group.elements():
-            yield s, t, distance(mul(mul(f_s_inv, fs), images[t]), mul(f_s_inv, images[group.mul(s, t)]))
+            yield s, t, distance(mul(projection, images[t]), mul(f_s_inv, images[group.mul(s, t)]))
+
+
+def _gather(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Two stacks of index rows composed row by row, f[h], broadcasting
+    over all axes but the last as ``np.matmul`` does over stacks."""
+    import numpy as np
+    starts = np.arange(0, f.size, f.shape[-1]).reshape(*f.shape[:-1], 1)  # of each row of f, flat
+    return f.ravel()[starts + h]
+
+
+def _stacked_laws(
+    group: FiniteGroup,
+    images: np.ndarray,
+    compose: Callable = _gather,
+    distance: Callable = lambda x, y: (x != y).any(axis=-1),
+    derived: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_triple_law` and :func:`_derived_law` of the p stacked
+    ``images``, batched, with the same association: the (p, p) float
+    arrays of their distances, s-major, the derived one None unless
+    ``derived``.  ``compose(f, h)`` composes two stacks image by image,
+    broadcasting as ``np.matmul`` does: :func:`_gather` of index rows
+    (the ``InverseAction`` layout) by default, ``reps._matmul`` for
+    matrices; ``distance`` maps two stacks to the distances of their
+    images, by default 1.0 where two index rows differ.  Rows s run in
+    blocks whose p pairs of images take about SCAN_BYTES; per block, the
+    triple law composes three stacks and the derived law three."""
+    import numpy as np
+    p = group.order
+    mul, inv = np.array(group.table), np.array(group.inverses)
+    after_t, undo_t = images[None], images[inv][None]  # f(t) and f(t^-1), one column each
+    laws = np.empty((1 + derived, p, p))  # the triple law's distances, then the derived law's
+    step = max(1, SCAN_BYTES // max(p * images[:1].nbytes, 1))  # rows s per block
+    for lo in range(0, p, step):
+        s = np.arange(lo, min(p, lo + step))
+        f_s, f_st = images[s][:, None], images[mul[s]]
+        laws[0, s] = distance(compose(compose(f_s, after_t), undo_t), compose(f_st, undo_t))
+        if derived:
+            undo_s = images[inv[s]][:, None]
+            laws[1, s] = distance(compose(compose(undo_s, f_s), after_t), compose(undo_s, f_st))
+    return laws[0], laws[1] if derived else None
 
 
 def check_extension_conditions(

@@ -281,6 +281,43 @@ def test_validators_agree_on_perturbations():
     assert seen_invalid > 0
 
 
+def _semigroup_form_by_pairs(action):
+    """The reference for ``validate_semigroup_form``: the generic lazy
+    laws over the partial bijections, composition as the product."""
+    g, theta = action.group, action.theta
+    triple = semigroup._triple_law(g, theta, operator.mul, operator.ne)
+    derived = semigroup._derived_law(g, theta, operator.mul, operator.ne)
+    failures = [("triple product", (s, t)) for s, t, bad in triple if bad]
+    if theta[g.identity] != PartialBijection.identity(action.set_size):
+        failures.append(("identity", (g.identity,)))
+    return failures + [("derived triple product", (s, t)) for s, t, bad in derived if bad]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1])
+def test_stacked_semigroup_form_is_the_generic_one(monkeypatch, rows_per_block):
+    """On seeded partial actions of orders 3 to 6, valid (restricted
+    translations), perturbed, and random images, the failure list of
+    ``validate_semigroup_form`` is the reference's, in its order."""
+    if rows_per_block:
+        monkeypatch.setattr(semigroup, "SCAN_BYTES", 1)
+    rng = random.Random(34)
+    specs = ["cyclic:3", "klein4", "cyclic:5", "cyclic:6", "dihedral:3"]
+    counts = {"valid": 0, "invalid": 0}
+    for i in range(150):
+        g = group_from_spec(specs[i % len(specs)])
+        subset = [y for y in range(2 * g.order) if rng.random() < 0.4]
+        action = restriction_action(g, translation_permutations(g, 2), subset)
+        if i % 3 == 1:
+            action = perturb_one_image(action, rng) or action
+        elif i % 3 == 2:
+            n = rng.randint(0, 5)
+            action = PartialAction(g, n, tuple(_random_partial_bijection(rng, n) for _ in g.elements()))
+        failures = [(f.axiom, f.witness) for f in validate_semigroup_form(action).failures]
+        assert failures == _semigroup_form_by_pairs(action)
+        counts["invalid" if failures else "valid"] += 1
+    assert min(counts.values()) >= 40
+
+
 def test_from_inverse_action_rejects_non_multiplicative():
     g = cyclic(2)
     # theta_t a proper involution nowhere near a partial action shape:

@@ -531,6 +531,19 @@ def test_matmul_refuses_int64_overflow():
     assert _matmul(below, below.T)[0, 0] == 2**61
 
 
+def test_stacks_multiply_as_their_pairs_one_at_a_time():
+    """Stacks of integer matrices take the bound of their worst pair, not
+    the product of the stacks' largest entries: m m^adj m of each of a, b
+    stays below 2^63, but the largest entry of the m m^adj stack (from
+    a) times that of the m stack (from b) does not."""
+    a, b = 1_300_000, 1_650_000  # 4a^3 and 2b^3 are below 2^63, 4a^2 b is not
+    m = np.array([[[a, a], [a, a]], [[b, 0], [0, 0]]])
+    each = [_matmul(_matmul(x, x.T), x) for x in m]
+    assert np.array_equal(_matmul(_matmul(m, m.swapaxes(1, 2)), m), np.stack(each))
+    with pytest.raises(ValueError, match=r"2\^63"):  # a pair past 2^63 is still refused
+        _matmul(np.array([[[1]], [[2**40]]]), np.array([[[1]], [[2**40]]]))
+
+
 def _unitary_bernoulli_rep(g, seed=0):
     """The 0/1 Bernoulli rep of ``g`` conjugated by a seeded random
     unitary: dense complex images, not a partial-permutation rep."""

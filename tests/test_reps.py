@@ -8,11 +8,12 @@ import pytest
 from invsg.actions import (
     InverseAction,
     PartialBijection,
+    _index_rows,
     bernoulli_partial_action,
     restriction_action,
     to_inverse_action,
 )
-from invsg import reps
+from invsg import reps, semigroup
 from invsg.algebra import build_algebra
 from invsg.groups import cyclic, dihedral, group_from_spec, klein_four
 from invsg.reps import (
@@ -32,6 +33,8 @@ from invsg.reps import (
 )
 from invsg.semigroup import (
     CapExceeded,
+    _derived_law,
+    _stacked_laws,
     _triple_law,
     enumerate_semigroup,
     extension_formula,
@@ -397,20 +400,103 @@ def test_an_empty_mapping_is_refused_at_its_first_generator():
 
 def test_a_dense_extension_is_read_off_its_stack():
     """Each image of the dense extension of a float rep of dihedral:3 is
-    a view of the table's one (112, 6, 6) array."""
+    a view of the table's one (112, 6, 6) array; the restriction copies
+    its generator images, so it does not keep that array alive."""
     ext = extend_to_semigroup(conjugated_regular_rep(dihedral(3)))
     assert ext.table.rows.shape == (112, 6, 6)
     assert all(np.shares_memory(ext(a), ext.table.rows) for a in ext.table)
+    assert not any(np.shares_memory(m, ext.table.rows) for m in restrict_to_group(ext).matrices)
 
 
 def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
     """Three products per pair (s, t) of a matrix rep (the signed
-    Bernoulli rep, which is not a partial-permutation rep): the derived
-    law is not computed."""
+    Bernoulli rep, which is not a partial-permutation rep), counted by
+    batch size: the derived law is not computed."""
     calls = _count_products(monkeypatch)
     rep = signed_rep(partial_rep_from_partial_action(bernoulli_partial_action(cyclic(6))))
     assert validate_partial_rep(rep).passed
-    assert len(calls) == 3 * 6**2
+    assert sum(calls) == 3 * 6**2
+
+
+def _law_case(case):
+    """A rep for the law oracle below."""
+    rng = np.random.default_rng(5)
+    if case == "noisy float":
+        mats = conjugated_regular_rep(cyclic(5), 1).matrices
+        return PartialRep(cyclic(5), [m + rng.normal(scale=1e-12, size=m.shape) for m in mats])
+    if case == "noisy complex":
+        g = cyclic(4)
+        q = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+        mats = partial_rep_from_partial_action(bernoulli_partial_action(g)).matrices
+        return PartialRep(g, [q @ m @ q.conj().T + rng.normal(scale=1e-12, size=m.shape) for m in mats])
+    if case == "zero-one":
+        action = perturb_one_image(bernoulli_partial_action(klein_four()), random.Random(3))
+        return partial_rep_from_partial_action(action)
+    if case == "integer near 2^63":  # (c c) c - c, close to 2^63, is exact only in the uint64 view
+        return PartialRep(cyclic(2), [np.array([[1]]), np.array([[-(2**21 - 1)]])])
+    if case == "integer past 2^63":
+        return PartialRep(cyclic(3), [np.array([[1]]), np.array([[-(2**63)]]), np.array([[0]])])
+    if case == "integer pairs below 2^63":  # each pair's bound is at most 2^50, all products' 2^75
+        return PartialRep(cyclic(3), [np.array([[1]]), np.array([[2**25]]), np.array([[1]])])
+    if case == "mixed dtypes":  # c^3 - c^2 is exact in int64, rounded in a float64 stack
+        return PartialRep(cyclic(2), [np.array([[2097144]]), np.array([[2.0**-40]])])
+    if case == "mixed dtypes past 2^63":
+        return PartialRep(cyclic(3), [np.array([[1]]), np.array([[2**40]]), np.array([[2.0**-40]])])
+    return PartialRep(cyclic(3), [np.zeros((0, 0))] * 3)
+
+
+def _raised_or(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "noisy float",
+        "noisy complex",
+        "zero-one",
+        "integer near 2^63",
+        "integer past 2^63",
+        "integer pairs below 2^63",
+        "mixed dtypes",
+        "mixed dtypes past 2^63",
+        "dim 0",
+    ],
+)
+def test_stacked_laws_are_the_generic_laws(monkeypatch, case, rows_per_block):
+    """``_stacked_laws`` gives, pair for pair and bit for bit, the
+    distances of the generic ``_triple_law`` and ``_derived_law``: with
+    ``_matmul`` and the max-abs distance on the matrices, or composition
+    and ``!=`` on the partial bijections of a 0/1 rep against its index
+    rows.  The triple-product check of ``validate_partial_rep`` is their
+    first worst pair; both raise where a product would pass 2^63, and
+    only there.  Matrices of mixed dtypes, which one stack would
+    promote, are validated with the generic law."""
+    if rows_per_block:
+        monkeypatch.setattr(semigroup, "SCAN_BYTES", 1)
+    rep = _law_case(case)
+    g = rep.group
+    maps = reps._partial_bijections(rep.matrices)
+    if maps is None:
+        generic = (rep.matrices, reps._matmul, lambda x, y: float(reps._distance(x, y)))
+        batched = (np.stack(rep.matrices), reps._matmul, reps._distance)
+    else:
+        generic = (maps, operator.mul, lambda f, h: float(f != h))
+        batched = (_index_rows(maps, rep.dim),)
+    laws = _raised_or(lambda: [[d for _, _, d in law(g, *generic)] for law in (_triple_law, _derived_law)])
+    if len({m.dtype for m in rep.matrices}) == 1:
+        stacked = _raised_or(lambda: [law.ravel().tolist() for law in _stacked_laws(g, *batched)])
+        assert stacked == laws
+    check = _raised_or(lambda: _checks(validate_partial_rep(rep, tol=0.0))[0])
+    if laws is ValueError:
+        assert check is ValueError
+    else:
+        assert check == _first_max(zip(laws[0], ((s, t) for s in g.elements() for t in g.elements())))
+        assert case == "dim 0" or check[0] > 0
 
 
 def _first_max(deviations):
@@ -438,10 +524,12 @@ def _checks(report):
 
 
 def _count_products(monkeypatch):
+    """One entry per ``_matmul`` call: the number of matrix products it
+    makes, one per matrix of its broadcast stacks."""
     calls, matmul = [], reps._matmul
 
     def spy(x, y):
-        calls.append(1)
+        calls.append(int(np.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]))))
         return matmul(x, y)
 
     monkeypatch.setattr(reps, "_matmul", spy)
@@ -685,14 +773,23 @@ def test_memoised_extension_is_the_plain_fold_bit_for_bit():
 
 @pytest.mark.parametrize("spec", ["dihedral:3", "cyclic:5", "Q8"])
 def test_a_dense_extension_takes_three_products_per_group_element(monkeypatch, spec):
-    """Past the triple law's 3p^2 products, the batched fold of a dense
-    rep makes one product per projection, one per top bit over the 2^p
-    masks and one per degree: 3p^2 + 3p in all."""
+    """Past the triple law's 3p^2 products, counted by batch size, the
+    batched fold of a dense rep makes 3p ``_matmul`` calls: one per
+    projection, one per top bit over the 2^p masks and one per degree."""
     g = quaternion() if spec == "Q8" else group_from_spec(spec)
     rep = conjugated_regular_rep(g)
     calls = _count_products(monkeypatch)
+    fold_starts, fold = [], reps._extension_rows
+
+    def spy(*args):
+        fold_starts.append(len(calls))
+        return fold(*args)
+
+    monkeypatch.setattr(reps, "_extension_rows", spy)
     extend_to_semigroup(rep)
-    assert len(calls) == 3 * g.order**2 + 3 * g.order
+    (start,) = fold_starts
+    assert sum(calls[:start]) == 3 * g.order**2
+    assert len(calls) - start == 3 * g.order
 
 
 def test_a_dense_extension_has_one_dtype():
