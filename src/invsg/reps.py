@@ -5,8 +5,9 @@ that the triple-product law M_s M_t M_{t^-1} = M_{st} M_{t^-1} holds,
 inverses go to adjoints, and the identity goes to the identity matrix.
 Such a family extends to a star-preserving, multiplicative assignment
 on the whole enumerated semigroup, with every extended image a partial
-isometry.  Integer matrices are checked exactly; elsewhere a max-entry
-tolerance applies.
+isometry.  A rep's matrices are one stack in one dtype: int64 when
+every matrix is an integer one, checked exactly; else the dtype the
+stack promotes them to, with a max-entry tolerance.
 
 By the correspondence between partial actions and partial
 representations, a family of integer 0/1 matrices with at most one 1 per
@@ -26,9 +27,7 @@ of any other rep, and the multiplicativity scan shared with
 is not computed here), ``_extension_rows`` and ``_worst_pair``, used
 here on the stacked matrices with the matrix product and the max-abs
 distance (:func:`_distance`); the star and partial-isometry checks
-compare stacks too.  A rep whose matrices differ in dtype is validated
-pair by pair with the generic ``semigroup._triple_law``, so that no
-product is made in a dtype that a stack promoted it to.
+compare stacks too.
 
 S(G) is generated by the p generators [t].  So an integer table passes
 if its generator rows pass, and :func:`restrict_to_group` passes a float
@@ -51,8 +50,8 @@ from .semigroup import (
     SgElement,
     _exact_certificate,
     _extension_rows,
+    _key_lookup,
     _stacked_laws,
-    _triple_law,
     _worst_pair,
     enumerate_semigroup,
     generator,
@@ -172,20 +171,17 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _finite(np.matmul, x, y)
 
 
-def _partial_bijections(matrices: Sequence[np.ndarray]) -> list[PartialBijection] | None:
+def _partial_bijections(m: np.ndarray) -> list[PartialBijection] | None:
     """The partial bijections f with M[f(x), x] = 1, the ones
-    :func:`partial_rep_from_partial_action` maps to ``matrices``, if every
-    matrix is a nonempty integer 0/1 matrix with at most one 1 per row and
-    per column; else None."""
-    maps = []
-    for m in matrices:
-        if m.dtype.kind not in "iu" or m.size == 0 or m.min() < 0 or m.max() > 1:
-            return None
-        if m.sum(axis=0).max() > 1 or m.sum(axis=1).max() > 1:
-            return None
-        image = m.argmax(axis=0).tolist()
-        maps.append(PartialBijection(tuple(y if d else None for y, d in zip(image, m.any(axis=0).tolist()))))
-    return maps
+    :func:`partial_rep_from_partial_action` maps to the stack
+    ``m``, if they are nonempty integer 0/1 matrices with at most one 1
+    per row and per column; else None."""
+    if m.dtype.kind not in "iu" or m.size == 0 or m.min() < 0 or m.max() > 1:
+        return None
+    if m.sum(axis=1).max() > 1 or m.sum(axis=2).max() > 1:
+        return None
+    images, defined = m.argmax(axis=1).tolist(), m.any(axis=1).tolist()
+    return [PartialBijection(tuple(y if d else None for y, d in zip(*f))) for f in zip(images, defined)]
 
 
 def _zero_one(row: np.ndarray) -> np.ndarray:
@@ -198,17 +194,20 @@ def _zero_one(row: np.ndarray) -> np.ndarray:
     return m
 
 
-def _tolerance(matrices: Iterable[np.ndarray]) -> float:
-    """The default tolerance: 0 (exact) if every matrix has an integer dtype."""
-    return 0.0 if all(np.issubdtype(m.dtype, np.integer) for m in matrices) else FLOAT_TOL
+def _tolerance(images: np.ndarray) -> float:
+    """The default tolerance of a stack: 0 (exact) if its dtype is an integer one."""
+    return 0.0 if images.dtype.kind in "iu" else FLOAT_TOL
 
 
 def _as_square(m, dim: int | None = None) -> np.ndarray:
-    """``m`` as a finite square array, of dimension ``dim`` if given; a
-    bool matrix is read as the int64 0/1 matrix it denotes."""
+    """``m`` as a finite square array, of dimension ``dim`` if given.  An
+    integer or bool matrix is read as int64, so that a stack of them is
+    exact; ValueError if an unsigned entry is past 2^63 - 1."""
     a = np.asarray(m)
-    if a.dtype == bool:
-        a = a.astype(np.int64)
+    if a.dtype.kind == "u" and a.size and int(a.max()) >= 2**63:
+        raise ValueError(f"matrix entry {int(a.max())} is past the int64 maximum 2^63 - 1")
+    if a.dtype.kind in "biu":
+        a = a.astype(np.int64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
@@ -219,22 +218,20 @@ def _as_square(m, dim: int | None = None) -> np.ndarray:
 
 
 class PartialRep:
-    """One matrix per group element, all square of the same dimension.
-
-    ``exact`` is true when every matrix has an integer dtype, in which
-    case the default validation tolerance is 0 (see ``_tolerance``).
+    """One matrix per group element, all square of the same dimension:
+    ``matrices`` is their (p, dim, dim) stack, in the dtype ``np.stack``
+    promotes them to once :func:`_as_square` has read each integer one
+    as int64.  ``exact`` is true when that dtype is int64, in which case
+    the default validation tolerance is 0 (see ``_tolerance``).
     """
 
     def __init__(self, group: FiniteGroup, matrices: Sequence[np.ndarray]):
         if len(matrices) != group.order:
             raise ValueError("need one matrix per group element")
         mats = [_as_square(m) for m in matrices]
-        dim = mats[0].shape[0]
-        mats = [_as_square(m, dim) for m in mats]
-        self.group = group
-        self.dim = dim
-        self.matrices = tuple(mats)
-        self.exact = _tolerance(mats) == 0.0
+        self.group, self.dim = group, mats[0].shape[0]
+        self.matrices = np.stack([_as_square(m, self.dim) for m in mats])
+        self.exact = self.matrices.dtype.kind == "i"
 
 
 @dataclass
@@ -267,10 +264,8 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
     laws, the triple law by ``semigroup._stacked_laws``.  A
     partial-permutation rep is checked on the index rows of its partial
     bijections, which compose as their 0/1 matrices multiply and, where
-    they differ, are at max-abs distance 1.0; any other on its stacked
-    matrices, unless they differ in dtype: one stack would promote them
-    all, so each pair is then multiplied in its own dtypes by the generic
-    ``semigroup._triple_law``."""
+    they differ, are at max-abs distance 1.0; any other on its stack of
+    matrices."""
     g = rep.group
     tol = _tolerance(rep.matrices) if tol is None else tol
     inverses = list(g.inverses)
@@ -281,15 +276,10 @@ def validate_partial_rep(rep: PartialRep, tol: float | None = None) -> RepReport
         triple = _stacked_laws(g, images, derived=False)[0].ravel().tolist()
         star = (images[inverses] != _inverse_rows(images)).any(axis=1).astype(float).tolist()
         dev_unit = float((images[g.identity] != np.arange(rep.dim + 1)).any())
-    elif len({m.dtype for m in rep.matrices}) == 1:
-        images = np.stack(rep.matrices)
-        triple = _stacked_laws(g, images, _matmul, _distance, derived=False)[0].ravel().tolist()
-        star = _distance(images[inverses], adjoint(images)).astype(float).tolist()
-        dev_unit = float(_distance(images[g.identity], np.eye(rep.dim)))
     else:
         images = rep.matrices
-        triple = [float(d) for _, _, d in _triple_law(g, images, _matmul, _distance)]
-        star = [float(_distance(images[t_inv], adjoint(images[t]))) for t, t_inv in enumerate(inverses)]
+        triple = _stacked_laws(g, images, _matmul, _distance, derived=False)[0].ravel().tolist()
+        star = _distance(images[inverses], adjoint(images)).astype(float).tolist()
         dev_unit = float(_distance(images[g.identity], np.eye(rep.dim)))
 
     pairs = ((s, t) for s in g.elements() for t in g.elements())
@@ -364,7 +354,8 @@ class SgRepresentation:
     read as 0/1 matrices: the checks below run on those rows, and a matrix
     is built only when an entry is read.  Any other holds an (n, dim, dim)
     stack, each image a view of it; a mapping given here is checked image
-    by image (see :func:`_as_square`), then stacked once.
+    by image (see :func:`_as_square`), then stacked once in the dtype the
+    images promote to, as a :class:`PartialRep` is.
     """
 
     def __init__(self, group: FiniteGroup, dim: int, table: Mapping[SgElement, np.ndarray]):
@@ -398,6 +389,8 @@ class SgRepresentation:
         """:meth:`max_multiplicative_deviation`, except that with tol > 0
         a float table whose :func:`_product_bound` b is at most tol / 2
         answers (b, None) from its p generator rows."""
+        if not self.table:  # no pair, and no element to key the table by
+            return 0.0, None
         mult = multiplication_tables(self.table.elements)[0]
         images = self.table.rows
         if images.ndim == 2:
@@ -423,14 +416,14 @@ class SgRepresentation:
         with the inverse rows, matrices with the adjoints of a block of
         the stack at a time (:func:`_per_image`)."""
         rows, elements = self.table.rows, self.table.elements
-        stars = [self.table.index.get(a.star()) for a in elements]
-        if None in stars:
-            lost = elements[stars.index(None)]
+        stars = _key_lookup(self.group, elements)[-1]
+        missing = np.flatnonzero(stars == len(elements))
+        if missing.size:
+            lost = elements[missing[0]]
             raise ValueError(f"no image of the star {lost.star()} of {lost}")
         if rows.ndim == 2:
             bad = (rows[stars] != _inverse_rows(rows)).any(axis=1).astype(float).tolist()
         else:
-            stars = np.array(stars, dtype=np.intp)
             bad = _per_image(rows, lambda block: _distance(rows[stars[block]], adjoint(rows[block])))
         return _worst_case(zip(bad, ((a,) for a in elements)))
 
@@ -471,7 +464,7 @@ def extend_to_semigroup(
     if maps is not None:
         return SgRepresentation(g, rep.dim, replace(InverseAction(g, rep.dim, maps).table(cap), read=_zero_one))
     elements = enumerate_semigroup(g, cap)
-    return SgRepresentation(g, rep.dim, _RowTable(elements, _extension_rows(g, np.stack(rep.matrices), _matmul), np.asarray))
+    return SgRepresentation(g, rep.dim, _RowTable(elements, _extension_rows(g, rep.matrices, _matmul), np.asarray))
 
 
 def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
@@ -489,14 +482,14 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     missing = [a for a in gens if a not in sgrep.table]
     if missing:
         raise NotRepresentation(f"no image of the generator {missing[0]}", (missing[0],))
-    tol = _tolerance([sgrep.table.rows])
+    tol = _tolerance(sgrep.table.rows)
     dev, witness = sgrep._multiplicative(tol) if tol else sgrep.max_multiplicative_deviation()
     if dev > tol:
         raise NotRepresentation(f"not multiplicative (deviation {dev:.3e})", witness or ())
     dev, witness = sgrep.max_star_deviation()
     if dev > tol:
         raise NotRepresentation(f"not star-preserving (deviation {dev:.3e})", witness or ())
-    return PartialRep(sgrep.group, [sgrep(a).copy() for a in gens])  # not views that keep the table
+    return PartialRep(sgrep.group, [sgrep(a) for a in gens])
 
 
 def matrix_to_json(m: np.ndarray) -> list:

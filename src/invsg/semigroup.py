@@ -225,20 +225,10 @@ def multiplication_tables(
     """
     import numpy as np
     group = elements[0].group
-    p = group.order
     n = len(elements)
-    k = max(1, (p - 1).bit_length())
-    supports = np.array([a.support for a in elements], dtype=np.int64)
-    degrees = np.array([a.degree for a in elements], dtype=np.int64)
-
+    k, supports, degrees, translate, index_of, star_idx = _key_lookup(group, elements)
     group_mul = np.array(group.table, dtype=np.int64)
-    translate = _translates(group)
-
-    # dense key -> index lookup; n marks non-elements
-    key_dtype = np.min_scalar_type((1 << (p + k)) - 1)
-    index_of = np.full(1 << (p + k), n, dtype=np.min_scalar_type(n))
-    index_of[supports << k | degrees] = np.arange(n)
-
+    key_dtype = np.min_scalar_type(len(index_of) - 1)
     moved = (translate[:, supports] << k | group_mul[:, degrees]).astype(key_dtype)  # keys of s.(H, u)
     left = (supports << k).astype(key_dtype)  # F << k
     mult = np.empty((n, n), dtype=index_of.dtype)
@@ -253,11 +243,26 @@ def multiplication_tables(
         if block.max() == n:
             raise ValueError("element list is not closed under multiplication")
 
-    inverses = np.array(group.inverses, dtype=np.int64)
-    star_deg = inverses[degrees]
-    star_idx = index_of[translate[star_deg, supports] << k | star_deg]
     unit_idx = int(index_of[(1 << group.identity) << k | group.identity])
     return mult, star_idx, unit_idx
+
+
+def _key_lookup(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple:
+    """The key lookup of :func:`multiplication_tables`: (k, supports,
+    degrees, translates, index_of, star) of ``elements``, where
+    ``index_of`` maps each key support << k | degree to its index, n =
+    len(elements) marking non-elements, and star[i] is the index of
+    elements[i]^* = (s^-1.F, s^-1), n where it is missing."""
+    import numpy as np
+    p, n = group.order, len(elements)
+    k = max(1, (p - 1).bit_length())
+    supports = np.array([a.support for a in elements], dtype=np.int64)
+    degrees = np.array([a.degree for a in elements], dtype=np.int64)
+    translate = _translates(group)
+    index_of = np.full(1 << (p + k), n, dtype=np.min_scalar_type(n))
+    index_of[supports << k | degrees] = np.arange(n)
+    star_deg = np.array(group.inverses, dtype=np.int64)[degrees]
+    return k, supports, degrees, translate, index_of, index_of[translate[star_deg, supports] << k | star_deg]
 
 
 @dataclass

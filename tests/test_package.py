@@ -99,17 +99,31 @@ def test_every_private_helper_is_used_elsewhere_in_the_package():
     assert [name for i, name in private if not any(name in names for j, names in enumerate(reads) if j != i)] == []
 
 
-def test_only_universal_extension_reads_the_memoised_fold():
-    """``semigroup.extension_formula`` evaluates the formula in any
-    Python target; every array target goes through the batched
-    ``semigroup._extension_rows``.  So no module-level statement of
-    ``src/invsg`` but ``universal_extension`` reads or imports it."""
-    readers = {
+def _readers(name):
+    """The module-level statements of ``src/invsg`` that read or import
+    ``name``, as module.statement."""
+    return {
         f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}"
         for path in Path(invsg.__file__).parent.glob("*.py")
         for stmt in ast.parse(path.read_text()).body
         for node in ast.walk(stmt)
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-        and "extension_formula" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        and name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     }
-    assert readers == {"semigroup.universal_extension"}
+
+
+def test_only_universal_extension_reads_the_memoised_fold():
+    """``semigroup.extension_formula`` evaluates the formula in any
+    Python target; every array target goes through the batched
+    ``semigroup._extension_rows``.  So no module-level statement of
+    ``src/invsg`` but ``universal_extension`` reads or imports it."""
+    assert _readers("extension_formula") == {"semigroup.universal_extension"}
+
+
+@pytest.mark.parametrize("law", ["_triple_law", "_derived_law"])
+def test_only_the_extension_conditions_read_the_generic_laws(law):
+    """The partial-representation identities of a stack of images are
+    ``semigroup._stacked_laws``; the pair-by-pair ``_triple_law`` and
+    ``_derived_law`` serve only the Python targets of
+    ``check_extension_conditions``, which reads them alone."""
+    assert _readers(law) == {"semigroup.check_extension_conditions"}

@@ -221,13 +221,24 @@ def test_matrix_json_round_trip():
 
 def test_huge_integral_floats_stay_complex():
     """1e300 is integral but not an int64; it stays a complex entry
-    instead of being cast to -2^63."""
+    instead of being cast to -2^63, and the exact identity beside it is
+    stacked as complex128 with it."""
     data = rep_to_dict(PartialRep(cyclic(2), [np.eye(1), np.array([[1e300]])]))
     rep = rep_from_dict(data)
-    assert rep.matrices[0].dtype == np.int64
-    assert rep.matrices[1].dtype == np.complex128
+    assert rep.matrices.dtype == np.complex128 and rep.matrices.shape == (2, 1, 1)
     assert rep.matrices[1][0, 0] == 1e300
     assert not rep.exact
+
+
+def test_unsigned_matrices_stack_as_exact_int64():
+    """A uint64 matrix beside int64 ones is read as int64, so the stack
+    stays exact; a uint64 entry at 2^63 or past it is refused."""
+    g = cyclic(2)
+    rep = PartialRep(g, [np.eye(1, dtype=np.uint64), np.array([[1]], dtype=np.int64)])
+    assert rep.matrices.dtype == np.int64 and rep.exact and validate_partial_rep(rep).tol == 0.0
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match="int64"):
+            PartialRep(g, [np.eye(1, dtype=np.int64), np.array([[big]], dtype=np.uint64)])
 
 
 def test_rep_json_round_trip():
@@ -393,6 +404,7 @@ def test_an_empty_mapping_is_refused_at_its_first_generator():
     empty = SgRepresentation(g, 2, {})
     assert len(empty.table) == 0 and empty.table.rows.shape == (0, 2, 2)
     assert empty.max_star_deviation() == empty.max_partial_isometry_deviation() == (0.0, None)
+    assert empty.max_multiplicative_deviation() == (0.0, None)
     with pytest.raises(NotRepresentation, match=r"no image of the generator SgElement\(\[0\], deg=0\)") as info:
         restrict_to_group(empty)
     assert info.value.witness == (generator(g, 0),)
@@ -418,6 +430,12 @@ def test_validation_multiplies_only_for_the_triple_law(monkeypatch):
     assert sum(calls) == 3 * 6**2
 
 
+_MIXED = {  # int64 beside float64 matrices: one float64 stack
+    "mixed dtypes": (cyclic(2), [np.array([[2097144]]), np.array([[2.0**-40]])]),  # c^3 - c^2 is rounded
+    "mixed dtypes past 2^63": (cyclic(3), [np.array([[1]]), np.array([[2**40]]), np.array([[2.0**-40]])]),  # finite in float64
+}
+
+
 def _law_case(case):
     """A rep for the law oracle below."""
     rng = np.random.default_rng(5)
@@ -438,10 +456,8 @@ def _law_case(case):
         return PartialRep(cyclic(3), [np.array([[1]]), np.array([[-(2**63)]]), np.array([[0]])])
     if case == "integer pairs below 2^63":  # each pair's bound is at most 2^50, all products' 2^75
         return PartialRep(cyclic(3), [np.array([[1]]), np.array([[2**25]]), np.array([[1]])])
-    if case == "mixed dtypes":  # c^3 - c^2 is exact in int64, rounded in a float64 stack
-        return PartialRep(cyclic(2), [np.array([[2097144]]), np.array([[2.0**-40]])])
-    if case == "mixed dtypes past 2^63":
-        return PartialRep(cyclic(3), [np.array([[1]]), np.array([[2**40]]), np.array([[2.0**-40]])])
+    if case in _MIXED:
+        return PartialRep(*_MIXED[case])
     return PartialRep(cyclic(3), [np.zeros((0, 0))] * 3)
 
 
@@ -474,23 +490,26 @@ def test_stacked_laws_are_the_generic_laws(monkeypatch, case, rows_per_block):
     and ``!=`` on the partial bijections of a 0/1 rep against its index
     rows.  The triple-product check of ``validate_partial_rep`` is their
     first worst pair; both raise where a product would pass 2^63, and
-    only there.  Matrices of mixed dtypes, which one stack would
-    promote, are validated with the generic law."""
+    only there.  Matrices of mixed dtypes are one stack in the dtype they
+    promote to, and validate as the same matrices cast to it."""
     if rows_per_block:
         monkeypatch.setattr(semigroup, "SCAN_BYTES", 1)
     rep = _law_case(case)
     g = rep.group
+    if case in _MIXED:
+        assert rep.matrices.dtype == np.float64 and not rep.exact
+        cast = PartialRep(g, [m.astype(np.float64) for m in _MIXED[case][1]])
+        assert validate_partial_rep(rep, tol=0.0) == validate_partial_rep(cast, tol=0.0)
     maps = reps._partial_bijections(rep.matrices)
     if maps is None:
         generic = (rep.matrices, reps._matmul, lambda x, y: float(reps._distance(x, y)))
-        batched = (np.stack(rep.matrices), reps._matmul, reps._distance)
+        batched = (rep.matrices, reps._matmul, reps._distance)
     else:
         generic = (maps, operator.mul, lambda f, h: float(f != h))
         batched = (_index_rows(maps, rep.dim),)
     laws = _raised_or(lambda: [[d for _, _, d in law(g, *generic)] for law in (_triple_law, _derived_law)])
-    if len({m.dtype for m in rep.matrices}) == 1:
-        stacked = _raised_or(lambda: [law.ravel().tolist() for law in _stacked_laws(g, *batched)])
-        assert stacked == laws
+    stacked = _raised_or(lambda: [law.ravel().tolist() for law in _stacked_laws(g, *batched)])
+    assert stacked == laws
     check = _raised_or(lambda: _checks(validate_partial_rep(rep, tol=0.0))[0])
     if laws is ValueError:
         assert check is ValueError
@@ -569,7 +588,7 @@ def test_partial_permutation_reps_are_recognised_exactly(change):
         mats = [a.astype(bool) for a in mats]
     else:
         mats = [np.zeros((0, 0), dtype=np.int64)] * 3
-    assert reps._partial_bijections(mats) is None
+    assert reps._partial_bijections(np.stack(mats)) is None
 
 
 def test_bool_matrices_are_read_as_zero_one_integers():
