@@ -13,15 +13,15 @@ the product and the involution are closed two-line formulas:
 Supports are bitmasks over group indices, so products are O(|G|) and
 the whole semigroup (size 2^(p-2) * (p+1) for |G| = p >= 2) can be
 enumerated and multiplied out exhaustively at small orders.  Arithmetic
-and enumeration run without numpy; the index tables, the certificate
-and the pair scans import it when called.
+and enumeration run without numpy; the index tables, the certificate,
+the pair scans and the extension of a generator map import it when
+called.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 from .groups import FiniteGroup
 
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 T = TypeVar("T")
-D = TypeVar("D")  # a distance: a float, or a bool for exact targets
 
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_DIM_CAP = 1000  # of an algebra over the enumerated semigroup: group order <= 8
@@ -304,17 +303,20 @@ def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
 def _extension_rows(
     group: FiniteGroup, images: np.ndarray, compose: Callable = lambda f, h: f.take(h, axis=-1)
 ) -> np.ndarray:
-    """:func:`extension_formula` of the p stacked generator ``images`` at
-    every element of :func:`enumerate_semigroup`, batched and so bit for
-    bit, in its order.  ``compose(f, h)`` composes each image of a stack f
-    with one image h: the gather f[h] of index rows (the ``InverseAction``
-    layout) by default, ``reps._matmul`` for matrices.  Per stage it runs
-    p times: the projections; the products over the masks by top bit,
-    P[2^k] = proj[k], P[2^k + rest] = P[rest] o proj[k]; and P[F] o
-    images[s] per degree s, one range of rows.  A support F holds the
-    identity e, and so does each of its prefixes past bit e, so only the
-    masks holding e and those below 2^e are composed (half of the 2^p
-    when e = 0); the other entries of P are never read."""
+    """The extension formula of the p stacked generator ``images`` at
+    every element of :func:`enumerate_semigroup`, in its order: (F, s)
+    goes to the product of f(r)f(r^-1) over r in F, ascending (the
+    factors commute once the extension conditions hold), times f(s).
+    ``compose(f, h)`` composes each image of a stack f with one image h:
+    the gather f[h] of index rows (the ``InverseAction`` layout) by
+    default, ``reps._matmul`` for matrices, ``mul`` on boxed objects in
+    :func:`universal_extension`.  Per stage it runs p times: the
+    projections; the products over the masks by top bit, P[2^k] =
+    proj[k], P[2^k + rest] = P[rest] o proj[k]; and P[F] o images[s] per
+    degree s, one range of rows.  A support F holds the identity e, and
+    so does each of its prefixes past bit e, so only the masks holding e
+    and those below 2^e are composed (half of the 2^p when e = 0); the
+    other entries of P are never read."""
     import numpy as np
     p, e = group.order, group.identity
     projections = np.stack([compose(images[r], images[group.inv(r)]) for r in group.elements()])
@@ -540,32 +542,6 @@ def verify_inverse_semigroup(
     return SemigroupReport(group.order, n, [assoc, invol, unique, commute])
 
 
-def _triple_law(
-    group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
-) -> Iterator[tuple[int, int, D]]:
-    """(s, t, distance of f(s)f(t)f(t^-1) from f(st)f(t^-1)), s then t
-    ascending.  Lazy, so a caller that stops at the first failure
-    computes nothing past it.  Array targets batch both laws in
-    :func:`_stacked_laws`."""
-    for s in group.elements():
-        fs = images[s]
-        for t in group.elements():
-            f_t_inv = images[group.inv(t)]
-            yield s, t, distance(mul(mul(fs, images[t]), f_t_inv), mul(images[group.mul(s, t)], f_t_inv))
-
-
-def _derived_law(
-    group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T], distance: Callable[[T, T], D]
-) -> Iterator[tuple[int, int, D]]:
-    """(s, t, distance of f(s^-1)f(s)f(t) from f(s^-1)f(st)), as
-    :func:`_triple_law`; f(s^-1)f(s) is computed once per s."""
-    for s in group.elements():
-        f_s_inv = images[group.inv(s)]
-        projection = mul(f_s_inv, images[s])
-        for t in group.elements():
-            yield s, t, distance(mul(projection, images[t]), mul(f_s_inv, images[group.mul(s, t)]))
-
-
 def _gather(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Two stacks of index rows composed row by row, f[h], broadcasting
     over all axes but the last as ``np.matmul`` does over stacks."""
@@ -581,16 +557,19 @@ def _stacked_laws(
     distance: Callable = lambda x, y: (x != y).any(axis=-1),
     derived: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`_triple_law` and :func:`_derived_law` of the p stacked
-    ``images``, batched, with the same association: the (p, p) float
-    arrays of their distances, s-major, the derived one None unless
-    ``derived``.  ``compose(f, h)`` composes two stacks image by image,
-    broadcasting as ``np.matmul`` does: :func:`_gather` of index rows
-    (the ``InverseAction`` layout) by default, ``reps._matmul`` for
-    matrices; ``distance`` maps two stacks to the distances of their
-    images, by default 1.0 where two index rows differ.  Rows s run in
-    blocks whose p pairs of images take about SCAN_BYTES; per block, the
-    triple law composes three stacks and the derived law three."""
+    """The partial-representation identities of the p stacked ``images``:
+    the (p, p) float arrays, s-major, of the distance of
+    (f(s)f(t))f(t^-1) from f(st)f(t^-1) (the triple law) and of
+    (f(s^-1)f(s))f(t) from f(s^-1)f(st) (the derived law), the latter
+    None unless ``derived``.  ``compose(f, h)`` composes two stacks image
+    by image, broadcasting as ``np.matmul`` does: :func:`_gather` of
+    index rows (the ``InverseAction`` layout) by default,
+    ``reps._matmul`` for matrices, ``mul`` on boxed objects in
+    :func:`_checked_boxes`; ``distance`` maps two stacks to
+    the distances of their images, by default 1.0 where two index rows
+    differ.  Rows s run in blocks whose p pairs of images take about
+    SCAN_BYTES; per block, the triple law composes three stacks and the
+    derived law three."""
     import numpy as np
     p = group.order
     mul, inv = np.array(group.table), np.array(group.inverses)
@@ -607,57 +586,54 @@ def _stacked_laws(
     return laws[0], laws[1] if derived else None
 
 
+class _Box:
+    """One value of a Python target as one entry of an object array,
+    which numpy would unpack into its items were it a tuple or a list."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: object):
+        self.value = value
+
+
+def _checked_boxes(group: FiniteGroup, images: Mapping[int, T], mul: Callable[[T, T], T]) -> tuple[np.ndarray, Callable]:
+    """:func:`check_extension_conditions` on the p images boxed as one
+    object array: (boxes, compose) for :func:`_extension_rows`, where
+    ``compose`` is ``mul`` on two stacks of boxes."""
+    import numpy as np
+    missing = [t for t in group.elements() if t not in images]
+    if missing:
+        raise ValueError(f"no image of the group element {missing[0]}")
+    boxes = np.array([_Box(images[t]) for t in group.elements()])
+    compose = np.frompyfunc(lambda f, h: _Box(mul(f.value, h.value)), 2, 1)
+    distance = np.frompyfunc(lambda f, h: bool(f.value != h.value), 2, 1)
+    e = group.identity
+    unit = distance(compose(boxes, boxes[e]), boxes).astype(bool)
+    triple, derived = _stacked_laws(group, boxes, compose, distance)
+    bad = np.flatnonzero(unit | derived.any(axis=1) | triple.any(axis=1))
+    if bad.size:
+        s = int(bad[0])
+        if unit[s]:
+            raise ConditionsViolated(f"f({s})f({e}) != f({s})", (s, e))
+        t = int(np.flatnonzero(derived[s] + triple[s])[0])  # the first t where either law fails
+        s_inv, t_inv = group.inv(s), group.inv(t)
+        if derived[s, t]:
+            raise ConditionsViolated(f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t))
+        raise ConditionsViolated(f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t))
+    return boxes, compose
+
+
 def check_extension_conditions(
     group: FiniteGroup, images: Mapping[int, T], mul: Callable[[T, T], T]
 ) -> None:
     """Check the identities a generator map must satisfy before it
     extends to the whole semigroup; raise ConditionsViolated on the
     first failure: per s, the unit law f(s)f(e) = f(s), then per t the
-    derived law and the triple-product law."""
-    e = group.identity
-    laws = zip(_triple_law(group, images, mul, operator.ne), _derived_law(group, images, mul, operator.ne))
-    for (s, t, triple), (_, _, derived) in laws:
-        # the unit law for s comes before the first pair of its row
-        if t == 0 and mul(images[s], images[e]) != images[s]:
-            raise ConditionsViolated(f"f({s})f({e}) != f({s})", (s, e))
-        s_inv, t_inv = group.inv(s), group.inv(t)
-        if derived:
-            raise ConditionsViolated(f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t))
-        if triple:
-            raise ConditionsViolated(f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t))
-
-
-def extension_formula(
-    group: FiniteGroup, images: Sequence[T], mul: Callable[[T, T], T]
-) -> Callable[[SgElement], T]:
-    """The extension of a generator map into any Python target, unchecked
-    and lazy, as :func:`universal_extension` returns it; array targets
-    batch the same fold in :func:`_extension_rows`.
-
-    (F, s) goes to the product of f(r)f(r^-1) over r in F (ascending
-    index; the factors commute once the extension conditions hold) times
-    f(s).  The p projections and the product over each support mask are
-    computed once, memoised, the latter as the product over the mask
-    without its top bit times the top projection: at most p + 2^(p-1) + n
-    products when the identity has index 0 (p + 2^p + n otherwise).
-    Every image is a new product.
-    """
-    projections = [mul(images[r], images[group.inv(r)]) for r in group.elements()]
-    products: dict[int, T] = {}
-
-    def product(mask: int) -> T:
-        if mask not in products:
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            products[mask] = mul(product(rest), projections[top]) if rest else projections[top]
-        return products[mask]
-
-    def extended(a: SgElement) -> T:
-        if a.group != group:
-            raise ValueError("element belongs to a different group")
-        return mul(product(a.support), images[a.degree])
-
-    return extended
+    derived law and the triple-product law (see :func:`_stacked_laws`).
+    ValueError names the first element without an image, before any
+    product; else ``mul`` runs 5p^2 + 2p times, on every pair even
+    after a failure."""
+    _checked_boxes(group, images, mul)
 
 
 def universal_extension(
@@ -666,11 +642,24 @@ def universal_extension(
     """Extend a generator map into any semigroup to the full semigroup.
 
     ``images`` sends each group element to the target; ``mul`` is the
-    target's multiplication.  Checks the extension conditions, then
-    returns :func:`extension_formula`.
+    target's multiplication.  Eager: raises CapExceeded past
+    DEFAULT_ENUMERATION_CAP before any product, checks the extension
+    conditions, then computes every image by :func:`_extension_rows`, at
+    most p + 2^(p-1) + n products when the identity has index 0.  The
+    returned map looks an element's image up.
     """
-    check_extension_conditions(group, images, mul)
-    return extension_formula(group, images, mul)
+    _check_cap(group, DEFAULT_ENUMERATION_CAP)
+    boxes, compose = _checked_boxes(group, images, mul)
+    masks = identity_masks(group)
+    keys = [(mask, s) for s in group.elements() for mask in masks if mask >> s & 1]  # enumerate_semigroup's order
+    table = {key: box.value for key, box in zip(keys, _extension_rows(group, boxes, compose))}
+
+    def extended(a: SgElement) -> T:
+        if a.group != group:
+            raise ValueError("element belongs to a different group")
+        return table[a.support, a.degree]
+
+    return extended
 
 
 def _exact_certificate(rows: Sequence[int], worst: float) -> float | None:

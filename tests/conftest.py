@@ -156,6 +156,22 @@ def signed_rep(rep: PartialRep) -> PartialRep:
     return PartialRep(rep.group, [(-1) ** t * m for t, m in enumerate(rep.matrices)])
 
 
+def extension_laws(group: FiniteGroup, images, mul, distance) -> tuple[list, list]:
+    """The test oracle of the extension conditions, read pair by pair off
+    the two relations [s^-1][s][t] = [s^-1][st] and [s][t][t^-1] =
+    [st][t^-1]: the (s, t, distance) lists, s then t ascending, of the
+    triple law (f(s)f(t))f(t^-1) against f(st)f(t^-1) and of the derived
+    law (f(s^-1)f(s))f(t) against f(s^-1)f(st)."""
+    triple, derived = [], []
+    for s in group.elements():
+        for t in group.elements():
+            s_inv, t_inv, st = group.inv(s), group.inv(t), group.mul(s, t)
+            f_s, f_t, f_st, f_s_inv, f_t_inv = (images[x] for x in (s, t, st, s_inv, t_inv))
+            triple.append((s, t, distance(mul(mul(f_s, f_t), f_t_inv), mul(f_st, f_t_inv))))
+            derived.append((s, t, distance(mul(mul(f_s_inv, f_s), f_t), mul(f_s_inv, f_st))))
+    return triple, derived
+
+
 def random_restriction_action(rng: random.Random) -> PartialAction:
     """A random valid partial action: restrict a translation action on
     up to 8 points to a random subset."""

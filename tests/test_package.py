@@ -112,18 +112,17 @@ def _readers(name):
     }
 
 
-def test_only_universal_extension_reads_the_memoised_fold():
-    """``semigroup.extension_formula`` evaluates the formula in any
-    Python target; every array target goes through the batched
-    ``semigroup._extension_rows``.  So no module-level statement of
-    ``src/invsg`` but ``universal_extension`` reads or imports it."""
-    assert _readers("extension_formula") == {"semigroup.universal_extension"}
-
-
-@pytest.mark.parametrize("law", ["_triple_law", "_derived_law"])
-def test_only_the_extension_conditions_read_the_generic_laws(law):
-    """The partial-representation identities of a stack of images are
-    ``semigroup._stacked_laws``; the pair-by-pair ``_triple_law`` and
-    ``_derived_law`` serve only the Python targets of
-    ``check_extension_conditions``, which reads them alone."""
-    assert _readers(law) == {"semigroup.check_extension_conditions"}
+def test_one_extension_fold_and_one_set_of_laws():
+    """The extension formula is ``semigroup._extension_rows`` and the
+    extension conditions are ``semigroup._stacked_laws``, for Python
+    targets too: no statement of ``src/invsg`` defines or reads a
+    memoised fold or a pair-by-pair law, and ``universal_extension``
+    reads the batched fold."""
+    for name in ("extension_formula", "_triple_law", "_derived_law"):
+        assert _readers(name) == set()
+        assert not any(
+            getattr(node, "name", None) == name
+            for path in Path(invsg.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    assert "semigroup.universal_extension" in _readers("_extension_rows")

@@ -33,11 +33,8 @@ from invsg.reps import (
 )
 from invsg.semigroup import (
     CapExceeded,
-    _derived_law,
     _stacked_laws,
-    _triple_law,
     enumerate_semigroup,
-    extension_formula,
     generator,
     idempotent,
     unit,
@@ -46,6 +43,7 @@ from invsg.semigroup import (
 
 from conftest import (
     conjugated_regular_rep,
+    extension_laws,
     left_regular_matrix,
     perturb_one_image,
     quaternion,
@@ -485,7 +483,7 @@ def _raised_or(compute):
 )
 def test_stacked_laws_are_the_generic_laws(monkeypatch, case, rows_per_block):
     """``_stacked_laws`` gives, pair for pair and bit for bit, the
-    distances of the generic ``_triple_law`` and ``_derived_law``: with
+    distances of the pair-by-pair oracle ``extension_laws``: with
     ``_matmul`` and the max-abs distance on the matrices, or composition
     and ``!=`` on the partial bijections of a 0/1 rep against its index
     rows.  The triple-product check of ``validate_partial_rep`` is their
@@ -507,7 +505,7 @@ def test_stacked_laws_are_the_generic_laws(monkeypatch, case, rows_per_block):
     else:
         generic = (maps, operator.mul, lambda f, h: float(f != h))
         batched = (_index_rows(maps, rep.dim),)
-    laws = _raised_or(lambda: [[d for _, _, d in law(g, *generic)] for law in (_triple_law, _derived_law)])
+    laws = _raised_or(lambda: [[d for _, _, d in law] for law in extension_laws(g, *generic)])
     stacked = _raised_or(lambda: [law.ravel().tolist() for law in _stacked_laws(g, *batched)])
     assert stacked == laws
     check = _raised_or(lambda: _checks(validate_partial_rep(rep, tol=0.0))[0])
@@ -528,9 +526,10 @@ def _first_max(deviations):
 
 def _matrix_report(rep):
     """The (deviation, witness) of each law on the matrices themselves:
-    ``_triple_law`` with ``_matmul``, and max-abs distances."""
+    the triple law of ``extension_laws`` with ``_matmul``, and max-abs
+    distances."""
     g, mats = rep.group, rep.matrices
-    laws = _triple_law(g, mats, reps._matmul, lambda x, y: max_abs(x - y))
+    laws = extension_laws(g, mats, reps._matmul, lambda x, y: max_abs(x - y))[0]
     return [
         _first_max((d, (s, t)) for s, t, d in laws),
         _first_max((max_abs(mats[g.inv(t)] - mats[t].T), (t,)) for t in g.elements()),
@@ -760,13 +759,11 @@ def test_the_action_route_keeps_the_cap():
         extend_to_semigroup(rep)
 
 
-def test_memoised_extension_is_the_plain_fold_bit_for_bit():
+def test_dense_extension_is_the_plain_fold_bit_for_bit():
     """The 0/1 Bernoulli rep of dihedral:3 conjugated by a seeded random
     unitary, a float rep: each image of its dense extension (the batched
-    fold) and of ``extension_formula`` (the memoised fold that
-    ``universal_extension`` returns) has the bytes of the ascending fold
-    of M_r M_r^-1 over its support times M_s, and the memoised formula
-    makes at most p + 2^(p-1) + n products."""
+    fold) has the bytes of the ascending fold of M_r M_r^-1 over its
+    support times M_s."""
     g = dihedral(3)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -774,20 +771,11 @@ def test_memoised_extension_is_the_plain_fold_bit_for_bit():
     zero_one = partial_rep_from_partial_action(bernoulli_partial_action(g)).matrices
     rep = PartialRep(g, [q @ m @ q.conj().T for m in zero_one])
     mats = rep.matrices
-    elements = enumerate_semigroup(g)
     ext = extend_to_semigroup(rep)
-    products = []
-
-    def counted(x, y):
-        products.append(1)
-        return reps._matmul(x, y)
-
-    extended = extension_formula(g, mats, counted)
-    for a in elements:
+    for a in enumerate_semigroup(g):
         projections = [reps._matmul(mats[r], mats[g.inv(r)]) for r in g.elements() if a.support >> r & 1]
         folded = reps._matmul(reduce(reps._matmul, projections), mats[a.degree])
-        assert ext(a).tobytes() == folded.tobytes() == extended(a).tobytes()
-    assert len(products) <= g.order + 2 ** (g.order - 1) + len(elements)
+        assert ext(a).tobytes() == folded.tobytes()
 
 
 @pytest.mark.parametrize("spec", ["dihedral:3", "cyclic:5", "Q8"])

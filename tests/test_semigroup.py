@@ -5,11 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invsg.actions import PartialBijection, bernoulli_partial_action, validate_axioms, validate_semigroup_form
+from invsg.actions import (
+    PartialBijection,
+    bernoulli_partial_action,
+    restriction_action,
+    validate_axioms,
+    validate_semigroup_form,
+)
 from invsg.algebra import build_algebra, wedderburn
 from invsg.graded import generated_semigroup, grading
 from invsg import semigroup
-from invsg.groups import cyclic, dihedral, direct_product, klein_four
+from invsg.groups import cyclic, dihedral, direct_product, group_from_spec, klein_four
 from invsg.semigroup import (
     CapExceeded,
     ConditionsViolated,
@@ -32,7 +38,16 @@ from invsg.semigroup import (
     verify_inverse_semigroup,
 )
 
-from conftest import inverses_checked, model_checked, quaternion, relabelled, small_groups
+from conftest import (
+    extension_laws,
+    inverses_checked,
+    model_checked,
+    perturb_one_image,
+    quaternion,
+    relabelled,
+    small_groups,
+    translation_permutations,
+)
 
 
 def test_generator_examples():
@@ -1018,6 +1033,60 @@ def test_universal_extension_order_independence():
             assert compose_tables(acc, images[a.degree]) == ext(a)
 
 
+def test_a_missing_image_is_named_before_any_product():
+    """A generator map with no image of 2 over Z/3 is refused with a
+    ValueError naming 2, and ``mul`` is never called."""
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x
+
+    for check in (universal_extension, check_extension_conditions):
+        with pytest.raises(ValueError, match="^no image of the group element 2$"):
+            check(cyclic(3), {0: 0, 1: 1}, mul)
+    assert calls == []
+
+
+def test_universal_extension_counts_its_products_and_keeps_its_caps(monkeypatch):
+    """Into Python objects, the Bernoulli partial bijections of Z/6 with
+    the identity at index 0: 5p^2 + 2p products for the laws (3p^2 for
+    the triple law, 2p^2 + p for the derived law, p for the unit law),
+    then at most p + 2^(p-1) + n for the fold, all before the map is
+    returned.  Past the enumeration cap CapExceeded comes before any
+    product, and an element of another group is refused."""
+    calls, fold_starts, fold = [], [], semigroup._extension_rows
+
+    def mul(f, h):
+        calls.append(1)
+        return f * h
+
+    def spy(*args):
+        fold_starts.append(len(calls))
+        return fold(*args)
+
+    monkeypatch.setattr(semigroup, "_extension_rows", spy)
+    g = cyclic(6)
+    assert g.identity == 0
+    images = dict(enumerate(bernoulli_partial_action(g).theta))
+    ext = universal_extension(g, images, mul)
+    p, n = g.order, len(enumerate_semigroup(g))
+    assert fold_starts == [5 * p**2 + 2 * p]
+    assert len(calls) - fold_starts[0] <= p + 2 ** (p - 1) + n
+    before = len(calls)
+    for a in enumerate_semigroup(g):
+        ext(a)
+    assert len(calls) == before
+    with pytest.raises(ValueError, match="element belongs to a different group"):
+        ext(unit(cyclic(5)))
+
+    calls.clear()
+    big = cyclic(semigroup.DEFAULT_ENUMERATION_CAP + 1)
+    with pytest.raises(CapExceeded):
+        universal_extension(big, {t: t for t in big.elements()}, mul)
+    assert calls == []
+
+
 def test_extension_conditions_violated():
     g = cyclic(2)
     # sending everything to the non-identity of Z/2 breaks f(s)f(e) = f(s)
@@ -1040,6 +1109,54 @@ def test_extension_conditions_name_the_failing_law(images, message, witness):
     with pytest.raises(ConditionsViolated) as err:
         check_extension_conditions(cyclic(2), dict(enumerate(images)), operator.mul)
     assert str(err.value) == message and err.value.witness == witness
+
+
+def _first_extension_failure(g, images, mul):
+    """(law, message, witness) of the failure ``check_extension_conditions``
+    raises, from the oracle ``extension_laws``: per s, the unit law, then
+    per t the derived law and the triple law; None when all hold."""
+    triple, derived = extension_laws(g, images, mul, operator.ne)
+    e, p = g.identity, g.order
+    for s in g.elements():
+        if mul(images[s], images[e]) != images[s]:
+            return "unit", f"f({s})f({e}) != f({s})", (s, e)
+        for (_, t, bad_triple), (_, _, bad_derived) in zip(triple[s * p : (s + 1) * p], derived[s * p : (s + 1) * p]):
+            s_inv, t_inv = g.inv(s), g.inv(t)
+            if bad_derived:
+                return "derived", f"f({s_inv})f({s})f({t}) != f({s_inv})f({s}*{t})", (s, t)
+            if bad_triple:
+                return "triple", f"f({s})f({t})f({t_inv}) != f({s}*{t})f({t_inv})", (s, t)
+    return None
+
+
+def test_extension_conditions_raise_the_oracles_first_failure():
+    """Seeded generator maps of orders 3 to 6 (restricted translations,
+    one image perturbed, and random partial bijections):
+    ``check_extension_conditions`` raises the oracle's first failure,
+    with its message and witness, and passes where the oracle does."""
+    rng = random.Random(36)
+    specs = ["cyclic:3", "klein4", "cyclic:5", "cyclic:6", "dihedral:3"]
+    laws = {"valid": 0, "unit": 0, "derived": 0, "triple": 0}
+    for i in range(150):
+        g = group_from_spec(specs[i % len(specs)])
+        action = restriction_action(g, translation_permutations(g, 2), [y for y in range(2 * g.order) if rng.random() < 0.5])
+        images = list(action.theta)
+        if i % 3 == 1:
+            images = list((perturb_one_image(action, rng) or action).theta)
+        elif i % 3 == 2:
+            n = rng.randint(1, 5)
+            images = [PartialBijection([y if rng.random() < 0.7 else None for y in rng.sample(range(n), n)]) for _ in g.elements()]
+        expected = _first_extension_failure(g, images, operator.mul)
+        if expected is None:
+            check_extension_conditions(g, dict(enumerate(images)), operator.mul)
+            laws["valid"] += 1
+            continue
+        with pytest.raises(ConditionsViolated) as err:
+            check_extension_conditions(g, dict(enumerate(images)), operator.mul)
+        law, message, witness = expected
+        assert (str(err.value), err.value.witness) == (message, witness)
+        laws[law] += 1
+    assert min(laws.values()) >= 15, laws
 
 
 def test_element_json_round_trip():
