@@ -112,17 +112,32 @@ def _readers(name):
     }
 
 
-def test_one_extension_fold_and_one_set_of_laws():
-    """The extension formula is ``semigroup._extension_rows`` and the
-    extension conditions are ``semigroup._stacked_laws``, for Python
-    targets too: no statement of ``src/invsg`` defines or reads a
-    memoised fold or a pair-by-pair law, and ``universal_extension``
-    reads the batched fold."""
-    for name in ("extension_formula", "_triple_law", "_derived_law"):
-        assert _readers(name) == set()
-        assert not any(
-            getattr(node, "name", None) == name
-            for path in Path(invsg.__file__).parent.glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-        )
+def _defined_or_read(name):
+    """Whether any statement of ``src/invsg`` defines or reads ``name``."""
+    return bool(_readers(name)) or any(
+        getattr(node, "name", None) == name
+        for path in Path(invsg.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_only_universal_extension_reads_the_memoised_fold():
+    """The memoised ``semigroup.extension_formula`` is deleted: the one
+    extension formula is the batched ``semigroup._extension_rows``, for
+    Python targets too.  So no statement of ``src/invsg`` defines or
+    reads the memoised fold, and ``universal_extension`` reads the
+    batched one."""
+    assert not _defined_or_read("extension_formula")
     assert "semigroup.universal_extension" in _readers("_extension_rows")
+
+
+@pytest.mark.parametrize("law", ["_triple_law", "_derived_law"])
+def test_only_the_extension_conditions_read_the_generic_laws(law):
+    """The pair-by-pair ``_triple_law`` and ``_derived_law`` are deleted:
+    the partial-representation identities are ``semigroup._stacked_laws``
+    for Python targets too, which ``check_extension_conditions`` reaches
+    through ``semigroup._checked_boxes``.  So no statement of
+    ``src/invsg`` defines or reads the pair-by-pair law."""
+    assert not _defined_or_read(law)
+    assert "semigroup._checked_boxes" in _readers("_stacked_laws")
+    assert "semigroup.check_extension_conditions" in _readers("_checked_boxes")
