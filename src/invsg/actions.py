@@ -16,7 +16,7 @@ distance.  An :class:`InverseAction` composes its rows the same way;
 its table, which every single image is read off, is their
 ``semigroup._extension_rows``, as the certificate's model of S(G) is
 that of the Bernoulli rows, ``semigroup._bernoulli_rows``.
-That view of the array (``_RowTable``) is scanned by ``_row_scan``,
+That view of the array (``_RowTable``) is scanned by ``_worst_pair``,
 for actions and for the 0/1 reps of :mod:`invsg.reps` alike.
 """
 
@@ -42,7 +42,6 @@ from .semigroup import (
     enumerate_semigroup,
     generator,
     identity_masks,
-    multiplication_tables,
     order_formula,
     unit,
 )
@@ -343,17 +342,6 @@ class _RowTable(Mapping[SgElement, V]):
         return len(self.elements)
 
 
-def _row_scan(table: _RowTable, mult: np.ndarray) -> tuple[float, tuple | None]:
-    """``semigroup._worst_pair`` over index rows, where composing is the
-    gather rows[a][rows[b]]: (1.0, the first failing pair) or (0.0, None)."""
-    rows = table.rows
-
-    def differ(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
-        return (rows[targets] != rows[a][rows[lo : lo + len(targets)]]).any(axis=1)
-
-    return _worst_pair(table, mult, rows[0].nbytes, differ, _exact_certificate)
-
-
 class InverseAction:
     """Action of the enumerated semigroup by partial bijections.
 
@@ -373,7 +361,6 @@ class InverseAction:
         # one image per group element, on one ground set
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
         self._rows = _index_rows(self.generator_images, set_size)
-        self._products: np.ndarray | None = None  # multiplication_tables of the enumerated elements
         self._table: _RowTable[PartialBijection] | None = None
 
     def __call__(self, a: SgElement) -> PartialBijection:
@@ -401,11 +388,10 @@ class InverseAction:
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
         """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b),
-        or None, by :func:`_row_scan`; the product table is built once."""
+        or None, by ``semigroup._worst_pair`` on its index rows: a valid
+        table passes on its p generator rows."""
         table = self.table(cap)
-        if self._products is None:  # it depends on the elements only, not on the rows
-            self._products = multiplication_tables(table.elements)[0]
-        return _row_scan(table, self._products)[1]
+        return _worst_pair(table, table.rows, certify=_exact_certificate)[1]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:

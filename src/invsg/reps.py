@@ -16,8 +16,8 @@ a partial action is) is the same thing as a partial action on the
 basis.  Such a rep is checked as one: its laws compose the index rows
 of its partial bijections, its extension is its action's
 ``InverseAction.table``, whose index-array rows its semigroup checks
-scatter and gather (with the action's ``actions._row_scan``), and a
-matrix is built only when one is read.  So it reaches the enumeration
+scatter and gather (its product scan is an action's), and a matrix is
+built only when one is read.  So it reaches the enumeration
 cap: at order 10 its 2816 images on 512 points take one 2.9 MB array,
 where the dense int64 images alone would take about 5.9 GB.
 
@@ -38,6 +38,7 @@ tolerance; only otherwise are all n^2 pairs scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,14 +51,14 @@ from .semigroup import (
     SgElement,
     _exact_certificate,
     _extension_rows,
-    _key_lookup,
+    _products,
     _stacked_laws,
     _worst_pair,
     enumerate_semigroup,
     generator,
-    multiplication_tables,
+    order_formula,
 )
-from .actions import InverseAction, PartialAction, PartialBijection, _index_rows, _row_scan, _RowTable
+from .actions import InverseAction, PartialAction, PartialBijection, _index_rows, _RowTable
 
 FLOAT_TOL = 1e-9
 
@@ -81,7 +82,9 @@ class NotRepresentation(Counterexample):
 
 
 def max_abs(m: np.ndarray) -> float:
-    """Max absolute entry; the matrix norm used for all tolerances here."""
+    """Max absolute entry (0.0 of an empty matrix).  The package's own
+    checks measure deviations with :func:`_distance`, this norm of a
+    difference taken stack by stack."""
     if m.dtype.kind in "iu":
         return float(_int_max_abs(m))
     return float(np.max(np.abs(m))) if m.size else 0.0
@@ -379,8 +382,9 @@ class SgRepresentation:
         the stack, an integer table is cast once to the
         :func:`_exact_dtype` of m + m^2 dim, which bounds every entry of a
         difference, and is certified from its generator rows when they
-        pass.  Float overflow raises NonFiniteProduct.  A table of
-        index rows is scanned by ``actions._row_scan``, where a mismatch
+        pass.  Float overflow raises NonFiniteProduct, and a table not
+        closed under multiplication ValueError before any product.  A
+        table of index rows is scanned as an action's, where a mismatch
         is the distance 1.0 of two 0/1 matrices.
         """
         return self._multiplicative(0.0)
@@ -391,10 +395,15 @@ class SgRepresentation:
         answers (b, None) from its p generator rows."""
         if not self.table:  # no pair, and no element to key the table by
             return 0.0, None
-        mult = multiplication_tables(self.table.elements)[0]
+        n, p = len(self.table), self.group.order
+        if p > 1 and n < order_formula(p):  # not all of S(G): refused before any product if not closed
+            rows, star, _ = _products(self.group, self.table.elements)
+            out = np.empty((1, n), dtype=star.dtype)
+            for a in range(n):
+                rows([a], out)
         images = self.table.rows
         if images.ndim == 2:
-            return _row_scan(self.table, mult)
+            return _worst_pair(self.table, images, certify=_exact_certificate)
         certify = None
         if images.dtype.kind in "iu":
             m = _int_max_abs(images)
@@ -405,10 +414,7 @@ class SgRepresentation:
                 bound = _product_bound(images[rows], worst)
                 return bound if bound <= tol / 2 else None
 
-        def distances(a: int, targets: np.ndarray, lo: int) -> np.ndarray:
-            return _distance(images[targets], _finite(np.matmul, images[a], images[lo : lo + len(targets)]))
-
-        return _worst_pair(self.table, mult, images[0].nbytes, distances, certify)
+        return _worst_pair(self.table, images, partial(_finite, np.matmul), _distance, certify)
 
     def max_star_deviation(self) -> tuple[float, tuple | None]:
         """Deviation of M(a^*) from M(a)^adj over all images; ValueError
@@ -416,7 +422,7 @@ class SgRepresentation:
         with the inverse rows, matrices with the adjoints of a block of
         the stack at a time (:func:`_per_image`)."""
         rows, elements = self.table.rows, self.table.elements
-        stars = _key_lookup(self.group, elements)[-1]
+        stars = _products(self.group, elements)[1]
         missing = np.flatnonzero(stars == len(elements))
         if missing.size:
             lost = elements[missing[0]]
@@ -483,7 +489,7 @@ def restrict_to_group(sgrep: SgRepresentation) -> PartialRep:
     if missing:
         raise NotRepresentation(f"no image of the generator {missing[0]}", (missing[0],))
     tol = _tolerance(sgrep.table.rows)
-    dev, witness = sgrep._multiplicative(tol) if tol else sgrep.max_multiplicative_deviation()
+    dev, witness = sgrep._multiplicative(tol)
     if dev > tol:
         raise NotRepresentation(f"not multiplicative (deviation {dev:.3e})", witness or ())
     dev, witness = sgrep.max_star_deviation()

@@ -202,16 +202,15 @@ def _translates(group: FiniteGroup) -> np.ndarray:
     return translate
 
 
-def multiplication_tables(
-    elements: Sequence[SgElement],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Index-based product and involution tables over an enumerated semigroup.
-
-    Returns (mult, star, unit_index) where mult[i, j] is the index of
-    elements[i] * elements[j] and star[i] the index of elements[i]^*,
-    or n = len(elements) where the involution leaves the list.  Both are
-    index arrays in the narrowest unsigned dtype holding n, so cast them
-    (to int64, say) before any arithmetic.
+def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, np.ndarray, int]:
+    """Products and stars of ``elements`` by index: (rows, star,
+    unit_index).  ``rows(i, out)`` writes the rows i of the product
+    table into out[:len(i)], out[r, j] the index of elements[i[r]] *
+    elements[j], and returns ``out``; ValueError if a product leaves
+    the list.  star[i] is the index of elements[i]^*, or
+    n = len(elements) where it is missing.  Indices are in the
+    narrowest unsigned dtype holding n, the dtype of ``star`` and
+    ``out``.
 
     Each element is keyed as support << k | degree, k bits holding a
     degree, in the narrowest unsigned dtype holding every key (uint16
@@ -220,38 +219,7 @@ def multiplication_tables(
     translates s.(H, u) are computed once.  So each block of about
     SCAN_BYTES of key rows costs one gather of translates, one OR into a
     key buffer allocated once and one lookup of the keys' indices.
-    Raises ValueError if the list is not closed under multiplication.
     """
-    import numpy as np
-    group = elements[0].group
-    n = len(elements)
-    k, supports, degrees, translate, index_of, star_idx = _key_lookup(group, elements)
-    group_mul = np.array(group.table, dtype=np.int64)
-    key_dtype = np.min_scalar_type(len(index_of) - 1)
-    moved = (translate[:, supports] << k | group_mul[:, degrees]).astype(key_dtype)  # keys of s.(H, u)
-    left = (supports << k).astype(key_dtype)  # F << k
-    mult = np.empty((n, n), dtype=index_of.dtype)
-    step = max(1, SCAN_BYTES // (key_dtype.itemsize * n))  # rows per block
-    keys = np.empty((min(step, n), n), dtype=key_dtype)
-    for lo in range(0, n, step):
-        rows = degrees[lo : lo + step]
-        block, key = mult[lo : lo + step], keys[: len(rows)]
-        np.take(moved, rows, axis=0, out=key)
-        np.bitwise_or(key, left[lo : lo + step, None], out=key)
-        np.take(index_of, key, out=block, mode="clip")  # keys are in range
-        if block.max() == n:
-            raise ValueError("element list is not closed under multiplication")
-
-    unit_idx = int(index_of[(1 << group.identity) << k | group.identity])
-    return mult, star_idx, unit_idx
-
-
-def _key_lookup(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple:
-    """The key lookup of :func:`multiplication_tables`: (k, supports,
-    degrees, translates, index_of, star) of ``elements``, where
-    ``index_of`` maps each key support << k | degree to its index, n =
-    len(elements) marking non-elements, and star[i] is the index of
-    elements[i]^* = (s^-1.F, s^-1), n where it is missing."""
     import numpy as np
     p, n = group.order, len(elements)
     k = max(1, (p - 1).bit_length())
@@ -260,8 +228,38 @@ def _key_lookup(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple:
     translate = _translates(group)
     index_of = np.full(1 << (p + k), n, dtype=np.min_scalar_type(n))
     index_of[supports << k | degrees] = np.arange(n)
+    key_dtype = np.min_scalar_type(len(index_of) - 1)
+    moved = (translate[:, supports] << k | np.array(group.table, dtype=np.int64)[:, degrees]).astype(key_dtype)  # keys of s.(H, u)
+    left = (supports << k).astype(key_dtype)  # F << k
+    step = max(1, SCAN_BYTES // (key_dtype.itemsize * max(n, 1)))  # rows per block
+    keys = np.empty((min(step, n), n), dtype=key_dtype)
+
+    def rows(i: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for lo in range(0, len(i), step):
+            at = i[lo : lo + step]
+            block, key = out[lo : lo + len(at)], keys[: len(at)]
+            np.take(moved, degrees[at], axis=0, out=key)
+            np.bitwise_or(key, left[at, None], out=key)
+            np.take(index_of, key, out=block, mode="clip")  # keys are in range
+            if block.max() == n:
+                raise ValueError("element list is not closed under multiplication")
+        return out
+
     star_deg = np.array(group.inverses, dtype=np.int64)[degrees]
-    return k, supports, degrees, translate, index_of, index_of[translate[star_deg, supports] << k | star_deg]
+    star = index_of[translate[star_deg, supports] << k | star_deg]
+    return rows, star, int(index_of[(1 << group.identity) << k | group.identity])
+
+
+def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Index-based product and involution tables over an enumerated
+    semigroup: (mult, star, unit_index) of :func:`_products`, mult[i, j]
+    the index of elements[i] * elements[j], filled by its ``rows``; so
+    ValueError if the list is not closed under multiplication.  Cast
+    the narrow index arrays (to int64, say) before any arithmetic."""
+    import numpy as np
+    n = len(elements)
+    rows, star, unit_idx = _products(elements[0].group, elements)
+    return rows(np.arange(n), np.empty((n, n), dtype=star.dtype)), star, unit_idx
 
 
 @dataclass
@@ -672,24 +670,24 @@ def _exact_certificate(rows: Sequence[int], worst: float) -> float | None:
 
 def _worst_pair(
     table: Mapping[SgElement, T],
-    mult: np.ndarray,
-    item_bytes: int,
-    distances: Callable[[int, np.ndarray, int], np.ndarray],
-    certify: Callable[[Sequence[int], float], float | None] | None,
+    images: np.ndarray,
+    compose: Callable = _gather,
+    distance: Callable = lambda x, y: (x != y).any(axis=-1),
+    certify: Callable[[Sequence[int], float], float | None] | None = None,
 ) -> tuple[float, tuple[SgElement, SgElement] | None]:
     """Multiplicativity of a table over a closed set of elements.
 
     The largest distance of f(ab) from f(a)f(b) and the first pair
     (a, b), in the table's order row by row, attaining it; (0.0, None)
-    when every distance is 0.  Each row runs in blocks of columns whose
-    images take about SCAN_BYTES at ``item_bytes`` each, and
-    ``distances(a, targets, lo)`` gives a block's distances: for each k
-    that of the image at index targets[k] (that is, of f(ab) for b at
-    index lo + k) from f(a) times the image of b.
-    Products are looked up in ``mult``, the :func:`multiplication_tables`
-    index table of the table's keys in their order, which the caller
-    builds or keeps.  A boolean distance stops the scan at its first
-    True pair, which already attains the maximum.  Private, so a trace
+    when every distance is 0.  ``images`` stacks the table's images in
+    its order; ``compose`` and ``distance`` act on stacks as in
+    :func:`_stacked_laws`, by default a gather of index rows and True
+    where two differ.  The products of row a are looked up
+    (:func:`_products`, p rows at a time) when the scan reaches it; its
+    columns b run in blocks whose images take about SCAN_BYTES, each
+    one ``compose`` of f(a) with a slice of the stack and one
+    ``distance`` from the gathered f(ab).  A boolean distance stops the scan at its first True
+    pair, which already attains the maximum.  Private, so a trace
     charges the scan to its caller.
 
     S(G) is generated by the generators [t].  So if the table holds all
@@ -702,30 +700,34 @@ def _worst_pair(
     """
     import numpy as np
     elements = list(table)
-    n = len(elements)
-    width = min(n, max(1, SCAN_BYTES // max(item_bytes, 1)))
+    group, n = elements[0].group, len(elements)
+    products, star, _ = _products(group, elements)
+    targets = np.empty((group.order, n), dtype=star.dtype)  # the products of up to p rows
+    width = min(n, max(1, SCAN_BYTES // max(images[:1].nbytes, 1)))
 
-    def scan(rows: Iterable[int]) -> tuple[float, tuple[SgElement, SgElement] | None]:
+    def scan(rows: np.ndarray) -> tuple[float, tuple[SgElement, SgElement] | None]:
         worst, witness = 0.0, None
-        for a in rows:
-            for lo in range(0, n, width):
-                d = distances(a, mult[a, lo : lo + width], lo)
-                j = int(np.argmax(d))
-                if d[j] > worst:
-                    worst, witness = float(d[j]), (elements[a], elements[lo + j])
-                    if d.dtype == bool:
-                        return worst, witness
+        for first in range(0, len(rows), len(targets)):
+            block = rows[first : first + len(targets)]
+            for a, row in zip(block, products(block, targets)):
+                for lo in range(0, n, width):
+                    d = distance(images[row[lo : lo + width]], compose(images[a], images[lo : lo + width]))
+                    j = int(np.argmax(d))
+                    if d[j] > worst:
+                        worst, witness = float(d[j]), (elements[a], elements[lo + j])
+                        if d.dtype == bool:
+                            return worst, witness
         return worst, witness
 
     rows = _generator_rows(elements) if certify else []
-    if len(rows) == elements[0].group.order:
+    if len(rows) == group.order:
         try:
-            bound = certify(rows, scan(rows)[0])
+            bound = certify(rows, scan(np.array(rows))[0])
         except ValueError:  # the full scan below raises it where it first occurs
             bound = None
         if bound is not None:
             return bound, None
-    return scan(range(n))
+    return scan(np.arange(n))
 
 
 def idempotent_elements(group: FiniteGroup) -> list[SgElement]:

@@ -1,6 +1,5 @@
 import operator
 import random
-import sys
 from functools import reduce
 
 import pytest
@@ -244,26 +243,6 @@ def test_round_trips_on_random_actions():
         assert inv_action.check_multiplicative() is None
         rebuilt = to_inverse_action(from_inverse_action(inv_action))
         assert rebuilt.table() == inv_action.table()
-
-
-def test_the_product_table_is_built_once_per_action(monkeypatch):
-    """check_multiplicative and then from_inverse_action, as in the
-    round trip of an action, build the product table of the enumerated
-    elements once, wherever the package binds the builder."""
-    real, calls = semigroup.multiplication_tables, []
-
-    def counting(elements):
-        calls.append(len(elements))
-        return real(elements)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "invsg" and getattr(module, "multiplication_tables", None) is real:
-            monkeypatch.setattr(module, "multiplication_tables", counting)
-    action = bernoulli_partial_action(cyclic(5))
-    inv_action = to_inverse_action(action)
-    assert inv_action.check_multiplicative() is None
-    assert from_inverse_action(inv_action) == action
-    assert calls == [48]
 
 
 def test_validators_agree_on_perturbations():

@@ -38,7 +38,8 @@ def test_traced_methods_are_public_methods_of_the_scanning_classes():
 def test_tracer_counts_the_pair_scans_of_bernoulli_ops():
     """One Bernoulli action op and its 0/1 rep op: every call of
     check_multiplicative scans n^2 pairs, and the per-layer times of the
-    wrapped scans are recorded."""
+    wrapped scans are recorded; the rep's runs inside restrict_to_group,
+    which calls the private scan, not max_multiplicative_deviation."""
     group = groups.group_from_spec("cyclic:4")
     modules = {name: getattr(invsg, name) for name in spans.LAYERS if name != "cli"}
     modules["cli"] = workloads.cli
@@ -55,7 +56,7 @@ def test_tracer_counts_the_pair_scans_of_bernoulli_ops():
     n = invsg.semigroup.order_formula(group.order)
     calls = totals["actions.InverseAction.check_multiplicative.calls"]
     assert calls >= 1 and totals["actions.check_multiplicative.pairs"] == calls * n * n
-    for name in ("actions.InverseAction.check_multiplicative", "reps.SgRepresentation.max_multiplicative_deviation"):
+    for name in ("actions.InverseAction.check_multiplicative", "reps.restrict_to_group"):
         assert totals[f"{name}.s"] > 0
     assert totals["reps.matmuls"] > 0
 

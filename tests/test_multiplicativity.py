@@ -7,8 +7,10 @@ as the loop over every pair below, whatever the column blocks.
 """
 
 import dataclasses
+import inspect
 import math
 import operator
+import sys
 import time
 import tracemalloc
 
@@ -56,18 +58,26 @@ def _matrix_distance(x, y):
 
 
 def _record_blocks(monkeypatch, module):
-    """Record (row, first column) of every block that the pair scan
-    behind ``module``'s multiplicativity check computes, and the scan's
-    (deviation, witness)."""
+    """Record the row a of every block of columns that the pair scan
+    behind ``module``'s multiplicativity check computes, read off f(a),
+    the view of the stacked images that each block composes first, and
+    the scan's (deviation, witness)."""
     blocks, results = [], []
     real = semigroup._worst_pair
+    signature = inspect.signature(real)
 
-    def spy(table, mult, item_bytes, distances, exact):
-        def recorded(a, targets, lo):
-            blocks.append((a, lo))
-            return distances(a, targets, lo)
+    def spy(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs)
+        arguments.apply_defaults()
+        images, compose = arguments.arguments["images"], arguments.arguments["compose"]
+        start = images.__array_interface__["data"][0]
 
-        results.append(real(table, mult, item_bytes, recorded, exact))
+        def recorded(f, h):
+            blocks.append((f.__array_interface__["data"][0] - start) // images.strides[0])
+            return compose(f, h)
+
+        arguments.arguments["compose"] = recorded
+        results.append(real(*arguments.args, **arguments.kwargs))
         return results[-1]
 
     monkeypatch.setattr(module, "_worst_pair", spy)
@@ -199,7 +209,8 @@ def test_the_scan_keeps_one_stacked_copy_of_the_images():
     """The dihedral:3 0/1 table conjugated by a unitary, 112 complex
     images of dimension 32 (1.75 MiB): the one stacked copy is the
     table's, built by the constructor, so the traced peak of the scan is
-    the product table and the temporaries of a few blocks of SCAN_BYTES."""
+    the temporaries of a few blocks of SCAN_BYTES, within the size of
+    the product table, which the scan does not build, and four blocks."""
     ext = _bernoulli_rep_table(dihedral(3))
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(ext.dim, ext.dim)) + 1j * rng.normal(size=(ext.dim, ext.dim)))
@@ -215,6 +226,35 @@ def test_the_scan_keeps_one_stacked_copy_of_the_images():
     assert 0.0 < deviation < 1e-12
     assert images == 112 * 32 * 32 * 16
     assert peak < mult.nbytes + 4 * semigroup.SCAN_BYTES
+
+
+def test_the_certified_scans_build_no_product_table(monkeypatch):
+    """At cyclic:10 (n = 2816), a certified ``restrict_to_group`` of the
+    dim-10 float regular rep and a passing ``check_multiplicative`` of
+    the Bernoulli action look up the products of their generator rows
+    only: neither calls ``multiplication_tables``, wherever the package
+    binds it, and the traced peak of each stays below n^2 bytes, the
+    size of any n x n array (the uint16 table takes 15.9 MB)."""
+
+    def refuse(elements):
+        raise AssertionError("multiplication_tables was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "invsg" and hasattr(module, "multiplication_tables"):
+            monkeypatch.setattr(module, "multiplication_tables", refuse)
+    g = cyclic(10)
+    ext = extend_to_semigroup(conjugated_regular_rep(g))
+    inv_action = to_inverse_action(bernoulli_partial_action(g))
+    n = len(inv_action.table())
+    assert n == len(ext.table) == 2816
+    for check, expected in ((lambda: restrict_to_group(ext).dim, 10), (inv_action.check_multiplicative, None)):
+        tracemalloc.start()
+        try:
+            assert check() == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
 
 
 def _sheared(table, k):
@@ -359,7 +399,7 @@ def test_action_scan_stops_at_the_first_failing_pair(monkeypatch):
     assert inv_action.check_multiplicative() == expected
     assert results == [(1.0, expected)]
     # all in row 0, which both the generator rows and the full scan start with
-    assert blocks and all(a == 0 for a, _ in blocks)
+    assert set(blocks) == {0}
     row_bytes = np.min_scalar_type(128).itemsize * 129  # 128 points and the marker column
     assert len(blocks) <= 2 * -(-len(table) // (semigroup.SCAN_BYTES // row_bytes))
 
@@ -440,7 +480,7 @@ def test_only_integer_tables_are_certified_on_the_generator_rows(monkeypatch, dt
     assert SgRepresentation(g, 8, table).max_multiplicative_deviation() == (0.0, None)
     index = {a: i for i, a in enumerate(table)}
     generators = {index[semigroup.generator(g, t)] for t in g.elements()}
-    assert {a for a, _ in blocks} == (generators if dtype is np.int64 else set(range(len(table))))
+    assert set(blocks) == (generators if dtype is np.int64 else set(range(len(table))))
 
 
 @pytest.mark.parametrize("g", ORDER_8, ids=ORDER_8_IDS)
@@ -588,7 +628,7 @@ def test_the_bound_certifies_float_reps_from_their_generator_rows(monkeypatch, s
     g = ext.group
     blocks, results = _record_blocks(monkeypatch, reps)
     back = restrict_to_group(ext)
-    assert {a for a, _ in blocks} == _generator_indices(ext.table)
+    assert set(blocks) == _generator_indices(ext.table)
     [(bound, witness)] = results
     assert witness is None and 0.0 < bound <= reps.FLOAT_TOL / 2
     assert [m.tobytes() for m in back.matrices] == [ext(semigroup.generator(g, t)).tobytes() for t in g.elements()]
@@ -605,7 +645,7 @@ def test_rounding_sized_noise_is_certified(monkeypatch):
     noisy = SgRepresentation(ext.group, ext.dim, {a: m + rng.normal(scale=1e-12, size=m.shape) for a, m in ext.table.items()})
     blocks, results = _record_blocks(monkeypatch, reps)
     restrict_to_group(noisy)
-    assert {a for a, _ in blocks} == _generator_indices(noisy.table)
+    assert set(blocks) == _generator_indices(noisy.table)
     [(bound, witness)] = results
     assert witness is None and bound <= reps.FLOAT_TOL / 2
     assert 0.0 < noisy.max_multiplicative_deviation()[0] <= bound
@@ -627,7 +667,7 @@ def test_noise_near_the_tolerance_is_left_to_the_scan(monkeypatch):
     assert 0.8 * reps.FLOAT_TOL < expected[0] <= reps.FLOAT_TOL
     blocks, results = _record_blocks(monkeypatch, reps)
     restrict_to_group(table)
-    assert {a for a, _ in blocks} == set(range(len(table.table)))
+    assert set(blocks) == set(range(len(table.table)))
     assert results == [expected]
 
 
@@ -662,7 +702,7 @@ def test_large_images_are_left_to_the_scan(monkeypatch):
     with pytest.raises(NotRepresentation, match="not star-preserving") as info:
         restrict_to_group(sgrep)
     assert info.value.witness == witness and deviation > 1.0
-    assert results == [(0.0, None)] and {a for a, _ in blocks} == set(range(len(sgrep.table)))
+    assert results == [(0.0, None)] and set(blocks) == set(range(len(sgrep.table)))
 
 
 def test_an_overflowing_generator_row_raises_as_the_scan_does():

@@ -141,3 +141,16 @@ def test_only_the_extension_conditions_read_the_generic_laws(law):
     assert not _defined_or_read(law)
     assert "semigroup._checked_boxes" in _readers("_stacked_laws")
     assert "semigroup.check_extension_conditions" in _readers("_checked_boxes")
+
+
+def test_only_the_certificate_and_the_algebra_build_the_product_table():
+    """The multiplicativity scans look up a row's products when they scan
+    it, from the row source ``semigroup._products`` that also fills the
+    n x n ``multiplication_tables``.  So only the inverse-semigroup
+    certificate and the algebra builder read the whole table, and no
+    statement of ``src/invsg`` defines or reads the rows-only wrapper
+    ``_row_scan`` or the separate ``_key_lookup``."""
+    readers = _readers("multiplication_tables") - {"algebra.ImportFrom"}
+    assert readers == {"semigroup.verify_inverse_semigroup", "algebra.build_algebra"}
+    assert not _defined_or_read("_row_scan") and not _defined_or_read("_key_lookup")
+    assert {"semigroup.multiplication_tables", "semigroup._worst_pair"} <= _readers("_products")

@@ -371,6 +371,18 @@ def test_a_dense_table_without_a_star_is_refused_by_name():
         sgrep.max_star_deviation()
 
 
+def test_a_table_that_is_not_closed_is_refused_before_any_product():
+    """The cyclic:3 table holding the unit and [1], whose square [1][1]
+    it lacks: refused for not being closed before the first row's
+    product overflows float64 and before integer entries past 2^31 are
+    refused for int64."""
+    g = cyclic(3)
+    for big in (np.array([[1e200]]), np.array([[2**40]])):
+        sgrep = SgRepresentation(g, 1, {unit(g): big, generator(g, 1): np.ones((1, 1), dtype=big.dtype)})
+        with pytest.raises(ValueError, match="not closed"):
+            sgrep.max_multiplicative_deviation()
+
+
 def test_a_mixed_mapping_is_one_float_stack():
     """Every other image of the cyclic:3 0/1 table as float64, one entry
     of a non-generator set to 2: the table is one float64 stack of the
