@@ -362,6 +362,7 @@ class InverseAction:
         self.generator_images = PartialAction(group, set_size, tuple(generator_images)).theta
         self._rows = _index_rows(self.generator_images, set_size)
         self._table: _RowTable[PartialBijection] | None = None
+        self._verdict: tuple[tuple | None] | None = None  # (witness,) of the one multiplicativity scan
 
     def __call__(self, a: SgElement) -> PartialBijection:
         if a.group != self.group:
@@ -388,10 +389,12 @@ class InverseAction:
 
     def check_multiplicative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple | None:
         """The first pair (a, b) of ``table(cap)`` with pi(ab) != pi(a)pi(b),
-        or None, by ``semigroup._worst_pair`` on its index rows: a valid
-        table passes on its p generator rows."""
+        or None: the verdict, kept, of one ``semigroup._worst_pair`` scan of
+        its index rows, which a valid table passes on its p generator rows."""
         table = self.table(cap)
-        return _worst_pair(table, table.rows, certify=_exact_certificate)[1]
+        if self._verdict is None:
+            self._verdict = (_worst_pair(table, table.rows, certify=_exact_certificate)[1],)
+        return self._verdict[0]
 
 
 def to_inverse_action(action: PartialAction) -> InverseAction:

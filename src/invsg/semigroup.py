@@ -76,6 +76,15 @@ class SgElement:
         if not (self.support >> self.degree) & 1:
             raise ValueError("support must contain the degree")
 
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, support: int, degree: int) -> SgElement:
+        """An element known to be canonical (an enumerated one), without the checks."""
+        a = object.__new__(cls)  # set as __init__ does: vars(a) would give each element a dict
+        object.__setattr__(a, "group", group)
+        object.__setattr__(a, "support", support)
+        object.__setattr__(a, "degree", degree)
+        return a
+
     def support_set(self) -> frozenset[int]:
         return frozenset(i for i in self.group.elements() if (self.support >> i) & 1)
 
@@ -167,7 +176,7 @@ def enumerate_semigroup(
     """
     _check_cap(group, cap)
     masks = identity_masks(group)
-    return [SgElement(group, mask, s) for s in group.elements() for mask in masks if mask >> s & 1]
+    return [SgElement._trusted(group, mask, s) for s in group.elements() for mask in masks if mask >> s & 1]
 
 
 def natural_partial_order(a: SgElement, b: SgElement) -> bool:

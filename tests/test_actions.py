@@ -19,7 +19,7 @@ from invsg.actions import (
     validate_axioms,
     validate_semigroup_form,
 )
-from invsg import semigroup
+from invsg import actions, semigroup
 from invsg.groups import cyclic, group_from_spec, klein_four
 from invsg.semigroup import CapExceeded, enumerate_semigroup, generator, idempotent, unit
 
@@ -232,6 +232,37 @@ def test_table_checks_cap_on_every_call():
     with pytest.raises(CapExceeded):
         inv_action.table(cap=3)
     assert inv_action.table(cap=5) is inv_action.table()
+
+
+@pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:2"])
+def test_a_round_trip_scans_its_table_once(monkeypatch, spec):
+    """check_multiplicative keeps its verdict beside the table, so the
+    from_inverse_action that follows it runs no second scan; the cap is
+    still checked on every call.  cyclic:2 is the non-multiplicative
+    action, whose kept witness the round trip reports."""
+    g = group_from_spec(spec)
+    if spec == "cyclic:7":
+        inv_action = to_inverse_action(bernoulli_partial_action(g))
+    else:
+        inv_action = InverseAction(g, 3, (PartialBijection.identity(3), pb(3, [(0, 1), (1, 2), (2, 0)])))
+    scans, real = [], actions._worst_pair
+
+    def spy(*args, **kwargs):
+        scans.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "_worst_pair", spy)
+    witness = inv_action.check_multiplicative()
+    assert (witness is None) == (spec == "cyclic:7")
+    if witness is None:
+        assert from_inverse_action(inv_action) == bernoulli_partial_action(g)
+    else:
+        with pytest.raises(NotMultiplicative) as err:
+            from_inverse_action(inv_action)
+        assert err.value.witness == witness
+    assert len(scans) == 1 and inv_action.check_multiplicative() == witness and len(scans) == 1
+    with pytest.raises(CapExceeded):
+        inv_action.check_multiplicative(cap=g.order - 1)
 
 
 def test_round_trips_on_random_actions():

@@ -64,7 +64,7 @@ def test_tracer_counts_the_pair_scans_of_bernoulli_ops():
 def test_tracer_counts_every_product_of_a_closure_op(tmp_path):
     """One closure op on dihedral:3: one traced closure call that finds
     106 new subspaces.  Its 112 * 6 = 672 products go through the private
-    mask product, which the tracer does not wrap; tests/test_graded.py
+    batched product, which the tracer does not wrap; tests/test_graded.py
     counts them."""
     op = next(op for op in workloads.closure(1, tmp_path, True) if op.name == "closure dihedral:3")
     modules = {name: getattr(invsg, name) for name in spans.LAYERS if name != "cli"}

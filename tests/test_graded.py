@@ -200,8 +200,9 @@ def _count_calls(monkeypatch, name):
 
 def test_a_closure_builds_row_masks_once_per_piece(monkeypatch):
     """The closure's right operands are its generators: dihedral:3 builds
-    row masks for its 6 pieces, once each and never for a product, and
-    the masks stay out of equality and the hash."""
+    row masks for its 6 pieces, once each and never for a product, as
+    one (112, 2) uint64 array each, and the masks stay out of equality
+    and the hash."""
     alg = build_algebra(dihedral(3))
     pieces = list(grading(alg).values())
     built = _count_calls(monkeypatch, "_row_masks")
@@ -213,19 +214,31 @@ def test_a_closure_builds_row_masks_once_per_piece(monkeypatch):
     for p in pieces:
         fresh = GradedSubspace(alg, frozenset(p.indices))
         assert "_rows" in vars(p) and "_rows" not in vars(fresh)
+        assert (p._rows.shape, p._rows.dtype) == ((112, 2), np.uint64)
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
+def _closure_work(calls):
+    """From spies on the batched product and the decoder: the (left,
+    right) operand counts of each product and the rows of each decode."""
+    products, decodes = calls
+    return [(count, len(rows)) for rows, _, _, count in products], [len(masks) for masks, _ in decodes]
+
+
 def test_a_closure_decodes_only_new_subspaces(monkeypatch):
-    """dihedral:3: 112 subspaces times 6 generators is 672 products, and
-    only the 106 that are not generators have their set bits read."""
+    """dihedral:3: one batched product per frontier layer over the 6
+    generators multiplies each of the 112 subspaces once by each, 672
+    products in all, and only the 106 new masks are decoded, once each,
+    one decode per layer."""
     pieces = grading(build_algebra(dihedral(3)))
-    products = _count_calls(monkeypatch, "_product_mask")
-    decodes = _count_calls(monkeypatch, "_set_bits")
+    calls = _count_calls(monkeypatch, "_batched_product"), _count_calls(monkeypatch, "_decode")
     closure = generated_semigroup(pieces)
+    products, decodes = _closure_work(calls)
     assert len(closure) == 112
-    assert len(products) == 672 == 112 * 6
-    assert len(decodes) == 106 == len({mask for (mask,) in decodes})
+    assert all(right == 6 for _, right in products)
+    assert sum(left * right for left, right in products) == 672 == 112 * 6
+    assert sum(decodes) == 106 and len(decodes) == len(products)
+    assert products[0][0] == 6 and [left for left, _ in products[1:]] == decodes[:-1] and decodes[-1] == 0
 
 
 def _reference_closure(alg, generators):
@@ -235,7 +248,7 @@ def _reference_closure(alg, generators):
     while todo:
         x = todo.pop()
         for g in gens:
-            product = frozenset(int(alg.mult[i, j]) for i in x for j in g)
+            product = frozenset(alg.mult[np.ix_(sorted(x), sorted(g))].ravel().tolist())
             if product not in found:
                 found.add(product)
                 todo.append(product)
@@ -267,19 +280,27 @@ def _generator_sets(alg, rng):
     "alg",
     [
         *(build_algebra(g) for g in [cyclic(1), cyclic(2), cyclic(3), klein_four(), dihedral(3)]),
+        *(build_algebra(g) for g in [cyclic(7), dihedral(4), cyclic(8)]),
         group_algebra(dihedral(3)),
+        group_algebra(dihedral(4)),
     ],
-    ids=["cyclic1", "cyclic2", "cyclic3", "klein4", "dihedral3", "ga_dihedral3"],
+    ids=["cyclic1", "cyclic2", "cyclic3", "klein4", "dihedral3", "cyclic7", "dihedral4", "cyclic8", "ga_dihedral3", "ga_dihedral4"],
 )
 def test_generated_semigroup_matches_a_naive_closure(alg, monkeypatch):
+    """Every seeded generator set: the reference's closure, with each
+    subspace multiplied once by each distinct generator and each new
+    one decoded once."""
     rng = np.random.default_rng(alg.dim)
-    decodes = _count_calls(monkeypatch, "_set_bits")
+    calls = _count_calls(monkeypatch, "_batched_product"), _count_calls(monkeypatch, "_decode")
     for gens in _generator_sets(alg, rng):
-        decodes.clear()
+        for spied in calls:
+            spied.clear()
         closure = generated_semigroup(gens)
+        products, decodes = _closure_work(calls)
         assert {s.indices for s in closure} == _reference_closure(alg, gens)
         assert all(s.algebra is alg for s in closure)
-        assert len(decodes) == len(closure) - len(set(gens))
+        assert sum(decodes) == len(closure) - len(set(gens))
+        assert sum(left * right for left, right in products) == len(closure) * len(set(gens))
 
 
 def test_generators_from_two_algebras_are_rejected():
@@ -311,3 +332,16 @@ def test_group_algebra_grading_saturates():
             for t in g.elements():
                 assert singletons[s] * singletons[t] == singletons[g.mul(s, t)]
         assert len(generated_semigroup(singletons)) == g.order
+
+
+@pytest.mark.parametrize("g", [cyclic(1), cyclic(4), klein_four(), dihedral(3)], ids=["cyclic1", "cyclic4", "klein4", "dihedral3"])
+def test_a_group_algebra_is_graded_by_its_singletons(g):
+    """A group algebra's basis is the group's indices, each its own
+    degree: its grading is the singletons that
+    test_group_algebra_grading_saturates builds by hand, and their
+    closure has |G| members."""
+    ga = group_algebra(g)
+    pieces = grading(ga)
+    assert pieces == {t: GradedSubspace(ga, frozenset({t})) for t in g.elements()}
+    assert all(piece.degrees() == {t} for t, piece in pieces.items())
+    assert len(generated_semigroup(pieces)) == g.order

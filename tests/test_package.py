@@ -154,3 +154,15 @@ def test_only_the_certificate_and_the_algebra_build_the_product_table():
     assert readers == {"semigroup.verify_inverse_semigroup", "algebra.build_algebra"}
     assert not _defined_or_read("_row_scan") and not _defined_or_read("_key_lookup")
     assert {"semigroup.multiplication_tables", "semigroup._worst_pair"} <= _readers("_products")
+
+
+def test_one_batched_product_serves_both_graded_products():
+    """The per-pair Python-int ``_product_mask`` and the bit-by-bit
+    ``_set_bits`` are deleted: ``subspace_product`` and
+    ``generated_semigroup`` both read the one batched OR of packed row
+    masks, ``graded._batched_product``, and decode through
+    ``graded._decode``.  So no statement of ``src/invsg`` defines or
+    reads the per-pair product or the bit-by-bit decoder."""
+    assert not _defined_or_read("_product_mask") and not _defined_or_read("_set_bits")
+    for name in ("_batched_product", "_decode"):
+        assert {"graded.subspace_product", "graded.generated_semigroup"} <= _readers(name)

@@ -189,6 +189,24 @@ def test_enumerate_counts():
         enumerate_semigroup(cyclic(11))
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_enumerated_elements_are_the_validated_ones(p):
+    """Enumeration builds its elements without re-running the four
+    checks, since the identity masks make them valid: each equals, and
+    hashes as, the validated element of its mask and degree."""
+    g = cyclic(p)
+    for a in enumerate_semigroup(g):
+        valid = SgElement(g, a.support, a.degree)
+        assert a == valid and hash(a) == hash(valid) and vars(a) == vars(valid)
+
+
+def test_a_built_element_is_still_checked():
+    g = cyclic(4)
+    for support, degree in [(0b0011, 4), (0b10011, 1), (0b0010, 1), (0b0101, 1)]:
+        with pytest.raises(ValueError):
+            SgElement(g, support, degree)
+
+
 def test_enumerate_closed_under_product_and_star():
     for g in small_groups():
         elements = enumerate_semigroup(g)
