@@ -12,14 +12,16 @@ the product and the involution are closed two-line formulas:
 
 Supports are bitmasks over group indices, so products are O(|G|) and
 the whole semigroup (size 2^(p-2) * (p+1) for |G| = p >= 2) can be
-enumerated and multiplied out exhaustively at small orders.  Arithmetic
-and enumeration run without numpy; the index tables, the certificate,
-the pair scans and the extension of a generator map import it when
-called.
+enumerated and multiplied out exhaustively at small orders; the
+certificate streams the product table in row blocks, and holds it whole
+only when a check fails.  Arithmetic and enumeration run without numpy;
+the index tables, the certificate, the pair scans and the extension of a
+generator map import it when called.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -211,15 +213,16 @@ def _translates(group: FiniteGroup) -> np.ndarray:
     return translate
 
 
-def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, np.ndarray, int]:
-    """Products and stars of ``elements`` by index: (rows, star,
+def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, Callable, np.ndarray, int]:
+    """Products and stars of ``elements`` by index: (rows, product, star,
     unit_index).  ``rows(i, out)`` writes the rows i of the product
     table into out[:len(i)], out[r, j] the index of elements[i[r]] *
     elements[j], and returns ``out``; ValueError if a product leaves
-    the list.  star[i] is the index of elements[i]^*, or
-    n = len(elements) where it is missing.  Indices are in the
-    narrowest unsigned dtype holding n, the dtype of ``star`` and
-    ``out``.
+    the list.  ``product(i, j)`` is the index of elements[i] *
+    elements[j], broadcasting i against j (a column against a row is
+    one gather of rows), and star[i] that of elements[i]^*; both give n
+    = len(elements) where it is missing.  Indices are in the narrowest
+    unsigned dtype holding n, the dtype of ``star`` and ``out``.
 
     Each element is keyed as support << k | degree, k bits holding a
     degree, in the narrowest unsigned dtype holding every key (uint16
@@ -254,9 +257,13 @@ def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callab
                 raise ValueError("element list is not closed under multiplication")
         return out
 
+    def product(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        key = moved[:, j].take(degrees[i[:, 0]], axis=0) if i.ndim == 2 else moved[degrees[i], j]
+        return np.take(index_of, np.bitwise_or(key, left[i], out=key))
+
     star_deg = np.array(group.inverses, dtype=np.int64)[degrees]
     star = index_of[translate[star_deg, supports] << k | star_deg]
-    return rows, star, int(index_of[(1 << group.identity) << k | group.identity])
+    return rows, product, star, int(index_of[(1 << group.identity) << k | group.identity])
 
 
 def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -267,7 +274,7 @@ def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np
     the narrow index arrays (to int64, say) before any arithmetic."""
     import numpy as np
     n = len(elements)
-    rows, star, unit_idx = _products(elements[0].group, elements)
+    rows, _, star, unit_idx = _products(elements[0].group, elements)
     return rows(np.arange(n), np.empty((n, n), dtype=star.dtype)), star, unit_idx
 
 
@@ -359,36 +366,35 @@ def _bernoulli_rows(group: FiniteGroup, masks: Sequence[int]) -> np.ndarray:
     return rows.astype(np.min_scalar_type(m))
 
 
-def _closure_tree(mult: np.ndarray, unit_idx: int, gens: Sequence[int]) -> tuple[np.ndarray, ...]:
+def _closure_tree(right: np.ndarray, unit_idx: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Breadth-first closure of the unit under right multiplication by
-    ``gens``, x = x' * a: (reached, via, parent) with a = gens[via[x]]
-    and x' = parent[x] for each reached x but the unit, x' of the
-    previous layer; -1 elsewhere.  Each x is reached at its first
-    product, a-major, in its layer."""
+    the generators, read off right[x, k] = x * gens[k]: (layers, via,
+    parent), layers[0] = [unit], then the new elements of each layer's
+    products, ascending.  Each x but the unit is reached at its first
+    product x' * gens[via[x]], a-major, x' = parent[x]; -1 elsewhere."""
     import numpy as np
-    n = len(mult)
-    reached, via, parent = np.zeros(n, dtype=bool), np.full(n, -1), np.full(n, -1)
-    reached[unit_idx] = True
-    frontier = np.array([unit_idx])
-    while frontier.size:
-        found, first = np.unique(mult[np.ix_(frontier, gens)].T.ravel(), return_index=True)
-        new = ~reached[found]
+    n = len(right)
+    via, parent = np.full(n, -1), np.full(n, -1)
+    layers = [np.array([unit_idx])]
+    while (frontier := layers[-1]).size:
+        found, first = np.unique(right[frontier].T.ravel(), return_index=True)
+        new = (via[found] < 0) & (found != unit_idx)
         found, first = found[new], first[new]
-        reached[found] = True
         via[found], parent[found] = np.divmod(first, frontier.size)
         parent[found] = frontier[parent[found]]
-        frontier = found
-    return reached, via, parent
+        layers.append(found)
+    return layers[:-1], via, parent
 
 
 def _bernoulli_check(
-    elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int, gens: Sequence[int], via: np.ndarray, parent: np.ndarray
+    elements: Sequence[SgElement], rows: Callable, gens: Sequence[int], layers: list, via: np.ndarray, parent: np.ndarray
 ) -> int | None:
-    """Certify ``mult`` associative through a model phi of S(G) built
-    from the group alone, never read off ``mult``: the number of entries
-    read, or None when a check fails (which does not make ``mult``
-    non-associative).  ``via`` and ``parent`` are a :func:`_closure_tree`
-    of ``gens`` reaching every element.
+    """Certify the table of the row source ``rows`` (of
+    :func:`_products`) associative through a model phi of S(G) built
+    from the group alone, never read off the table: the number of
+    entries read, or None when a check fails (which does not make the
+    table non-associative).  ``layers``, ``via`` and ``parent`` are a
+    :func:`_closure_tree` of ``gens`` reaching every element.
 
     phi is the :func:`_extension_rows` of the :func:`_bernoulli_rows` on
     m = 2p - 1 points: the sets G - {g}, g != e ascending, which E -> tE
@@ -398,7 +404,7 @@ def _bernoulli_check(
 
     (a) phi[unit] is the identity and unit * y = y; (b) phi(ay) =
     phi(a) o phi(y) for every generator a and every y; (c) for every x
-    = x' * a of the tree, x' earlier, row x of ``mult`` is row x'
+    = x' * a of the tree, x' earlier, row x of the table is row x'
     composed with row a, xy = x'(ay) for every y; (d) the rows of phi
     are pairwise distinct.  By induction on the depth of x, phi(xy) =
     phi(x) o phi(y) for every y: at the unit by (a), and for x = x' * a
@@ -406,8 +412,10 @@ def _bernoulli_check(
     phi(x') o phi(a) o phi(y) = phi(x) o phi(y).  So phi((xy)z) =
     phi(x) o phi(y) o phi(z) = phi(x(yz)), and (d) gives (xy)z = x(yz).
 
-    The entries read: n^2 products, each compared once in (a) or (c); p n
-    composites of m + 1 entries in (b); the n p entries of (d).
+    (c) builds the rows a layer at a time, in blocks of about SCAN_BYTES,
+    and keeps those with children in the tree for the next.  The entries
+    read: n^2 products, each compared once in (a) or (c); p n composites
+    of m + 1 entries in (b); the n p entries of (d).
     """
     import numpy as np
     group = elements[0].group
@@ -415,22 +423,39 @@ def _bernoulli_check(
     co_singletons = [(1 << p) - 1 ^ 1 << g for g in group.elements() if g != group.identity]  # G - {g}
     phi = _extension_rows(group, _bernoulli_rows(group, co_singletons))
     n, width = phi.shape
-    # (a) the unit
-    if not (np.array_equal(phi[unit_idx], np.arange(width)) and np.array_equal(mult[unit_idx], np.arange(n))):
+    dtype = np.min_scalar_type(n)
+    kept = rows(layers[0], np.empty((1, n), dtype=dtype))  # (a) the unit; later the rows with children of a layer
+    if not (np.array_equal(phi[layers[0][0]], np.arange(width)) and np.array_equal(kept[0], np.arange(n))):
         return None
 
-    # (c) row x against row x' o row a, blocks of rows per generator a
-    step = max(1, SCAN_BYTES // (mult.itemsize * n))  # rows per block
-    for k, a in enumerate(gens):
-        xs = np.flatnonzero(via == k)
-        for lo in range(0, xs.size, step):
-            x = xs[lo : lo + step]
-            if not np.array_equal(mult[x], mult[parent[x]].take(mult[a], axis=1)):
+    # (c) row x against row x' o row a, a layer at a time in blocks of rows
+    gen_rows = rows(np.array(gens), np.empty((len(gens), n), dtype=dtype))
+    has_child, place = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.intp)  # place: x's row in its layer
+    has_child[parent[parent >= 0]] = True
+    kids = [int(has_child[layer].sum()) for layer in layers]
+    step = max(1, SCAN_BYTES // (dtype.itemsize * n))  # rows per block
+    block, want = np.empty((2, step, n), dtype=dtype)
+    spare = np.empty((2, max(kids), n), dtype=dtype)  # the kept rows, a layer's by turns
+    for depth, layer in enumerate(layers[1:]):
+        layer = layer[np.lexsort((via[layer], ~has_child[layer]))]  # those with children first, each by a
+        at, a = place[parent[layer]], via[layer]
+        place[layer] = np.arange(layer.size)
+        starts = (np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()  # of each run of one a
+        children = spare[depth % 2, : kids[depth + 1]]
+        for lo in range(0, layer.size, step):
+            hi = min(lo + step, layer.size)
+            built, parents = rows(layer[lo:hi], block)[: hi - lo], kept[at[lo:hi]]
+            edges = [lo, *(s for s in starts if lo < s < hi), hi]
+            for s, e in zip(edges, edges[1:]):
+                np.take(parents[s - lo : e - lo], gen_rows[a[s]], axis=1, out=want[s - lo : e - lo], mode="clip")
+            if not np.array_equal(built, want[: hi - lo]):
                 return None
+            children[lo:hi] = built[: len(children[lo:hi])]  # the rows with children come first
+        kept = children
 
     # (b) every row of phi, as intp once, composed with every generator
     images = phi.astype(np.intp)
-    if not all(np.array_equal(phi[mult[a]], phi[a][images]) for a in gens):
+    if not all(np.array_equal(phi[a_row], phi[a][images]) for a, a_row in zip(gens, gen_rows)):
         return None
     # (d) the first p columns, sorted, have no two equal rows
     probes = phi[np.lexsort(phi[:, :p].T), :p]
@@ -439,16 +464,18 @@ def _bernoulli_check(
     return n * n + len(gens) * n * width + n * p
 
 
-def _associativity(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: int) -> CheckResult:
-    """The associativity check of :func:`verify_inverse_semigroup`.
-
-    A generation scan, the one :func:`_closure_tree` of the certificate,
-    closes the unit under right multiplication by the generators A =
-    {[t] : t in G}, p lookups per element reached; an element left
-    unreached is the counterexample.  Then :func:`_bernoulli_check`
-    certifies the table along that tree.  If it cannot, Light's test
-    decides: every element being a product of elements of A, (xa)y =
-    x(ay) for all x, y and a in A certifies the table, and the first
+def _associativity(
+    elements: Sequence[SgElement], rows: Callable, product: Callable, unit_idx: int, table: Callable
+) -> CheckResult:
+    """The associativity check of :func:`verify_inverse_semigroup`, on
+    the ``rows`` and ``product`` of :func:`_products`.  A generation
+    scan, the one :func:`_closure_tree` of the certificate, closes the
+    unit under right multiplication by the generators A = {[t] : t in
+    G}, p lookups per element reached; an element left unreached is the
+    counterexample.  Then :func:`_bernoulli_check` certifies the table
+    along that tree.  If it cannot, Light's test decides on the whole
+    table ``table()``: every element being a product of elements of A,
+    (xa)y = x(ay) for all x, y and a in A certifies it, and the first
     failing (x, a, y) is the counterexample.  Its row blocks take about
     SCAN_BYTES.  ``checked`` counts the generation lookups, then the
     model's reads or n^2 per generator Light's test scanned.
@@ -456,13 +483,15 @@ def _associativity(elements: Sequence[SgElement], mult: np.ndarray, unit_idx: in
     import numpy as np
     n = len(elements)
     gens = _generator_rows(elements)
-    reached, via, parent = _closure_tree(mult, unit_idx, gens)
+    layers, via, parent = _closure_tree(product(np.arange(n)[:, None], np.array(gens)), unit_idx)
+    reached = (via >= 0) | (np.arange(n) == unit_idx)
     count = len(gens) * int(reached.sum())
     if not reached.all():
         return CheckResult("associativity", False, count, (elements[int(np.argmin(reached))],))
-    model = _bernoulli_check(elements, mult, unit_idx, gens, via, parent)
+    model = _bernoulli_check(elements, rows, gens, layers, via, parent)
     if model is not None:
         return CheckResult("associativity", True, count + model)
+    mult = table()
     step = max(1, SCAN_BYTES // (mult.itemsize * n))  # rows per block
     for a in gens:
         count += n * n
@@ -520,24 +549,25 @@ def verify_inverse_semigroup(
     c(ac)(ab) = cab; and a* is one inverse of a.  So when all three
     pass, unique inverses passes on the cases it rests on, the n
     involution cases and the idempotent pairs (n + 4^(p-1) on S(G));
-    otherwise :func:`_inverse_scan` decides and finds the witness.
+    otherwise :func:`_inverse_scan` decides and finds the witness.  Only
+    a failing check has :func:`multiplication_tables` build the table.
     """
     import numpy as np
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
-    mult, star_idx, unit_idx = multiplication_tables(elements)
-
-    assoc = _associativity(elements, mult, unit_idx)
+    rows, product, star_idx, unit_idx = _products(group, elements)
+    table = functools.cache(lambda: multiplication_tables(elements)[0])  # for Light's test and the scan
+    assoc = _associativity(elements, rows, product, unit_idx, table)
 
     # a a* a == a  and  a* a a* == a*
     idx = np.arange(n)
-    both = (mult[mult[idx, star_idx], idx] == idx) & (mult[mult[star_idx, idx], star_idx] == star_idx)
+    both = (product(product(idx, star_idx), idx) == idx) & (product(product(star_idx, idx), star_idx) == star_idx)
     bad = (elements[int(np.flatnonzero(~both)[0])],) if not both.all() else None
     invol = CheckResult("involution identities", bad is None, n, bad)
 
     # idempotents commute pairwise
-    idem = np.flatnonzero(mult[idx, idx] == idx)
-    sub = mult[np.ix_(idem, idem)]
+    idem = np.flatnonzero(product(idx, idx) == idx)
+    sub = product(idem[:, None], idem)
     comm = sub == sub.T
     bad = None if comm.all() else tuple(elements[int(idem[i])] for i in np.argwhere(~comm)[0])
     commute = CheckResult("idempotents commute", bad is None, int(idem.size) ** 2, bad)
@@ -545,7 +575,7 @@ def verify_inverse_semigroup(
     if assoc.passed and invol.passed and commute.passed:
         unique = CheckResult("unique inverses", True, invol.checked + commute.checked)
     else:
-        unique = _inverse_scan(elements, mult, star_idx)
+        unique = _inverse_scan(elements, table(), star_idx)
     return SemigroupReport(group.order, n, [assoc, invol, unique, commute])
 
 
@@ -710,7 +740,7 @@ def _worst_pair(
     import numpy as np
     elements = list(table)
     group, n = elements[0].group, len(elements)
-    products, star, _ = _products(group, elements)
+    products, _, star, _ = _products(group, elements)
     targets = np.empty((group.order, n), dtype=star.dtype)  # the products of up to p rows
     width = min(n, max(1, SCAN_BYTES // max(images[:1].nbytes, 1)))
 

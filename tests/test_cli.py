@@ -455,6 +455,32 @@ def test_a_closed_stdout_ends_the_cli_silently():
     assert err == b""
 
 
+MAX_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "invsg.cli", *sys.argv[1:]], stdin=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_verify_past_the_default_cap_never_holds_the_table():
+    """``invsg sg verify cyclic:11 --cap 11``: 6144 elements, whose
+    uint16 product table would take 72 MiB.  The certificate streams the
+    table's rows and passes, so the process exits 0 with a max RSS under
+    80 MiB (106 MiB when the table was built up front).  A small
+    interpreter starts it: a child's max RSS counts the pages of the
+    process it was forked from, here the test runner's."""
+    argv = ["sg", "verify", "cyclic:11", "--cap", "11"]
+    proc = subprocess.run(
+        [sys.executable, "-c", MAX_RSS, *argv], env=fresh_env(), capture_output=True, text=True, timeout=120
+    )
+    *report, last = proc.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())
+    assert (proc.returncode, code, proc.stderr) == (0, 0, "")
+    assert report[0] == "semigroup on group of order 11: 6144 elements"
+    assert max_rss_kib < 80 * 1024
+
+
 LOADED_AFTER = """
 import sys
 if sys.argv[1:]:

@@ -143,17 +143,28 @@ def test_only_the_extension_conditions_read_the_generic_laws(law):
     assert "semigroup.check_extension_conditions" in _readers("_checked_boxes")
 
 
-def test_only_the_certificate_and_the_algebra_build_the_product_table():
-    """The multiplicativity scans look up a row's products when they scan
-    it, from the row source ``semigroup._products`` that also fills the
-    n x n ``multiplication_tables``.  So only the inverse-semigroup
-    certificate and the algebra builder read the whole table, and no
+def test_only_the_certificate_and_the_algebra_build_the_product_table(monkeypatch):
+    """The multiplicativity scans and the certificate look a row's
+    products up when they read it, from the row source
+    ``semigroup._products`` that also fills the n x n
+    ``multiplication_tables``.  So only the algebra builder reads the
+    whole table, and the inverse-semigroup certificate only when its
+    model fails: a passing certificate runs with the table refused.  No
     statement of ``src/invsg`` defines or reads the rows-only wrapper
     ``_row_scan`` or the separate ``_key_lookup``."""
     readers = _readers("multiplication_tables") - {"algebra.ImportFrom"}
     assert readers == {"semigroup.verify_inverse_semigroup", "algebra.build_algebra"}
     assert not _defined_or_read("_row_scan") and not _defined_or_read("_key_lookup")
-    assert {"semigroup.multiplication_tables", "semigroup._worst_pair"} <= _readers("_products")
+    assert {"semigroup.multiplication_tables", "semigroup._worst_pair", "semigroup.verify_inverse_semigroup"} <= _readers("_products")
+
+    from invsg import semigroup
+    from invsg.groups import dihedral
+
+    def refuse(elements):
+        raise AssertionError("multiplication_tables was called")
+
+    monkeypatch.setattr(semigroup, "multiplication_tables", refuse)
+    assert semigroup.verify_inverse_semigroup(dihedral(3)).passed
 
 
 def test_one_batched_product_serves_both_graded_products():

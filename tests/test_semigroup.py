@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -484,8 +485,8 @@ def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypat
     calls, real = [], semigroup._extension_rows
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
     elements = enumerate_semigroup(g)
-    mult, _, unit_index = multiplication_tables(elements)
-    assoc = semigroup._associativity(elements, mult, unit_index)
+    rows, product, _, unit_index = semigroup._products(g, elements)
+    assoc = semigroup._associativity(elements, rows, product, unit_index, _no_table)
     assert assoc.passed and assoc.checked == model_checked(len(elements), g.order)
     ((rows, phi),) = calls
     assert rows.dtype == np.uint8 and rows.tolist() == _restricted_bernoulli_rows(g)
@@ -495,8 +496,9 @@ def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypat
 
 def test_past_the_cap_certificate_is_the_models(monkeypatch):
     """cyclic(11) with cap 11, 6144 elements and a 72 MiB table: the
-    model certifies associativity, so Light's test never runs, and
-    unique inverses is derived without the scan."""
+    model certifies associativity, so Light's test never runs and the
+    table is never built, and unique inverses is derived without the
+    scan."""
     real = semigroup._bernoulli_check
 
     def model_or_fail(*args):
@@ -506,13 +508,75 @@ def test_past_the_cap_certificate_is_the_models(monkeypatch):
 
     monkeypatch.setattr(semigroup, "_bernoulli_check", model_or_fail)
     monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
+    monkeypatch.setattr(semigroup, "multiplication_tables", _no_table)
     report = verify_inverse_semigroup(cyclic(11), cap=11)
     assert report.passed and report.size == order_formula(11) == 6144
     assert report.checks[0].checked == model_checked(6144, 11)
     assert report.checks[2].checked == inverses_checked(6144, 11)
 
 
+def test_a_passing_certificate_builds_no_product_table(monkeypatch):
+    """cyclic(10), n = 2816: with ``multiplication_tables`` refused
+    wherever the package binds it, the certificate passes on rows it
+    streams a closure-tree layer at a time, and its traced peak stays
+    below n^2 bytes, the size of any n x n array (the uint16 table
+    takes 15.9 MB)."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "invsg" and hasattr(module, "multiplication_tables"):
+            monkeypatch.setattr(module, "multiplication_tables", _no_table)
+    tracemalloc.start()
+    try:
+        report = verify_inverse_semigroup(cyclic(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.size == 2816 and peak < 2816 * 2816
+
+
+@pytest.mark.parametrize("g", MODEL_GROUPS, ids=MODEL_IDS)
+def test_streamed_reports_are_the_reference_counts(monkeypatch, g):
+    """Without the whole table, every model group's report passes each
+    check with the closed-form counts: the model's reads, the n
+    involution cases, the derived unique inverses and the 4^(p-1)
+    idempotent pairs."""
+    monkeypatch.setattr(semigroup, "multiplication_tables", _no_table)
+    report = verify_inverse_semigroup(g)
+    n, p = report.size, g.order
+    assert n == (order_formula(p) if p > 1 else 1)
+    assert [(c.name, c.passed, c.checked, c.counterexample) for c in report.checks] == [
+        ("associativity", True, model_checked(n, p), None),
+        ("involution identities", True, n, None),
+        ("unique inverses", True, inverses_checked(n, p), None),
+        ("idempotents commute", True, 4 ** (p - 1), None),
+    ]
+
+
 _real_tables = semigroup.multiplication_tables
+
+
+def _no_table(*args):
+    raise AssertionError("the whole product table was built")
+
+
+def _table_source(mult):
+    """The ``rows`` and ``product`` of ``semigroup._products``, read off
+    the table ``mult`` itself."""
+
+    def rows(i, out):
+        np.take(mult, i, axis=0, out=out[: len(i)])
+        return out
+
+    return rows, lambda i, j: mult[i, j]
+
+
+def _serve_table(monkeypatch, mult, star, unit_index):
+    """Make ``mult`` and ``star`` the products the certificate reads:
+    the streamed rows and the looked-up products of ``_products``, and
+    the whole table a failing check builds, all read the one array
+    ``mult``, never a copy."""
+    products = (*_table_source(mult), star, unit_index)
+    monkeypatch.setattr(semigroup, "_products", lambda *_: products)
+    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
 
 
 def _associative(mult):
@@ -544,10 +608,10 @@ def _corrupted_tables(elements):
 
 @pytest.mark.parametrize("g", [cyclic(4), cyclic(8)])
 def test_verify_reports_counterexamples(monkeypatch, g):
-    monkeypatch.setattr(semigroup, "multiplication_tables", _corrupted_tables)
-    report = verify_inverse_semigroup(g)
     elements = enumerate_semigroup(g)
-    mult, star, _ = _corrupted_tables(elements)
+    mult, star, unit_index = _corrupted_tables(elements)
+    _serve_table(monkeypatch, mult, star, unit_index)
+    report = verify_inverse_semigroup(g)
     ix = {a: i for i, a in enumerate(elements)}
     assoc, invol, unique, commute = report.checks
     assert not report.passed and not any(c.passed for c in report.checks)
@@ -589,12 +653,43 @@ def test_associativity_scans_every_row_block(monkeypatch):
     mult, star, unit_index = _real_tables(elements)
     n = len(elements)
     mult[n - 1, n - 1] = (mult[n - 1, n - 1] + 1) % n
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    _serve_table(monkeypatch, mult, star, unit_index)
     assoc = verify_inverse_semigroup(g).checks[0]
     k, (x, a, y) = _first_light_failure(mult, [elements.index(generator(g, t)) for t in g.elements()])
     assert x >= semigroup.SCAN_BYTES // (mult.itemsize * n)  # Light's test reads rows in blocks of this many
     assert assoc.counterexample == (elements[x], elements[a], elements[y])
     assert assoc.checked == n * g.order + (k + 1) * n * n
+
+
+@pytest.mark.parametrize("where", ["last layer", "no parent", "unit"])
+def test_one_wrong_streamed_row_fails_the_model(monkeypatch, where):
+    """One wrong entry of the cyclic(8) table, at a column that is no
+    generator (so the closure tree stays), in a row of the tree's last
+    layer, in a row of a middle layer with no children, or in the
+    unit's row: the streamed model check refuses the table, and Light's
+    test on the whole table reports the first failing triple."""
+    g = cyclic(8)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n, p = len(elements), g.order
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    layers, via, parent = semigroup._closure_tree(mult[:, gens], unit_index)
+    middle = layers[len(layers) // 2]
+    x = {
+        "last layer": layers[-1][-1],
+        "no parent": middle[~np.isin(middle, parent)][-1],
+        "unit": unit_index,
+    }[where]
+    y = max(set(range(n)) - set(gens))
+    mult[x, y] = (int(mult[x, y]) + 1) % n
+    calls, real = [], semigroup._bernoulli_check
+    monkeypatch.setattr(semigroup, "_bernoulli_check", lambda *args: calls.append(real(*args)) or calls[-1])
+    _serve_table(monkeypatch, mult, star, unit_index)
+    assoc = verify_inverse_semigroup(g).checks[0]
+    assert calls == [None]
+    k, (x, a, y) = _first_light_failure(mult, gens)
+    assert assoc.counterexample == (elements[x], elements[a], elements[y])
+    assert assoc.checked == n * p + (k + 1) * n * n
 
 
 def test_failing_certificate_at_order_10(monkeypatch):
@@ -608,7 +703,7 @@ def test_failing_certificate_at_order_10(monkeypatch):
     mult, star, unit_index = _real_tables(elements)
     n, p = len(elements), g.order
     mult[n - 1, star[n - 1]] = (int(mult[n - 1, star[n - 1]]) + 1) % n
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    _serve_table(monkeypatch, mult, star, unit_index)
     tracemalloc.start()
     try:
         report = verify_inverse_semigroup(g)
@@ -653,7 +748,7 @@ def test_unique_inverses_reports_a_second_inverse(monkeypatch):
     )
     b = int(mult[star[a], e])
     mult[a, b] = mult[a, star[a]]
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    _serve_table(monkeypatch, mult, star, unit_index)
     unique = verify_inverse_semigroup(g).checks[2]
     first, witnesses = _first_non_unique_inverse(mult, star)
     assert first == min(a, b) >= block and len(witnesses) == 2
@@ -670,7 +765,7 @@ def test_unique_inverses_checks_the_inverse_is_the_star(monkeypatch):
     true_inverse = int(star[a])
     star = star.copy()
     star[a] = a
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    _serve_table(monkeypatch, mult, star, unit_index)
     unique = verify_inverse_semigroup(g).checks[2]
     assert _first_non_unique_inverse(mult, star) == (a, [true_inverse])
     assert unique.counterexample == (elements[a], [elements[true_inverse]])
@@ -694,7 +789,7 @@ def test_unique_inverses_match_the_reference_loop_on_random_corruptions(monkeypa
             bad_mult[i, j] = (int(bad_mult[i, j]) + int(rng.integers(1, n))) % n
         else:
             bad_star[i] = (int(bad_star[i]) + int(rng.integers(1, n))) % n
-        monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad_mult, s=bad_star: (m, s, unit_index))
+        _serve_table(monkeypatch, bad_mult, bad_star, unit_index)
         assoc, invol, unique, commute = verify_inverse_semigroup(g).checks
         expected = _first_non_unique_inverse(bad_mult, bad_star)
         assert unique.passed == (expected is None)
@@ -761,7 +856,7 @@ def test_one_failed_prerequisite_runs_the_scan_once(monkeypatch, broken):
         mult[e, f] = e
         passing = semigroup.CheckResult("associativity", True, 0)
         monkeypatch.setattr(semigroup, "_associativity", lambda *args: passing)
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
+    _serve_table(monkeypatch, mult, star, unit_index)
     calls, scan = _counting_scan(monkeypatch)
     report = verify_inverse_semigroup(g)
     assoc, invol, unique, commute = report.checks
@@ -793,7 +888,7 @@ def test_derived_unique_inverses_agree_with_the_reference_loop(monkeypatch, g):
                 bad_mult[i, j] = (int(bad_mult[i, j]) + int(rng.integers(1, n))) % n
             else:
                 bad_star[i] = (int(bad_star[i]) + int(rng.integers(1, n))) % n
-        monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad_mult, s=bad_star: (m, s, unit_index))
+        _serve_table(monkeypatch, bad_mult, bad_star, unit_index)
         before = len(calls)
         _, invol, unique, commute = verify_inverse_semigroup(g).checks
         expected = _first_non_unique_inverse(bad_mult, bad_star)
@@ -836,7 +931,7 @@ def test_associativity_check_is_sound(monkeypatch, g):
         bad = mult.copy()
         i, j = rng.integers(n, size=2)
         bad[i, j] = (bad[i, j] + rng.integers(1, n)) % n
-        monkeypatch.setattr(semigroup, "multiplication_tables", lambda _, m=bad: (m, star, unit_index))
+        _serve_table(monkeypatch, bad, star, unit_index)
         assoc = verify_inverse_semigroup(g).checks[0]
         if assoc.passed:
             assert _associative(bad)
@@ -860,7 +955,7 @@ def test_associative_table_outside_the_generated_one_fails(monkeypatch):
     n = len(elements)
     left_zero = np.repeat(np.arange(n)[:, None], n, axis=1)
     assert _associative(left_zero)
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (left_zero, star, unit_index))
+    _serve_table(monkeypatch, left_zero, star, unit_index)
     assoc = verify_inverse_semigroup(g).checks[0]
     assert not assoc.passed and assoc.checked == g.order
     (a,) = assoc.counterexample
@@ -888,7 +983,7 @@ def test_associativity_reports_match_the_references_on_random_corruptions(g):
         for _ in range(int(rng.integers(1, 4))):
             i, j = map(int, rng.integers(n, size=2))
             bad[i, j] = (int(bad[i, j]) + int(rng.integers(1, n))) % n
-        assoc = semigroup._associativity(elements, bad, unit_index)
+        assoc = semigroup._associativity(elements, *_table_source(bad), unit_index, lambda: bad)
         reached = _generated(bad, unit_index, gens)
         if assoc.passed:
             assert _associative(bad) and assoc.checked == model_checked(n, p)
@@ -916,9 +1011,9 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
     n, p = len(elements), g.order
     gens = [elements.index(generator(g, t)) for t in g.elements()]
     assert _associative(opposite) and len(_generated(opposite, unit_index, gens)) == n
-    _, via, parent = semigroup._closure_tree(opposite, unit_index, gens)
-    assert semigroup._bernoulli_check(elements, opposite, unit_index, gens, via, parent) is None
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (opposite, star, unit_index))
+    tree = semigroup._closure_tree(opposite[:, gens], unit_index)
+    assert semigroup._bernoulli_check(elements, _table_source(opposite)[0], gens, *tree) is None
+    _serve_table(monkeypatch, opposite, star, unit_index)
     monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
     report = verify_inverse_semigroup(g)
     assoc, unique = report.checks[0], report.checks[2]
@@ -942,7 +1037,7 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     mult, _, unit_index = _real_tables(elements)
     n = len(elements)
     gens = [elements.index(generator(g, t)) for t in g.elements()]
-    _, via, parent = semigroup._closure_tree(mult, unit_index, gens)
+    layers, via, parent = semigroup._closure_tree(mult[:, gens], unit_index)
     edges = {(int(parent[x]), gens[via[x]]) for x in np.flatnonzero(via >= 0)}
     k, y = next((k, y) for k in range(1, g.order) for y in range(n) if y != unit_index and (gens[k], y) not in edges)
     assert (k, y) == (1, 1)
@@ -954,16 +1049,17 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     for x in sorted(np.flatnonzero(via >= 0), key=lambda x: depth[x]):
         bad[x] = bad[parent[x]][bad[gens[via[x]]]]
     assert not _associative(bad)
-    _, bad_via, bad_parent = semigroup._closure_tree(bad, unit_index, gens)
+    _, bad_via, bad_parent = semigroup._closure_tree(bad[:, gens], unit_index)
     assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
-    assert semigroup._bernoulli_check(elements, bad, unit_index, gens, via, parent) is None
+    bad_rows, bad_product = _table_source(bad)
+    assert semigroup._bernoulli_check(elements, bad_rows, gens, layers, via, parent) is None
 
     phi = _model(elements)
     trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
-    assert semigroup._bernoulli_check(elements, bad, unit_index, gens, via, parent) is None
+    assert semigroup._bernoulli_check(elements, bad_rows, gens, layers, via, parent) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
-    assoc = semigroup._associativity(elements, bad, unit_index)
+    assoc = semigroup._associativity(elements, bad_rows, bad_product, unit_index, lambda: bad)
     assert assoc.counterexample == (elements[x], elements[a], elements[z])
 
 
