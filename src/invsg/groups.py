@@ -207,7 +207,7 @@ def group_from_dict(data: dict, name: str = "") -> FiniteGroup:
     table = data.get("table") if isinstance(data, Mapping) else None
     if not isinstance(table, list):
         raise GroupSpecError("group object must carry a 'table' list")
-    if "order" in data and data["order"] != len(table):
+    if "order" in data and json_value(data["order"], "an integer", "order") != len(table):
         raise GroupSpecError(f"declared order {data['order']} does not match table size {len(table)}")
     return from_cayley_table(json_value(table, "a list of rows of integers", "table"), name)
 

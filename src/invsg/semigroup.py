@@ -13,15 +13,14 @@ the product and the involution are closed two-line formulas:
 Supports are bitmasks over group indices, so products are O(|G|) and
 the whole semigroup (size 2^(p-2) * (p+1) for |G| = p >= 2) can be
 enumerated and multiplied out exhaustively at small orders; the
-certificate streams the product table in row blocks, and holds it whole
-only when a check fails.  Arithmetic and enumeration run without numpy;
-the index tables, the certificate, the pair scans and the extension of a
-generator map import it when called.
+certificate reads the product table in row blocks, never whole.
+Arithmetic and enumeration run without numpy; the index tables, the
+certificate, the pair scans and the extension of a generator map
+import it when called.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -258,7 +257,7 @@ def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callab
         return out
 
     def product(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        key = moved[:, j].take(degrees[i[:, 0]], axis=0) if i.ndim == 2 else moved[degrees[i], j]
+        key = moved[:, j].take(degrees[i[:, 0]], axis=0) if i.shape[1:] == (1,) and j.ndim == 1 else moved[degrees[i], j]
         return np.take(index_of, np.bitwise_or(key, left[i], out=key))
 
     star_deg = np.array(group.inverses, dtype=np.int64)[degrees]
@@ -464,21 +463,20 @@ def _bernoulli_check(
     return n * n + len(gens) * n * width + n * p
 
 
-def _associativity(
-    elements: Sequence[SgElement], rows: Callable, product: Callable, unit_idx: int, table: Callable
-) -> CheckResult:
+def _associativity(elements: Sequence[SgElement], rows: Callable, product: Callable, unit_idx: int) -> CheckResult:
     """The associativity check of :func:`verify_inverse_semigroup`, on
     the ``rows`` and ``product`` of :func:`_products`.  A generation
     scan, the one :func:`_closure_tree` of the certificate, closes the
     unit under right multiplication by the generators A = {[t] : t in
     G}, p lookups per element reached; an element left unreached is the
     counterexample.  Then :func:`_bernoulli_check` certifies the table
-    along that tree.  If it cannot, Light's test decides on the whole
-    table ``table()``: every element being a product of elements of A,
-    (xa)y = x(ay) for all x, y and a in A certifies it, and the first
-    failing (x, a, y) is the counterexample.  Its row blocks take about
-    SCAN_BYTES.  ``checked`` counts the generation lookups, then the
-    model's reads or n^2 per generator Light's test scanned.
+    along that tree.  If it cannot, Light's test decides: every element
+    being a product of elements of A, (xa)y = x(ay) for all x, y and a
+    in A certifies it, and the first failing (x, a, y), a-major, is the
+    counterexample.  Per a, it builds the rows x in blocks of about
+    SCAN_BYTES, then the rows xa, and compares row xa with row x
+    composed with row a.  ``checked`` counts the generation lookups,
+    then the model's reads or n^2 per generator Light's test scanned.
     """
     import numpy as np
     n = len(elements)
@@ -491,38 +489,39 @@ def _associativity(
     model = _bernoulli_check(elements, rows, gens, layers, via, parent)
     if model is not None:
         return CheckResult("associativity", True, count + model)
-    mult = table()
-    step = max(1, SCAN_BYTES // (mult.itemsize * n))  # rows per block
-    for a in gens:
+    dtype = np.min_scalar_type(n)
+    gen_rows = rows(np.array(gens), np.empty((len(gens), n), dtype=dtype))
+    step = max(1, SCAN_BYTES // (dtype.itemsize * n))  # rows per block
+    x_rows, xa_rows = np.empty((2, min(step, n), n), dtype=dtype)
+    for a, a_row in zip(gens, gen_rows):
         count += n * n
         for lo in range(0, n, step):
-            left = mult[mult[lo : lo + step, a]]  # (xa)y
-            right = mult[lo : lo + step].take(mult[a], axis=1)  # x(ay)
+            x = rows(np.arange(lo, min(lo + step, n)), x_rows)[: n - lo]
+            left = rows(x[:, a], xa_rows)[: len(x)]  # (xa)y
+            right = x.take(a_row, axis=1)  # x(ay)
             if not np.array_equal(left, right):
                 x, y = map(int, np.argwhere(left != right)[0])
                 return CheckResult("associativity", False, count, (elements[lo + x], elements[a], elements[y]))
     return CheckResult("associativity", True, count)
 
 
-def _inverse_scan(elements: Sequence[SgElement], mult: np.ndarray, star_idx: np.ndarray) -> CheckResult:
-    """The unique-inverses scan: for each a exactly one b with a b a == a
-    and b a b == b, and that b is a*.  With the n x n boolean R[a, b] =
-    ((ab)a == a), b is an inverse of a iff R[a, b] and R[b, a]; rows in
-    blocks of about SCAN_BYTES.  The first failing a is the
-    counterexample, with every inverse it has; n^2 cases."""
+def _inverse_scan(elements: Sequence[SgElement], rows: Callable, product: Callable, star_idx: np.ndarray) -> CheckResult:
+    """The unique-inverses scan on the ``rows`` and ``product`` of
+    :func:`_products`: for each a exactly one b with a b a == a and b a
+    b == b, and that b is a*.  Per block of a, about SCAN_BYTES of intp,
+    (ab)a == a from the rows ab and (ba)b == b from the column ba.  The
+    first failing a is the counterexample, with every inverse it has;
+    n^2 cases."""
     import numpy as np
     n = len(elements)
-    flat, ids = mult.ravel(), np.arange(n)[:, None]
-    relation = np.empty((n, n), dtype=bool)
-    step = max(1, SCAN_BYTES // (np.dtype(np.intp).itemsize * n))  # rows per block of keys
+    ids = np.arange(n)
+    step = max(1, SCAN_BYTES // (ids.itemsize * n))  # rows a per block
+    ab = np.empty((min(step, n), n), dtype=np.min_scalar_type(n))
     for lo in range(0, n, step):
         a = ids[lo : lo + step]
-        relation[lo : lo + step] = flat[mult[lo : lo + step].astype(np.intp) * n + a] == a  # (ab)a at (ab) n + a
-    step = max(1, SCAN_BYTES // n)  # rows per block of the relation
-    for lo in range(0, n, step):
-        inverse = relation[lo : lo + step] & relation[:, lo : lo + step].T
-        rows = np.arange(len(inverse))
-        inverse[rows, star_idx[lo + rows]] ^= True  # now a row is all False iff a* is the one inverse of a
+        inverse = product(rows(a, ab)[: len(a)], a[:, None]) == a[:, None]  # (ab)a == a
+        inverse &= (product(product(ids[:, None], a), ids[:, None]) == ids[:, None]).T  # (ba)b == b
+        inverse[ids[: len(a)], star_idx[a]] ^= True  # now a row is all False iff a* is the one inverse of a
         fails = np.flatnonzero(inverse.any(axis=1))
         if fails.size:
             r = int(fails[0])
@@ -549,15 +548,14 @@ def verify_inverse_semigroup(
     c(ac)(ab) = cab; and a* is one inverse of a.  So when all three
     pass, unique inverses passes on the cases it rests on, the n
     involution cases and the idempotent pairs (n + 4^(p-1) on S(G));
-    otherwise :func:`_inverse_scan` decides and finds the witness.  Only
-    a failing check has :func:`multiplication_tables` build the table.
+    otherwise :func:`_inverse_scan` decides and finds the witness.  Every
+    check reads rows and products of :func:`_products`, none a table.
     """
     import numpy as np
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
     rows, product, star_idx, unit_idx = _products(group, elements)
-    table = functools.cache(lambda: multiplication_tables(elements)[0])  # for Light's test and the scan
-    assoc = _associativity(elements, rows, product, unit_idx, table)
+    assoc = _associativity(elements, rows, product, unit_idx)
 
     # a a* a == a  and  a* a a* == a*
     idx = np.arange(n)
@@ -575,7 +573,7 @@ def verify_inverse_semigroup(
     if assoc.passed and invol.passed and commute.passed:
         unique = CheckResult("unique inverses", True, invol.checked + commute.checked)
     else:
-        unique = _inverse_scan(elements, table(), star_idx)
+        unique = _inverse_scan(elements, rows, product, star_idx)
     return SemigroupReport(group.order, n, [assoc, invol, unique, commute])
 
 

@@ -591,11 +591,17 @@ _MATRICES = {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "1": [[[0, 0], [0, 0]], 
         ("rep", "matrices", dict(_MATRICES, **{"1": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}),
          "matrices[1] has an entry too large for float64"),
         ("group", "table", [[0, 1.9], [1, 0]], "table must be a list of rows of integers"),
+        ("group", "order", 2.0, "order must be an integer"),
+        ("group", "order", True, "order must be an integer"),
+        ("rep", "matrices", dict(_MATRICES, **{"1": [[[1, 0], [0, 0]]]}), "matrix must be square, got shape (1, 2)"),
+        ("rep", "dim", 3, "declared dim does not match the matrices"),
+        ("pa", "theta", dict(_THETA, **{"1": [[0, 1], [0, 0]]}), "point 0 has two images"),
     ],
     ids=[
         "theta-list", "matrices-list", "set_size-list", "set_size-float", "set_size-negative", "dim-float",
         "point-too-large", "point-negative", "image-float", "pair-not-list", "entry-not-pair",
-        "entry-past-float64", "table-entry-float",
+        "entry-past-float64", "table-entry-float", "order-float", "order-bool", "matrix-not-square",
+        "dim-mismatch", "two-images",
     ],
 )
 def test_malformed_values_are_domain_errors(tmp_path, capsys, family, key, value, message):
@@ -614,6 +620,34 @@ def test_malformed_values_are_domain_errors(tmp_path, capsys, family, key, value
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ValueError" and message in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "document, code, message",
+    [
+        ({"order": 3, "table": [[0, 1], [1, 0]]}, 2, "declared order 3 does not match table size 2"),
+        ({"table": []}, 1, "table is empty"),
+        ({"table": [[0, 1], [1]]}, 1, "row 1 has length 1, expected 2"),
+    ],
+    ids=["order-mismatch", "empty", "ragged"],
+)
+def test_a_table_of_the_wrong_size_names_its_fault(tmp_path, capsys, document, code, message):
+    """A declared order that is an integer but not the table's size is a
+    usage error (exit 2, one line); an empty or ragged table is a
+    ``NotLatinSquare`` domain error (exit 1)."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(document))
+    got, out, err = invoke(capsys, "sg", "order", str(path))
+    if code == 2:
+        assert (got, out, err) == (2, "", f"invsg: {message}\n")
+    else:
+        assert (got, out) == (1, "") and json.loads(err) == {"error": "NotLatinSquare", "message": message}
+
+
+@pytest.mark.parametrize("spec", ["dihedral:0", "cyclic:0"])
+def test_a_builtin_of_order_0_is_usage_error(capsys, spec):
+    code, out, err = invoke(capsys, "sg", "order", spec)
+    assert (code, out) == (2, "") and err.startswith("invsg: ") and ">= 1, got 0" in err
 
 
 def test_group_file_must_be_an_object(tmp_path, capsys):

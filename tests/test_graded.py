@@ -89,6 +89,10 @@ def test_generated_semigroup_count(g, expected):
     assert closure == {element_subspace(alg, a) for a in alg.basis}
 
 
+def test_no_generators_generate_the_empty_set():
+    assert generated_semigroup([]) == set() and generated_semigroup({}) == set()
+
+
 def test_element_subspace_is_bijective_homomorphism():
     for g in [cyclic(2), cyclic(4), klein_four()]:
         alg = build_algebra(g)

@@ -143,28 +143,44 @@ def test_only_the_extension_conditions_read_the_generic_laws(law):
     assert "semigroup.check_extension_conditions" in _readers("_checked_boxes")
 
 
-def test_only_the_certificate_and_the_algebra_build_the_product_table(monkeypatch):
-    """The multiplicativity scans and the certificate look a row's
-    products up when they read it, from the row source
+def test_only_the_algebra_builds_the_product_table(monkeypatch):
+    """The multiplicativity scans and every check of the certificate look
+    a row's products up when they read it, from the row source
     ``semigroup._products`` that also fills the n x n
     ``multiplication_tables``.  So only the algebra builder reads the
-    whole table, and the inverse-semigroup certificate only when its
-    model fails: a passing certificate runs with the table refused.  No
-    statement of ``src/invsg`` defines or reads the rows-only wrapper
-    ``_row_scan`` or the separate ``_key_lookup``."""
+    whole table, and a certificate runs with it refused wherever the
+    package binds it, passing or failing.  No statement of ``src/invsg``
+    defines or reads the rows-only wrapper ``_row_scan`` or the separate
+    ``_key_lookup``."""
     readers = _readers("multiplication_tables") - {"algebra.ImportFrom"}
-    assert readers == {"semigroup.verify_inverse_semigroup", "algebra.build_algebra"}
+    assert readers == {"algebra.build_algebra"}
     assert not _defined_or_read("_row_scan") and not _defined_or_read("_key_lookup")
     assert {"semigroup.multiplication_tables", "semigroup._worst_pair", "semigroup.verify_inverse_semigroup"} <= _readers("_products")
+
+    import numpy as np
 
     from invsg import semigroup
     from invsg.groups import dihedral
 
+    g = dihedral(3)
+    elements = semigroup.enumerate_semigroup(g)
+    mult, star, unit_index = semigroup.multiplication_tables(elements)
+    mult[-1, star[-1]] = (int(mult[-1, star[-1]]) + 1) % len(elements)  # a wrong a a* in the last row
+
     def refuse(elements):
         raise AssertionError("multiplication_tables was called")
 
-    monkeypatch.setattr(semigroup, "multiplication_tables", refuse)
-    assert semigroup.verify_inverse_semigroup(dihedral(3)).passed
+    def rows(i, out):
+        np.take(mult, i, axis=0, out=out[: len(i)])
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "invsg" and hasattr(module, "multiplication_tables"):
+            monkeypatch.setattr(module, "multiplication_tables", refuse)
+    assert semigroup.verify_inverse_semigroup(g).passed
+    monkeypatch.setattr(semigroup, "_products", lambda *_: (rows, lambda i, j: mult[i, j], star, unit_index))
+    report = semigroup.verify_inverse_semigroup(g)
+    assert [c.passed for c in report.checks] == [False, False, False, True]
 
 
 def test_one_batched_product_serves_both_graded_products():

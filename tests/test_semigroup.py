@@ -296,6 +296,8 @@ def test_natural_partial_order():
     witness = SgElement(g4, 0b0101, 0)
     assert witness * larger == smaller
     assert not natural_partial_order(generator(g4, 1), generator(g4, 2))
+    with pytest.raises(ValueError, match="different groups"):
+        natural_partial_order(unit(g4), unit(cyclic(3)))
 
 
 def test_natural_partial_order_iff_idempotent_witness():
@@ -318,6 +320,8 @@ def test_act_on_subset():
     assert act_on_subset(unit(g4), subset) == subset
     with pytest.raises(ValueError):
         act_on_subset(unit(g4), {1, 2})
+    with pytest.raises(ValueError, match="outside the group"):
+        act_on_subset(unit(cyclic(3)), {0, 3})
 
 
 def test_act_on_subset_is_homomorphism_and_recovers_support():
@@ -486,7 +490,7 @@ def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypat
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
     elements = enumerate_semigroup(g)
     rows, product, _, unit_index = semigroup._products(g, elements)
-    assoc = semigroup._associativity(elements, rows, product, unit_index, _no_table)
+    assoc = semigroup._associativity(elements, rows, product, unit_index)
     assert assoc.passed and assoc.checked == model_checked(len(elements), g.order)
     ((rows, phi),) = calls
     assert rows.dtype == np.uint8 and rows.tolist() == _restricted_bernoulli_rows(g)
@@ -571,12 +575,11 @@ def _table_source(mult):
 
 def _serve_table(monkeypatch, mult, star, unit_index):
     """Make ``mult`` and ``star`` the products the certificate reads:
-    the streamed rows and the looked-up products of ``_products``, and
-    the whole table a failing check builds, all read the one array
+    the rows and the looked-up products of ``_products``, which every
+    check reads, passing or failing, both read off the one array
     ``mult``, never a copy."""
     products = (*_table_source(mult), star, unit_index)
     monkeypatch.setattr(semigroup, "_products", lambda *_: products)
-    monkeypatch.setattr(semigroup, "multiplication_tables", lambda _: (mult, star, unit_index))
 
 
 def _associative(mult):
@@ -711,6 +714,38 @@ def test_failing_certificate_at_order_10(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+    assoc, invol, unique, commute = report.checks
+    k, (x, a, y) = _first_light_failure(mult, [elements.index(generator(g, t)) for t in g.elements()])
+    assert assoc.counterexample == (elements[x], elements[a], elements[y])
+    assert assoc.checked == n * p + (k + 1) * n * n
+    assert not invol.passed and commute.passed
+    first, witnesses = _first_non_unique_inverse(mult, star)
+    assert unique.counterexample == (elements[first], [elements[j] for j in witnesses])
+    assert unique.checked == n * n
+
+
+def test_a_failing_certificate_builds_no_product_table(monkeypatch):
+    """The corruption of the order-10 test above, with
+    ``multiplication_tables`` refused wherever the package binds it:
+    Light's test and the unique-inverses scan read the served rows and
+    products, report what the reference loops do, and the traced peak
+    stays below n^2 bytes, the size of any n x n array."""
+    g = cyclic(10)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    n, p = len(elements), g.order
+    mult[n - 1, star[n - 1]] = (int(mult[n - 1, star[n - 1]]) + 1) % n
+    _serve_table(monkeypatch, mult, star, unit_index)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "invsg" and hasattr(module, "multiplication_tables"):
+            monkeypatch.setattr(module, "multiplication_tables", _no_table)
+    tracemalloc.start()
+    try:
+        report = verify_inverse_semigroup(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
     assoc, invol, unique, commute = report.checks
     k, (x, a, y) = _first_light_failure(mult, [elements.index(generator(g, t)) for t in g.elements()])
     assert assoc.counterexample == (elements[x], elements[a], elements[y])
@@ -983,7 +1018,7 @@ def test_associativity_reports_match_the_references_on_random_corruptions(g):
         for _ in range(int(rng.integers(1, 4))):
             i, j = map(int, rng.integers(n, size=2))
             bad[i, j] = (int(bad[i, j]) + int(rng.integers(1, n))) % n
-        assoc = semigroup._associativity(elements, *_table_source(bad), unit_index, lambda: bad)
+        assoc = semigroup._associativity(elements, *_table_source(bad), unit_index)
         reached = _generated(bad, unit_index, gens)
         if assoc.passed:
             assert _associative(bad) and assoc.checked == model_checked(n, p)
@@ -1059,7 +1094,7 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
     assert semigroup._bernoulli_check(elements, bad_rows, gens, layers, via, parent) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
-    assoc = semigroup._associativity(elements, bad_rows, bad_product, unit_index, lambda: bad)
+    assoc = semigroup._associativity(elements, bad_rows, bad_product, unit_index)
     assert assoc.counterexample == (elements[x], elements[a], elements[z])
 
 
