@@ -397,7 +397,7 @@ class SgRepresentation:
             return 0.0, None
         n, p = len(self.table), self.group.order
         if p > 1 and n < order_formula(p):  # not all of S(G): refused before any product if not closed
-            rows, _, star, _ = _products(self.group, self.table.elements)
+            rows, _, _, star, _ = _products(self.group, self.table.elements)
             out = np.empty((1, n), dtype=star.dtype)
             for a in range(n):
                 rows([a], out)
@@ -422,7 +422,7 @@ class SgRepresentation:
         with the inverse rows, matrices with the adjoints of a block of
         the stack at a time (:func:`_per_image`)."""
         rows, elements = self.table.rows, self.table.elements
-        stars = _products(self.group, elements)[2]
+        stars = _products(self.group, elements)[3]
         missing = np.flatnonzero(stars == len(elements))
         if missing.size:
             lost = elements[missing[0]]

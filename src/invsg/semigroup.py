@@ -212,46 +212,49 @@ def _translates(group: FiniteGroup) -> np.ndarray:
     return translate
 
 
-def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, Callable, np.ndarray, int]:
-    """Products and stars of ``elements`` by index: (rows, product, star,
-    unit_index).  ``rows(i, out)`` writes the rows i of the product
+def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, Callable, Callable, np.ndarray, int]:
+    """Products and stars of ``elements`` by index: (rows, keys, product,
+    star, unit_index).  ``rows(i, out)`` writes the rows i of the product
     table into out[:len(i)], out[r, j] the index of elements[i[r]] *
-    elements[j], and returns ``out``; ValueError if a product leaves
-    the list.  ``product(i, j)`` is the index of elements[i] *
-    elements[j], broadcasting i against j (a column against a row is
-    one gather of rows), and star[i] that of elements[i]^*; both give n
-    = len(elements) where it is missing.  Indices are in the narrowest
-    unsigned dtype holding n, the dtype of ``star`` and ``out``.
+    elements[j], and returns ``out``; ValueError if a product leaves the
+    list.  ``keys(i)`` is the key rows i, ``rows`` before its lookup.
+    ``product(i, j)`` is the index of elements[i] * elements[j],
+    broadcasting i against j (a column against a row is one gather of
+    rows), and star[i] that of elements[i]^*; both give n where it is
+    missing, n = len(elements).  Indices are in the narrowest unsigned
+    dtype holding n, the dtype of ``star`` and ``out``.
 
-    Each element is keyed as support << k | degree, k bits holding a
-    degree, in the narrowest unsigned dtype holding every key (uint16
-    at order 10).  Since (F, s)(H, u) = (F | s.H, su), the key of a
-    product is F << k OR the key of s.(H, u), and the p x n keys of the
-    translates s.(H, u) are computed once.  So each block of about
-    SCAN_BYTES of key rows costs one gather of translates, one OR into a
-    key buffer allocated once and one lookup of the keys' indices.
+    Every support holds e, so an element is keyed as F' << k | degree,
+    F' being F without bit e and k bits a degree, in the narrowest
+    unsigned dtype holding every key (uint16 through order 13).  As (F,
+    s)(H, u) = (F | s.H, su), a product's key is F' << k OR the key of
+    s.(H, u); the p x n keys of the translates s.(H, u), computed once
+    in C order, make a block of about SCAN_BYTES of key rows one gather
+    and one OR.  ``rows`` is the lookup of ``keys`` here alone, so the
+    two never disagree: equal key rows are equal index rows.
     """
     import numpy as np
-    p, n = group.order, len(elements)
+    p, n, e = group.order, len(elements), group.identity
     k = max(1, (p - 1).bit_length())
     supports = np.array([a.support for a in elements], dtype=np.int64)
     degrees = np.array([a.degree for a in elements], dtype=np.int64)
     translate = _translates(group)
-    index_of = np.full(1 << (p + k), n, dtype=np.min_scalar_type(n))
-    index_of[supports << k | degrees] = np.arange(n)
+    squeeze = lambda masks: masks >> (e + 1) << e | masks & ((1 << e) - 1)  # F': bit e dropped
+    index_of = np.full(1 << (p - 1 + k), n, dtype=np.min_scalar_type(n))
+    index_of[squeeze(supports) << k | degrees] = np.arange(n)
     key_dtype = np.min_scalar_type(len(index_of) - 1)
-    moved = (translate[:, supports] << k | np.array(group.table, dtype=np.int64)[:, degrees]).astype(key_dtype)  # keys of s.(H, u)
-    left = (supports << k).astype(key_dtype)  # F << k
+    moved = squeeze(translate[:, supports]) << k | np.array(group.table, dtype=np.int64)[:, degrees]  # keys of s.(H, u)
+    moved, left = moved.astype(key_dtype, order="C"), (squeeze(supports) << k).astype(key_dtype)
     step = max(1, SCAN_BYTES // (key_dtype.itemsize * max(n, 1)))  # rows per block
-    keys = np.empty((min(step, n), n), dtype=key_dtype)
+
+    def keys(i: np.ndarray) -> np.ndarray:
+        key = np.take(moved, degrees[i], axis=0)
+        return np.bitwise_or(key, left[i, None], out=key)
 
     def rows(i: np.ndarray, out: np.ndarray) -> np.ndarray:
         for lo in range(0, len(i), step):
             at = i[lo : lo + step]
-            block, key = out[lo : lo + len(at)], keys[: len(at)]
-            np.take(moved, degrees[at], axis=0, out=key)
-            np.bitwise_or(key, left[at, None], out=key)
-            np.take(index_of, key, out=block, mode="clip")  # keys are in range
+            block = np.take(index_of, keys(at), out=out[lo : lo + len(at)], mode="clip")  # keys are in range
             if block.max() == n:
                 raise ValueError("element list is not closed under multiplication")
         return out
@@ -261,8 +264,8 @@ def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callab
         return np.take(index_of, np.bitwise_or(key, left[i], out=key))
 
     star_deg = np.array(group.inverses, dtype=np.int64)[degrees]
-    star = index_of[translate[star_deg, supports] << k | star_deg]
-    return rows, product, star, int(index_of[(1 << group.identity) << k | group.identity])
+    star = index_of[squeeze(translate[star_deg, supports]) << k | star_deg]
+    return rows, keys, product, star, int(index_of[e])
 
 
 def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -273,7 +276,7 @@ def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np
     the narrow index arrays (to int64, say) before any arithmetic."""
     import numpy as np
     n = len(elements)
-    rows, _, star, unit_idx = _products(elements[0].group, elements)
+    rows, _, _, star, unit_idx = _products(elements[0].group, elements)
     return rows(np.arange(n), np.empty((n, n), dtype=star.dtype)), star, unit_idx
 
 
@@ -370,25 +373,28 @@ def _closure_tree(right: np.ndarray, unit_idx: int) -> tuple[list[np.ndarray], n
     the generators, read off right[x, k] = x * gens[k]: (layers, via,
     parent), layers[0] = [unit], then the new elements of each layer's
     products, ascending.  Each x but the unit is reached at its first
-    product x' * gens[via[x]], a-major, x' = parent[x]; -1 elsewhere."""
+    product x' * gens[via[x]], x'-major, x' = parent[x]; -1 elsewhere.
+    So a layer hangs from few parents, whose rows :func:`_bernoulli_check`
+    keeps: 3432 of two layers at order 14, 12804 if a-major."""
     import numpy as np
     n = len(right)
     via, parent = np.full(n, -1), np.full(n, -1)
     layers = [np.array([unit_idx])]
     while (frontier := layers[-1]).size:
-        found, first = np.unique(right[frontier].T.ravel(), return_index=True)
+        found, first = np.unique(right[frontier].ravel(), return_index=True)
         new = (via[found] < 0) & (found != unit_idx)
         found, first = found[new], first[new]
-        via[found], parent[found] = np.divmod(first, frontier.size)
+        parent[found], via[found] = np.divmod(first, right.shape[1])
         parent[found] = frontier[parent[found]]
         layers.append(found)
     return layers[:-1], via, parent
 
 
 def _bernoulli_check(
-    elements: Sequence[SgElement], rows: Callable, gens: Sequence[int], layers: list, via: np.ndarray, parent: np.ndarray
+    elements: Sequence[SgElement], rows: Callable, keys: Callable, gens: Sequence[int],
+    layers: list, via: np.ndarray, parent: np.ndarray,
 ) -> int | None:
-    """Certify the table of the row source ``rows`` (of
+    """Certify the table of the row source ``rows`` and ``keys`` (of
     :func:`_products`) associative through a model phi of S(G) built
     from the group alone, never read off the table: the number of
     entries read, or None when a check fails (which does not make the
@@ -411,10 +417,14 @@ def _bernoulli_check(
     phi(x') o phi(a) o phi(y) = phi(x) o phi(y).  So phi((xy)z) =
     phi(x) o phi(y) o phi(z) = phi(x(yz)), and (d) gives (xy)z = x(yz).
 
-    (c) builds the rows a layer at a time, in blocks of about SCAN_BYTES,
-    and keeps those with children in the tree for the next.  The entries
-    read: n^2 products, each compared once in (a) or (c); p n composites
-    of m + 1 entries in (b); the n p entries of (d).
+    (c) reads key rows, K[x] = K[x'][row a], with no lookup per product:
+    ``rows`` is the lookup of ``keys``, so that gives row x = row x' o
+    row a; the unit's and generator rows come from ``rows``, which
+    raises on a product outside the list, so no row holds the marker n.
+    It builds them a layer at a time in blocks of about SCAN_BYTES and
+    keeps those with children for the next.  The entries read: n^2
+    products, each compared once in (a) or (c); p n composites of m + 1
+    entries in (b); the n p entries of (d).
     """
     import numpy as np
     group = elements[0].group
@@ -422,19 +432,18 @@ def _bernoulli_check(
     co_singletons = [(1 << p) - 1 ^ 1 << g for g in group.elements() if g != group.identity]  # G - {g}
     phi = _extension_rows(group, _bernoulli_rows(group, co_singletons))
     n, width = phi.shape
-    dtype = np.min_scalar_type(n)
-    kept = rows(layers[0], np.empty((1, n), dtype=dtype))  # (a) the unit; later the rows with children of a layer
-    if not (np.array_equal(phi[layers[0][0]], np.arange(width)) and np.array_equal(kept[0], np.arange(n))):
+    unit_row, *gen_rows = rows(np.array([*layers[0], *gens]), np.empty((1 + len(gens), n), dtype=np.min_scalar_type(n)))
+    if not (np.array_equal(phi[layers[0][0]], np.arange(width)) and np.array_equal(unit_row, np.arange(n))):  # (a)
         return None
 
-    # (c) row x against row x' o row a, a layer at a time in blocks of rows
-    gen_rows = rows(np.array(gens), np.empty((len(gens), n), dtype=dtype))
+    # (c) key row x against key row x' o row a, a layer at a time in blocks of rows
+    kept = keys(layers[0])  # the unit's; later the rows with children of a layer
     has_child, place = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.intp)  # place: x's row in its layer
     has_child[parent[parent >= 0]] = True
     kids = [int(has_child[layer].sum()) for layer in layers]
-    step = max(1, SCAN_BYTES // (dtype.itemsize * n))  # rows per block
-    block, want = np.empty((2, step, n), dtype=dtype)
-    spare = np.empty((2, max(kids), n), dtype=dtype)  # the kept rows, a layer's by turns
+    step = max(1, SCAN_BYTES // (kept.itemsize * n))  # rows per block
+    want = np.empty((step, n), dtype=kept.dtype)
+    spare = np.empty((2, max(kids), n), dtype=kept.dtype)  # the kept rows, a layer's by turns
     for depth, layer in enumerate(layers[1:]):
         layer = layer[np.lexsort((via[layer], ~has_child[layer]))]  # those with children first, each by a
         at, a = place[parent[layer]], via[layer]
@@ -443,7 +452,7 @@ def _bernoulli_check(
         children = spare[depth % 2, : kids[depth + 1]]
         for lo in range(0, layer.size, step):
             hi = min(lo + step, layer.size)
-            built, parents = rows(layer[lo:hi], block)[: hi - lo], kept[at[lo:hi]]
+            built, parents = keys(layer[lo:hi]), kept[at[lo:hi]]
             edges = [lo, *(s for s in starts if lo < s < hi), hi]
             for s, e in zip(edges, edges[1:]):
                 np.take(parents[s - lo : e - lo], gen_rows[a[s]], axis=1, out=want[s - lo : e - lo], mode="clip")
@@ -463,9 +472,9 @@ def _bernoulli_check(
     return n * n + len(gens) * n * width + n * p
 
 
-def _associativity(elements: Sequence[SgElement], rows: Callable, product: Callable, unit_idx: int) -> CheckResult:
+def _associativity(elements: Sequence[SgElement], rows: Callable, keys: Callable, product: Callable, unit_idx: int) -> CheckResult:
     """The associativity check of :func:`verify_inverse_semigroup`, on
-    the ``rows`` and ``product`` of :func:`_products`.  A generation
+    the ``rows``, ``keys`` and ``product`` of :func:`_products`.  A generation
     scan, the one :func:`_closure_tree` of the certificate, closes the
     unit under right multiplication by the generators A = {[t] : t in
     G}, p lookups per element reached; an element left unreached is the
@@ -486,7 +495,7 @@ def _associativity(elements: Sequence[SgElement], rows: Callable, product: Calla
     count = len(gens) * int(reached.sum())
     if not reached.all():
         return CheckResult("associativity", False, count, (elements[int(np.argmin(reached))],))
-    model = _bernoulli_check(elements, rows, gens, layers, via, parent)
+    model = _bernoulli_check(elements, rows, keys, gens, layers, via, parent)
     if model is not None:
         return CheckResult("associativity", True, count + model)
     dtype = np.min_scalar_type(n)
@@ -554,8 +563,8 @@ def verify_inverse_semigroup(
     import numpy as np
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
-    rows, product, star_idx, unit_idx = _products(group, elements)
-    assoc = _associativity(elements, rows, product, unit_idx)
+    rows, keys, product, star_idx, unit_idx = _products(group, elements)
+    assoc = _associativity(elements, rows, keys, product, unit_idx)
 
     # a a* a == a  and  a* a a* == a*
     idx = np.arange(n)
@@ -563,11 +572,15 @@ def verify_inverse_semigroup(
     bad = (elements[int(np.flatnonzero(~both)[0])],) if not both.all() else None
     invol = CheckResult("involution identities", bad is None, n, bad)
 
-    # idempotents commute pairwise
+    # idempotents commute pairwise: per block of rows ef, e >= lo, against the columns fe
     idem = np.flatnonzero(product(idx, idx) == idx)
-    sub = product(idem[:, None], idem)
-    comm = sub == sub.T
-    bad = None if comm.all() else tuple(elements[int(idem[i])] for i in np.argwhere(~comm)[0])
+    step, bad = max(1, SCAN_BYTES // (star_idx.itemsize * max(idem.size, 1))), None
+    for lo in range(0, idem.size, step):
+        e, rest = idem[lo : lo + step], idem[lo:]
+        fails = np.argwhere(product(e[:, None], rest) != product(rest[:, None], e).T)
+        if fails.size:  # the first in row-major order: a failing pair below the diagonal has its mirror above
+            bad = (elements[int(e[fails[0, 0]])], elements[int(rest[fails[0, 1]])])
+            break
     commute = CheckResult("idempotents commute", bad is None, int(idem.size) ** 2, bad)
 
     if assoc.passed and invol.passed and commute.passed:
@@ -738,7 +751,7 @@ def _worst_pair(
     import numpy as np
     elements = list(table)
     group, n = elements[0].group, len(elements)
-    products, _, star, _ = _products(group, elements)
+    products, _, _, star, _ = _products(group, elements)
     targets = np.empty((group.order, n), dtype=star.dtype)  # the products of up to p rows
     width = min(n, max(1, SCAN_BYTES // max(images[:1].nbytes, 1)))
 

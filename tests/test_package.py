@@ -170,7 +170,8 @@ def test_only_the_algebra_builds_the_product_table(monkeypatch):
     def refuse(elements):
         raise AssertionError("multiplication_tables was called")
 
-    def rows(i, out):
+    def rows(i, out=None):
+        out = np.empty((len(i), len(mult)), dtype=mult.dtype) if out is None else out
         np.take(mult, i, axis=0, out=out[: len(i)])
         return out
 
@@ -178,7 +179,7 @@ def test_only_the_algebra_builds_the_product_table(monkeypatch):
         if name.split(".")[0] == "invsg" and hasattr(module, "multiplication_tables"):
             monkeypatch.setattr(module, "multiplication_tables", refuse)
     assert semigroup.verify_inverse_semigroup(g).passed
-    monkeypatch.setattr(semigroup, "_products", lambda *_: (rows, lambda i, j: mult[i, j], star, unit_index))
+    monkeypatch.setattr(semigroup, "_products", lambda *_: (rows, rows, lambda i, j: mult[i, j], star, unit_index))
     report = semigroup.verify_inverse_semigroup(g)
     assert [c.passed for c in report.checks] == [False, False, False, True]
 

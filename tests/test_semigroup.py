@@ -489,8 +489,8 @@ def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypat
     calls, real = [], semigroup._extension_rows
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
     elements = enumerate_semigroup(g)
-    rows, product, _, unit_index = semigroup._products(g, elements)
-    assoc = semigroup._associativity(elements, rows, product, unit_index)
+    rows, keys, product, _, unit_index = semigroup._products(g, elements)
+    assoc = semigroup._associativity(elements, rows, keys, product, unit_index)
     assert assoc.passed and assoc.checked == model_checked(len(elements), g.order)
     ((rows, phi),) = calls
     assert rows.dtype == np.uint8 and rows.tolist() == _restricted_bernoulli_rows(g)
@@ -537,6 +537,146 @@ def test_a_passing_certificate_builds_no_product_table(monkeypatch):
     assert report.passed and report.size == 2816 and peak < 2816 * 2816
 
 
+def test_no_row_call_copies_the_translate_keys():
+    """cyclic(10): one single-row ``rows`` call, the row source built
+    before tracing, traces a peak below the p x n key entries of the
+    translates, so it gathers one row of them and copies none whole."""
+    g = cyclic(10)
+    elements = enumerate_semigroup(g)
+    rows, keys, _, star, _ = semigroup._products(g, elements)
+    out = np.empty((1, len(elements)), dtype=star.dtype)
+    key_bytes = g.order * len(elements) * keys(np.array([0])).itemsize
+    tracemalloc.start()
+    try:
+        rows(np.array([len(elements) - 1]), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < key_bytes
+    index = {a: i for i, a in enumerate(elements)}
+    assert out[0].tolist() == [index[elements[-1] * b] for b in elements]
+
+
+def test_keys_are_uint16_through_order_13():
+    """The identity bit, set in every support, is no part of a key, so
+    the 12 + 4 bits of a key at order 13 fit uint16; the unit's key is
+    the identity."""
+    g = cyclic(13)
+    elements = enumerate_semigroup(g, cap=13)
+    _, keys, _, _, unit_index = semigroup._products(g, elements)
+    assert keys(np.array([unit_index])).dtype == np.uint16
+    assert keys(np.array([unit_index]))[0, unit_index] == g.identity
+
+
+@pytest.mark.parametrize("g", [cyclic(5), klein_four(), dihedral(3), relabelled(cyclic(4), [2, 0, 3, 1])], ids=str)
+def test_the_closure_tree_takes_the_first_parent(g):
+    """Each x of a layer is reached from the first x' of the layer before
+    with some x' * a = x, at the first such generator a: the rule read
+    off every product of the layer before."""
+    elements = enumerate_semigroup(g)
+    mult, _, unit_index = multiplication_tables(elements)
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    layers, via, parent = semigroup._closure_tree(mult[:, gens], unit_index)
+    for before, layer in zip(layers, layers[1:]):
+        first = {}
+        for x in before:
+            for k, a in enumerate(gens):
+                first.setdefault(int(mult[x, a]), (int(x), k))
+        assert [(parent[x], via[x]) for x in layer] == [first[int(x)] for x in layer]
+
+
+def test_few_rows_of_a_layer_have_children():
+    """cyclic(13): taking the first parent gathers the children, so at
+    most 1716 elements of two adjacent layers have children, the rows
+    check (c) keeps, where taking the first generator kept 6006."""
+    g = cyclic(13)
+    elements = enumerate_semigroup(g, cap=13)
+    _, _, product, _, unit_index = semigroup._products(g, elements)
+    right = product(np.arange(len(elements))[:, None], np.array(semigroup._generator_rows(elements)))
+    layers, _, parent = semigroup._closure_tree(right, unit_index)
+    kept = [np.isin(layer, parent).sum() for layer in layers]
+    assert max(a + b for a, b in zip(kept, kept[1:])) == 1716
+
+
+@pytest.mark.parametrize(
+    "g", [cyclic(5), dihedral(4), relabelled(cyclic(4), [2, 0, 3, 1])], ids=["cyclic5", "dihedral4", "relabelled-cyclic4"]
+)
+def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
+    """The real row source of ``_products`` with the left factors F << k
+    of two elements x, y of distinct supports swapped, so the products
+    of x read (F_y | s.H, su) and those of y likewise, all still listed;
+    x and y are neither the unit nor a generator, so no other row
+    changes, the unit's row and the generator rows stay right and only
+    check (c), on key rows, can refuse the table.  Over seeded pairs it
+    refuses every one, and the report is that of the n^3 reference scan
+    and Light's test on the table ``multiplication_tables`` reads off
+    the same source."""
+    real = semigroup._products
+    swap = []
+
+    def corrupted(group, elements):
+        source = real(group, elements)
+        keys = source[1]
+        left = keys.__closure__[keys.__code__.co_freevars.index("left")].cell_contents
+        left[swap] = left[swap[::-1]]
+        return source
+
+    elements = enumerate_semigroup(g)
+    clean, _, unit_index = multiplication_tables(elements)
+    monkeypatch.setattr(semigroup, "_products", corrupted)
+    n, p = len(elements), g.order
+    gens = [elements.index(generator(g, t)) for t in g.elements()]
+    others = sorted(set(range(n)) - set(gens) - {unit_index})
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        swap[:] = map(int, rng.choice(others, size=2, replace=False))
+        if elements[swap[0]].support == elements[swap[1]].support:  # the same left factor
+            continue
+        mult = multiplication_tables(elements)[0]
+        assert set(np.flatnonzero((mult != clean).any(axis=1))) <= set(swap)
+        assert not _associative(mult) and len(_generated(mult, unit_index, gens)) == n
+        rows, keys, _, _, _ = semigroup._products(g, elements)
+        tree = semigroup._closure_tree(mult[:, gens], unit_index)
+        assert semigroup._bernoulli_check(elements, rows, keys, gens, *tree) is None
+        assoc = verify_inverse_semigroup(g).checks[0]
+        k, (x, a, y) = _first_light_failure(mult, gens)
+        assert assoc.counterexample == (elements[x], elements[a], elements[y])
+        assert assoc.checked == n * p + (k + 1) * n * n
+
+
+def test_idempotent_pairs_are_checked_in_blocks(monkeypatch):
+    """cyclic(12), 2048 idempotents and 4^11 pairs: with associativity
+    stubbed to pass, the traced peak of the other checks stays below
+    the 8 MiB one uint16 array of every pair takes.  On cyclic(10), two
+    wrong products ef = e of idempotents, below the diagonal and in
+    later row blocks, give the first failing pair in row-major order."""
+    passing = semigroup.CheckResult("associativity", True, 0)
+    monkeypatch.setattr(semigroup, "_associativity", lambda *args: passing)
+    tracemalloc.start()
+    try:
+        report = verify_inverse_semigroup(cyclic(12), cap=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checks[3].checked == 4**11
+    assert peak < 2 * 4**11
+
+    g = cyclic(10)
+    elements = enumerate_semigroup(g)
+    mult, star, unit_index = _real_tables(elements)
+    idem = np.flatnonzero(mult[np.arange(len(elements)), np.arange(len(elements))] == np.arange(len(elements)))
+    block = semigroup.SCAN_BYTES // (star.itemsize * idem.size)
+    for e, f in [(idem[400], idem[block + 1]), (idem[block + 3], idem[block + 2])]:
+        mult[e, f] = e
+    _serve_table(monkeypatch, mult, star, unit_index)
+    commute = verify_inverse_semigroup(g).checks[3]
+    pairs = mult[np.ix_(idem, idem)]
+    i, j = np.argwhere(pairs != pairs.T)[0]
+    assert (i, j) == (block + 1, 400)
+    assert commute.counterexample == (elements[idem[i]], elements[idem[j]])
+    assert commute.checked == idem.size**2
+
+
 @pytest.mark.parametrize("g", MODEL_GROUPS, ids=MODEL_IDS)
 def test_streamed_reports_are_the_reference_counts(monkeypatch, g):
     """Without the whole table, every model group's report passes each
@@ -563,21 +703,23 @@ def _no_table(*args):
 
 
 def _table_source(mult):
-    """The ``rows`` and ``product`` of ``semigroup._products``, read off
-    the table ``mult`` itself."""
+    """The ``rows``, ``keys`` and ``product`` of ``semigroup._products``,
+    read off the table ``mult`` itself, whose index rows serve as its
+    key rows."""
 
-    def rows(i, out):
+    def rows(i, out=None):
+        out = np.empty((len(i), len(mult)), dtype=mult.dtype) if out is None else out
         np.take(mult, i, axis=0, out=out[: len(i)])
         return out
 
-    return rows, lambda i, j: mult[i, j]
+    return rows, rows, lambda i, j: mult[i, j]
 
 
 def _serve_table(monkeypatch, mult, star, unit_index):
     """Make ``mult`` and ``star`` the products the certificate reads:
-    the rows and the looked-up products of ``_products``, which every
-    check reads, passing or failing, both read off the one array
-    ``mult``, never a copy."""
+    the rows, the key rows and the looked-up products of ``_products``,
+    which every check reads, passing or failing, all read off the one
+    array ``mult``, never a copy."""
     products = (*_table_source(mult), star, unit_index)
     monkeypatch.setattr(semigroup, "_products", lambda *_: products)
 
@@ -1047,7 +1189,7 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
     gens = [elements.index(generator(g, t)) for t in g.elements()]
     assert _associative(opposite) and len(_generated(opposite, unit_index, gens)) == n
     tree = semigroup._closure_tree(opposite[:, gens], unit_index)
-    assert semigroup._bernoulli_check(elements, _table_source(opposite)[0], gens, *tree) is None
+    assert semigroup._bernoulli_check(elements, *_table_source(opposite)[:2], gens, *tree) is None
     _serve_table(monkeypatch, opposite, star, unit_index)
     monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
     report = verify_inverse_semigroup(g)
@@ -1086,15 +1228,15 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     assert not _associative(bad)
     _, bad_via, bad_parent = semigroup._closure_tree(bad[:, gens], unit_index)
     assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
-    bad_rows, bad_product = _table_source(bad)
-    assert semigroup._bernoulli_check(elements, bad_rows, gens, layers, via, parent) is None
+    bad_rows, _, bad_product = _table_source(bad)
+    assert semigroup._bernoulli_check(elements, bad_rows, bad_rows, gens, layers, via, parent) is None
 
     phi = _model(elements)
     trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
-    assert semigroup._bernoulli_check(elements, bad_rows, gens, layers, via, parent) is None
+    assert semigroup._bernoulli_check(elements, bad_rows, bad_rows, gens, layers, via, parent) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
-    assoc = semigroup._associativity(elements, bad_rows, bad_product, unit_index)
+    assoc = semigroup._associativity(elements, bad_rows, bad_rows, bad_product, unit_index)
     assert assoc.counterexample == (elements[x], elements[a], elements[z])
 
 
