@@ -13,10 +13,10 @@ the product and the involution are closed two-line formulas:
 Supports are bitmasks over group indices, so products are O(|G|) and
 the whole semigroup (size 2^(p-2) * (p+1) for |G| = p >= 2) can be
 enumerated and multiplied out exhaustively at small orders; the
-certificate reads the product table in row blocks, never whole.
-Arithmetic and enumeration run without numpy; the index tables, the
-certificate, the pair scans and the extension of a generator map
-import it when called.
+certificate decides the product rows per class of products and never
+holds the table whole.  Arithmetic and enumeration run without numpy;
+the index tables, the certificate, the pair scans and the extension
+of a generator map import it when called.
 """
 
 from __future__ import annotations
@@ -212,26 +212,26 @@ def _translates(group: FiniteGroup) -> np.ndarray:
     return translate
 
 
-def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, Callable, Callable, np.ndarray, int]:
-    """Products and stars of ``elements`` by index: (rows, keys, product,
-    star, unit_index).  ``rows(i, out)`` writes the rows i of the product
-    table into out[:len(i)], out[r, j] the index of elements[i[r]] *
-    elements[j], and returns ``out``; ValueError if a product leaves the
-    list.  ``keys(i)`` is the key rows i, ``rows`` before its lookup.
-    ``product(i, j)`` is the index of elements[i] * elements[j],
-    broadcasting i against j (a column against a row is one gather of
-    rows), and star[i] that of elements[i]^*; both give n where it is
-    missing, n = len(elements).  Indices are in the narrowest unsigned
-    dtype holding n, the dtype of ``star`` and ``out``.
+def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, tuple, Callable, np.ndarray, int]:
+    """Products and stars of ``elements`` by index: (rows, factors,
+    product, star, unit_index).  ``rows(i, out)`` writes the rows i of
+    the product table into out[:len(i)], out[r, j] the index of
+    elements[i[r]] * elements[j], and returns ``out``; ValueError if a
+    product leaves the list.  ``product(i, j)`` is the index of
+    elements[i] * elements[j], broadcasting i against j (a column
+    against a row is one gather of rows), and star[i] that of
+    elements[i]^*; both give n where it is missing, n = len(elements).
+    Indices are in the narrowest unsigned dtype holding n, the dtype of
+    ``star`` and ``out``.
 
     Every support holds e, so an element is keyed as F' << k | degree,
     F' being F without bit e and k bits a degree, in the narrowest
     unsigned dtype holding every key (uint16 through order 13).  As (F,
-    s)(H, u) = (F | s.H, su), a product's key is F' << k OR the key of
-    s.(H, u); the p x n keys of the translates s.(H, u), computed once
-    in C order, make a block of about SCAN_BYTES of key rows one gather
-    and one OR.  ``rows`` is the lookup of ``keys`` here alone, so the
-    two never disagree: equal key rows are equal index rows.
+    s)(H, u) = (F | s.H, su), the key row of x = (F, s) is K[x] = M[s] |
+    L[x], ``factors`` = (M, c, L) with c(x) = s, L[x] = F' << k and M the
+    p x n keys of the translates s.(H, u), in C order.  ``rows``, here
+    alone, looks those factors up, a gather of M, an OR and a lookup per
+    block of about SCAN_BYTES: equal key rows are equal index rows.
     """
     import numpy as np
     p, n, e = group.order, len(elements), group.identity
@@ -247,14 +247,12 @@ def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callab
     moved, left = moved.astype(key_dtype, order="C"), (squeeze(supports) << k).astype(key_dtype)
     step = max(1, SCAN_BYTES // (key_dtype.itemsize * max(n, 1)))  # rows per block
 
-    def keys(i: np.ndarray) -> np.ndarray:
-        key = np.take(moved, degrees[i], axis=0)
-        return np.bitwise_or(key, left[i, None], out=key)
-
     def rows(i: np.ndarray, out: np.ndarray) -> np.ndarray:
         for lo in range(0, len(i), step):
             at = i[lo : lo + step]
-            block = np.take(index_of, keys(at), out=out[lo : lo + len(at)], mode="clip")  # keys are in range
+            key = np.take(moved, degrees[at], axis=0)
+            key = np.bitwise_or(key, left[at, None], out=key)
+            block = np.take(index_of, key, out=out[lo : lo + len(at)], mode="clip")  # keys are in range
             if block.max() == n:
                 raise ValueError("element list is not closed under multiplication")
         return out
@@ -265,7 +263,7 @@ def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callab
 
     star_deg = np.array(group.inverses, dtype=np.int64)[degrees]
     star = index_of[squeeze(translate[star_deg, supports]) << k | star_deg]
-    return rows, keys, product, star, int(index_of[e])
+    return rows, (moved, degrees, left), product, star, int(index_of[e])
 
 
 def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -373,9 +371,7 @@ def _closure_tree(right: np.ndarray, unit_idx: int) -> tuple[list[np.ndarray], n
     the generators, read off right[x, k] = x * gens[k]: (layers, via,
     parent), layers[0] = [unit], then the new elements of each layer's
     products, ascending.  Each x but the unit is reached at its first
-    product x' * gens[via[x]], x'-major, x' = parent[x]; -1 elsewhere.
-    So a layer hangs from few parents, whose rows :func:`_bernoulli_check`
-    keeps: 3432 of two layers at order 14, 12804 if a-major."""
+    product x' * gens[via[x]], x'-major, x' = parent[x]; -1 elsewhere."""
     import numpy as np
     n = len(right)
     via, parent = np.full(n, -1), np.full(n, -1)
@@ -390,11 +386,40 @@ def _closure_tree(right: np.ndarray, unit_idx: int) -> tuple[list[np.ndarray], n
     return layers[:-1], via, parent
 
 
+def _tree_keys_agree(factors: tuple, gen_rows: np.ndarray, via: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Check (c) of :func:`_bernoulli_check`: for each x = x' * a of the
+    tree (via[x] >= 0, x' = parent[x], row a = gen_rows[via[x]]), in
+    order, whether K[x] = K[x'][row a], K[x] = M[c(x)] | L[x] for
+    ``factors`` = (M, c, L).  With A = M[c(x)] and B = M[c(x')][row a],
+    that is A[y] | L[x] = B[y] | L[x'] for all y, which holds at a bit
+    iff: if only L[x] has it, every B[y] has it, so AND_y B does; if
+    only L[x'] has it, AND_y A does; if neither has it, A[y] and B[y]
+    agree there, so OR_y (A ^ B) lacks it; if both have it, always.  A
+    and B depend only on the class (c(x), c(x'), a), at most p^2 on
+    S(G): each is built and reduced once, in blocks of about SCAN_BYTES,
+    then every x is decided at once, O(p^2 n) work."""
+    import numpy as np
+    moved, cls, left = factors
+    x = np.flatnonzero(via >= 0)
+    classes, of_x = np.unique((cls[x] * len(moved) + cls[parent[x]]) * len(gen_rows) + via[x], return_inverse=True)
+    c_x, c_parent, a = np.unravel_index(classes, (len(moved), len(moved), len(gen_rows)))
+    reduced = np.empty((3, classes.size), dtype=moved.dtype)  # AND_y A, AND_y B, OR_y (A ^ B)
+    step = max(1, SCAN_BYTES // (8 * moved.shape[1]))  # classes per block, by their int64 gather indices
+    for lo in range(0, classes.size, step):
+        at = slice(lo, lo + step)
+        A, B = moved[c_x[at]], _gather(moved[c_parent[at]], gen_rows[a[at]])
+        np.bitwise_and.reduce(A, axis=1, out=reduced[0, at])
+        np.bitwise_and.reduce(B, axis=1, out=reduced[1, at])
+        np.bitwise_or.reduce(np.bitwise_xor(A, B, out=A), axis=1, out=reduced[2, at])
+    (and_a, and_b, or_ab), lx, lp = reduced[:, of_x], left[x], left[parent[x]]
+    return ((lx & ~lp & ~and_b) | (lp & ~lx & ~and_a) | (~(lx | lp) & or_ab)) == 0
+
+
 def _bernoulli_check(
-    elements: Sequence[SgElement], rows: Callable, keys: Callable, gens: Sequence[int],
+    elements: Sequence[SgElement], rows: Callable, factors: tuple, gens: Sequence[int],
     layers: list, via: np.ndarray, parent: np.ndarray,
 ) -> int | None:
-    """Certify the table of the row source ``rows`` and ``keys`` (of
+    """Certify the table of the row source ``rows`` and ``factors`` (of
     :func:`_products`) associative through a model phi of S(G) built
     from the group alone, never read off the table: the number of
     entries read, or None when a check fails (which does not make the
@@ -417,14 +442,11 @@ def _bernoulli_check(
     phi(x') o phi(a) o phi(y) = phi(x) o phi(y).  So phi((xy)z) =
     phi(x) o phi(y) o phi(z) = phi(x(yz)), and (d) gives (xy)z = x(yz).
 
-    (c) reads key rows, K[x] = K[x'][row a], with no lookup per product:
-    ``rows`` is the lookup of ``keys``, so that gives row x = row x' o
-    row a; the unit's and generator rows come from ``rows``, which
-    raises on a product outside the list, so no row holds the marker n.
-    It builds them a layer at a time in blocks of about SCAN_BYTES and
-    keeps those with children for the next.  The entries read: n^2
-    products, each compared once in (a) or (c); p n composites of m + 1
-    entries in (b); the n p entries of (d).
+    (c) is :func:`_tree_keys_agree` on ``factors``, which ``rows`` looks
+    up, so row x = row x' o row a; the unit's and generator rows come
+    from ``rows``, which raises on a product outside the list, so no row
+    holds the marker n.  Entries read: n^2 products, each decided once in
+    (a) or (c); p n composites of m + 1 entries in (b); n p in (d).
     """
     import numpy as np
     group = elements[0].group
@@ -432,35 +454,13 @@ def _bernoulli_check(
     co_singletons = [(1 << p) - 1 ^ 1 << g for g in group.elements() if g != group.identity]  # G - {g}
     phi = _extension_rows(group, _bernoulli_rows(group, co_singletons))
     n, width = phi.shape
-    unit_row, *gen_rows = rows(np.array([*layers[0], *gens]), np.empty((1 + len(gens), n), dtype=np.min_scalar_type(n)))
+    looked_up = rows(np.array([*layers[0], *gens]), np.empty((1 + len(gens), n), dtype=np.min_scalar_type(n)))
+    unit_row, gen_rows = looked_up[0], looked_up[1:]
     if not (np.array_equal(phi[layers[0][0]], np.arange(width)) and np.array_equal(unit_row, np.arange(n))):  # (a)
         return None
 
-    # (c) key row x against key row x' o row a, a layer at a time in blocks of rows
-    kept = keys(layers[0])  # the unit's; later the rows with children of a layer
-    has_child, place = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.intp)  # place: x's row in its layer
-    has_child[parent[parent >= 0]] = True
-    kids = [int(has_child[layer].sum()) for layer in layers]
-    step = max(1, SCAN_BYTES // (kept.itemsize * n))  # rows per block
-    want = np.empty((step, n), dtype=kept.dtype)
-    spare = np.empty((2, max(kids), n), dtype=kept.dtype)  # the kept rows, a layer's by turns
-    for depth, layer in enumerate(layers[1:]):
-        layer = layer[np.lexsort((via[layer], ~has_child[layer]))]  # those with children first, each by a
-        at, a = place[parent[layer]], via[layer]
-        place[layer] = np.arange(layer.size)
-        starts = (np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()  # of each run of one a
-        children = spare[depth % 2, : kids[depth + 1]]
-        for lo in range(0, layer.size, step):
-            hi = min(lo + step, layer.size)
-            built, parents = keys(layer[lo:hi]), kept[at[lo:hi]]
-            edges = [lo, *(s for s in starts if lo < s < hi), hi]
-            for s, e in zip(edges, edges[1:]):
-                np.take(parents[s - lo : e - lo], gen_rows[a[s]], axis=1, out=want[s - lo : e - lo], mode="clip")
-            if not np.array_equal(built, want[: hi - lo]):
-                return None
-            children[lo:hi] = built[: len(children[lo:hi])]  # the rows with children come first
-        kept = children
-
+    if not _tree_keys_agree(factors, gen_rows, via, parent).all():  # (c)
+        return None
     # (b) every row of phi, as intp once, composed with every generator
     images = phi.astype(np.intp)
     if not all(np.array_equal(phi[a_row], phi[a][images]) for a, a_row in zip(gens, gen_rows)):
@@ -472,9 +472,9 @@ def _bernoulli_check(
     return n * n + len(gens) * n * width + n * p
 
 
-def _associativity(elements: Sequence[SgElement], rows: Callable, keys: Callable, product: Callable, unit_idx: int) -> CheckResult:
+def _associativity(elements: Sequence[SgElement], rows: Callable, factors: tuple, product: Callable, unit_idx: int) -> CheckResult:
     """The associativity check of :func:`verify_inverse_semigroup`, on
-    the ``rows``, ``keys`` and ``product`` of :func:`_products`.  A generation
+    the ``rows``, ``factors`` and ``product`` of :func:`_products`.  A generation
     scan, the one :func:`_closure_tree` of the certificate, closes the
     unit under right multiplication by the generators A = {[t] : t in
     G}, p lookups per element reached; an element left unreached is the
@@ -495,7 +495,7 @@ def _associativity(elements: Sequence[SgElement], rows: Callable, keys: Callable
     count = len(gens) * int(reached.sum())
     if not reached.all():
         return CheckResult("associativity", False, count, (elements[int(np.argmin(reached))],))
-    model = _bernoulli_check(elements, rows, keys, gens, layers, via, parent)
+    model = _bernoulli_check(elements, rows, factors, gens, layers, via, parent)
     if model is not None:
         return CheckResult("associativity", True, count + model)
     dtype = np.min_scalar_type(n)
@@ -563,8 +563,8 @@ def verify_inverse_semigroup(
     import numpy as np
     elements = enumerate_semigroup(group, cap)
     n = len(elements)
-    rows, keys, product, star_idx, unit_idx = _products(group, elements)
-    assoc = _associativity(elements, rows, keys, product, unit_idx)
+    rows, factors, product, star_idx, unit_idx = _products(group, elements)
+    assoc = _associativity(elements, rows, factors, product, unit_idx)
 
     # a a* a == a  and  a* a a* == a*
     idx = np.arange(n)

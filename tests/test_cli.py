@@ -465,8 +465,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def test_verify_past_the_default_cap_never_holds_the_table():
     """``invsg sg verify cyclic:11 --cap 11``: 6144 elements, whose
-    uint16 product table would take 72 MiB.  The certificate streams the
-    table's rows and passes, so the process exits 0 with a max RSS under
+    uint16 product table would take 72 MiB.  The certificate never builds
+    the table and passes, so the process exits 0 with a max RSS under
     80 MiB (106 MiB when the table was built up front).  A small
     interpreter starts it: a child's max RSS counts the pages of the
     process it was forked from, here the test runner's."""
@@ -479,6 +479,26 @@ def test_verify_past_the_default_cap_never_holds_the_table():
     assert (proc.returncode, code, proc.stderr) == (0, 0, "")
     assert report[0] == "semigroup on group of order 11: 6144 elements"
     assert max_rss_kib < 80 * 1024
+
+
+def test_verify_at_order_13_keeps_no_rows():
+    """``invsg sg verify cyclic:13 --cap 13``: 28,672 elements.  Check (c)
+    of the model decides the table's rows per class of products and
+    keeps no rows, so the process exits 0, the model certifies
+    associativity and the max RSS stays under 96 MiB (140 MiB when (c)
+    kept the key rows of each closure-tree layer's parents)."""
+    argv = ["sg", "verify", "cyclic:13", "--cap", "13"]
+    proc = subprocess.run(
+        [sys.executable, "-c", MAX_RSS, *argv], env=fresh_env(), capture_output=True, text=True, timeout=120
+    )
+    *report, last = proc.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())
+    assert (proc.returncode, code, proc.stderr) == (0, 0, "")
+    assert report[:2] == [
+        "semigroup on group of order 13: 28672 elements",
+        f"associativity: ok (exhaustive, {model_checked(28672, 13)} cases)",
+    ]
+    assert max_rss_kib < 96 * 1024
 
 
 LOADED_AFTER = """

@@ -179,7 +179,8 @@ def test_only_the_algebra_builds_the_product_table(monkeypatch):
         if name.split(".")[0] == "invsg" and hasattr(module, "multiplication_tables"):
             monkeypatch.setattr(module, "multiplication_tables", refuse)
     assert semigroup.verify_inverse_semigroup(g).passed
-    monkeypatch.setattr(semigroup, "_products", lambda *_: (rows, rows, lambda i, j: mult[i, j], star, unit_index))
+    factors = (mult, np.arange(len(mult)), np.zeros(len(mult), dtype=mult.dtype))  # one class per element
+    monkeypatch.setattr(semigroup, "_products", lambda *_: (rows, factors, lambda i, j: mult[i, j], star, unit_index))
     report = semigroup.verify_inverse_semigroup(g)
     assert [c.passed for c in report.checks] == [False, False, False, True]
 

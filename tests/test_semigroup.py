@@ -489,8 +489,8 @@ def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypat
     calls, real = [], semigroup._extension_rows
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
     elements = enumerate_semigroup(g)
-    rows, keys, product, _, unit_index = semigroup._products(g, elements)
-    assoc = semigroup._associativity(elements, rows, keys, product, unit_index)
+    rows, factors, product, _, unit_index = semigroup._products(g, elements)
+    assoc = semigroup._associativity(elements, rows, factors, product, unit_index)
     assert assoc.passed and assoc.checked == model_checked(len(elements), g.order)
     ((rows, phi),) = calls
     assert rows.dtype == np.uint8 and rows.tolist() == _restricted_bernoulli_rows(g)
@@ -521,8 +521,8 @@ def test_past_the_cap_certificate_is_the_models(monkeypatch):
 
 def test_a_passing_certificate_builds_no_product_table(monkeypatch):
     """cyclic(10), n = 2816: with ``multiplication_tables`` refused
-    wherever the package binds it, the certificate passes on rows it
-    streams a closure-tree layer at a time, and its traced peak stays
+    wherever the package binds it, the certificate passes, deciding the
+    rows per class of products, and its traced peak stays
     below n^2 bytes, the size of any n x n array (the uint16 table
     takes 15.9 MB)."""
     for name, module in list(sys.modules.items()):
@@ -543,9 +543,9 @@ def test_no_row_call_copies_the_translate_keys():
     translates, so it gathers one row of them and copies none whole."""
     g = cyclic(10)
     elements = enumerate_semigroup(g)
-    rows, keys, _, star, _ = semigroup._products(g, elements)
+    rows, (moved, _, _), _, star, _ = semigroup._products(g, elements)
     out = np.empty((1, len(elements)), dtype=star.dtype)
-    key_bytes = g.order * len(elements) * keys(np.array([0])).itemsize
+    key_bytes = g.order * len(elements) * moved.itemsize
     tracemalloc.start()
     try:
         rows(np.array([len(elements) - 1]), out)
@@ -559,13 +559,14 @@ def test_no_row_call_copies_the_translate_keys():
 
 def test_keys_are_uint16_through_order_13():
     """The identity bit, set in every support, is no part of a key, so
-    the 12 + 4 bits of a key at order 13 fit uint16; the unit's key is
-    the identity."""
+    the 12 + 4 bits of a key at order 13 fit uint16; the unit's key,
+    M[c(unit)] | L[unit] of the factors, is the identity."""
     g = cyclic(13)
     elements = enumerate_semigroup(g, cap=13)
-    _, keys, _, _, unit_index = semigroup._products(g, elements)
-    assert keys(np.array([unit_index])).dtype == np.uint16
-    assert keys(np.array([unit_index]))[0, unit_index] == g.identity
+    _, (moved, cls, left), _, _, unit_index = semigroup._products(g, elements)
+    key = moved[cls[unit_index]] | left[unit_index]
+    assert key.dtype == np.uint16
+    assert key[unit_index] == g.identity
 
 
 @pytest.mark.parametrize("g", [cyclic(5), klein_four(), dihedral(3), relabelled(cyclic(4), [2, 0, 3, 1])], ids=str)
@@ -587,8 +588,8 @@ def test_the_closure_tree_takes_the_first_parent(g):
 
 def test_few_rows_of_a_layer_have_children():
     """cyclic(13): taking the first parent gathers the children, so at
-    most 1716 elements of two adjacent layers have children, the rows
-    check (c) keeps, where taking the first generator kept 6006."""
+    most 1716 elements of two adjacent layers have children, where
+    taking the first generator gave 6006."""
     g = cyclic(13)
     elements = enumerate_semigroup(g, cap=13)
     _, _, product, _, unit_index = semigroup._products(g, elements)
@@ -598,12 +599,110 @@ def test_few_rows_of_a_layer_have_children():
     assert max(a + b for a, b in zip(kept, kept[1:])) == 1716
 
 
+def test_certificate_peak_memory_at_order_13():
+    """cyclic(13), 28,672 elements: check (c) keeps no rows, so the
+    traced peak of the whole certificate stays under 32 MiB (115.5 MiB
+    when it kept the key rows of each closure-tree layer's parents), and
+    the model certifies associativity."""
+    tracemalloc.start()
+    try:
+        report = verify_inverse_semigroup(cyclic(13), cap=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert report.passed and report.checks[0].checked == model_checked(28672, 13)
+
+
+def _direct_key_check(factors, gen_rows, via, parent):
+    """The reference of check (c): K[x] == K[x'][row a] for each x of the
+    tree, ascending, on the whole key rows K[x] = M[c(x)] | L[x]."""
+    moved, cls, left = factors
+    keys = moved[cls] | left[:, None]
+    x = np.flatnonzero(via >= 0)
+    return (keys[x] == np.take_along_axis(keys[parent[x]], gen_rows[via[x]].astype(np.intp), axis=1)).all(axis=1)
+
+
+def _random_factors(rng, served):
+    """A seeded factor set (M, c, L) of 4-bit keys over n elements, its
+    generator rows and a random tree (via, parent).  Each row of M is
+    one value with a few bits flipped, so the reductions over y are
+    rarely all ones or all zeros.  ``served`` gives the shape of a served
+    table: one class per element, no left factor, and some rows M[x]
+    set to M[x'][row a] before a few of their entries are changed."""
+    n, gens = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+    classes = n if served else int(rng.integers(1, 6))
+    moved = (rng.integers(0, 16, classes)[:, None] ^ (rng.random((classes, n)) < 0.05) << rng.integers(0, 4, (classes, n)))
+    moved = moved.astype(np.uint8)
+    gen_rows = rng.integers(0, n, (gens, n)).astype(np.uint8)
+    via, parent = rng.integers(-1, gens, n), rng.integers(0, n, n)
+    if served:
+        for x in np.flatnonzero((via >= 0) & (rng.random(n) < 0.6)):
+            moved[x] = moved[parent[x]][gen_rows[via[x]]]
+            if rng.random() < 0.3:
+                moved[x, rng.integers(n)] ^= 1 << rng.integers(0, 4)
+        return (moved, np.arange(n), np.zeros(n, dtype=np.uint8)), gen_rows, via, parent
+    cls = rng.integers(0, classes, n)
+    left = (rng.integers(0, 16, n) & rng.integers(0, 16, n)).astype(np.uint8)
+    return (moved, cls, left), gen_rows, via, parent
+
+
+@pytest.mark.parametrize("served", [False, True], ids=["classes", "served-table"])
+def test_the_class_wise_key_check_is_the_direct_comparison(served):
+    """Seeded random factor sets, 300 of each shape: check (c) decided per
+    class (c(x), c(x'), a) from three reductions over y gives, x by x,
+    the direct comparison of whole key rows.  Both verdicts occur, and
+    on the factor sets with classes some x pass only because a bit of
+    L[x] and L[x'] hides a wrong bit of M."""
+    rng = np.random.default_rng(23)
+    verdicts, masked = {True: 0, False: 0}, 0
+    for _ in range(300):
+        factors, gen_rows, via, parent = _random_factors(rng, served)
+        want = _direct_key_check(factors, gen_rows, via, parent)
+        assert np.array_equal(semigroup._tree_keys_agree(factors, gen_rows, via, parent), want)
+        moved, cls, _ = factors
+        x = np.flatnonzero(via >= 0)
+        bare = (moved[cls[x]] == np.take_along_axis(moved[cls[parent[x]]], gen_rows[via[x]].astype(np.intp), axis=1)).all(axis=1)
+        masked += int((want & ~bare).sum())
+        for verdict in want.tolist():
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 300
+    assert served or masked > 50
+
+
+def test_one_flipped_key_bit_of_the_real_source_is_refused_where_the_rows_differ():
+    """The real cyclic(5) factors (M, c, L), with one bit of M or of L
+    flipped in a copy, 200 times: check (c) refuses exactly the x the
+    direct comparison of whole key rows does, and ``_bernoulli_check``,
+    whose row source stays clean, refuses exactly when some x fails."""
+    g = cyclic(5)
+    elements = enumerate_semigroup(g)
+    rows, factors, product, _, unit_index = semigroup._products(g, elements)
+    n, gens = len(elements), semigroup._generator_rows(elements)
+    layers, via, parent = semigroup._closure_tree(product(np.arange(n)[:, None], np.array(gens)), unit_index)
+    gen_rows = rows(np.array(gens), np.empty((len(gens), n), dtype=np.min_scalar_type(n)))
+    assert semigroup._tree_keys_agree(factors, gen_rows, via, parent).all()
+    rng = np.random.default_rng(29)
+    refused = 0
+    for _ in range(200):
+        moved, cls, left = (f.copy() for f in factors)
+        flipped = moved.reshape(-1) if rng.random() < 0.5 else left
+        flipped[rng.integers(flipped.size)] ^= 1 << int(rng.integers(0, 8 * flipped.itemsize))
+        want = _direct_key_check((moved, cls, left), gen_rows, via, parent)
+        assert np.array_equal(semigroup._tree_keys_agree((moved, cls, left), gen_rows, via, parent), want)
+        checked = semigroup._bernoulli_check(elements, rows, (moved, cls, left), gens, layers, via, parent)
+        assert (checked is None) == (not want.all())
+        refused += checked is None
+    assert refused > 100
+
+
 @pytest.mark.parametrize(
     "g", [cyclic(5), dihedral(4), relabelled(cyclic(4), [2, 0, 3, 1])], ids=["cyclic5", "dihedral4", "relabelled-cyclic4"]
 )
 def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
     """The real row source of ``_products`` with the left factors F << k
-    of two elements x, y of distinct supports swapped, so the products
+    of two elements x, y of distinct supports swapped in the returned
+    ``left`` factor, so the products
     of x read (F_y | s.H, su) and those of y likewise, all still listed;
     x and y are neither the unit nor a generator, so no other row
     changes, the unit's row and the generator rows stay right and only
@@ -616,8 +715,7 @@ def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
 
     def corrupted(group, elements):
         source = real(group, elements)
-        keys = source[1]
-        left = keys.__closure__[keys.__code__.co_freevars.index("left")].cell_contents
+        left = source[1][2]
         left[swap] = left[swap[::-1]]
         return source
 
@@ -635,9 +733,9 @@ def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
         mult = multiplication_tables(elements)[0]
         assert set(np.flatnonzero((mult != clean).any(axis=1))) <= set(swap)
         assert not _associative(mult) and len(_generated(mult, unit_index, gens)) == n
-        rows, keys, _, _, _ = semigroup._products(g, elements)
+        rows, factors, _, _, _ = semigroup._products(g, elements)
         tree = semigroup._closure_tree(mult[:, gens], unit_index)
-        assert semigroup._bernoulli_check(elements, rows, keys, gens, *tree) is None
+        assert semigroup._bernoulli_check(elements, rows, factors, gens, *tree) is None
         assoc = verify_inverse_semigroup(g).checks[0]
         k, (x, a, y) = _first_light_failure(mult, gens)
         assert assoc.counterexample == (elements[x], elements[a], elements[y])
@@ -703,21 +801,22 @@ def _no_table(*args):
 
 
 def _table_source(mult):
-    """The ``rows``, ``keys`` and ``product`` of ``semigroup._products``,
+    """The ``rows``, ``factors`` and ``product`` of ``semigroup._products``,
     read off the table ``mult`` itself, whose index rows serve as its
-    key rows."""
+    key rows: the factors (mult, arange(n), zeros), one class per
+    element and no left factor, with ``mult`` not copied."""
 
     def rows(i, out=None):
         out = np.empty((len(i), len(mult)), dtype=mult.dtype) if out is None else out
         np.take(mult, i, axis=0, out=out[: len(i)])
         return out
 
-    return rows, rows, lambda i, j: mult[i, j]
+    return rows, (mult, np.arange(len(mult)), np.zeros(len(mult), dtype=mult.dtype)), lambda i, j: mult[i, j]
 
 
 def _serve_table(monkeypatch, mult, star, unit_index):
     """Make ``mult`` and ``star`` the products the certificate reads:
-    the rows, the key rows and the looked-up products of ``_products``,
+    the rows, the key factors and the looked-up products of ``_products``,
     which every check reads, passing or failing, all read off the one
     array ``mult``, never a copy."""
     products = (*_table_source(mult), star, unit_index)
@@ -811,7 +910,7 @@ def test_one_wrong_streamed_row_fails_the_model(monkeypatch, where):
     """One wrong entry of the cyclic(8) table, at a column that is no
     generator (so the closure tree stays), in a row of the tree's last
     layer, in a row of a middle layer with no children, or in the
-    unit's row: the streamed model check refuses the table, and Light's
+    unit's row: the model check refuses the table, and Light's
     test on the whole table reports the first failing triple."""
     g = cyclic(8)
     elements = enumerate_semigroup(g)
@@ -841,8 +940,8 @@ def test_failing_certificate_at_order_10(monkeypatch):
     """One wrong entry of the last row of the cyclic(10) table, a a* for
     the last element a: Light's test and the unique-inverses scan both
     run, and report what the reference loops do.  The table is built
-    before tracing, so the traced peak is the checks' own: the n x n
-    boolean relation (7.6 MiB) and the blocks of Light's test."""
+    before tracing, so the traced peak is the checks' own: the blocks
+    of Light's test and of the unique-inverses scan, and the model."""
     g = cyclic(10)
     elements = enumerate_semigroup(g)
     mult, star, unit_index = _real_tables(elements)
@@ -917,7 +1016,7 @@ def test_unique_inverses_reports_a_second_inverse(monkeypatch):
     g = cyclic(8)
     elements = enumerate_semigroup(g)
     mult, star, unit_index = _real_tables(elements)
-    block = semigroup.SCAN_BYTES // len(elements)  # rows per block of the boolean relation
+    block = semigroup.SCAN_BYTES // len(elements)  # 8 times the scan's block of SCAN_BYTES // (8 n) rows
     a = block + 5
     e = next(
         elements.index(f) for f in idempotent_elements(g)
@@ -1228,15 +1327,15 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     assert not _associative(bad)
     _, bad_via, bad_parent = semigroup._closure_tree(bad[:, gens], unit_index)
     assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
-    bad_rows, _, bad_product = _table_source(bad)
-    assert semigroup._bernoulli_check(elements, bad_rows, bad_rows, gens, layers, via, parent) is None
+    bad_rows, bad_factors, bad_product = _table_source(bad)
+    assert semigroup._bernoulli_check(elements, bad_rows, bad_factors, gens, layers, via, parent) is None
 
     phi = _model(elements)
     trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
-    assert semigroup._bernoulli_check(elements, bad_rows, bad_rows, gens, layers, via, parent) is None
+    assert semigroup._bernoulli_check(elements, bad_rows, bad_factors, gens, layers, via, parent) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
-    assoc = semigroup._associativity(elements, bad_rows, bad_rows, bad_product, unit_index)
+    assoc = semigroup._associativity(elements, bad_rows, bad_factors, bad_product, unit_index)
     assert assoc.counterexample == (elements[x], elements[a], elements[z])
 
 
