@@ -49,6 +49,7 @@ from .semigroup import (
     SCAN_BYTES,
     Counterexample,
     SgElement,
+    _element_arrays,
     _exact_certificate,
     _extension_rows,
     _products,
@@ -397,7 +398,7 @@ class SgRepresentation:
             return 0.0, None
         n, p = len(self.table), self.group.order
         if p > 1 and n < order_formula(p):  # not all of S(G): refused before any product if not closed
-            rows, _, _, star, _ = _products(self.group, self.table.elements)
+            rows, _, _, star, _ = _products(self.group, *_element_arrays(self.table.elements))
             out = np.empty((1, n), dtype=star.dtype)
             for a in range(n):
                 rows([a], out)
@@ -410,7 +411,7 @@ class SgRepresentation:
             images = images.astype(_exact_dtype(m * (m * self.dim + 1)), copy=False)
             certify = _exact_certificate
         elif tol > 0:
-            def certify(rows: list[int], worst: float) -> float | None:
+            def certify(rows: np.ndarray, worst: float) -> float | None:
                 bound = _product_bound(images[rows], worst)
                 return bound if bound <= tol / 2 else None
 
@@ -422,7 +423,7 @@ class SgRepresentation:
         with the inverse rows, matrices with the adjoints of a block of
         the stack at a time (:func:`_per_image`)."""
         rows, elements = self.table.rows, self.table.elements
-        stars = _products(self.group, elements)[3]
+        stars = _products(self.group, *_element_arrays(elements))[3]
         missing = np.flatnonzero(stars == len(elements))
         if missing.size:
             lost = elements[missing[0]]

@@ -212,32 +212,40 @@ def _translates(group: FiniteGroup) -> np.ndarray:
     return translate
 
 
-def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callable, tuple, Callable, np.ndarray, int]:
-    """Products and stars of ``elements`` by index: (rows, factors,
-    product, star, unit_index).  ``rows(i, out)`` writes the rows i of
-    the product table into out[:len(i)], out[r, j] the index of
-    elements[i[r]] * elements[j], and returns ``out``; ValueError if a
-    product leaves the list.  ``product(i, j)`` is the index of
-    elements[i] * elements[j], broadcasting i against j (a column
-    against a row is one gather of rows), and star[i] that of
-    elements[i]^*; both give n where it is missing, n = len(elements).
-    Indices are in the narrowest unsigned dtype holding n, the dtype of
-    ``star`` and ``out``.
+def _canonical(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`enumerate_semigroup`'s elements, in its order, as intp arrays (supports, degrees)."""
+    import numpy as np
+    masks = np.arange(1 << group.order)
+    return np.nonzero(masks >> group.identity & masks >> np.arange(group.order)[:, None] & 1)[::-1]
 
-    Every support holds e, so an element is keyed as F' << k | degree,
-    F' being F without bit e and k bits a degree, in the narrowest
+
+def _element_arrays(elements: Sequence[SgElement]) -> np.ndarray:
+    """The (supports, degrees) of a list of elements, the rows of one 2 x n int64 array."""
+    import numpy as np
+    return np.array([(a.support, a.degree) for a in elements], dtype=np.int64).reshape(-1, 2).T
+
+
+def _products(group: FiniteGroup, supports: np.ndarray, degrees: np.ndarray) -> tuple[Callable, tuple, Callable, np.ndarray, int]:
+    """Products and stars by index of the elements x_i = (supports[i],
+    degrees[i]): (rows, factors, product, star, unit_index).  ``rows(i,
+    out)`` writes the rows i of the table into out[:len(i)], out[r, j]
+    the index of x_i[r] x_j, and returns ``out``; ValueError if a product
+    leaves the list.  ``product(i, j)``, the index of x_i x_j, broadcasts
+    i against j (a column against a row is one gather of rows); star[i]
+    is that of x_i^*.  Both give n where it is missing, n = len(degrees),
+    in the narrowest unsigned dtype holding n, that of ``out``.  An
+    element is keyed as F' << k | degree, F' being F without bit e,
+    which every support holds, and k bits a degree, in the narrowest
     unsigned dtype holding every key (uint16 through order 13).  As (F,
     s)(H, u) = (F | s.H, su), the key row of x = (F, s) is K[x] = M[s] |
-    L[x], ``factors`` = (M, c, L) with c(x) = s, L[x] = F' << k and M the
-    p x n keys of the translates s.(H, u), in C order.  ``rows``, here
-    alone, looks those factors up, a gather of M, an OR and a lookup per
-    block of about SCAN_BYTES: equal key rows are equal index rows.
+    L[x]: ``factors`` = (M, c, L), c(x) = s, L[x] = F' << k and M the p x
+    n keys of the translates s.(H, u), in C order.  ``rows``, here alone,
+    looks them up, a gather of M, an OR and a lookup per block of about
+    SCAN_BYTES: equal key rows are equal index rows.
     """
     import numpy as np
-    p, n, e = group.order, len(elements), group.identity
+    p, n, e = group.order, len(degrees), group.identity
     k = max(1, (p - 1).bit_length())
-    supports = np.array([a.support for a in elements], dtype=np.int64)
-    degrees = np.array([a.degree for a in elements], dtype=np.int64)
     translate = _translates(group)
     squeeze = lambda masks: masks >> (e + 1) << e | masks & ((1 << e) - 1)  # F': bit e dropped
     index_of = np.full(1 << (p - 1 + k), n, dtype=np.min_scalar_type(n))
@@ -267,14 +275,14 @@ def _products(group: FiniteGroup, elements: Sequence[SgElement]) -> tuple[Callab
 
 
 def multiplication_tables(elements: Sequence[SgElement]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Index-based product and involution tables over an enumerated
-    semigroup: (mult, star, unit_index) of :func:`_products`, mult[i, j]
-    the index of elements[i] * elements[j], filled by its ``rows``; so
-    ValueError if the list is not closed under multiplication.  Cast
-    the narrow index arrays (to int64, say) before any arithmetic."""
+    """Index-based product and involution tables over a list of elements:
+    (mult, star, unit_index) of :func:`_products`, mult[i, j] the index
+    of elements[i] * elements[j], filled by its ``rows``, so ValueError
+    if the list is not closed.  Cast the narrow index arrays (to int64,
+    say) before any arithmetic."""
     import numpy as np
     n = len(elements)
-    rows, _, _, star, unit_idx = _products(elements[0].group, elements)
+    rows, _, _, star, unit_idx = _products(elements[0].group, *_element_arrays(elements))
     return rows(np.arange(n), np.empty((n, n), dtype=star.dtype)), star, unit_idx
 
 
@@ -306,12 +314,9 @@ class SemigroupReport:
         return "\n".join([head] + [c.describe() for c in self.checks])
 
 
-def _generator_rows(elements: Sequence[SgElement]) -> list[int]:
-    """The indices of the generators [t] = ({e, t}, t) among ``elements``,
-    in degree order; fewer than the group order when some are missing."""
-    e = 1 << elements[0].group.identity
-    rows = {a.degree: i for i, a in enumerate(elements) if a.support == e | 1 << a.degree}
-    return [rows[t] for t in sorted(rows)]
+def _generator_rows(group: FiniteGroup, supports: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """The indices of the generators ({e, t}, t) among the elements (supports[i], degrees[i]), ascending."""
+    return (supports == 1 << group.identity | 1 << degrees).nonzero()[0]
 
 
 def _extension_rows(
@@ -342,12 +347,10 @@ def _extension_rows(
         else:  # a view of the masks holding e: axes bit k, bits k-1..e+1, bit e, bits below e
             held = products[: 2 << k].reshape(2, 1 << (k - e - 1), 2, 1 << e, *projections.shape[1:])[:, :, 1]
             held[1] = compose(held[0], projections[k])
-    masks = np.array(identity_masks(group))
-    supports = [masks[masks >> s & 1 == 1] for s in group.elements()]  # of the elements of degree s
-    starts = [0, *np.cumsum([len(f) for f in supports]).tolist()]
-    out = np.empty((starts[-1], *projections.shape[1:]), dtype=projections.dtype)
-    for s, support in enumerate(supports):
-        out[starts[s] : starts[s + 1]] = compose(products[support], images[s])
+    supports, degrees = _canonical(group)
+    out = np.empty((len(degrees), *projections.shape[1:]), dtype=projections.dtype)
+    for s in group.elements():
+        out[degrees == s] = compose(products[supports[degrees == s]], images[s])
     return out
 
 
@@ -416,8 +419,7 @@ def _tree_keys_agree(factors: tuple, gen_rows: np.ndarray, via: np.ndarray, pare
 
 
 def _bernoulli_check(
-    elements: Sequence[SgElement], rows: Callable, factors: tuple, gens: Sequence[int],
-    layers: list, via: np.ndarray, parent: np.ndarray,
+    group: FiniteGroup, rows: Callable, factors: tuple, gens: np.ndarray, layers: list, via: np.ndarray, parent: np.ndarray
 ) -> int | None:
     """Certify the table of the row source ``rows`` and ``factors`` (of
     :func:`_products`) associative through a model phi of S(G) built
@@ -449,7 +451,6 @@ def _bernoulli_check(
     (a) or (c); p n composites of m + 1 entries in (b); n p in (d).
     """
     import numpy as np
-    group = elements[0].group
     p = group.order
     co_singletons = [(1 << p) - 1 ^ 1 << g for g in group.elements() if g != group.identity]  # G - {g}
     phi = _extension_rows(group, _bernoulli_rows(group, co_singletons))
@@ -472,34 +473,36 @@ def _bernoulli_check(
     return n * n + len(gens) * n * width + n * p
 
 
-def _associativity(elements: Sequence[SgElement], rows: Callable, factors: tuple, product: Callable, unit_idx: int) -> CheckResult:
-    """The associativity check of :func:`verify_inverse_semigroup`, on
-    the ``rows``, ``factors`` and ``product`` of :func:`_products`.  A generation
-    scan, the one :func:`_closure_tree` of the certificate, closes the
-    unit under right multiplication by the generators A = {[t] : t in
-    G}, p lookups per element reached; an element left unreached is the
-    counterexample.  Then :func:`_bernoulli_check` certifies the table
-    along that tree.  If it cannot, Light's test decides: every element
-    being a product of elements of A, (xa)y = x(ay) for all x, y and a
-    in A certifies it, and the first failing (x, a, y), a-major, is the
+def _associativity(
+    group: FiniteGroup, name: Callable, gens: np.ndarray, rows: Callable, factors: tuple, product: Callable, unit_idx: int
+) -> CheckResult:
+    """The associativity check of :func:`verify_inverse_semigroup` on the
+    ``rows``, ``factors`` and ``product`` of :func:`_products` and the
+    ``gens`` of :func:`_generator_rows`; ``name(i)`` is element i, for a
+    witness.  A generation scan, the certificate's one
+    :func:`_closure_tree`, closes the unit under right multiplication by
+    the generators A = {[t] : t in G}, p lookups per element reached; an
+    unreached element is the counterexample.  Then :func:`_bernoulli_check`
+    certifies the table along that tree.  If it cannot, Light's test
+    decides: as A generates, (xa)y = x(ay) for all x, y and a in A
+    certifies it, and the first failing (x, a, y), a-major, is the
     counterexample.  Per a, it builds the rows x in blocks of about
-    SCAN_BYTES, then the rows xa, and compares row xa with row x
-    composed with row a.  ``checked`` counts the generation lookups,
-    then the model's reads or n^2 per generator Light's test scanned.
+    SCAN_BYTES, then the rows xa, and compares row xa with row x composed
+    with row a.  ``checked`` counts the generation lookups, then the
+    model's reads or n^2 per generator scanned.
     """
     import numpy as np
-    n = len(elements)
-    gens = _generator_rows(elements)
-    layers, via, parent = _closure_tree(product(np.arange(n)[:, None], np.array(gens)), unit_idx)
+    n = len(factors[1])  # c: one class per element
+    layers, via, parent = _closure_tree(product(np.arange(n)[:, None], gens), unit_idx)
     reached = (via >= 0) | (np.arange(n) == unit_idx)
     count = len(gens) * int(reached.sum())
     if not reached.all():
-        return CheckResult("associativity", False, count, (elements[int(np.argmin(reached))],))
-    model = _bernoulli_check(elements, rows, factors, gens, layers, via, parent)
+        return CheckResult("associativity", False, count, (name(np.argmin(reached)),))
+    model = _bernoulli_check(group, rows, factors, gens, layers, via, parent)
     if model is not None:
         return CheckResult("associativity", True, count + model)
     dtype = np.min_scalar_type(n)
-    gen_rows = rows(np.array(gens), np.empty((len(gens), n), dtype=dtype))
+    gen_rows = rows(gens, np.empty((len(gens), n), dtype=dtype))
     step = max(1, SCAN_BYTES // (dtype.itemsize * n))  # rows per block
     x_rows, xa_rows = np.empty((2, min(step, n), n), dtype=dtype)
     for a, a_row in zip(gens, gen_rows):
@@ -510,20 +513,19 @@ def _associativity(elements: Sequence[SgElement], rows: Callable, factors: tuple
             right = x.take(a_row, axis=1)  # x(ay)
             if not np.array_equal(left, right):
                 x, y = map(int, np.argwhere(left != right)[0])
-                return CheckResult("associativity", False, count, (elements[lo + x], elements[a], elements[y]))
+                return CheckResult("associativity", False, count, (name(lo + x), name(a), name(y)))
     return CheckResult("associativity", True, count)
 
 
-def _inverse_scan(elements: Sequence[SgElement], rows: Callable, product: Callable, star_idx: np.ndarray) -> CheckResult:
-    """The unique-inverses scan on the ``rows`` and ``product`` of
-    :func:`_products`: for each a exactly one b with a b a == a and b a
-    b == b, and that b is a*.  Per block of a, about SCAN_BYTES of intp,
-    (ab)a == a from the rows ab and (ba)b == b from the column ba.  The
-    first failing a is the counterexample, with every inverse it has;
-    n^2 cases."""
+def _inverse_scan(name: Callable, rows: Callable, product: Callable, star_idx: np.ndarray) -> CheckResult:
+    """The unique-inverses scan on the ``rows``, ``product`` and ``star``
+    of :func:`_products`, ``name`` as in :func:`_associativity`: for
+    each a exactly one b with a b a == a and b a b == b, and that b is
+    a*.  Per block of a, about SCAN_BYTES of intp, (ab)a == a from the
+    rows ab and (ba)b == b from the column ba.  The first failing a is
+    the counterexample, with every inverse it has; n^2 cases."""
     import numpy as np
-    n = len(elements)
-    ids = np.arange(n)
+    ids = np.arange(n := len(star_idx))
     step = max(1, SCAN_BYTES // (ids.itemsize * n))  # rows a per block
     ab = np.empty((min(step, n), n), dtype=np.min_scalar_type(n))
     for lo in range(0, n, step):
@@ -535,58 +537,65 @@ def _inverse_scan(elements: Sequence[SgElement], rows: Callable, product: Callab
         if fails.size:
             r = int(fails[0])
             inverse[r, star_idx[lo + r]] ^= True
-            witnesses = [elements[int(j)] for j in np.flatnonzero(inverse[r])]
-            return CheckResult("unique inverses", False, n * n, (elements[lo + r], witnesses))
+            witnesses = [name(j) for j in np.flatnonzero(inverse[r])]
+            return CheckResult("unique inverses", False, n * n, (name(lo + r), witnesses))
     return CheckResult("unique inverses", True, n * n)
 
 
 def verify_inverse_semigroup(
     group: FiniteGroup, cap: int = DEFAULT_ENUMERATION_CAP, seed: int = 0
 ) -> SemigroupReport:
-    """Exhaustive certification that the enumerated structure is an
-    inverse semigroup; ``seed`` is accepted and ignored.
-
-    Associativity is :func:`_associativity`: a generation scan from the
-    unit, then S(G)'s action on the 2p - 1 points G - {g} (g != e) and
-    G along the same closure tree, with Light's test to find the
-    witness when that model cannot certify the table.  The involution
-    identities a a* a = a and a* a a* = a* and commuting idempotents
-    scan every case.  Unique inverses follow from those three: if b and
-    c are inverses of a, then ba, ca, ab and ac are idempotents, so b =
-    bab = (ba)(ca)b = (ca)(ba)b = cab and c = cac = c(ab)(ac) =
-    c(ac)(ab) = cab; and a* is one inverse of a.  So when all three
-    pass, unique inverses passes on the cases it rests on, the n
-    involution cases and the idempotent pairs (n + 4^(p-1) on S(G));
-    otherwise :func:`_inverse_scan` decides and finds the witness.  Every
-    check reads rows and products of :func:`_products`, none a table.
+    """Exhaustive certification that the enumerated structure is an inverse
+    semigroup; ``seed`` is accepted and ignored.  Every check reads the rows
+    and products of :func:`_products` on the arrays of :func:`_canonical`,
+    none a table; an SgElement only names a witness.  Associativity is
+    :func:`_associativity`: a generation scan from the unit, then S(G)'s
+    action on the 2p - 1 points G - {g} (g != e) and G along the same
+    closure tree, with Light's test to find the witness when that model
+    cannot certify the table.  The involution identities a a* a = a and
+    a* a a* = a* scan every case.  With ``factors`` (M, c, L), ij is the
+    element of key M[c(i)][j] | L[i]: so if the idempotents share one class
+    c and M[c][f] = L[f] | M[c][unit] for each, ef and fe have the one key
+    L[e] | L[f] | M[c][unit], and all |E|^2 pairs commute, in O(|E|).  On
+    S(G), c = e and M[e][f] = L[f] | e, the key of e.f = f.  Else (a served
+    table has one class per element) the pairs are scanned in blocks of
+    rows, the first failing one, row-major, the witness.  Unique inverses
+    follow from those three: if b and c are inverses of a, then ba, ca,
+    ab and ac are idempotents, so b = bab = (ba)(ca)b = (ca)(ba)b = cab
+    and c = cac = c(ab)(ac) = c(ac)(ab) = cab; and a* is one inverse of
+    a.  So when all three pass, unique inverses passes on the cases it
+    rests on, the n involution cases and the idempotent pairs (n +
+    4^(p-1) on S(G)); otherwise :func:`_inverse_scan` decides.
     """
     import numpy as np
-    elements = enumerate_semigroup(group, cap)
-    n = len(elements)
-    rows, factors, product, star_idx, unit_idx = _products(group, elements)
-    assoc = _associativity(elements, rows, factors, product, unit_idx)
+    _check_cap(group, cap)
+    supports, degrees = _canonical(group)
+    name = lambda i: SgElement._trusted(group, int(supports[i]), int(degrees[i]))
+    rows, factors, product, star_idx, unit_idx = _products(group, supports, degrees)
+    assoc = _associativity(group, name, _generator_rows(group, supports, degrees), rows, factors, product, unit_idx)
 
     # a a* a == a  and  a* a a* == a*
-    idx = np.arange(n)
+    idx = np.arange(n := len(degrees))
     both = (product(product(idx, star_idx), idx) == idx) & (product(product(star_idx, idx), star_idx) == star_idx)
-    bad = (elements[int(np.flatnonzero(~both)[0])],) if not both.all() else None
+    bad = (name(np.flatnonzero(~both)[0]),) if not both.all() else None
     invol = CheckResult("involution identities", bad is None, n, bad)
 
-    # idempotents commute pairwise: per block of rows ef, e >= lo, against the columns fe
-    idem = np.flatnonzero(product(idx, idx) == idx)
-    step, bad = max(1, SCAN_BYTES // (star_idx.itemsize * max(idem.size, 1))), None
-    for lo in range(0, idem.size, step):
+    # idempotents commute pairwise: at once in one class, else per block of rows ef, e >= lo, against the columns fe
+    (moved, cls, left), idem = factors, np.flatnonzero(product(idx, idx) == idx)
+    c, step, bad = cls[idem[:1]], max(1, SCAN_BYTES // (star_idx.itemsize * max(idem.size, 1))), None
+    one_class = (cls[idem] == c).all() and (moved[c, idem] == left[idem] | moved[c, unit_idx]).all()
+    for lo in range(0, 0 if one_class else idem.size, step):
         e, rest = idem[lo : lo + step], idem[lo:]
         fails = np.argwhere(product(e[:, None], rest) != product(rest[:, None], e).T)
         if fails.size:  # the first in row-major order: a failing pair below the diagonal has its mirror above
-            bad = (elements[int(e[fails[0, 0]])], elements[int(rest[fails[0, 1]])])
+            bad = (name(e[fails[0, 0]]), name(rest[fails[0, 1]]))
             break
     commute = CheckResult("idempotents commute", bad is None, int(idem.size) ** 2, bad)
 
     if assoc.passed and invol.passed and commute.passed:
         unique = CheckResult("unique inverses", True, invol.checked + commute.checked)
     else:
-        unique = _inverse_scan(elements, rows, product, star_idx)
+        unique = _inverse_scan(name, rows, product, star_idx)
     return SemigroupReport(group.order, n, [assoc, invol, unique, commute])
 
 
@@ -698,8 +707,7 @@ def universal_extension(
     """
     _check_cap(group, DEFAULT_ENUMERATION_CAP)
     boxes, compose = _checked_boxes(group, images, mul)
-    masks = identity_masks(group)
-    keys = [(mask, s) for s in group.elements() for mask in masks if mask >> s & 1]  # enumerate_semigroup's order
+    keys = zip(*(a.tolist() for a in _canonical(group)))  # (support, degree) in enumerate_semigroup's order
     table = {key: box.value for key, box in zip(keys, _extension_rows(group, boxes, compose))}
 
     def extended(a: SgElement) -> T:
@@ -710,7 +718,7 @@ def universal_extension(
     return extended
 
 
-def _exact_certificate(rows: Sequence[int], worst: float) -> float | None:
+def _exact_certificate(rows: np.ndarray, worst: float) -> float | None:
     """The :func:`_worst_pair` certificate of an exact table, whose
     integer images multiply exactly and so associatively: if its
     generator rows pass, f(bx) = f(b)f(x) for every b by induction on
@@ -723,7 +731,7 @@ def _worst_pair(
     images: np.ndarray,
     compose: Callable = _gather,
     distance: Callable = lambda x, y: (x != y).any(axis=-1),
-    certify: Callable[[Sequence[int], float], float | None] | None = None,
+    certify: Callable[[np.ndarray, float], float | None] | None = None,
 ) -> tuple[float, tuple[SgElement, SgElement] | None]:
     """Multiplicativity of a table over a closed set of elements.
 
@@ -736,9 +744,9 @@ def _worst_pair(
     (:func:`_products`, p rows at a time) when the scan reaches it; its
     columns b run in blocks whose images take about SCAN_BYTES, each
     one ``compose`` of f(a) with a slice of the stack and one
-    ``distance`` from the gathered f(ab).  A boolean distance stops the scan at its first True
-    pair, which already attains the maximum.  Private, so a trace
-    charges the scan to its caller.
+    ``distance`` from the gathered f(ab).  A boolean distance stops the
+    scan at its first True pair, which attains the maximum.  Private,
+    so a trace charges the scan to its caller.
 
     S(G) is generated by the generators [t].  So if the table holds all
     p of them, ``certify(rows, worst)`` is given their row indices and
@@ -751,7 +759,8 @@ def _worst_pair(
     import numpy as np
     elements = list(table)
     group, n = elements[0].group, len(elements)
-    products, _, _, star, _ = _products(group, elements)
+    supports, degrees = _element_arrays(elements)
+    products, _, _, star, _ = _products(group, supports, degrees)
     targets = np.empty((group.order, n), dtype=star.dtype)  # the products of up to p rows
     width = min(n, max(1, SCAN_BYTES // max(images[:1].nbytes, 1)))
 
@@ -769,10 +778,10 @@ def _worst_pair(
                             return worst, witness
         return worst, witness
 
-    rows = _generator_rows(elements) if certify else []
+    rows = _generator_rows(group, supports, degrees) if certify else []
     if len(rows) == group.order:
         try:
-            bound = certify(rows, scan(np.array(rows))[0])
+            bound = certify(rows, scan(rows)[0])
         except ValueError:  # the full scan below raises it where it first occurs
             bound = None
         if bound is not None:

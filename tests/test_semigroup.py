@@ -440,10 +440,25 @@ def _restricted_bernoulli_rows(g):
     return [[place[int(v)] for v in row[cols]] for row in semigroup._bernoulli_rows(g, masks)]
 
 
+# the 18 groups of order at most 10 up to isomorphism, and two relabellings with e != 0
 MODEL_GROUPS = [cyclic(p) for p in range(1, 11)] + [
-    klein_four(), dihedral(3), dihedral(4), dihedral(5), quaternion(), relabelled(dihedral(3), [4, 2, 0, 5, 1, 3])
+    klein_four(), dihedral(3), dihedral(4), dihedral(5), quaternion(),
+    direct_product(cyclic(4), cyclic(2)), direct_product(klein_four(), cyclic(2)), direct_product(cyclic(3), cyclic(3)),
+    relabelled(dihedral(3), [4, 2, 0, 5, 1, 3]), relabelled(dihedral(5), [7, 3, 0, 9, 1, 5, 8, 2, 6, 4]),
 ]
-MODEL_IDS = [f"cyclic{p}" for p in range(1, 11)] + ["klein4", "dihedral3", "dihedral4", "dihedral5", "quaternion", "relabelled-dihedral3"]
+MODEL_IDS = [f"cyclic{p}" for p in range(1, 11)] + [
+    "klein4", "dihedral3", "dihedral4", "dihedral5", "quaternion", "cyclic4xcyclic2", "klein4xcyclic2", "cyclic3xcyclic3",
+    "relabelled-dihedral3", "relabelled-dihedral5",
+]
+
+
+@pytest.mark.parametrize("g", MODEL_GROUPS, ids=MODEL_IDS)
+def test_canonical_arrays_are_the_enumeration(g):
+    """The certificate's elements, the intp arrays (supports, degrees),
+    are ``enumerate_semigroup``'s elements in its order."""
+    supports, degrees = semigroup._canonical(g)
+    assert supports.dtype == degrees.dtype == np.intp
+    assert list(zip(supports.tolist(), degrees.tolist())) == [(a.support, a.degree) for a in enumerate_semigroup(g)]
 
 
 @pytest.mark.parametrize("family", [identity_masks, _co_singletons], ids=["identity-masks", "co-singletons"])
@@ -489,8 +504,10 @@ def test_certificate_model_is_the_bernoulli_model_on_2p_minus_1_points(monkeypat
     calls, real = [], semigroup._extension_rows
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
     elements = enumerate_semigroup(g)
-    rows, factors, product, _, unit_index = semigroup._products(g, elements)
-    assoc = semigroup._associativity(elements, rows, factors, product, unit_index)
+    canonical = semigroup._canonical(g)
+    rows, factors, product, _, unit_index = semigroup._products(g, *canonical)
+    gens = semigroup._generator_rows(g, *canonical)
+    assoc = semigroup._associativity(g, elements.__getitem__, gens, rows, factors, product, unit_index)
     assert assoc.passed and assoc.checked == model_checked(len(elements), g.order)
     ((rows, phi),) = calls
     assert rows.dtype == np.uint8 and rows.tolist() == _restricted_bernoulli_rows(g)
@@ -543,7 +560,7 @@ def test_no_row_call_copies_the_translate_keys():
     translates, so it gathers one row of them and copies none whole."""
     g = cyclic(10)
     elements = enumerate_semigroup(g)
-    rows, (moved, _, _), _, star, _ = semigroup._products(g, elements)
+    rows, (moved, _, _), _, star, _ = semigroup._products(g, *semigroup._canonical(g))
     out = np.empty((1, len(elements)), dtype=star.dtype)
     key_bytes = g.order * len(elements) * moved.itemsize
     tracemalloc.start()
@@ -562,8 +579,7 @@ def test_keys_are_uint16_through_order_13():
     the 12 + 4 bits of a key at order 13 fit uint16; the unit's key,
     M[c(unit)] | L[unit] of the factors, is the identity."""
     g = cyclic(13)
-    elements = enumerate_semigroup(g, cap=13)
-    _, (moved, cls, left), _, _, unit_index = semigroup._products(g, elements)
+    _, (moved, cls, left), _, _, unit_index = semigroup._products(g, *semigroup._canonical(g))
     key = moved[cls[unit_index]] | left[unit_index]
     assert key.dtype == np.uint16
     assert key[unit_index] == g.identity
@@ -591,9 +607,9 @@ def test_few_rows_of_a_layer_have_children():
     most 1716 elements of two adjacent layers have children, where
     taking the first generator gave 6006."""
     g = cyclic(13)
-    elements = enumerate_semigroup(g, cap=13)
-    _, _, product, _, unit_index = semigroup._products(g, elements)
-    right = product(np.arange(len(elements))[:, None], np.array(semigroup._generator_rows(elements)))
+    canonical = semigroup._canonical(g)
+    _, _, product, _, unit_index = semigroup._products(g, *canonical)
+    right = product(np.arange(len(canonical[0]))[:, None], semigroup._generator_rows(g, *canonical))
     layers, _, parent = semigroup._closure_tree(right, unit_index)
     kept = [np.isin(layer, parent).sum() for layer in layers]
     assert max(a + b for a, b in zip(kept, kept[1:])) == 1716
@@ -676,11 +692,11 @@ def test_one_flipped_key_bit_of_the_real_source_is_refused_where_the_rows_differ
     direct comparison of whole key rows does, and ``_bernoulli_check``,
     whose row source stays clean, refuses exactly when some x fails."""
     g = cyclic(5)
-    elements = enumerate_semigroup(g)
-    rows, factors, product, _, unit_index = semigroup._products(g, elements)
-    n, gens = len(elements), semigroup._generator_rows(elements)
-    layers, via, parent = semigroup._closure_tree(product(np.arange(n)[:, None], np.array(gens)), unit_index)
-    gen_rows = rows(np.array(gens), np.empty((len(gens), n), dtype=np.min_scalar_type(n)))
+    canonical = semigroup._canonical(g)
+    rows, factors, product, _, unit_index = semigroup._products(g, *canonical)
+    n, gens = len(canonical[0]), semigroup._generator_rows(g, *canonical)
+    layers, via, parent = semigroup._closure_tree(product(np.arange(n)[:, None], gens), unit_index)
+    gen_rows = rows(gens, np.empty((len(gens), n), dtype=np.min_scalar_type(n)))
     assert semigroup._tree_keys_agree(factors, gen_rows, via, parent).all()
     rng = np.random.default_rng(29)
     refused = 0
@@ -690,7 +706,7 @@ def test_one_flipped_key_bit_of_the_real_source_is_refused_where_the_rows_differ
         flipped[rng.integers(flipped.size)] ^= 1 << int(rng.integers(0, 8 * flipped.itemsize))
         want = _direct_key_check((moved, cls, left), gen_rows, via, parent)
         assert np.array_equal(semigroup._tree_keys_agree((moved, cls, left), gen_rows, via, parent), want)
-        checked = semigroup._bernoulli_check(elements, rows, (moved, cls, left), gens, layers, via, parent)
+        checked = semigroup._bernoulli_check(g, rows, (moved, cls, left), gens, layers, via, parent)
         assert (checked is None) == (not want.all())
         refused += checked is None
     assert refused > 100
@@ -713,8 +729,8 @@ def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
     real = semigroup._products
     swap = []
 
-    def corrupted(group, elements):
-        source = real(group, elements)
+    def corrupted(*args):
+        source = real(*args)
         left = source[1][2]
         left[swap] = left[swap[::-1]]
         return source
@@ -733,9 +749,9 @@ def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
         mult = multiplication_tables(elements)[0]
         assert set(np.flatnonzero((mult != clean).any(axis=1))) <= set(swap)
         assert not _associative(mult) and len(_generated(mult, unit_index, gens)) == n
-        rows, factors, _, _, _ = semigroup._products(g, elements)
+        rows, factors, _, _, _ = semigroup._products(g, *semigroup._canonical(g))
         tree = semigroup._closure_tree(mult[:, gens], unit_index)
-        assert semigroup._bernoulli_check(elements, rows, factors, gens, *tree) is None
+        assert semigroup._bernoulli_check(g, rows, factors, np.array(gens), *tree) is None
         assoc = verify_inverse_semigroup(g).checks[0]
         k, (x, a, y) = _first_light_failure(mult, gens)
         assert assoc.counterexample == (elements[x], elements[a], elements[y])
@@ -745,9 +761,12 @@ def test_a_corrupted_row_source_fails_the_key_check(monkeypatch, g):
 def test_idempotent_pairs_are_checked_in_blocks(monkeypatch):
     """cyclic(12), 2048 idempotents and 4^11 pairs: with associativity
     stubbed to pass, the traced peak of the other checks stays below
-    the 8 MiB one uint16 array of every pair takes.  On cyclic(10), two
-    wrong products ef = e of idempotents, below the diagonal and in
-    later row blocks, give the first failing pair in row-major order."""
+    the 8 MiB one uint16 array of every pair takes (the real source's
+    idempotents share one class, so they pass by the class-wise rule and
+    no pair is scanned).  A served table has one class per element, so
+    its pairs are scanned in blocks: on cyclic(10), two wrong products
+    ef = e of idempotents, below the diagonal and in later row blocks,
+    give the first failing pair in row-major order."""
     passing = semigroup.CheckResult("associativity", True, 0)
     monkeypatch.setattr(semigroup, "_associativity", lambda *args: passing)
     tracemalloc.start()
@@ -775,6 +794,143 @@ def test_idempotent_pairs_are_checked_in_blocks(monkeypatch):
     assert commute.checked == idem.size**2
 
 
+def _commute_reference(product, n, name):
+    """The pair scan: (passed, witness, checked) of ef == fe over every
+    pair of idempotents i (ii = i), the first failing pair row-major."""
+    idx = np.arange(n)
+    idem = np.flatnonzero(product(idx, idx) == idx)
+    pairs = product(idem[:, None], idem)
+    fails = np.argwhere(pairs != pairs.T)
+    bad = (name(idem[fails[0, 0]]), name(idem[fails[0, 1]])) if fails.size else None
+    return bad is None, bad, idem.size**2
+
+
+def _random_key_source(rng, n):
+    """A factor set (M, c, L) of 8-bit keys over n elements, with the
+    product of ``_products``, index_of[M[c(i)][j] | L[i]] for a random
+    index_of, and a unit index u.  Each time with probability 3/4 the
+    premise of the class-wise rule is built on a set E holding u: one
+    class c, keys K_f = L[f] | M[c][u] distinct, index_of[K_f] = f so
+    that f is idempotent, and M[c][f] = K_f; then one entry of M or L,
+    or one class, of E may be changed.  Other elements may be idempotent
+    by chance, which breaks the premise too."""
+    classes = int(rng.integers(1, 4))
+    moved = rng.integers(0, 256, (classes, n)).astype(np.uint8)
+    cls, left = rng.integers(0, classes, n), (rng.integers(0, 256, n) & rng.integers(0, 256, n)).astype(np.uint8)
+    index_of, unit_index = rng.integers(0, n, 256), int(rng.integers(n))
+    if rng.random() < 0.75:
+        c, rest = int(rng.integers(classes)), np.setdiff1d(np.arange(n), [unit_index])
+        at = np.concatenate([[unit_index], rng.choice(rest, int(rng.integers(0, n // 2)), replace=False)])
+        shared = int(rng.integers(0, 256)) & 0b10101010  # M[c][u]: free bits for the others' distinct keys
+        extra = rng.choice(np.arange(1, 16), at.size - 1, replace=False)
+        keys = np.array([shared] + [shared | (x & 1) | (x & 2) << 1 | (x & 4) << 2 | (x & 8) << 3 for x in extra])
+        cls[at], moved[c, at], left[at] = c, keys, keys & rng.integers(0, 256, at.size) | keys & ~shared
+        index_of[keys] = at
+        change = rng.integers(4)
+        f = int(rng.choice(at))
+        if change == 1:
+            moved[c, f] ^= 1 << int(rng.integers(8))
+        elif change == 2:
+            left[f] ^= 1 << int(rng.integers(8))
+        elif change == 3 and classes > 1:
+            cls[f] = (c + 1) % classes
+
+    def product(i, j):
+        return index_of[moved[cls[i], j] | left[i]]
+
+    return None, (moved, cls, left), product, np.arange(n), unit_index  # no rows: nothing here reads one
+
+
+def _served_commute_check(monkeypatch, g, source):
+    """The idempotents-commute check of ``source``, served as
+    ``_products``, with associativity and the unique-inverses scan
+    stubbed, and whether it scanned pairs (called ``product`` on a
+    column of idempotents)."""
+    rows, factors, product, star, unit_index = source
+    scanned = []
+
+    def spied(i, j):
+        scanned.append(np.ndim(i) == 2)
+        return product(i, j)
+
+    passing = semigroup.CheckResult("stub", True, 0)
+    monkeypatch.setattr(semigroup, "_products", lambda *_: (rows, factors, spied, star, unit_index))
+    monkeypatch.setattr(semigroup, "_associativity", lambda *args: passing)
+    monkeypatch.setattr(semigroup, "_inverse_scan", lambda *args: passing)
+    commute = verify_inverse_semigroup(g).checks[3]
+    return commute, any(scanned)
+
+
+def test_the_class_wise_idempotent_rule_is_the_pair_scan(monkeypatch):
+    """The verdict, first witness and ``checked`` of idempotents commute
+    are the pair scan's on three kinds of source: 300 seeded random
+    factor sets over the 20 elements of klein4; 60 served tables of
+    klein4, each with one to three idempotent products ef := e (one
+    class per element); and the real cyclic(5) factors with one bit of
+    M or L below the key width flipped, 200 times with every product still
+    listed (the certificate reads no other source).  The rule decides
+    where its premise holds, and the scan runs elsewhere."""
+    tally, real = {}, semigroup._products
+    mult, star, unit_index = _real_tables(enumerate_semigroup(klein_four()))
+
+    def compare(g, source, kind):
+        _, _, product, _, _ = source
+        supports, degrees = semigroup._canonical(g)
+        name = lambda i: SgElement(g, int(supports[i]), int(degrees[i]))
+        commute, scanned = _served_commute_check(monkeypatch, g, source)
+        assert (commute.passed, commute.counterexample, commute.checked) == _commute_reference(product, len(degrees), name)
+        key = (kind, "scan" if scanned else "rule", commute.passed)
+        tally[key] = tally.get(key, 0) + 1
+
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        compare(klein_four(), _random_key_source(rng, 20), "random")
+    idem = np.flatnonzero(mult[np.arange(len(mult)), np.arange(len(mult))] == np.arange(len(mult)))
+    for _ in range(60):
+        bad = mult.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            e, f = rng.choice(idem, 2, replace=False)
+            bad[e, f] = e  # a failing pair unless ef was already e
+        compare(klein_four(), (*_table_source(bad), star, unit_index), "served")
+    g, ids, kept = cyclic(5), np.arange(48), 0
+    bits = g.order - 1 + (g.order - 1).bit_length()  # of a key F' << k | degree, all index_of holds
+    while kept < 200:
+        source = real(g, *semigroup._canonical(g))
+        moved, _, left = source[1]
+        flipped = moved.reshape(-1) if rng.random() < 0.5 else left
+        flipped[rng.integers(flipped.size)] ^= 1 << int(rng.integers(bits))
+        if (source[2](ids[:, None], ids) < 48).all():  # every product still listed, as a certified source's is
+            kept += 1
+            compare(g, source, "cyclic5")
+    assert tally[("random", "rule", True)] > 30 and tally[("random", "scan", True)] and tally[("random", "scan", False)] > 30
+    assert tally[("served", "scan", False)] > 40 and not any(key[:2] == ("served", "rule") for key in tally)
+    assert tally[("cyclic5", "rule", True)] > 100 and tally[("cyclic5", "scan", False)] >= 5
+
+
+def test_a_passing_certificate_builds_no_element(monkeypatch):
+    """cyclic(12), n = 13312: the certificate runs on index arrays.  With
+    ``enumerate_semigroup`` refused and ``SgElement._trusted`` spied on,
+    it passes with the closed-form counts, builds no element, and asks
+    ``product`` for fewer than (p + 6) n entries: p n for the generation
+    scan, 5n for the involution identities and the idempotents, none for
+    the 4^11 idempotent pairs (2 * 4^11 when each pair was looked up)."""
+    built, trusted = [], SgElement._trusted
+    monkeypatch.setattr(SgElement, "_trusted", classmethod(lambda cls, *args: built.append(args) or trusted(*args)))
+    monkeypatch.setattr(semigroup, "enumerate_semigroup", _never_enumerated)
+    asked, real = [], semigroup._products
+
+    def counted(*args):
+        rows, factors, product, star, unit_index = real(*args)
+        return rows, factors, lambda i, j: asked.append(np.broadcast(i, j).size) or product(i, j), star, unit_index
+
+    monkeypatch.setattr(semigroup, "_products", counted)
+    report = verify_inverse_semigroup(cyclic(12), cap=12)
+    n, p = order_formula(12), 12
+    assert report.passed and report.size == n == 13312
+    assert [c.checked for c in report.checks] == [model_checked(n, p), n, inverses_checked(n, p), 4 ** (p - 1)]
+    assert built == [] and sum(asked) < (p + 6) * n
+
+
 @pytest.mark.parametrize("g", MODEL_GROUPS, ids=MODEL_IDS)
 def test_streamed_reports_are_the_reference_counts(monkeypatch, g):
     """Without the whole table, every model group's report passes each
@@ -798,6 +954,10 @@ _real_tables = semigroup.multiplication_tables
 
 def _no_table(*args):
     raise AssertionError("the whole product table was built")
+
+
+def _never_enumerated(*args):
+    raise AssertionError("the semigroup was enumerated as elements")
 
 
 def _table_source(mult):
@@ -1259,7 +1419,7 @@ def test_associativity_reports_match_the_references_on_random_corruptions(g):
         for _ in range(int(rng.integers(1, 4))):
             i, j = map(int, rng.integers(n, size=2))
             bad[i, j] = (int(bad[i, j]) + int(rng.integers(1, n))) % n
-        assoc = semigroup._associativity(elements, *_table_source(bad), unit_index)
+        assoc = semigroup._associativity(g, elements.__getitem__, np.array(gens), *_table_source(bad), unit_index)
         reached = _generated(bad, unit_index, gens)
         if assoc.passed:
             assert _associative(bad) and assoc.checked == model_checked(n, p)
@@ -1288,7 +1448,7 @@ def test_opposite_table_falls_back_to_lights_test(monkeypatch):
     gens = [elements.index(generator(g, t)) for t in g.elements()]
     assert _associative(opposite) and len(_generated(opposite, unit_index, gens)) == n
     tree = semigroup._closure_tree(opposite[:, gens], unit_index)
-    assert semigroup._bernoulli_check(elements, *_table_source(opposite)[:2], gens, *tree) is None
+    assert semigroup._bernoulli_check(g, *_table_source(opposite)[:2], np.array(gens), *tree) is None
     _serve_table(monkeypatch, opposite, star, unit_index)
     monkeypatch.setattr(semigroup, "_inverse_scan", _never_scanned)
     report = verify_inverse_semigroup(g)
@@ -1328,14 +1488,14 @@ def test_an_unfaithful_model_certifies_nothing(monkeypatch):
     _, bad_via, bad_parent = semigroup._closure_tree(bad[:, gens], unit_index)
     assert np.array_equal(bad_via, via) and np.array_equal(bad_parent, parent)
     bad_rows, bad_factors, bad_product = _table_source(bad)
-    assert semigroup._bernoulli_check(elements, bad_rows, bad_factors, gens, layers, via, parent) is None
+    assert semigroup._bernoulli_check(g, bad_rows, bad_factors, np.array(gens), layers, via, parent) is None
 
     phi = _model(elements)
     trivial = np.broadcast_to(phi[unit_index], phi.shape).copy()
     monkeypatch.setattr(semigroup, "_extension_rows", lambda *_: trivial)
-    assert semigroup._bernoulli_check(elements, bad_rows, bad_factors, gens, layers, via, parent) is None
+    assert semigroup._bernoulli_check(g, bad_rows, bad_factors, np.array(gens), layers, via, parent) is None
     _, (x, a, z) = _first_light_failure(bad, gens)
-    assoc = semigroup._associativity(elements, bad_rows, bad_factors, bad_product, unit_index)
+    assoc = semigroup._associativity(g, elements.__getitem__, np.array(gens), bad_rows, bad_factors, bad_product, unit_index)
     assert assoc.counterexample == (elements[x], elements[a], elements[z])
 
 
